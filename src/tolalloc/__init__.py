@@ -18,7 +18,6 @@ from .boxmax import (
 from .domain import (
     BoundingBox,
     ConstraintError,
-    PerformanceConstraint,
     SamplingDomain,
     axis_threshold,
     size_bounding_box,
@@ -65,10 +64,6 @@ from .surrogate import (
     SampleSet,
     SeparatedModel,
     als_fit,
-    legendre_deriv,
-    legendre_eval,
-    model_eval,
-    model_grad,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

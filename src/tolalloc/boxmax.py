@@ -208,12 +208,11 @@ def grad_G(model: SeparatedModel, box: ToleranceBox, result: BoxMaxResult) -> np
     For a degenerate axis (tau_i = 0) the box can grow to either side, so the
     one-sided derivative is the absolute partial of the surrogate there.
     """
-    if result.box is None or result.box is not box:
-        if result.box is None or not (
-            np.array_equal(result.box.center, box.center)
-            and np.array_equal(result.box.half_widths, box.half_widths)
-        ):
-            raise ValueError("result was not produced for this box")
+    if result.box is not box and (result.box is None or not (
+        np.array_equal(result.box.center, box.center)
+        and np.array_equal(result.box.half_widths, box.half_widths)
+    )):
+        raise ValueError("result was not produced for this box")
     out = np.zeros(box.dim)
     if len(result.maximizers) == 0:
         return out

@@ -13,7 +13,7 @@ import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -34,12 +34,15 @@ class UsageError(Exception):
     pass
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
+def _atomic_write(path, write) -> None:
+    """Call ``write(tmp)`` on a fresh temporary file beside ``path``, then
+    rename it over ``path``, so readers never see a partial artifact."""
+    path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    os.close(fd)
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        write(tmp)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -48,7 +51,8 @@ def _atomic_write_text(path: Path, text: str) -> None:
 
 
 def _write_json(path, obj: dict) -> None:
-    _atomic_write_text(Path(path), json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    _atomic_write(path, lambda tmp: Path(tmp).write_text(text))
 
 
 def _load_json(path, what: str) -> dict:
@@ -80,11 +84,25 @@ def _seed_of(args, config: dict) -> int:
     raise UsageError("--seed is required when the config has no seed field")
 
 
-def _build_evaluator(config: dict):
+def _section(cls, name: str, fields, **defaults):
+    """Build ``cls`` from a config section; unknown keys are a usage error."""
     try:
-        return evaluator_mod.from_config(_require(config, "evaluator"))
+        return cls(**{**defaults, **fields})
+    except TypeError as exc:
+        raise UsageError(f"malformed {name!r} section in config: {exc}")
+
+
+@contextmanager
+def _open_evaluator(config: dict):
+    """The config's evaluator, closed (child processes stopped) on exit."""
+    try:
+        evaluator = evaluator_mod.from_config(_require(config, "evaluator"))
     except (KeyError, ValueError) as exc:
         raise UsageError(f"bad evaluator spec: {exc}")
+    try:
+        yield evaluator
+    finally:
+        evaluator_mod.close_evaluator(evaluator)
 
 
 def _domain_from(args, config: dict) -> tuple[BoundingBox | None, list[Interval]]:
@@ -104,7 +122,7 @@ def _domain_from(args, config: dict) -> tuple[BoundingBox | None, list[Interval]
 
 def _gfun_for(model: SeparatedModel, config: dict) -> boxmax.SurrogateWorstCase:
     nominal = np.asarray(_require(config, "nominal"), dtype=float)
-    bm_config = boxmax.BoxMaxConfig(**config.get("boxmax", {}))
+    bm_config = _section(boxmax.BoxMaxConfig, "boxmax", config.get("boxmax", {}))
     return boxmax.SurrogateWorstCase(model, nominal, bm_config)
 
 
@@ -119,46 +137,24 @@ def _measure_for(config: dict, model: SeparatedModel | None):
 
 def cmd_sample(args) -> int:
     config = load_config(args.config)
-    evaluator = _build_evaluator(config)
     _, intervals = _domain_from(args, config)
     seed = _seed_of(args, config)
-    try:
-        if args.jobs > 1:
-            samples = _draw_samples_parallel(evaluator, intervals, args.n, seed, args.jobs)
-        else:
-            samples = evaluator_mod.draw_samples(evaluator, intervals, args.n, seed)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    out = Path(args.out)
-    tmp = out.with_suffix(out.suffix + ".tmp")
-    out.parent.mkdir(parents=True, exist_ok=True)
-    samples.write_csv(tmp)
-    os.replace(tmp, out)
-    print(f"wrote {len(samples)} samples to {out}")
+    with _open_evaluator(config) as evaluator:
+        samples = evaluator_mod.draw_samples(evaluator, intervals, args.n, seed)
+    _atomic_write(args.out, samples.write_csv)
+    print(f"wrote {len(samples)} samples to {args.out}")
     return EXIT_OK
-
-
-def _draw_samples_parallel(evaluator, intervals, n: int, seed: int, jobs: int) -> SampleSet:
-    if n < 1:
-        raise ValueError("need n >= 1 samples")
-    lo = np.array([iv.lo for iv in intervals])
-    width = np.array([iv.width for iv in intervals])
-    rng = np.random.Generator(np.random.Philox(seed))
-    points = lo + rng.random((n, len(intervals))) * width
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        values = np.fromiter(pool.map(evaluator, points), dtype=float, count=n)
-    return SampleSet(points=points, values=values)
 
 
 def cmd_size_domain(args) -> int:
     config = load_config(args.config)
-    evaluator = _build_evaluator(config)
     nominal = np.asarray(_require(config, "nominal"), dtype=float)
     q_allow = float(_require(config, "q_allow"))
     overrides = config.get("bbox", {})
     caps = np.asarray(overrides.get("caps", 10.0), dtype=float)
     tau_min = overrides.get("tau_min")
-    bbox, sampling = size_bounding_box(evaluator, nominal, q_allow, caps, tau_min=tau_min)
+    with _open_evaluator(config) as evaluator:
+        bbox, sampling = size_bounding_box(evaluator, nominal, q_allow, caps, tau_min=tau_min)
     if "tau_max" in overrides:
         bbox = BoundingBox(
             tau_min=bbox.tau_min,
@@ -183,9 +179,7 @@ def cmd_fit(args) -> int:
     config = load_config(args.config)
     _, intervals = _domain_from(args, config)
     seed = _seed_of(args, config)
-    fit_fields = dict(_require(config, "fit"))
-    fit_fields.setdefault("seed", seed)
-    fit_config = FitConfig(**fit_fields)
+    fit_config = _section(FitConfig, "fit", _require(config, "fit"), seed=seed)
     if not Path(args.samples).exists():
         raise UsageError(f"missing sample file {args.samples}")
     samples = SampleSet.read_csv(args.samples)
@@ -213,7 +207,7 @@ def cmd_allocate(args) -> int:
     q_allow = float(_require(config, "q_allow"))
     gfun = _gfun_for(model, config)
     measure = _measure_for(config, model)
-    traversal = manifold.TraversalConfig(**config.get("traversal", {}))
+    traversal = _section(manifold.TraversalConfig, "traversal", config.get("traversal", {}))
     tau0 = manifold.initial_guess(bbox, measure, gfun, q_allow, traversal.retraction_tol)
     run = manifold.gradient_ascent if args.method == "ga" else manifold.conjugate_gradient
     result = run(tau0, bbox, gfun, q_allow, measure, traversal)
@@ -228,11 +222,7 @@ def cmd_allocate(args) -> int:
         "restarts": result.trace.restarts,
     })
     if args.trace:
-        trace_path = Path(args.trace)
-        trace_path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = trace_path.with_suffix(trace_path.suffix + ".tmp")
-        result.trace.write_csv(tmp)
-        os.replace(tmp, trace_path)
+        _atomic_write(args.trace, result.trace.write_csv)
     if args.emit_manifold_scan:
         _emit_manifold_scan(args.emit_manifold_scan, gfun, bbox)
     print(f"tau_hat = {result.tau.tolist()}  F = {result.f_opt}")
@@ -249,7 +239,7 @@ def _emit_manifold_scan(path, gfun, bbox: BoundingBox, resolution: int = 101) ->
         for t2 in axis_2:
             g = gfun.value(np.array([t1, t2]))
             lines.append(f"{t1!r},{t2!r},{g!r}")
-    _atomic_write_text(Path(path), "\n".join(lines) + "\n")
+    _atomic_write(path, lambda tmp: Path(tmp).write_text("\n".join(lines) + "\n"))
 
 
 def cmd_check(args) -> int:
@@ -307,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="tolalloc",
         description="Worst-case tolerance allocation toolkit",
     )
-    parser.add_argument("--jobs", type=int, default=1, help="worker parallelism bound")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sample", help="draw Monte Carlo samples of the evaluator")
@@ -337,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--method", choices=("ga", "cg"), default="ga")
-    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
     p.add_argument("--trace")
     p.add_argument("--emit-manifold-scan")
@@ -362,13 +350,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ConstraintError,) as exc:
+    except ConstraintError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_THRESHOLD
-    except (OSError, ValueError, KeyError) as exc:
+    except (UsageError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (

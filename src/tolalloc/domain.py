@@ -25,19 +25,6 @@ class ConstraintError(ValueError):
 
 
 @dataclass(frozen=True)
-class PerformanceConstraint:
-    q_allow: float
-
-    def validate(self, evaluator, mu_hat) -> float:
-        q0 = evaluator(np.asarray(mu_hat, dtype=float))
-        if not q0 < self.q_allow:
-            raise ConstraintError(
-                f"constraint violated at nominal: Q(mu_hat)={q0} >= q_allow={self.q_allow}"
-            )
-        return q0
-
-
-@dataclass(frozen=True)
 class BoundingBox:
     """Componentwise tolerance search box [tau_min, tau_max]."""
 
@@ -65,6 +52,13 @@ class BoundingBox:
         tau = np.asarray(tau, dtype=float)
         slack = rel_slack * (self.tau_max - self.tau_min)
         return bool(np.all(tau >= self.tau_min - slack) and np.all(tau <= self.tau_max + slack))
+
+    def walls(self, tau, rel_tol: float) -> tuple[np.ndarray, np.ndarray]:
+        """Masks of the axes where tau lies on the lower and on the upper wall,
+        within ``rel_tol`` of the box width."""
+        tau = np.asarray(tau, dtype=float)
+        slack = rel_tol * (self.tau_max - self.tau_min)
+        return tau - self.tau_min <= slack, self.tau_max - tau <= slack
 
 
 @dataclass(frozen=True)
@@ -157,7 +151,6 @@ def size_bounding_box(
     """
     mu_hat = np.asarray(mu_hat, dtype=float)
     caps = np.broadcast_to(np.asarray(caps, dtype=float), mu_hat.shape)
-    PerformanceConstraint(q_allow).validate(evaluator, mu_hat)
     tau_max = np.empty_like(mu_hat)
     for i in range(mu_hat.size):
         plus = axis_threshold(evaluator, mu_hat, q_allow, i, +1, float(caps[i]))

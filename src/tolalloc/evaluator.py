@@ -247,6 +247,8 @@ class ExternalEvaluator:
 
     def _ensure_started(self) -> subprocess.Popen:
         if self._proc is None or self._proc.poll() is not None:
+            if self._proc is not None:
+                _stop_child(self._proc, grace=0.0)
             try:
                 self._proc = subprocess.Popen(
                     self.command,
@@ -261,14 +263,9 @@ class ExternalEvaluator:
         return self._proc
 
     def _fail(self, proc: subprocess.Popen, message: str) -> EvaluatorError:
-        stderr = ""
-        try:
-            proc.kill()
-            _, stderr = proc.communicate(timeout=5)
-        except Exception:
-            pass
+        stderr = _stop_child(proc, grace=0.0).strip()
         self._proc = None
-        detail = f"; stderr: {stderr.strip()}" if stderr and stderr.strip() else ""
+        detail = f"; stderr: {stderr}" if stderr else ""
         return EvaluatorError(message + detail)
 
     def __call__(self, mu) -> float:
@@ -301,12 +298,8 @@ class ExternalEvaluator:
 
     def close(self) -> None:
         with self._lock:
-            if self._proc is not None and self._proc.poll() is None:
-                try:
-                    self._proc.stdin.close()
-                    self._proc.wait(timeout=5)
-                except Exception:
-                    self._proc.kill()
+            if self._proc is not None:
+                _stop_child(self._proc, grace=5.0)
             self._proc = None
 
     def __enter__(self):
@@ -314,6 +307,23 @@ class ExternalEvaluator:
 
     def __exit__(self, *exc_info):
         self.close()
+
+
+def _stop_child(proc: subprocess.Popen, grace: float) -> str:
+    """Close the child's stdin, give it ``grace`` seconds to exit, then kill it;
+    reap it, close its pipes and return what it wrote to stderr."""
+    try:
+        _, stderr = proc.communicate(timeout=grace)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        _, stderr = proc.communicate()
+    return stderr or ""
+
+
+def close_evaluator(evaluator) -> None:
+    """Stop the child processes behind an evaluator; in-process ones have none."""
+    if hasattr(evaluator, "close"):
+        evaluator.close()
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +365,10 @@ class MaxComposite:
     def gradient(self, mu) -> np.ndarray:
         k, _ = self._branch(mu)
         return self.children[k].gradient(mu)
+
+    def close(self) -> None:
+        for child in self.children:
+            close_evaluator(child)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import null_space
 from scipy.optimize import brentq, minimize_scalar
 
 from .domain import BoundingBox
@@ -55,7 +54,6 @@ class TraversalConfig:
 @dataclass
 class TangentFrame:
     normal: np.ndarray       # unit manifold normal grad G / |grad G|
-    basis: np.ndarray        # (d, d-1) orthonormal tangent basis
     projector: np.ndarray    # (d, d), rows zeroed on active walls
     cg_flag: bool
 
@@ -161,38 +159,24 @@ def build_projection(
     grad_f_val,
     wall_rel_tol: float = 1e-8,
 ) -> TangentFrame:
-    """Orthonormal tangent frame at tau with wall rows zeroed.
+    """Tangent projector I - n n^T at tau with wall rows zeroed.
 
     A row k is zeroed when tau_k sits on a bounding-box wall and the measure
     gradient points out of that wall; this also clears the CG flag so the
     conjugate-gradient method restarts.
     """
-    tau = np.asarray(tau, dtype=float)
     grad_g_val = np.asarray(grad_g_val, dtype=float)
     grad_f_val = np.asarray(grad_f_val, dtype=float)
     norm = np.linalg.norm(grad_g_val)
     if norm == 0.0:
         raise DegenerateNormalError("grad G vanished: manifold tangent space undefined")
     normal = grad_g_val / norm
-    basis = null_space(normal[None, :])
-    projector = basis @ basis.T
-    cg_flag = True
-    width = bbox.tau_max - bbox.tau_min
-    for k in range(tau.size):
-        slack = wall_rel_tol * width[k]
-        on_lower = tau[k] - bbox.tau_min[k] <= slack
-        on_upper = bbox.tau_max[k] - tau[k] <= slack
-        outward = 0.0
-        if on_lower:
-            outward = -grad_f_val[k]
-        elif on_upper:
-            outward = grad_f_val[k]
-        else:
-            continue
-        if outward >= 0.0:
-            projector[k, :] = 0.0
-            cg_flag = False
-    return TangentFrame(normal=normal, basis=basis, projector=projector, cg_flag=cg_flag)
+    projector = np.eye(normal.size) - np.outer(normal, normal)
+    on_lower, on_upper = bbox.walls(tau, wall_rel_tol)
+    outward = np.where(on_lower, -grad_f_val, grad_f_val)
+    blocked = (on_lower | on_upper) & (outward >= 0.0)
+    projector[blocked, :] = 0.0
+    return TangentFrame(normal=normal, projector=projector, cg_flag=not blocked.any())
 
 
 def vector_transport(frame_new: TangentFrame, v_old) -> np.ndarray:
@@ -299,16 +283,6 @@ def line_search(
 # Traversal drivers
 # ---------------------------------------------------------------------------
 
-def _wall_axes(tau, bbox: BoundingBox, wall_rel_tol: float) -> list[int]:
-    width = bbox.tau_max - bbox.tau_min
-    out = []
-    for k in range(tau.size):
-        slack = wall_rel_tol * width[k]
-        if tau[k] - bbox.tau_min[k] <= slack or bbox.tau_max[k] - tau[k] <= slack:
-            out.append(k)
-    return out
-
-
 def _traverse(
     method: str,
     tau0,
@@ -363,8 +337,9 @@ def _traverse(
         iterations = i + 1
         df = f_new - trace.f_values[-1]
         dtau = float(np.max(np.abs(tau_new - tau)))
-        for axis in _wall_axes(tau_new, bbox, config.wall_rel_tol):
-            trace.wall_events.append((iterations, axis))
+        on_lower, on_upper = bbox.walls(tau_new, config.wall_rel_tol)
+        for axis in np.flatnonzero(on_lower | on_upper):
+            trace.wall_events.append((iterations, int(axis)))
         tau = tau_new
         v_prev = v
         trace.iterates.append(tau.copy())
@@ -378,7 +353,7 @@ def _traverse(
         f_opt=trace.f_values[-1],
         g_residual=trace.g_residuals[-1],
         iterations=iterations,
-        method=method.upper() if method != "cg" else "CG",
+        method=method.upper(),
         trace=trace,
         stalled=stalled,
     )

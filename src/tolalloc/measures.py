@@ -151,14 +151,6 @@ class ReciprocalPowerCost:
         }
 
 
-def measure_value(spec, tau) -> float:
-    return spec.value(tau)
-
-
-def measure_grad(spec, tau) -> np.ndarray:
-    return spec.grad(tau)
-
-
 def compute_mu_weights(model: SeparatedModel, mu_hat) -> np.ndarray:
     """Sensitivity weights |dQ/dmu_i| at the nominal design, from the surrogate."""
     weights = np.abs(model.gradient(mu_hat))
@@ -176,11 +168,7 @@ def mu_norm_from_model(model: SeparatedModel, mu_hat):
     (loudly) when the nominal design is a stationary point."""
     weights = compute_mu_weights(model, mu_hat)
     if np.all(weights < DEGENERATE_WEIGHT_TOL):
-        warnings.warn(
-            "mu-norm weights all zero; falling back to the 1-norm",
-            stacklevel=2,
-        )
-        return OneNorm()
+        return OneNorm()  # compute_mu_weights has warned
     return MuNorm(weights=weights)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -62,14 +62,6 @@ class Interval:
         return bool(np.all(mu >= self.lo - slack) and np.all(mu <= self.hi + slack))
 
 
-def to_standard(interval: Interval, mu):
-    return interval.to_standard(mu)
-
-
-def from_standard(interval: Interval, x):
-    return interval.from_standard(x)
-
-
 # ---------------------------------------------------------------------------
 # Legendre basis
 # ---------------------------------------------------------------------------
@@ -93,30 +85,16 @@ def legendre_table(x, degree: int) -> np.ndarray:
     return out
 
 
-def legendre_deriv_table(x, degree: int) -> np.ndarray:
-    """Derivatives L_0'(x)..L_degree'(x) via L'_{j+1} = L'_{j-1} + (2j+1) L_j."""
-    x = np.asarray(x, dtype=float)
-    vals = legendre_table(x, degree)
+def legendre_deriv_table(vals: np.ndarray) -> np.ndarray:
+    """Derivatives L_0'..L_p' from a values table of :func:`legendre_table`,
+    via L'_{j+1} = L'_{j-1} + (2j+1) L_j."""
+    degree = vals.shape[-1] - 1
     out = np.zeros_like(vals)
     if degree >= 1:
         out[..., 1] = 1.0
     for j in range(1, degree):
         out[..., j + 1] = out[..., j - 1] + (2 * j + 1) * vals[..., j]
     return out
-
-
-def legendre_eval(j: int, x: float) -> float:
-    """Value of the Legendre polynomial of degree j at x in [-1, 1]."""
-    if j < 0:
-        raise ValueError("degree index must be nonnegative")
-    return float(legendre_table(np.asarray(x, dtype=float), j)[..., j])
-
-
-def legendre_deriv(j: int, x: float) -> float:
-    """Derivative of the Legendre polynomial of degree j at x in [-1, 1]."""
-    if j < 0:
-        raise ValueError("degree index must be nonnegative")
-    return float(legendre_deriv_table(np.asarray(x, dtype=float), j)[..., j])
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +169,7 @@ class SeparatedModel:
             raise ValueError(f"expected {self.dim}-dimensional points, got {pts.shape[1]}")
         x = self._standardize(pts)
         basis = legendre_table(x, self.degree)
-        dbasis = legendre_deriv_table(x, self.degree)
+        dbasis = legendre_deriv_table(basis)
         factors = np.einsum("lij,nij->lni", self.coeffs, basis)    # (r, N, d)
         dfactors = np.einsum("lij,nij->lni", self.coeffs, dbasis)  # (r, N, d)
         d = self.dim
@@ -239,14 +217,6 @@ class SeparatedModel:
     @classmethod
     def load(cls, path) -> "SeparatedModel":
         return cls.from_dict(json.loads(Path(path).read_text()))
-
-
-def model_eval(model: SeparatedModel, mu) -> float:
-    return model(mu)
-
-
-def model_grad(model: SeparatedModel, mu) -> np.ndarray:
-    return model.gradient(mu)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +283,6 @@ class FitConfig:
     rel_residual_tol: float = 1e-8
     sweep_stall_tol: float = 1e-6
     regularization: float = 1e-10
-    normalize_factors: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -404,8 +373,7 @@ def als_fit(
                     raise FitError(f"non-finite solution in dimension {i}")
                 coeffs[:, i, :] = theta.reshape(rank, p1)
                 scales = np.ones(rank)
-            if config.normalize_factors:
-                _normalize(scales, coeffs)
+            _normalize(scales, coeffs)
             factors = np.einsum("lij,nij->lni", coeffs, basis)
             pred = scales @ factors.prod(axis=2)
             residual = float(np.linalg.norm(q - pred) / q_norm)

@@ -151,19 +151,6 @@ def test_sample_is_byte_identical_across_runs(tmp_path, capsys, config_path):
     assert first.read_bytes() == second.read_bytes()
 
 
-def test_sample_parallel_matches_serial(tmp_path, capsys, config_path):
-    serial = tmp_path / "serial.csv"
-    parallel = tmp_path / "parallel.csv"
-    domain = _write_domain(tmp_path)
-    code, _, _ = run(capsys, "sample", "--config", config_path, "--domain", domain,
-                     "--n", "80", "--out", str(serial))
-    assert code == 0
-    code, _, _ = run(capsys, "--jobs", "4", "sample", "--config", config_path,
-                     "--domain", domain, "--n", "80", "--out", str(parallel))
-    assert code == 0
-    assert serial.read_bytes() == parallel.read_bytes()
-
-
 def _write_domain(tmp_path):
     path = tmp_path / "fixed_domain.json"
     path.write_text(json.dumps({
@@ -239,6 +226,53 @@ def test_infeasible_nominal_exits_1(tmp_path, capsys):
                           "--out", str(tmp_path / "d.json"))
     assert code == 1
     assert "constraint violated" in stderr
+
+
+def test_non_finite_nominal_performance_exits_3(tmp_path, capsys):
+    config = dict(BOWL_CONFIG)
+    config["nominal"] = [float("nan"), 0.0]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, _, stderr = run(capsys, "size-domain", "--config", str(path),
+                          "--out", str(tmp_path / "d.json"))
+    assert code == 3
+    assert "non-finite performance" in stderr
+
+
+@pytest.mark.parametrize("section", ["fit", "boxmax", "traversal"])
+def test_unknown_key_in_config_section_exits_2(tmp_path, capsys, section):
+    config = dict(BOWL_CONFIG)
+    config[section] = {**config.get(section, {}), "bogus": 1}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    domain = _write_domain(tmp_path)
+    samples = tmp_path / "s.csv"
+    model = tmp_path / "model.json"
+    code, _, _ = run(capsys, "sample", "--config", str(path), "--domain", domain,
+                     "--n", "200", "--out", str(samples))
+    assert code == 0
+    fit = ("fit", "--config", str(path), "--domain", domain, "--samples", str(samples),
+           "--out", str(model))
+    if section == "fit":
+        code, _, stderr = run(capsys, *fit)
+    else:
+        assert run(capsys, *fit)[0] == 0
+        code, _, stderr = run(capsys, "allocate", "--config", str(path), "--domain", domain,
+                              "--model", str(model), "--out", str(tmp_path / "r.json"))
+    assert code == 2
+    assert f"malformed '{section}' section" in stderr
+    assert "bogus" in stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["--jobs", "2", "sample", "--config", "c.json", "--n", "1", "--out", "s.csv"],
+    ["allocate", "--config", "c.json", "--domain", "d.json", "--model", "m.json",
+     "--seed", "1", "--out", "r.json"],
+])
+def test_removed_flags_are_rejected(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
 def test_report_on_missing_directory_exits_2(tmp_path, capsys):

@@ -5,7 +5,6 @@ from tolalloc import Interval
 from tolalloc.domain import (
     BoundingBox,
     ConstraintError,
-    PerformanceConstraint,
     SamplingDomain,
     axis_threshold,
     size_bounding_box,
@@ -14,15 +13,8 @@ from tolalloc.evaluator import AbsSum, ExpCos, QuadraticBowl
 
 
 # ---------------------------------------------------------------------------
-# Constraint and box containers
+# Box containers
 # ---------------------------------------------------------------------------
-
-def test_constraint_validate_returns_nominal_value():
-    bowl = QuadraticBowl(a=[1.0, 1.0])
-    assert PerformanceConstraint(1.0).validate(bowl, [0.1, 0.1]) == pytest.approx(0.02)
-    with pytest.raises(ConstraintError):
-        PerformanceConstraint(1.0).validate(bowl, [1.0, 1.0])
-
 
 def test_bounding_box_validation_and_clip():
     box = BoundingBox(tau_min=np.array([0.0, 0.1]), tau_max=np.array([1.0, 0.5]))

@@ -90,7 +90,9 @@ def test_build_projection_tangent_space_properties():
     np.testing.assert_allclose(frame.projector, frame.projector.T, atol=1e-14)
     np.testing.assert_allclose(frame.projector @ frame.projector, frame.projector,
                                atol=1e-12)
-    assert frame.basis.shape == (2, 1)
+    # Off the walls the projector is exactly I - n n^T.
+    np.testing.assert_allclose(frame.projector, np.eye(2) - np.outer(frame.normal, frame.normal),
+                               atol=1e-15)
     assert frame.cg_flag
 
 

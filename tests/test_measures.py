@@ -9,8 +9,6 @@ from tolalloc.measures import (
     ReciprocalPowerCost,
     compute_mu_weights,
     from_config,
-    measure_grad,
-    measure_value,
     mu_norm_from_model,
 )
 
@@ -118,12 +116,6 @@ def test_ascent_direction_at_boundary():
     tau = np.array([0.5, 0.25])
     np.testing.assert_array_equal(MinusOneNorm().ascent_direction_at(tau),
                                   MinusOneNorm().grad(tau))
-
-
-def test_measure_value_grad_helpers():
-    m = OneNorm()
-    assert measure_value(m, [1.0, 2.0]) == 3.0
-    np.testing.assert_array_equal(measure_grad(m, [1.0, 2.0]), [1.0, 1.0])
 
 
 # ---------------------------------------------------------------------------
