@@ -12,7 +12,6 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import qmc
 
 from .surrogate import SeparatedModel
 
@@ -78,6 +77,17 @@ class BoxMaxResult:
     box: ToleranceBox = field(repr=False, default=None)
 
 
+def latin_hypercube(n: int, d: int, seed: int) -> np.ndarray:
+    """n points of a scrambled Latin hypercube in [0, 1)^d: the arithmetic and
+    draws of ``scipy.stats.qmc.LatinHypercube(d=d, seed=seed).random(n)``."""
+    rng = np.random.default_rng(seed)
+    offsets = rng.uniform(size=(n, d))
+    perms = np.tile(np.arange(1, n + 1), (d, 1))
+    for row in perms:
+        rng.shuffle(row)
+    return (perms.T - offsets) / n
+
+
 def _starts(model: SeparatedModel, box: ToleranceBox, config: BoxMaxConfig) -> np.ndarray:
     d = box.dim
     center = box.center
@@ -105,8 +115,7 @@ def _starts(model: SeparatedModel, box: ToleranceBox, config: BoxMaxConfig) -> n
                 signs = rng.choice((-1.0, 1.0), size=d)
                 starts.append(center + signs * half)
         if config.n_multistarts > 0:
-            sampler = qmc.LatinHypercube(d=free.size, seed=config.seed)
-            unit = sampler.random(config.n_multistarts)
+            unit = latin_hypercube(config.n_multistarts, free.size, config.seed)
             interior = np.tile(center, (config.n_multistarts, 1))
             interior[:, free] = box.lo[free] + unit * (2.0 * half[free])
             starts.extend(interior)

@@ -36,18 +36,28 @@ class UsageError(Exception):
 
 def _atomic_write(path, write) -> None:
     """Call ``write(tmp)`` on a fresh temporary file beside ``path``, then
-    rename it over ``path``, so readers never see a partial artifact."""
+    rename it over ``path``, so readers never see a partial artifact.  The
+    artifact gets the mode a plain new file would get under the umask."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     os.close(fd)
     try:
         write(tmp)
+        os.chmod(tmp, 0o666 & ~_umask())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _umask() -> int:
+    # The only way to read the umask is to set it; the CLI runs one thread,
+    # so nothing else creates a file while it is briefly 0.
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
 
 
 def _write_json(path, obj: dict) -> None:

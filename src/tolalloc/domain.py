@@ -11,7 +11,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .surrogate import Interval
 
@@ -125,6 +124,8 @@ def axis_threshold(
             stacklevel=2,
         )
         return search_cap
+
+    from scipy.optimize import brentq
 
     lo, hi = bracket
     root = brentq(lambda t: q_of(t) - q_allow, lo, hi, xtol=1e-15, rtol=8.9e-16)

@@ -7,10 +7,12 @@ gradient is defined, ``gradient(mu) -> ndarray``.
 
 from __future__ import annotations
 
+import os
 import select
 import shlex
 import subprocess
 import threading
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -227,7 +229,10 @@ class ExternalEvaluator:
 
     One request per line: ``dim`` whitespace-separated decimal reals on stdin.
     One response per line: a single decimal real on stdout.  Requests are
-    serialized; the child stays resident across requests.
+    serialized; the child stays resident across requests.  Each request must
+    be answered within ``timeout_seconds``, and output the child writes
+    beyond its one response line is an error, so answers cannot drift out of
+    step with requests.
     """
 
     def __init__(self, command, dim: int, timeout_seconds: float = 60.0):
@@ -239,6 +244,7 @@ class ExternalEvaluator:
         self._dim = dim
         self.timeout_seconds = timeout_seconds
         self._proc: subprocess.Popen | None = None
+        self._pending = b""  # stdout bytes read but not yet consumed
         self._lock = threading.Lock()
 
     @property
@@ -260,6 +266,7 @@ class ExternalEvaluator:
                 )
             except OSError as exc:
                 raise EvaluatorError(f"cannot start external evaluator {self.command}: {exc}")
+            self._pending = b""
         return self._proc
 
     def _fail(self, proc: subprocess.Popen, message: str) -> EvaluatorError:
@@ -268,6 +275,29 @@ class ExternalEvaluator:
         detail = f"; stderr: {stderr}" if stderr else ""
         return EvaluatorError(message + detail)
 
+    def _unsolicited(self, proc: subprocess.Popen) -> bytes:
+        """Output the child has written while no request was pending."""
+        fd = proc.stdout.fileno()
+        if select.select([fd], [], [], 0.0)[0]:
+            return os.read(fd, 65536)
+        return b""
+
+    def _read_line(self, proc: subprocess.Popen, deadline: float, request: str) -> str:
+        """The child's next stdout line, read from the raw pipe by ``deadline``."""
+        fd = proc.stdout.fileno()
+        while b"\n" not in self._pending:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0.0 or not select.select([fd], [], [], remaining)[0]:
+                raise self._fail(
+                    proc, f"external evaluator timed out after {self.timeout_seconds}s"
+                )
+            chunk = os.read(fd, 65536)
+            if not chunk:
+                raise self._fail(proc, f"external evaluator exited on request {request!r}")
+            self._pending += chunk
+        line, _, self._pending = self._pending.partition(b"\n")
+        return line.decode(errors="replace")
+
     def __call__(self, mu) -> float:
         mu = np.asarray(mu, dtype=float)
         if mu.shape != (self._dim,):
@@ -275,21 +305,24 @@ class ExternalEvaluator:
         with self._lock:
             proc = self._ensure_started()
             request = " ".join(repr(float(v)) for v in mu)
+            deadline = time.monotonic() + self.timeout_seconds
+            stray = self._unsolicited(proc)
+            if stray:
+                raise self._fail(proc, f"external evaluator wrote unsolicited output {stray!r}")
             try:
                 proc.stdin.write(request + "\n")
                 proc.stdin.flush()
             except (BrokenPipeError, OSError):
                 raise self._fail(proc, f"external evaluator died on request {request!r}")
-            ready, _, _ = select.select([proc.stdout], [], [], self.timeout_seconds)
-            if not ready:
+            line = self._read_line(proc, deadline, request)
+            if self._pending:
                 raise self._fail(
-                    proc, f"external evaluator timed out after {self.timeout_seconds}s"
+                    proc,
+                    f"external evaluator wrote unsolicited output {self._pending!r} "
+                    f"after its answer to {request!r}",
                 )
-            line = proc.stdout.readline()
-            if line == "":
-                raise self._fail(proc, f"external evaluator exited on request {request!r}")
             try:
-                value = float(line.strip())
+                value = float(line)
             except ValueError:
                 raise self._fail(proc, f"external evaluator returned non-numeric output {line!r}")
             if not np.isfinite(value):

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .domain import BoundingBox
 
@@ -141,6 +140,8 @@ def retract(tau, eta, bbox: BoundingBox, gfun, q_allow: float, tol: float) -> np
             f"[{min(f_lo, f_hi) + q_allow}, {max(f_lo, f_hi) + q_allow}]"
         )
     else:
+        from scipy.optimize import brentq
+
         s_star = brentq(residual, lo, hi, xtol=1e-15, rtol=8.9e-16)
     result = bbox.clip(anchor + s_star * direction)
     if abs(gfun.value(result) - q_allow) > tol * abs(q_allow):
@@ -217,6 +218,8 @@ def initial_guess(
     f_end = residual(s_max)
     if f_end < 0.0:
         raise InitializationError("initial ray exits the box before crossing the manifold")
+    from scipy.optimize import brentq
+
     s_star = brentq(residual, 0.0, s_max, xtol=1e-15, rtol=8.9e-16)
     tau0 = bbox.clip(bbox.tau_min + s_star * direction)
     if abs(gfun.value(tau0) - q_allow) > tol * abs(q_allow):
@@ -260,6 +263,8 @@ def line_search(
         except RetractionError:
             return _PENALTY
         return measure.value(point)
+
+    from scipy.optimize import minimize_scalar
 
     result = minimize_scalar(
         lambda a: -objective(a),

@@ -134,15 +134,15 @@ class SeparatedModel:
         object.__setattr__(self, "intervals", tuple(self.intervals))
         object.__setattr__(self, "scales", scales)
         object.__setattr__(self, "coeffs", coeffs)
-        self.scales.setflags(write=False)
-        self.coeffs.setflags(write=False)
+        object.__setattr__(self, "_lo", np.array([iv.lo for iv in self.intervals]))
+        object.__setattr__(self, "_width", np.array([iv.width for iv in self.intervals]))
+        for array in (self.scales, self.coeffs, self._lo, self._width):
+            array.setflags(write=False)
 
     # -- evaluation ---------------------------------------------------------
 
     def _standardize(self, points: np.ndarray) -> np.ndarray:
-        lo = np.array([iv.lo for iv in self.intervals])
-        width = np.array([iv.width for iv in self.intervals])
-        x = 2.0 * (points - lo) / width - 1.0
+        x = 2.0 * (points - self._lo) / self._width - 1.0
         overshoot = np.abs(x) - 1.0
         if np.any(overshoot > 2.0 * EXTRAPOLATION_SLACK):
             worst = float(np.max(overshoot))
@@ -178,8 +178,7 @@ class SeparatedModel:
             mask = np.arange(d) != i
             others[:, :, i] = factors[:, :, mask].prod(axis=2)
         grad_std = np.einsum("l,lni->ni", self.scales, dfactors * others)
-        width = np.array([iv.width for iv in self.intervals])
-        return grad_std * (2.0 / width)
+        return grad_std * (2.0 / self._width)
 
     def gradient(self, mu) -> np.ndarray:
         return self.grad_many(np.asarray(mu, dtype=float)[None, :])[0]
@@ -310,6 +309,20 @@ def _normalize(scales: np.ndarray, coeffs: np.ndarray) -> None:
     scales *= norms.prod(axis=1)
 
 
+def _factor_column(coeffs: np.ndarray, basis: np.ndarray, i: int) -> np.ndarray:
+    """Factors of dimension ``i`` at every sample, shape (r, n)."""
+    return np.einsum("lj,nj->ln", coeffs[:, i, :], basis[i])
+
+
+def _factor_table(coeffs: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """All factors, shape (r, n, d), from coeffs (r, d, p+1) and basis (d, n, p+1)."""
+    rank, d, _ = coeffs.shape
+    table = np.empty((rank, basis.shape[1], d))
+    for i in range(d):
+        table[:, :, i] = _factor_column(coeffs, basis, i)
+    return table
+
+
 def als_fit(
     samples: SampleSet,
     config: FitConfig,
@@ -344,12 +357,18 @@ def als_fit(
     x = np.empty_like(samples.points)
     for i, iv in enumerate(intervals):
         x[:, i] = np.clip(iv.to_standard(samples.points[:, i]), -1.0, 1.0)
-    basis = legendre_table(x, config.degree)  # (n, d, p+1)
+    basis = legendre_table(x.T, config.degree)  # (d, n, p+1)
+    others_of = [np.arange(d) != i for i in range(d)]
 
     rng = np.random.default_rng(config.seed)
     rank = 1
     scales = np.ones(1)
     coeffs = rng.uniform(-1.0, 1.0, size=(1, d, p1))
+    # Factor table: entry (l, k, i) is factor l of dimension i at sample k.  A
+    # solve in dimension i changes only column i, so only that column is
+    # refreshed; the einsum per column keeps every value bit-identical to the
+    # whole-table einsum (a BLAS product would not).
+    factors = _factor_table(coeffs, basis)
 
     history: list[float] = []
     sweeps_used = 0
@@ -359,12 +378,10 @@ def als_fit(
         prev_residual = np.inf
         for _ in range(config.max_sweeps):
             for i in range(d):
-                factors = np.einsum("lij,nij->lni", coeffs, basis)  # (r, n, d)
-                mask = np.arange(d) != i
-                others = scales[:, None] * factors[:, :, mask].prod(axis=2)  # (r, n)
-                design = (others.T[:, :, None] * basis[:, None, i, :]).reshape(n, rank * p1)
+                others = scales[:, None] * factors[:, :, others_of[i]].prod(axis=2)  # (r, n)
+                design = (others.T[:, :, None] * basis[i][:, None, :]).reshape(n, rank * p1)
                 gram = design.T @ design
-                gram[np.diag_indices_from(gram)] += lam
+                gram.flat[:: rank * p1 + 1] += lam
                 try:
                     theta = np.linalg.solve(gram, design.T @ q)
                 except np.linalg.LinAlgError as exc:
@@ -373,8 +390,9 @@ def als_fit(
                     raise FitError(f"non-finite solution in dimension {i}")
                 coeffs[:, i, :] = theta.reshape(rank, p1)
                 scales = np.ones(rank)
+                factors[:, :, i] = _factor_column(coeffs, basis, i)
             _normalize(scales, coeffs)
-            factors = np.einsum("lij,nij->lni", coeffs, basis)
+            factors = _factor_table(coeffs, basis)
             pred = scales @ factors.prod(axis=2)
             residual = float(np.linalg.norm(q - pred) / q_norm)
             history.append(residual)
@@ -391,6 +409,7 @@ def als_fit(
         rank += 1
         scales = np.concatenate([scales, [1.0]])
         coeffs = np.concatenate([coeffs, rng.uniform(-1.0, 1.0, size=(1, d, p1))], axis=0)
+        factors = _factor_table(coeffs, basis)
 
     model = SeparatedModel(
         dim=d,

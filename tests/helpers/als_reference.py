@@ -1,0 +1,70 @@
+"""Reference ALS fit that recomputes the whole factor table before every
+per-dimension solve.
+
+This is the straightforward form of the sweep that ``tolalloc.surrogate.als_fit``
+replaces with an incrementally updated factor table.  It performs the same
+floating-point operations in the same order, so the tests require the two to
+agree bit for bit.
+"""
+
+import numpy as np
+
+from tolalloc.surrogate import FitError, _normalize, legendre_table
+
+
+def reference_als_fit(samples, config, intervals):
+    """Return ``(scales, coeffs, residual_history)`` of the recompute-all fit."""
+    d = samples.dim
+    n = len(samples)
+    p1 = config.degree + 1
+    q = samples.values
+    q_norm = float(np.linalg.norm(q))
+    if q_norm == 0.0:
+        q_norm = 1.0
+    lam = config.regularization * float(np.mean(q * q))
+
+    x = np.empty_like(samples.points)
+    for i, iv in enumerate(intervals):
+        x[:, i] = np.clip(iv.to_standard(samples.points[:, i]), -1.0, 1.0)
+    basis = legendre_table(x, config.degree)  # (n, d, p+1)
+
+    rng = np.random.default_rng(config.seed)
+    rank = 1
+    scales = np.ones(1)
+    coeffs = rng.uniform(-1.0, 1.0, size=(1, d, p1))
+    history = []
+    residual = np.inf
+
+    while True:
+        prev_residual = np.inf
+        for _ in range(config.max_sweeps):
+            for i in range(d):
+                factors = np.einsum("lij,nij->lni", coeffs, basis)  # (r, n, d)
+                mask = np.arange(d) != i
+                others = scales[:, None] * factors[:, :, mask].prod(axis=2)
+                design = (others.T[:, :, None] * basis[:, None, i, :]).reshape(n, rank * p1)
+                gram = design.T @ design
+                gram[np.diag_indices_from(gram)] += lam
+                try:
+                    theta = np.linalg.solve(gram, design.T @ q)
+                except np.linalg.LinAlgError as exc:
+                    raise FitError(f"singular per-direction system (dimension {i})") from exc
+                coeffs[:, i, :] = theta.reshape(rank, p1)
+                scales = np.ones(rank)
+            _normalize(scales, coeffs)
+            factors = np.einsum("lij,nij->lni", coeffs, basis)
+            pred = scales @ factors.prod(axis=2)
+            residual = float(np.linalg.norm(q - pred) / q_norm)
+            history.append(residual)
+            if residual <= config.rel_residual_tol:
+                break
+            if abs(prev_residual - residual) <= config.sweep_stall_tol * max(residual, 1e-300):
+                break
+            prev_residual = residual
+        if residual <= config.rel_residual_tol or rank >= config.target_rank:
+            break
+        rank += 1
+        scales = np.concatenate([scales, [1.0]])
+        coeffs = np.concatenate([coeffs, rng.uniform(-1.0, 1.0, size=(1, d, p1))], axis=0)
+
+    return scales, coeffs, history

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.stats import qmc
 
 from tolalloc import Interval, SeparatedModel
 from tolalloc.boxmax import (
@@ -10,6 +11,7 @@ from tolalloc.boxmax import (
     ToleranceBox,
     box_maximize,
     grad_G,
+    latin_hypercube,
 )
 from tolalloc.evaluator import Rank2Synthetic
 
@@ -68,6 +70,14 @@ def test_boxmax_config_validation():
 # ---------------------------------------------------------------------------
 # Box maximization
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("d", [1, 2, 11, 16])
+@pytest.mark.parametrize("n", [0, 1, 8])
+def test_latin_hypercube_matches_scipy(d, n):
+    for seed in (0, 5):
+        expected = qmc.LatinHypercube(d=d, seed=seed).random(n)
+        np.testing.assert_array_equal(latin_hypercube(n, d, seed), expected)
+
 
 def test_box_maximize_linear_hits_signed_corner():
     model = linear_model(2.0, -3.0)

@@ -1,4 +1,8 @@
 import json
+import os
+import stat
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -149,6 +153,63 @@ def test_sample_is_byte_identical_across_runs(tmp_path, capsys, config_path):
                          _write_domain(tmp_path), "--n", "50", "--out", str(out))
         assert code == 0
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_artifacts_take_the_umask_mode(tmp_path, capsys, config_path):
+    domain = tmp_path / "domain.json"
+    samples = tmp_path / "samples.csv"
+    previous = os.umask(0o022)
+    try:
+        code, _, _ = run(capsys, "size-domain", "--config", config_path, "--out", str(domain))
+        assert code == 0
+        code, _, _ = run(capsys, "sample", "--config", config_path, "--domain", str(domain),
+                         "--n", "20", "--out", str(samples))
+        assert code == 0
+    finally:
+        os.umask(previous)
+    for path in (domain, samples):
+        assert stat.S_IMODE(path.stat().st_mode) == 0o644, path.name
+
+
+SCIPY_PROBE = """
+import json, sys
+from tolalloc.cli import main
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+
+loaded = {"import": scipy_modules()}
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+    loaded[argv[0]] = scipy_modules()
+print(json.dumps(loaded))
+"""
+
+
+def test_sample_fit_and_check_do_not_import_scipy(tmp_path, config_path):
+    import tolalloc
+
+    domain = _write_domain(tmp_path)
+    samples, model = str(tmp_path / "samples.csv"), str(tmp_path / "model.json")
+    tau = tmp_path / "tau.json"
+    tau.write_text(json.dumps({"tau": [0.5, 0.2]}))
+    commands = [
+        ["sample", "--config", config_path, "--domain", domain, "--n", "60", "--out", samples],
+        ["fit", "--config", config_path, "--domain", domain, "--samples", samples,
+         "--out", model],
+        ["check", "--config", config_path, "--model", model, "--tau", str(tau),
+         "--reference", str(tau)],
+    ]
+    src = os.path.dirname(os.path.dirname(tolalloc.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, json.dumps(commands)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert loaded == {"import": [], "sample": [], "fit": [], "check": []}
 
 
 def _write_domain(tmp_path):

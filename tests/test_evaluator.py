@@ -1,4 +1,5 @@
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from tolalloc.evaluator import (
 )
 
 SERVER = "tests/helpers/quadratic_bowl_server.py"
+MISBEHAVING = "tests/helpers/misbehaving_server.py"
 
 
 def central_fd(f, mu, h=1e-6):
@@ -200,6 +202,25 @@ def test_external_timeout():
                            dim=1, timeout_seconds=0.2) as ext:
         with pytest.raises(EvaluatorError, match="timed out"):
             ext([1.0])
+
+
+def test_external_rejects_unsolicited_output():
+    # Read as two answers, the duplicate line would make [3, 0] return the
+    # stale 5.0 of [1, 2] instead of 9.0.
+    with ExternalEvaluator([sys.executable, MISBEHAVING, "twice"], dim=2) as ext:
+        with pytest.raises(EvaluatorError, match="unsolicited output"):
+            ext([1.0, 2.0])
+        with pytest.raises(EvaluatorError, match="unsolicited output"):
+            ext([3.0, 0.0])
+
+
+def test_external_timeout_on_partial_line():
+    with ExternalEvaluator([sys.executable, MISBEHAVING, "no-newline"],
+                           dim=1, timeout_seconds=1.0) as ext:
+        start = time.monotonic()
+        with pytest.raises(EvaluatorError, match="timed out"):
+            ext([1.0])
+        assert time.monotonic() - start < 10.0
 
 
 # ---------------------------------------------------------------------------

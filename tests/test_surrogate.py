@@ -15,6 +15,7 @@ from tolalloc import (
 from tolalloc.surrogate import legendre_deriv_table, legendre_table
 
 from conftest import random_model
+from helpers.als_reference import reference_als_fit
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +299,25 @@ def test_als_deterministic_given_seed():
     model_b, _ = als_fit(samples, config, intervals)
     np.testing.assert_array_equal(model_a.coeffs, model_b.coeffs)
     np.testing.assert_array_equal(model_a.scales, model_b.scales)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 6, 10])
+@pytest.mark.parametrize("target_rank", [1, 3])
+def test_als_matches_recompute_all_reference(dim, target_rank):
+    # The incrementally updated factor table must reproduce the fit that
+    # recomputes every factor before each solve, bit for bit.
+    rng = np.random.default_rng(40 + dim)
+    intervals = tuple(Interval(-2.0, 1.5) for _ in range(dim))
+    points = rng.uniform(-2.0, 1.5, (30 * dim + 20, dim))
+    values = (points ** 2) @ rng.uniform(0.5, 5.0, dim) + np.cos(points.sum(axis=1))
+    samples = SampleSet(points=points, values=values)
+    config = FitConfig(target_rank=target_rank, degree=2, max_sweeps=40, seed=dim)
+    model, report = als_fit(samples, config, intervals)
+    scales, coeffs, history = reference_als_fit(samples, config, intervals)
+    assert report.final_rank == target_rank
+    np.testing.assert_array_equal(model.coeffs, coeffs)
+    np.testing.assert_array_equal(model.scales, scales)
+    np.testing.assert_array_equal(report.residual_history, history)
 
 
 # ---------------------------------------------------------------------------
