@@ -8,7 +8,6 @@ tolerance vector.
 
 from .boxmax import (
     AnalyticWorstCase,
-    BoxMaxConfig,
     BoxMaxResult,
     SurrogateWorstCase,
     ToleranceBox,
@@ -37,7 +36,6 @@ from .manifold import (
     InitializationError,
     RetractionError,
     TangentFrame,
-    TraversalConfig,
     TraversalTrace,
     build_projection,
     conjugate_gradient,

@@ -16,6 +16,15 @@ import numpy as np
 from .surrogate import SeparatedModel
 
 DEDUP_REL_RADIUS = 1e-8
+# Multistart schedule and stopping rules of box_maximize.  The tolerances are
+# relative to the largest half-width (step), the best value (tie) and each
+# half-width (wall contact).
+N_MULTISTARTS = 8
+POLISH_MAX_ITERS = 200
+GRAD_STEP_TOL = 1e-10
+TIE_REL_TOL = 1e-8
+WALL_REL_TOL = 1e-8
+START_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -56,20 +65,6 @@ class ToleranceBox:
 
 
 @dataclass
-class BoxMaxConfig:
-    n_multistarts: int = 8
-    polish_max_iters: int = 200
-    grad_step_tol: float = 1e-10
-    tie_rel_tol: float = 1e-8
-    wall_rel_tol: float = 1e-8
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.grad_step_tol <= 0 or self.tie_rel_tol <= 0 or self.wall_rel_tol <= 0:
-            raise ValueError("all tolerances must be positive")
-
-
-@dataclass
 class BoxMaxResult:
     value: float
     maximizers: np.ndarray          # (m, d), lexicographically sorted
@@ -88,7 +83,7 @@ def latin_hypercube(n: int, d: int, seed: int) -> np.ndarray:
     return (perms.T - offsets) / n
 
 
-def _starts(model: SeparatedModel, box: ToleranceBox, config: BoxMaxConfig) -> np.ndarray:
+def _starts(model: SeparatedModel, box: ToleranceBox) -> np.ndarray:
     d = box.dim
     center = box.center
     half = box.half_widths
@@ -110,23 +105,19 @@ def _starts(model: SeparatedModel, box: ToleranceBox, config: BoxMaxConfig) -> n
             grad_sign = np.sign(model.gradient(center))
             grad_sign[grad_sign == 0.0] = 1.0
             starts.append(center + grad_sign * half)
-            rng = np.random.default_rng(config.seed)
-            for _ in range(max(config.n_multistarts - 1, 0)):
+            rng = np.random.default_rng(START_SEED)
+            for _ in range(N_MULTISTARTS - 1):
                 signs = rng.choice((-1.0, 1.0), size=d)
                 starts.append(center + signs * half)
-        if config.n_multistarts > 0:
-            unit = latin_hypercube(config.n_multistarts, free.size, config.seed)
-            interior = np.tile(center, (config.n_multistarts, 1))
-            interior[:, free] = box.lo[free] + unit * (2.0 * half[free])
-            starts.extend(interior)
+        unit = latin_hypercube(N_MULTISTARTS, free.size, START_SEED)
+        interior = np.tile(center, (N_MULTISTARTS, 1))
+        interior[:, free] = box.lo[free] + unit * (2.0 * half[free])
+        starts.extend(interior)
     return np.array(starts)
 
 
-def box_maximize(
-    model: SeparatedModel, box: ToleranceBox, config: BoxMaxConfig | None = None
-) -> BoxMaxResult:
+def box_maximize(model: SeparatedModel, box: ToleranceBox) -> BoxMaxResult:
     """Compute G(tau) by deterministic multistart projected gradient ascent."""
-    config = config or BoxMaxConfig()
     if box.dim != model.dim:
         raise ValueError("box dimension does not match model")
     half = box.half_widths
@@ -134,7 +125,7 @@ def box_maximize(
     free = half > 0.0
     max_half = float(half.max(initial=0.0))
 
-    points = _starts(model, box, config)
+    points = _starts(model, box)
     if not free.any():
         value = model(box.center)
         return BoxMaxResult(
@@ -148,9 +139,9 @@ def box_maximize(
     grads = model.grad_many(points)
     grads[:, ~free] = 0.0
     alpha = np.full(len(points), 0.25 * max_half)
-    step_floor = config.grad_step_tol * max_half
+    step_floor = GRAD_STEP_TOL * max_half
     active = np.ones(len(points), dtype=bool)
-    for _ in range(config.polish_max_iters):
+    for _ in range(POLISH_MAX_ITERS):
         if not active.any():
             break
         idx = np.flatnonzero(active)
@@ -181,7 +172,7 @@ def box_maximize(
         active[idx[done]] = False
 
     g_value = float(values.max())
-    tie_tol = config.tie_rel_tol * max(abs(g_value), 1e-300)
+    tie_tol = TIE_REL_TOL * max(abs(g_value), 1e-300)
     winners = points[values >= g_value - tie_tol]
 
     # Deduplicate at a radius relative to the box diagonal, then sort so the
@@ -201,7 +192,7 @@ def box_maximize(
         if half[i] == 0.0:
             wall_contacts.append(list(range(len(maximizers))))
             continue
-        threshold = half[i] * (1.0 - config.wall_rel_tol)
+        threshold = half[i] * (1.0 - WALL_REL_TOL)
         contacts = [
             k for k, point in enumerate(maximizers)
             if abs(point[i] - box.center[i]) >= threshold
@@ -249,10 +240,9 @@ class SurrogateWorstCase:
     Thread-safety follows the model's: reads only, plus a per-instance cache.
     """
 
-    def __init__(self, model: SeparatedModel, center, config: BoxMaxConfig | None = None):
+    def __init__(self, model: SeparatedModel, center):
         self.model = model
         self.center = np.asarray(center, dtype=float)
-        self.config = config or BoxMaxConfig()
         self._cache: dict[bytes, BoxMaxResult] = {}
 
     @property
@@ -264,7 +254,7 @@ class SurrogateWorstCase:
         result = self._cache.get(key)
         if result is None:
             box = ToleranceBox(center=self.center, half_widths=tau)
-            result = box_maximize(self.model, box, self.config)
+            result = box_maximize(self.model, box)
             if len(self._cache) > 4096:
                 self._cache.clear()
             self._cache[key] = result

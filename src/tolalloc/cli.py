@@ -3,27 +3,31 @@ tolerance allocation, verification, and report emission.
 
 One JSON config file drives one reproducible run; flags override config
 fields.  Exit codes: 0 success, 1 threshold/constraint failure, 2 usage/IO
-error, 3 numeric failure.
+error, 3 numeric failure.  A query outside a tabulated evaluator's grid
+(``DomainError``) and an undefined relative error (``MetricError``) are
+numeric failures, although both subclass ``ValueError``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from . import boxmax, evaluator as evaluator_mod, manifold, measures, metrics
-from .domain import BoundingBox, ConstraintError, SamplingDomain, size_bounding_box
-from .evaluator import EvaluatorError
+from .domain import BoundingBox, ConstraintError, size_bounding_box
+from .evaluator import DomainError, EvaluatorError
 from .surrogate import FitConfig, FitError, Interval, SampleSet, SeparatedModel, als_fit
+from .surrogate import atomic_write, write_json
 
 CONFIG_FORMAT_VERSION = 1
+CONFIG_FIELDS = {"format_version", "seed", "evaluator", "nominal", "q_allow", "measure", "fit",
+                 "bbox", "check_thresholds"}
+BBOX_FIELDS = {"caps", "tau_min"}
 EXIT_OK = 0
 EXIT_THRESHOLD = 1
 EXIT_USAGE = 2
@@ -32,37 +36,6 @@ EXIT_NUMERIC = 3
 
 class UsageError(Exception):
     pass
-
-
-def _atomic_write(path, write) -> None:
-    """Call ``write(tmp)`` on a fresh temporary file beside ``path``, then
-    rename it over ``path``, so readers never see a partial artifact.  The
-    artifact gets the mode a plain new file would get under the umask."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    os.close(fd)
-    try:
-        write(tmp)
-        os.chmod(tmp, 0o666 & ~_umask())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _umask() -> int:
-    # The only way to read the umask is to set it; the CLI runs one thread,
-    # so nothing else creates a file while it is briefly 0.
-    mask = os.umask(0)
-    os.umask(mask)
-    return mask
-
-
-def _write_json(path, obj: dict) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    _atomic_write(path, lambda tmp: Path(tmp).write_text(text))
 
 
 def _load_json(path, what: str) -> dict:
@@ -74,9 +47,17 @@ def _load_json(path, what: str) -> dict:
 
 def load_config(path) -> dict:
     config = _load_json(path, "config")
+    if not isinstance(config, dict) or not isinstance(config.get("bbox", {}), dict):
+        raise UsageError(f"config {path} and its 'bbox' field must be JSON objects")
     version = config.get("format_version")
     if version != CONFIG_FORMAT_VERSION:
         raise UsageError(f"unsupported config format_version {version!r} in {path}")
+    unknown = sorted(set(config) - CONFIG_FIELDS)
+    if unknown:
+        raise UsageError(f"unknown config field(s) {', '.join(unknown)} in {path}")
+    unknown = sorted(set(config.get("bbox", {})) - BBOX_FIELDS)
+    if unknown:
+        raise UsageError(f"unknown 'bbox' field(s) {', '.join(unknown)} in {path}")
     return config
 
 
@@ -94,14 +75,6 @@ def _seed_of(args, config: dict) -> int:
     raise UsageError("--seed is required when the config has no seed field")
 
 
-def _section(cls, name: str, fields, **defaults):
-    """Build ``cls`` from a config section; unknown keys are a usage error."""
-    try:
-        return cls(**{**defaults, **fields})
-    except TypeError as exc:
-        raise UsageError(f"malformed {name!r} section in config: {exc}")
-
-
 @contextmanager
 def _open_evaluator(config: dict):
     """The config's evaluator, closed (child processes stopped) on exit."""
@@ -115,25 +88,20 @@ def _open_evaluator(config: dict):
         evaluator_mod.close_evaluator(evaluator)
 
 
-def _domain_from(args, config: dict) -> tuple[BoundingBox | None, list[Interval]]:
-    """Domain intervals from --domain file or the config, in that order."""
-    if getattr(args, "domain", None):
-        data = _load_json(args.domain, "domain")
-        bbox = BoundingBox(
-            tau_min=np.asarray(data["tau_min"], dtype=float),
-            tau_max=np.asarray(data["tau_max"], dtype=float),
-        )
-        intervals = [Interval(float(lo), float(hi)) for lo, hi in data["sampling_domain"]]
-        return bbox, intervals
-    if "sampling_domain" in config:
-        return None, [Interval(float(lo), float(hi)) for lo, hi in config["sampling_domain"]]
-    raise UsageError("need --domain FILE or a sampling_domain entry in the config")
+def _domain_from(path) -> tuple[BoundingBox, list[Interval]]:
+    """Bounding box and sampling intervals from a size-domain file."""
+    data = _load_json(path, "domain")
+    bbox = BoundingBox(
+        tau_min=np.asarray(data["tau_min"], dtype=float),
+        tau_max=np.asarray(data["tau_max"], dtype=float),
+    )
+    intervals = [Interval(float(lo), float(hi)) for lo, hi in data["sampling_domain"]]
+    return bbox, intervals
 
 
 def _gfun_for(model: SeparatedModel, config: dict) -> boxmax.SurrogateWorstCase:
     nominal = np.asarray(_require(config, "nominal"), dtype=float)
-    bm_config = _section(boxmax.BoxMaxConfig, "boxmax", config.get("boxmax", {}))
-    return boxmax.SurrogateWorstCase(model, nominal, bm_config)
+    return boxmax.SurrogateWorstCase(model, nominal)
 
 
 def _measure_for(config: dict, model: SeparatedModel | None):
@@ -147,11 +115,11 @@ def _measure_for(config: dict, model: SeparatedModel | None):
 
 def cmd_sample(args) -> int:
     config = load_config(args.config)
-    _, intervals = _domain_from(args, config)
+    _, intervals = _domain_from(args.domain)
     seed = _seed_of(args, config)
     with _open_evaluator(config) as evaluator:
         samples = evaluator_mod.draw_samples(evaluator, intervals, args.n, seed)
-    _atomic_write(args.out, samples.write_csv)
+    atomic_write(args.out, samples.write_csv)
     print(f"wrote {len(samples)} samples to {args.out}")
     return EXIT_OK
 
@@ -160,19 +128,13 @@ def cmd_size_domain(args) -> int:
     config = load_config(args.config)
     nominal = np.asarray(_require(config, "nominal"), dtype=float)
     q_allow = float(_require(config, "q_allow"))
-    overrides = config.get("bbox", {})
-    caps = np.asarray(overrides.get("caps", 10.0), dtype=float)
-    tau_min = overrides.get("tau_min")
+    bbox_config = config.get("bbox", {})
+    caps = np.asarray(bbox_config.get("caps", 10.0), dtype=float)
+    tau_min = bbox_config.get("tau_min")
     with _open_evaluator(config) as evaluator:
         bbox, sampling = size_bounding_box(evaluator, nominal, q_allow, caps, tau_min=tau_min)
-    if "tau_max" in overrides:
-        bbox = BoundingBox(
-            tau_min=bbox.tau_min,
-            tau_max=np.minimum(bbox.tau_max, np.asarray(overrides["tau_max"], dtype=float)),
-        )
-        sampling = SamplingDomain.from_tau_max(nominal, bbox.tau_max)
     capped = [bool(t >= c) for t, c in zip(bbox.tau_max, np.broadcast_to(caps, nominal.shape))]
-    _write_json(args.out, {
+    write_json(args.out, {
         "format_version": 1,
         "tau_min": bbox.tau_min.tolist(),
         "tau_max": bbox.tau_max.tolist(),
@@ -187,14 +149,17 @@ def cmd_size_domain(args) -> int:
 
 def cmd_fit(args) -> int:
     config = load_config(args.config)
-    _, intervals = _domain_from(args, config)
+    _, intervals = _domain_from(args.domain)
     seed = _seed_of(args, config)
-    fit_config = _section(FitConfig, "fit", _require(config, "fit"), seed=seed)
+    try:
+        fit_config = FitConfig(**{"seed": seed, **_require(config, "fit")})
+    except TypeError as exc:
+        raise UsageError(f"malformed 'fit' section in config: {exc}")
     if not Path(args.samples).exists():
         raise UsageError(f"missing sample file {args.samples}")
     samples = SampleSet.read_csv(args.samples)
     model, report = als_fit(samples, fit_config, intervals)
-    _write_json(args.out, model.to_dict())
+    model.save(args.out)
     summary = {
         "final_rank": report.final_rank,
         "sweeps_used": report.sweeps_used,
@@ -211,17 +176,14 @@ def cmd_fit(args) -> int:
 def cmd_allocate(args) -> int:
     config = load_config(args.config)
     model = SeparatedModel.from_dict(_load_json(args.model, "model"))
-    bbox, _ = _domain_from(args, config)
-    if bbox is None:
-        raise UsageError("allocate requires --domain FILE with tau_min/tau_max")
+    bbox, _ = _domain_from(args.domain)
     q_allow = float(_require(config, "q_allow"))
     gfun = _gfun_for(model, config)
     measure = _measure_for(config, model)
-    traversal = _section(manifold.TraversalConfig, "traversal", config.get("traversal", {}))
-    tau0 = manifold.initial_guess(bbox, measure, gfun, q_allow, traversal.retraction_tol)
+    tau0 = manifold.initial_guess(bbox, measure, gfun, q_allow)
     run = manifold.gradient_ascent if args.method == "ga" else manifold.conjugate_gradient
-    result = run(tau0, bbox, gfun, q_allow, measure, traversal)
-    _write_json(args.out, {
+    result = run(tau0, bbox, gfun, q_allow, measure)
+    write_json(args.out, {
         "format_version": 1,
         "method": result.method,
         "tau": result.tau.tolist(),
@@ -232,7 +194,7 @@ def cmd_allocate(args) -> int:
         "restarts": result.trace.restarts,
     })
     if args.trace:
-        _atomic_write(args.trace, result.trace.write_csv)
+        atomic_write(args.trace, result.trace.write_csv)
     if args.emit_manifold_scan:
         _emit_manifold_scan(args.emit_manifold_scan, gfun, bbox)
     print(f"tau_hat = {result.tau.tolist()}  F = {result.f_opt}")
@@ -249,7 +211,7 @@ def _emit_manifold_scan(path, gfun, bbox: BoundingBox, resolution: int = 101) ->
         for t2 in axis_2:
             g = gfun.value(np.array([t1, t2]))
             lines.append(f"{t1!r},{t2!r},{g!r}")
-    _atomic_write(path, lambda tmp: Path(tmp).write_text("\n".join(lines) + "\n"))
+    atomic_write(path, lambda tmp: Path(tmp).write_text("\n".join(lines) + "\n"))
 
 
 def cmd_check(args) -> int:
@@ -289,7 +251,7 @@ def cmd_report(args) -> int:
         summary["artifacts"][path.name] = data
         if "tau" in data:
             rows.append((path.name, data.get("method", "?"), data["tau"], data.get("f_opt")))
-    _write_json(directory / "summary.json", summary)
+    write_json(directory / "summary.json", summary)
     if rows:
         print(f"{'artifact':<28} {'method':<7} {'F':<22} tau")
         for name, method, tau, f_opt in rows:
@@ -311,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="draw Monte Carlo samples of the evaluator")
     p.add_argument("--config", required=True)
-    p.add_argument("--domain", help="domain file from size-domain")
+    p.add_argument("--domain", required=True, help="domain file from size-domain")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
@@ -324,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit a separated surrogate to samples")
     p.add_argument("--config", required=True)
-    p.add_argument("--domain", help="domain file from size-domain")
+    p.add_argument("--domain", required=True, help="domain file from size-domain")
     p.add_argument("--samples", required=True)
     p.add_argument("--holdout")
     p.add_argument("--seed", type=int)
@@ -363,12 +325,11 @@ def main(argv=None) -> int:
     except ConstraintError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_THRESHOLD
-    except (UsageError, OSError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (
         FitError,
         EvaluatorError,
+        DomainError,
+        metrics.MetricError,
         ArithmeticError,
         manifold.RetractionError,
         manifold.InitializationError,
@@ -377,6 +338,9 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except (UsageError, OSError, ValueError, KeyError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -80,7 +80,6 @@ def axis_threshold(
     axis: int,
     direction: int,
     search_cap: float,
-    rel_tol: float = ROOT_REL_TOL,
 ) -> float:
     """Smallest |step| along ``direction * e_axis`` with Q = q_allow.
 
@@ -129,9 +128,9 @@ def axis_threshold(
 
     lo, hi = bracket
     root = brentq(lambda t: q_of(t) - q_allow, lo, hi, xtol=1e-15, rtol=8.9e-16)
-    if abs(q_of(root) - q_allow) > rel_tol * abs(q_allow):
+    if abs(q_of(root) - q_allow) > ROOT_REL_TOL * abs(q_allow):
         warnings.warn(
-            f"axis {axis} crossing refined to residual above {rel_tol} relative "
+            f"axis {axis} crossing refined to residual above {ROOT_REL_TOL} relative "
             "(possible tangency)",
             stacklevel=2,
         )

@@ -11,6 +11,7 @@ import os
 import select
 import shlex
 import subprocess
+import tempfile
 import threading
 import time
 from dataclasses import dataclass
@@ -21,6 +22,8 @@ from .surrogate import Interval, SampleSet, SeparatedModel
 
 # Relative tie tolerance for picking the attaining branch of a max-composite.
 MAX_TIE_REL_TOL = 1e-12
+# External-evaluator errors quote at most this many trailing bytes of stderr.
+STDERR_TAIL_BYTES = 4096
 
 
 class EvaluatorError(RuntimeError):
@@ -232,7 +235,8 @@ class ExternalEvaluator:
     serialized; the child stays resident across requests.  Each request must
     be answered within ``timeout_seconds``, and output the child writes
     beyond its one response line is an error, so answers cannot drift out of
-    step with requests.
+    step with requests.  The child's stderr goes to an unnamed temporary file,
+    so a child that logs cannot block on a full pipe.
     """
 
     def __init__(self, command, dim: int, timeout_seconds: float = 60.0):
@@ -244,6 +248,7 @@ class ExternalEvaluator:
         self._dim = dim
         self.timeout_seconds = timeout_seconds
         self._proc: subprocess.Popen | None = None
+        self._stderr = None  # the running child's stderr file
         self._pending = b""  # stdout bytes read but not yet consumed
         self._lock = threading.Lock()
 
@@ -254,23 +259,27 @@ class ExternalEvaluator:
     def _ensure_started(self) -> subprocess.Popen:
         if self._proc is None or self._proc.poll() is not None:
             if self._proc is not None:
-                _stop_child(self._proc, grace=0.0)
+                _stop_child(self._proc, self._stderr, grace=0.0)
+                self._proc = None
+            stderr = tempfile.TemporaryFile()
             try:
                 self._proc = subprocess.Popen(
                     self.command,
                     stdin=subprocess.PIPE,
                     stdout=subprocess.PIPE,
-                    stderr=subprocess.PIPE,
+                    stderr=stderr,
                     text=True,
                     bufsize=1,
                 )
             except OSError as exc:
+                stderr.close()
                 raise EvaluatorError(f"cannot start external evaluator {self.command}: {exc}")
+            self._stderr = stderr
             self._pending = b""
         return self._proc
 
     def _fail(self, proc: subprocess.Popen, message: str) -> EvaluatorError:
-        stderr = _stop_child(proc, grace=0.0).strip()
+        stderr = _stop_child(proc, self._stderr, grace=0.0).strip()
         self._proc = None
         detail = f"; stderr: {stderr}" if stderr else ""
         return EvaluatorError(message + detail)
@@ -332,7 +341,7 @@ class ExternalEvaluator:
     def close(self) -> None:
         with self._lock:
             if self._proc is not None:
-                _stop_child(self._proc, grace=5.0)
+                _stop_child(self._proc, self._stderr, grace=5.0)
             self._proc = None
 
     def __enter__(self):
@@ -342,15 +351,19 @@ class ExternalEvaluator:
         self.close()
 
 
-def _stop_child(proc: subprocess.Popen, grace: float) -> str:
+def _stop_child(proc: subprocess.Popen, stderr, grace: float) -> str:
     """Close the child's stdin, give it ``grace`` seconds to exit, then kill it;
-    reap it, close its pipes and return what it wrote to stderr."""
+    reap it, close its pipes and its ``stderr`` file, and return the tail of
+    what it wrote there."""
     try:
-        _, stderr = proc.communicate(timeout=grace)
+        proc.communicate(timeout=grace)
     except subprocess.TimeoutExpired:
         proc.kill()
-        _, stderr = proc.communicate()
-    return stderr or ""
+        proc.communicate()
+    with stderr:
+        size = stderr.seek(0, os.SEEK_END)
+        stderr.seek(max(size - STDERR_TAIL_BYTES, 0))
+        return stderr.read().decode(errors="replace")
 
 
 def close_evaluator(evaluator) -> None:

@@ -17,6 +17,17 @@ import numpy as np
 from .domain import BoundingBox
 
 _PENALTY = -1e300
+# Stopping rules and tolerances of the traversal.  An iteration that raises F,
+# or moves tau in max norm, by less than F_INCREASE_TOL ends it; so does a
+# projected direction no longer than TANGENT_TOL.  RETRACTION_TOL bounds
+# |G - q_allow| / |q_allow|, LINE_SEARCH_TOL is relative to the longest
+# feasible step and WALL_REL_TOL to the bounding-box width.
+MAX_ITERS = 100
+F_INCREASE_TOL = 1e-6
+RETRACTION_TOL = 1e-10
+LINE_SEARCH_TOL = 1e-10
+TANGENT_TOL = 1e-12
+WALL_REL_TOL = 1e-8
 
 
 class RetractionError(RuntimeError):
@@ -29,25 +40,6 @@ class DegenerateNormalError(RuntimeError):
 
 class InitializationError(RuntimeError):
     """The initial-guess ray exits the bounding box before crossing the manifold."""
-
-
-@dataclass
-class TraversalConfig:
-    max_iters: int = 100
-    f_increase_tol: float = 1e-6
-    retraction_tol: float = 1e-10
-    line_search_tol: float = 1e-10
-    tangent_tol: float = 1e-12
-    wall_rel_tol: float = 1e-8
-
-    def __post_init__(self):
-        if min(
-            self.f_increase_tol, self.retraction_tol, self.line_search_tol,
-            self.tangent_tol, self.wall_rel_tol,
-        ) <= 0:
-            raise ValueError("all tolerances must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
 
 
 @dataclass
@@ -102,7 +94,9 @@ class AllocationResult:
 # Retraction
 # ---------------------------------------------------------------------------
 
-def retract(tau, eta, bbox: BoundingBox, gfun, q_allow: float, tol: float) -> np.ndarray:
+def retract(
+    tau, eta, bbox: BoundingBox, gfun, q_allow: float, tol: float = RETRACTION_TOL
+) -> np.ndarray:
     """Return to the manifold along the retractor line through tau + eta.
 
     Above the manifold the retractor points back toward tau_min; below, toward
@@ -153,13 +147,7 @@ def retract(tau, eta, bbox: BoundingBox, gfun, q_allow: float, tol: float) -> np
 # Tangent frame and transport
 # ---------------------------------------------------------------------------
 
-def build_projection(
-    tau,
-    bbox: BoundingBox,
-    grad_g_val,
-    grad_f_val,
-    wall_rel_tol: float = 1e-8,
-) -> TangentFrame:
+def build_projection(tau, bbox: BoundingBox, grad_g_val, grad_f_val) -> TangentFrame:
     """Tangent projector I - n n^T at tau with wall rows zeroed.
 
     A row k is zeroed when tau_k sits on a bounding-box wall and the measure
@@ -173,7 +161,7 @@ def build_projection(
         raise DegenerateNormalError("grad G vanished: manifold tangent space undefined")
     normal = grad_g_val / norm
     projector = np.eye(normal.size) - np.outer(normal, normal)
-    on_lower, on_upper = bbox.walls(tau, wall_rel_tol)
+    on_lower, on_upper = bbox.walls(tau, WALL_REL_TOL)
     outward = np.where(on_lower, -grad_f_val, grad_f_val)
     blocked = (on_lower | on_upper) & (outward >= 0.0)
     projector[blocked, :] = 0.0
@@ -190,7 +178,7 @@ def vector_transport(frame_new: TangentFrame, v_old) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def initial_guess(
-    bbox: BoundingBox, measure, gfun, q_allow: float, tol: float
+    bbox: BoundingBox, measure, gfun, q_allow: float, tol: float = RETRACTION_TOL
 ) -> np.ndarray:
     """First manifold point: ray from tau_min along the measure ascent direction."""
     direction = np.asarray(measure.ascent_direction_at(bbox.tau_min), dtype=float)
@@ -228,13 +216,7 @@ def initial_guess(
 
 
 def line_search(
-    tau,
-    v,
-    bbox: BoundingBox,
-    measure,
-    gfun,
-    q_allow: float,
-    config: TraversalConfig,
+    tau, v, bbox: BoundingBox, measure, gfun, q_allow: float
 ) -> tuple[float, np.ndarray, float, bool]:
     """Maximize F(R_tau(alpha v)) for alpha in [0, alpha_max].
 
@@ -259,7 +241,7 @@ def line_search(
 
     def objective(alpha: float) -> float:
         try:
-            point = retract(tau, alpha * unit, bbox, gfun, q_allow, config.retraction_tol)
+            point = retract(tau, alpha * unit, bbox, gfun, q_allow)
         except RetractionError:
             return _PENALTY
         return measure.value(point)
@@ -270,7 +252,7 @@ def line_search(
         lambda a: -objective(a),
         bounds=(0.0, alpha_max),
         method="bounded",
-        options={"xatol": config.line_search_tol * alpha_max, "maxiter": 200},
+        options={"xatol": LINE_SEARCH_TOL * alpha_max, "maxiter": 200},
     )
     candidates = [float(result.x), alpha_max]
     best_alpha, best_f = 0.0, f0
@@ -280,7 +262,7 @@ def line_search(
             best_alpha, best_f = alpha, f_alpha
     if best_alpha == 0.0:
         return 0.0, tau, f0, True
-    tau_plus = retract(tau, best_alpha * unit, bbox, gfun, q_allow, config.retraction_tol)
+    tau_plus = retract(tau, best_alpha * unit, bbox, gfun, q_allow)
     return best_alpha, tau_plus, measure.value(tau_plus), False
 
 
@@ -289,17 +271,10 @@ def line_search(
 # ---------------------------------------------------------------------------
 
 def _traverse(
-    method: str,
-    tau0,
-    bbox: BoundingBox,
-    gfun,
-    q_allow: float,
-    measure,
-    config: TraversalConfig,
+    method: str, tau0, bbox: BoundingBox, gfun, q_allow: float, measure
 ) -> AllocationResult:
     use_cg = method == "cg"
-    tau = retract(tau0, np.zeros_like(np.asarray(tau0, dtype=float)), bbox, gfun,
-                  q_allow, config.retraction_tol)
+    tau = retract(tau0, np.zeros_like(np.asarray(tau0, dtype=float)), bbox, gfun, q_allow)
 
     def residual_of(t) -> float:
         return abs(gfun.value(t) - q_allow) / abs(q_allow)
@@ -314,10 +289,10 @@ def _traverse(
     stalled = False
     iterations = 0
 
-    for i in range(config.max_iters):
+    for i in range(MAX_ITERS):
         grad_g_val = gfun.grad(tau)
         grad_f_val = measure.grad(tau)
-        frame = build_projection(tau, bbox, grad_g_val, grad_f_val, config.wall_rel_tol)
+        frame = build_projection(tau, bbox, grad_g_val, grad_f_val)
         g = frame.projector @ grad_f_val
         g_sq = float(g @ g)
         if use_cg and frame.cg_flag and i > 0 and g_prev_sq > 0.0:
@@ -329,12 +304,10 @@ def _traverse(
                 trace.restarts.append(i)
         g_prev_sq = g_sq
 
-        if np.linalg.norm(v) <= config.tangent_tol:
+        if np.linalg.norm(v) <= TANGENT_TOL:
             break
 
-        alpha, tau_new, f_new, step_stalled = line_search(
-            tau, v, bbox, measure, gfun, q_allow, config
-        )
+        alpha, tau_new, f_new, step_stalled = line_search(tau, v, bbox, measure, gfun, q_allow)
         if step_stalled:
             stalled = i == 0
             break
@@ -342,7 +315,7 @@ def _traverse(
         iterations = i + 1
         df = f_new - trace.f_values[-1]
         dtau = float(np.max(np.abs(tau_new - tau)))
-        on_lower, on_upper = bbox.walls(tau_new, config.wall_rel_tol)
+        on_lower, on_upper = bbox.walls(tau_new, WALL_REL_TOL)
         for axis in np.flatnonzero(on_lower | on_upper):
             trace.wall_events.append((iterations, int(axis)))
         tau = tau_new
@@ -350,7 +323,7 @@ def _traverse(
         trace.iterates.append(tau.copy())
         trace.f_values.append(f_new)
         trace.g_residuals.append(residual_of(tau))
-        if df < config.f_increase_tol or dtau < config.f_increase_tol:
+        if df < F_INCREASE_TOL or dtau < F_INCREASE_TOL:
             break
 
     return AllocationResult(
@@ -364,21 +337,15 @@ def _traverse(
     )
 
 
-def gradient_ascent(
-    tau0, bbox: BoundingBox, gfun, q_allow: float, measure,
-    config: TraversalConfig | None = None,
-) -> AllocationResult:
+def gradient_ascent(tau0, bbox: BoundingBox, gfun, q_allow: float, measure) -> AllocationResult:
     """Bound-constrained manifold gradient ascent."""
-    return _traverse("ga", tau0, bbox, gfun, q_allow, measure, config or TraversalConfig())
+    return _traverse("ga", tau0, bbox, gfun, q_allow, measure)
 
 
-def conjugate_gradient(
-    tau0, bbox: BoundingBox, gfun, q_allow: float, measure,
-    config: TraversalConfig | None = None,
-) -> AllocationResult:
+def conjugate_gradient(tau0, bbox: BoundingBox, gfun, q_allow: float, measure) -> AllocationResult:
     """Bound-constrained manifold nonlinear conjugate gradients (Fletcher-Reeves).
 
     The first iteration is plain gradient ascent; every new wall intersection
     restarts the conjugate direction.
     """
-    return _traverse("cg", tau0, bbox, gfun, q_allow, measure, config or TraversalConfig())
+    return _traverse("cg", tau0, bbox, gfun, q_allow, measure)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,6 +27,33 @@ EXTRAPOLATION_SLACK = 1e-9
 
 class FitError(RuntimeError):
     """Raised when an ALS fit cannot proceed (singular system, bad inputs)."""
+
+
+# ---------------------------------------------------------------------------
+# Artifact files
+# ---------------------------------------------------------------------------
+
+def atomic_write(path, write) -> None:
+    """Call ``write(tmp)`` on a new file beside ``path``, then rename it over
+    ``path``, so readers never see a partial artifact.  The file is created
+    with the mode the umask gives any new file."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def write_json(path, obj: dict) -> None:
+    """Write ``obj`` as indented JSON with sorted keys, atomically."""
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    atomic_write(path, lambda tmp: Path(tmp).write_text(text))
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +239,7 @@ class SeparatedModel:
         )
 
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict()) + "\n")
+        write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path) -> "SeparatedModel":

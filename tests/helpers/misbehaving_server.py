@@ -4,6 +4,9 @@
 written in one call so both reach the pipe together.
 ``no-newline``: answers the first request with ``1.5`` and no line end,
 then hangs.
+``chatty``: answers correctly, but logs about 210 bytes to stderr per
+request, so a parent that never drains stderr fills the pipe within a few
+hundred requests.
 """
 
 import sys
@@ -16,6 +19,10 @@ def main() -> int:
         value = sum(float(token) ** 2 for token in line.split())
         if mode == "twice":
             sys.stdout.write(f"{value!r}\n{value!r}\n")
+            sys.stdout.flush()
+        elif mode == "chatty":
+            sys.stderr.write(f"solver: request {line.strip()!r} -> {value!r} {'.' * 160}\n")
+            sys.stdout.write(f"{value!r}\n")
             sys.stdout.flush()
         else:
             sys.stdout.write("1.5")

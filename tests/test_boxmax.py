@@ -5,7 +5,6 @@ from scipy.stats import qmc
 from tolalloc import Interval, SeparatedModel
 from tolalloc.boxmax import (
     AnalyticWorstCase,
-    BoxMaxConfig,
     BoxMaxResult,
     SurrogateWorstCase,
     ToleranceBox,
@@ -58,13 +57,6 @@ def test_tolerance_box_geometry():
         ToleranceBox(center=np.array([0.0]), half_widths=np.array([-0.1]))
     with pytest.raises(ValueError):
         ToleranceBox(center=np.array([0.0, 0.0]), half_widths=np.array([0.1]))
-
-
-def test_boxmax_config_validation():
-    with pytest.raises(ValueError):
-        BoxMaxConfig(grad_step_tol=0.0)
-    with pytest.raises(ValueError):
-        BoxMaxConfig(tie_rel_tol=-1.0)
 
 
 # ---------------------------------------------------------------------------

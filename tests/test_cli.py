@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from tolalloc import SeparatedModel
 from tolalloc.cli import main
 
 BOWL_CONFIG = {
@@ -158,6 +159,7 @@ def test_sample_is_byte_identical_across_runs(tmp_path, capsys, config_path):
 def test_artifacts_take_the_umask_mode(tmp_path, capsys, config_path):
     domain = tmp_path / "domain.json"
     samples = tmp_path / "samples.csv"
+    model = tmp_path / "model.json"
     previous = os.umask(0o022)
     try:
         code, _, _ = run(capsys, "size-domain", "--config", config_path, "--out", str(domain))
@@ -165,10 +167,31 @@ def test_artifacts_take_the_umask_mode(tmp_path, capsys, config_path):
         code, _, _ = run(capsys, "sample", "--config", config_path, "--domain", str(domain),
                          "--n", "20", "--out", str(samples))
         assert code == 0
+        code, _, _ = run(capsys, "fit", "--config", config_path, "--domain", str(domain),
+                         "--samples", str(samples), "--out", str(model))
+        assert code == 0
     finally:
         os.umask(previous)
-    for path in (domain, samples):
+    for path in (domain, samples, model):
         assert stat.S_IMODE(path.stat().st_mode) == 0o644, path.name
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "config.json", "domain.json", "model.json", "samples.csv",
+    ]
+
+
+def test_fit_writes_what_model_save_writes(tmp_path, capsys, config_path):
+    domain = _write_domain(tmp_path)
+    samples, model = tmp_path / "samples.csv", tmp_path / "model.json"
+    run(capsys, "sample", "--config", config_path, "--domain", domain, "--n", "60",
+        "--out", str(samples))
+    code, _, _ = run(capsys, "fit", "--config", config_path, "--domain", domain,
+                     "--samples", str(samples), "--out", str(model))
+    assert code == 0
+    saved = tmp_path / "saved.json"
+    SeparatedModel.load(model).save(saved)
+    assert saved.read_bytes() == model.read_bytes()
+    assert model.read_text() == json.dumps(
+        json.loads(model.read_text()), indent=2, sort_keys=True) + "\n"
 
 
 SCIPY_PROBE = """
@@ -300,35 +323,87 @@ def test_non_finite_nominal_performance_exits_3(tmp_path, capsys):
     assert "non-finite performance" in stderr
 
 
-@pytest.mark.parametrize("section", ["fit", "boxmax", "traversal"])
+@pytest.mark.parametrize("section", ["fit"])
 def test_unknown_key_in_config_section_exits_2(tmp_path, capsys, section):
     config = dict(BOWL_CONFIG)
-    config[section] = {**config.get(section, {}), "bogus": 1}
+    config[section] = {**config[section], "bogus": 1}
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     domain = _write_domain(tmp_path)
     samples = tmp_path / "s.csv"
-    model = tmp_path / "model.json"
     code, _, _ = run(capsys, "sample", "--config", str(path), "--domain", domain,
                      "--n", "200", "--out", str(samples))
     assert code == 0
-    fit = ("fit", "--config", str(path), "--domain", domain, "--samples", str(samples),
-           "--out", str(model))
-    if section == "fit":
-        code, _, stderr = run(capsys, *fit)
-    else:
-        assert run(capsys, *fit)[0] == 0
-        code, _, stderr = run(capsys, "allocate", "--config", str(path), "--domain", domain,
-                              "--model", str(model), "--out", str(tmp_path / "r.json"))
+    code, _, stderr = run(capsys, "fit", "--config", str(path), "--domain", domain,
+                          "--samples", str(samples), "--out", str(tmp_path / "model.json"))
     assert code == 2
     assert f"malformed '{section}' section" in stderr
     assert "bogus" in stderr
+
+
+@pytest.mark.parametrize("field, value, named", [
+    ("boxmax", {"n_multistarts": 4}, "boxmax"),
+    ("traversal", {"max_iters": 5}, "traversal"),
+    ("sampling_domain", [[-1.0, 1.0], [-0.5, 0.5]], "sampling_domain"),
+    ("bbox", {"caps": 10.0, "tau_max": [0.5, 0.5]}, "tau_max"),
+    ("q_alow", 1.0, "q_alow"),
+], ids=["boxmax", "traversal", "sampling_domain", "bbox.tau_max", "misspelled"])
+def test_unknown_config_field_exits_2(tmp_path, capsys, field, value, named):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**BOWL_CONFIG, field: value}))
+    out = tmp_path / "domain.json"
+    code, _, stderr = run(capsys, "size-domain", "--config", str(path), "--out", str(out))
+    assert code == 2
+    assert named in stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["[1]", json.dumps({**BOWL_CONFIG, "bbox": 10.0})])
+def test_config_that_is_not_an_object_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    code, _, stderr = run(capsys, "size-domain", "--config", str(path),
+                          "--out", str(tmp_path / "domain.json"))
+    assert code == 2
+    assert "must be JSON objects" in stderr
+
+
+def test_tabulated_grid_left_by_size_domain_exits_3(tmp_path, capsys):
+    # Q = mu_1^2 + mu_2^2 tabulated on [-0.5, 0.5]^2 never reaches q_allow = 1
+    # there, so the axis search steps outside the grid.
+    grid = [-0.5, -0.25, 0.0, 0.25, 0.5]
+    table = tmp_path / "table.csv"
+    table.write_text("mu_1,mu_2,q\n" + "".join(
+        f"{x!r},{y!r},{x * x + y * y!r}\n" for x in grid for y in grid))
+    config = {**BOWL_CONFIG, "evaluator": {"variant": "tabulated", "path": str(table)}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, _, stderr = run(capsys, "size-domain", "--config", str(path),
+                          "--out", str(tmp_path / "domain.json"))
+    assert code == 3
+    assert "outside grid hull" in stderr
+
+
+def test_holdout_with_zero_performance_exits_3(tmp_path, capsys, config_path):
+    domain = _write_domain(tmp_path)
+    samples, holdout = tmp_path / "samples.csv", tmp_path / "holdout.csv"
+    run(capsys, "sample", "--config", config_path, "--domain", domain, "--n", "60",
+        "--out", str(samples))
+    holdout.write_text("mu_1,mu_2,q\n0.5,0.0,0.25\n0.0,0.0,0.0\n")
+    code, _, stderr = run(capsys, "fit", "--config", config_path, "--domain", domain,
+                          "--samples", str(samples), "--holdout", str(holdout),
+                          "--out", str(tmp_path / "model.json"))
+    assert code == 3
+    assert "Q = 0" in stderr
 
 
 @pytest.mark.parametrize("argv", [
     ["--jobs", "2", "sample", "--config", "c.json", "--n", "1", "--out", "s.csv"],
     ["allocate", "--config", "c.json", "--domain", "d.json", "--model", "m.json",
      "--seed", "1", "--out", "r.json"],
+    # --domain is required: the config no longer carries a sampling_domain.
+    ["sample", "--config", "c.json", "--n", "1", "--out", "s.csv"],
+    ["fit", "--config", "c.json", "--samples", "s.csv", "--out", "m.json"],
 ])
 def test_removed_flags_are_rejected(argv):
     with pytest.raises(SystemExit) as exc:

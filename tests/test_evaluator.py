@@ -214,6 +214,22 @@ def test_external_rejects_unsolicited_output():
             ext([3.0, 0.0])
 
 
+def test_external_survives_a_child_that_logs_to_stderr():
+    with ExternalEvaluator([sys.executable, MISBEHAVING, "chatty"],
+                           dim=2, timeout_seconds=5.0) as ext:
+        for k in range(2000):
+            assert ext([float(k), 1.0]) == float(k * k + 1)
+
+
+def test_external_error_quotes_the_tail_of_child_stderr():
+    script = ("import sys; sys.stderr.write('x' * 100000 + '\\nsolver: licence expired\\n');"
+              " sys.exit(1)")
+    with ExternalEvaluator([sys.executable, "-c", script], dim=1) as ext:
+        with pytest.raises(EvaluatorError, match="solver: licence expired") as exc:
+            ext([1.0])
+    assert len(str(exc.value)) < 5000
+
+
 def test_external_timeout_on_partial_line():
     with ExternalEvaluator([sys.executable, MISBEHAVING, "no-newline"],
                            dim=1, timeout_seconds=1.0) as ext:

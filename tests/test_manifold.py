@@ -9,7 +9,6 @@ from tolalloc.manifold import (
     DegenerateNormalError,
     InitializationError,
     RetractionError,
-    TraversalConfig,
     build_projection,
     conjugate_gradient,
     gradient_ascent,
@@ -33,14 +32,6 @@ ELLIPSE_F = np.sqrt(5.0) / 2.0
 FLAT = AnalyticWorstCase(lambda t: t[0] + t[1], lambda t: np.ones(2))
 
 BOX = BoundingBox(tau_min=np.zeros(2), tau_max=np.array([2.0, 2.0]))
-CONFIG = TraversalConfig()
-
-
-def test_traversal_config_validation():
-    with pytest.raises(ValueError):
-        TraversalConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        TraversalConfig(retraction_tol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -164,9 +155,7 @@ def test_line_search_improves_measure_along_tangent():
     grad_g = ELLIPSE.grad(tau)
     frame = build_projection(tau, BOX, grad_g, np.ones(2))
     v = frame.projector @ np.ones(2)
-    alpha, tau_plus, f_plus, stalled = line_search(
-        tau, v, BOX, OneNorm(), ELLIPSE, 1.0, CONFIG
-    )
+    alpha, tau_plus, f_plus, stalled = line_search(tau, v, BOX, OneNorm(), ELLIPSE, 1.0)
     assert not stalled and alpha > 0.0
     assert f_plus > OneNorm().value(tau)
     assert ELLIPSE.value(tau_plus) == pytest.approx(1.0, abs=1e-9)
@@ -174,9 +163,7 @@ def test_line_search_improves_measure_along_tangent():
 
 def test_line_search_zero_direction_stalls():
     tau = np.array([0.6, 0.4])
-    alpha, tau_plus, f_plus, stalled = line_search(
-        tau, np.zeros(2), BOX, OneNorm(), ELLIPSE, 1.0, CONFIG
-    )
+    alpha, tau_plus, f_plus, stalled = line_search(tau, np.zeros(2), BOX, OneNorm(), ELLIPSE, 1.0)
     assert stalled and alpha == 0.0
     np.testing.assert_array_equal(tau_plus, tau)
 
