@@ -8,6 +8,7 @@ that touch the box walls.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -83,37 +84,61 @@ def latin_hypercube(n: int, d: int, seed: int) -> np.ndarray:
     return (perms.T - offsets) / n
 
 
+@functools.lru_cache(maxsize=256)
+def _start_pattern(d: int, free: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The multistart's geometry for a box of dimension ``d`` whose half-widths
+    are positive on the axes ``free``: sign rows for the center, the two faces
+    of each free axis and the corners, and the unit Latin-hypercube offsets of
+    the interior starts (zero on the fixed axes).  Above 10 free axes the
+    corners are a gradient-sign row, left zero here for the caller to fill,
+    and N_MULTISTARTS - 1 seeded random sign rows.  Read-only, as the cache
+    hands the same arrays to every caller."""
+    rows = [np.zeros(d)]
+    for i in free:
+        for sign in (-1.0, 1.0):
+            row = np.zeros(d)
+            row[i] = sign
+            rows.append(row)
+    axes = list(free)
+    if len(free) <= 10:
+        for signs in itertools.product((-1.0, 1.0), repeat=len(free)):
+            row = np.zeros(d)
+            row[axes] = signs
+            rows.append(row)
+    else:
+        rows.append(np.zeros(d))
+        rng = np.random.default_rng(START_SEED)
+        for _ in range(N_MULTISTARTS - 1):
+            rows.append(rng.choice((-1.0, 1.0), size=d))
+    unit = np.zeros((N_MULTISTARTS, d))
+    unit[:, axes] = latin_hypercube(N_MULTISTARTS, len(free), START_SEED)
+    signs = np.array(rows)
+    signs.setflags(write=False)
+    unit.setflags(write=False)
+    return signs, unit
+
+
 def _starts(model: SeparatedModel, box: ToleranceBox) -> np.ndarray:
-    d = box.dim
-    center = box.center
+    """Multistart points of a box with at least one positive half-width: the
+    center, the faces, the corners and N_MULTISTARTS interior points."""
     half = box.half_widths
-    starts = [center]
-    for i in range(d):
-        if half[i] > 0.0:
-            for sign in (-1.0, 1.0):
-                point = center.copy()
-                point[i] += sign * half[i]
-                starts.append(point)
     free = np.flatnonzero(half > 0.0)
-    if free.size > 0:
-        if free.size <= 10:
-            for signs in itertools.product((-1.0, 1.0), repeat=free.size):
-                point = center.copy()
-                point[free] += np.asarray(signs) * half[free]
-                starts.append(point)
-        else:
-            grad_sign = np.sign(model.gradient(center))
-            grad_sign[grad_sign == 0.0] = 1.0
-            starts.append(center + grad_sign * half)
-            rng = np.random.default_rng(START_SEED)
-            for _ in range(N_MULTISTARTS - 1):
-                signs = rng.choice((-1.0, 1.0), size=d)
-                starts.append(center + signs * half)
-        unit = latin_hypercube(N_MULTISTARTS, free.size, START_SEED)
-        interior = np.tile(center, (N_MULTISTARTS, 1))
-        interior[:, free] = box.lo[free] + unit * (2.0 * half[free])
-        starts.extend(interior)
-    return np.array(starts)
+    signs, unit = _start_pattern(box.dim, tuple(free.tolist()))
+    boundary = box.center + signs * half
+    if free.size > 10:
+        grad_sign = np.sign(model.gradient(box.center))
+        grad_sign[grad_sign == 0.0] = 1.0
+        boundary[1 + 2 * free.size] = box.center + grad_sign * half
+    return np.concatenate([boundary, box.lo + unit * (2.0 * half)])
+
+
+def _project(points: np.ndarray, grads: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Zero the gradient components that push through a wall the point
+    touches, so the step is scaled by the components that can move it.  A
+    fixed axis (lo = hi) is a wall on both sides."""
+    blocked = ((points >= hi) & (grads > 0.0)) | ((points <= lo) & (grads < 0.0))
+    grads[blocked] = 0.0
+    return grads
 
 
 def box_maximize(model: SeparatedModel, box: ToleranceBox) -> BoxMaxResult:
@@ -121,12 +146,7 @@ def box_maximize(model: SeparatedModel, box: ToleranceBox) -> BoxMaxResult:
     if box.dim != model.dim:
         raise ValueError("box dimension does not match model")
     half = box.half_widths
-    lo, hi = box.lo, box.hi
-    free = half > 0.0
-    max_half = float(half.max(initial=0.0))
-
-    points = _starts(model, box)
-    if not free.any():
+    if not (half > 0.0).any():
         value = model(box.center)
         return BoxMaxResult(
             value=value,
@@ -134,41 +154,38 @@ def box_maximize(model: SeparatedModel, box: ToleranceBox) -> BoxMaxResult:
             wall_contacts=[[0] for _ in range(box.dim)],
             box=box,
         )
+    lo, hi = box.lo, box.hi
+    max_half = float(half.max())
 
-    values = model.eval_many(points)
-    grads = model.grad_many(points)
-    grads[:, ~free] = 0.0
+    points = _starts(model, box)
+    values, grads = model.eval_grad_many(points)
+    grads = _project(points, grads, lo, hi)
     alpha = np.full(len(points), 0.25 * max_half)
     step_floor = GRAD_STEP_TOL * max_half
     active = np.ones(len(points), dtype=bool)
     for _ in range(POLISH_MAX_ITERS):
+        # A start whose projected gradient vanishes sits at a KKT point of the
+        # box: every ascent component is zero or blocked by an active wall.
+        gnorm = np.max(np.abs(grads), axis=1)
+        active &= gnorm > 0.0
         if not active.any():
             break
         idx = np.flatnonzero(active)
-        gnorm = np.max(np.abs(grads[idx]), axis=1)
-        stalled = gnorm == 0.0
-        scale = np.where(gnorm > 0.0, gnorm, 1.0)
         candidates = np.clip(
-            points[idx] + (alpha[idx] / scale)[:, None] * grads[idx], lo, hi
+            points[idx] + (alpha[idx] / gnorm[idx])[:, None] * grads[idx], lo, hi
         )
-        cand_values = model.eval_many(candidates)
+        cand_values, cand_grads = model.eval_grad_many(candidates)
         improved = cand_values > values[idx]
         moved = np.max(np.abs(candidates - points[idx]), axis=1)
-        points[idx[improved]] = candidates[improved]
-        values[idx[improved]] = cand_values[improved]
-        alpha[idx[improved]] *= 1.5
+        up, accepted = idx[improved], candidates[improved]
+        points[up] = accepted
+        values[up] = cand_values[improved]
+        grads[up] = _project(accepted, cand_grads[improved], lo, hi)
+        alpha[up] *= 1.5
         alpha[idx[~improved]] *= 0.3
-        if improved.any():
-            new_grads = model.grad_many(points[idx[improved]])
-            new_grads[:, ~free] = 0.0
-            grads[idx[improved]] = new_grads
-        # A start whose clipped gradient step cannot move sits at a KKT point
-        # of the box (every ascent component is blocked by an active wall).
-        blocked = ~improved & (moved == 0.0) & ~stalled
-        done = (
-            stalled | blocked | (alpha[idx] < step_floor)
-            | (improved & (moved < step_floor))
-        )
+        # A step below the point's floating-point resolution cannot move it.
+        blocked = ~improved & (moved == 0.0)
+        done = blocked | (alpha[idx] < step_floor) | (improved & (moved < step_floor))
         active[idx[done]] = False
 
     g_value = float(values.max())

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .brent import brentq
 from .surrogate import Interval
 
 ROOT_REL_TOL = 1e-10
@@ -123,8 +124,6 @@ def axis_threshold(
             stacklevel=2,
         )
         return search_cap
-
-    from scipy.optimize import brentq
 
     lo, hi = bracket
     root = brentq(lambda t: q_of(t) - q_allow, lo, hi, xtol=1e-15, rtol=8.9e-16)

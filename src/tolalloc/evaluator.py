@@ -14,7 +14,6 @@ import subprocess
 import tempfile
 import threading
 import time
-from dataclasses import dataclass
 
 import numpy as np
 

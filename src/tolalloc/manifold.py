@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
+from .brent import brentq, minimize_bounded
 from .domain import BoundingBox
 
 _PENALTY = -1e300
@@ -134,8 +134,6 @@ def retract(
             f"[{min(f_lo, f_hi) + q_allow}, {max(f_lo, f_hi) + q_allow}]"
         )
     else:
-        from scipy.optimize import brentq
-
         s_star = brentq(residual, lo, hi, xtol=1e-15, rtol=8.9e-16)
     result = bbox.clip(anchor + s_star * direction)
     if abs(gfun.value(result) - q_allow) > tol * abs(q_allow):
@@ -206,8 +204,6 @@ def initial_guess(
     f_end = residual(s_max)
     if f_end < 0.0:
         raise InitializationError("initial ray exits the box before crossing the manifold")
-    from scipy.optimize import brentq
-
     s_star = brentq(residual, 0.0, s_max, xtol=1e-15, rtol=8.9e-16)
     tau0 = bbox.clip(bbox.tau_min + s_star * direction)
     if abs(gfun.value(tau0) - q_allow) > tol * abs(q_allow):
@@ -246,15 +242,11 @@ def line_search(
             return _PENALTY
         return measure.value(point)
 
-    from scipy.optimize import minimize_scalar
-
-    result = minimize_scalar(
-        lambda a: -objective(a),
-        bounds=(0.0, alpha_max),
-        method="bounded",
-        options={"xatol": LINE_SEARCH_TOL * alpha_max, "maxiter": 200},
+    alpha_opt = minimize_bounded(
+        lambda a: -objective(a), 0.0, alpha_max,
+        xatol=LINE_SEARCH_TOL * alpha_max, maxiter=200,
     )
-    candidates = [float(result.x), alpha_max]
+    candidates = [alpha_opt, alpha_max]
     best_alpha, best_f = 0.0, f0
     for alpha in candidates:
         f_alpha = objective(alpha)

@@ -190,8 +190,10 @@ class SeparatedModel:
     def __call__(self, mu) -> float:
         return float(self.eval_many(np.asarray(mu, dtype=float)[None, :])[0])
 
-    def grad_many(self, points) -> np.ndarray:
-        """Analytic gradient at an (N, dim) array of points; shape (N, dim)."""
+    def eval_grad_many(self, points) -> tuple[np.ndarray, np.ndarray]:
+        """Values (N,) and analytic gradients (N, dim) at an (N, dim) array of
+        points, from one standardization and one Legendre table.  Each output
+        equals what :meth:`eval_many` and :meth:`grad_many` return, bit for bit."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[1] != self.dim:
             raise ValueError(f"expected {self.dim}-dimensional points, got {pts.shape[1]}")
@@ -205,8 +207,13 @@ class SeparatedModel:
         for i in range(d):
             mask = np.arange(d) != i
             others[:, :, i] = factors[:, :, mask].prod(axis=2)
+        values = self.scales @ factors.prod(axis=2)
         grad_std = np.einsum("l,lni->ni", self.scales, dfactors * others)
-        return grad_std * (2.0 / self._width)
+        return values, grad_std * (2.0 / self._width)
+
+    def grad_many(self, points) -> np.ndarray:
+        """Analytic gradient at an (N, dim) array of points; shape (N, dim)."""
+        return self.eval_grad_many(points)[1]
 
     def gradient(self, mu) -> np.ndarray:
         return self.grad_many(np.asarray(mu, dtype=float)[None, :])[0]

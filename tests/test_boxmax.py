@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 from scipy.stats import qmc
 
-from tolalloc import Interval, SeparatedModel
+from tolalloc import Interval, SeparatedModel, boxmax
 from tolalloc.boxmax import (
     AnalyticWorstCase,
-    BoxMaxResult,
     SurrogateWorstCase,
     ToleranceBox,
     box_maximize,
@@ -103,12 +102,39 @@ def test_box_maximize_reports_tied_corners():
     assert result.wall_contacts == [[0, 1], [0, 1]]
 
 
-def test_box_maximize_zero_width_box():
+def test_box_maximize_zero_width_box(monkeypatch):
+    monkeypatch.setattr(boxmax, "_starts", None)  # a zero-width box needs no starts
     model = linear_model(1.0, 1.0)
     box = ToleranceBox(center=np.array([0.2, 0.3]), half_widths=np.zeros(2))
     result = box_maximize(model, box)
     assert result.value == pytest.approx(0.5)
     assert result.wall_contacts == [[0], [0]]
+
+
+def test_box_maximize_projected_step_reaches_corners_in_few_kernel_calls(monkeypatch):
+    """Q = mu_1^2 + mu_2^2 + 1e-11 mu_1 mu_2 about the box center.  At each face
+    start the gradient pushes through its wall and the transverse part is
+    ~1e-11; projecting out the blocked part lets the start slide to a corner
+    instead of shrinking its step until it gives up."""
+    square = np.array([1.0 / 3.0, 0.0, 2.0 / 3.0])   # x^2 = (1 + 2 P_2) / 3
+    one = np.array([1.0, 0.0, 0.0])
+    x = np.array([0.0, 1.0, 0.0])
+    model = SeparatedModel(
+        dim=2, rank=3, degree=2, intervals=UNIT_SQUARE, scales=np.array([1.0, 1.0, 1e-11]),
+        coeffs=np.array([[square, one], [one, square], [x, x]]),
+    )
+    calls = []
+    for name in ("eval_many", "eval_grad_many"):
+        kernel = getattr(SeparatedModel, name)
+        monkeypatch.setattr(SeparatedModel, name,
+                            lambda self, points, kernel=kernel: calls.append(1) or kernel(self, points))
+    half = np.array([0.5, 0.25])
+    result = box_maximize(model, ToleranceBox(center=np.zeros(2), half_widths=half))
+    assert len(calls) <= 6
+    corners = np.array([[-0.5, -0.25], [-0.5, 0.25], [0.5, -0.25], [0.5, 0.25]])
+    np.testing.assert_array_equal(result.maximizers, corners)
+    assert result.value == pytest.approx(0.3125, rel=1e-10)
+    assert result.wall_contacts == [[0, 1, 2, 3], [0, 1, 2, 3]]
 
 
 def test_box_maximize_matches_dense_grid():

@@ -209,18 +209,22 @@ print(json.dumps(loaded))
 """
 
 
-def test_sample_fit_and_check_do_not_import_scipy(tmp_path, config_path):
+def test_cli_commands_do_not_import_scipy(tmp_path, config_path):
     import tolalloc
 
-    domain = _write_domain(tmp_path)
+    domain = str(tmp_path / "domain.json")
     samples, model = str(tmp_path / "samples.csv"), str(tmp_path / "model.json")
+    result = str(tmp_path / "result.json")
     tau = tmp_path / "tau.json"
     tau.write_text(json.dumps({"tau": [0.5, 0.2]}))
     commands = [
+        ["size-domain", "--config", config_path, "--out", domain],
         ["sample", "--config", config_path, "--domain", domain, "--n", "60", "--out", samples],
         ["fit", "--config", config_path, "--domain", domain, "--samples", samples,
          "--out", model],
-        ["check", "--config", config_path, "--model", model, "--tau", str(tau),
+        ["allocate", "--config", config_path, "--domain", domain, "--model", model,
+         "--out", result],
+        ["check", "--config", config_path, "--model", model, "--tau", result,
          "--reference", str(tau)],
     ]
     src = os.path.dirname(os.path.dirname(tolalloc.__file__))
@@ -232,7 +236,8 @@ def test_sample_fit_and_check_do_not_import_scipy(tmp_path, config_path):
     )
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert loaded == {"import": [], "sample": [], "fit": [], "check": []}
+    assert loaded == {"import": [], "size-domain": [], "sample": [], "fit": [],
+                      "allocate": [], "check": []}
 
 
 def _write_domain(tmp_path):

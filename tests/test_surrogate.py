@@ -211,6 +211,21 @@ def test_model_grad_matches_central_differences():
                 assert grad[i] == pytest.approx(fd[i], rel=1e-6)
 
 
+@pytest.mark.parametrize("dim", range(1, 7))
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_eval_grad_many_rows_equal_eval_many_and_grad_many(dim, rank):
+    rng = np.random.default_rng(100 * dim + rank)
+    model = random_model(rng, dim=dim, rank=rank, degree=3)
+    points = rng.uniform(-1.0, 1.0, (23, dim))
+    values, grads = model.eval_grad_many(points)
+    assert values.shape == (23,) and grads.shape == (23, dim)
+    assert values.tobytes() == model.eval_many(points).tobytes()
+    assert grads.tobytes() == model.grad_many(points).tobytes()
+    value, grad = model.eval_grad_many(points[5])
+    assert value.tobytes() == np.float64(model(points[5])).tobytes()
+    assert grad.tobytes() == model.gradient(points[5])[None, :].tobytes()
+
+
 # ---------------------------------------------------------------------------
 # ALS fitting
 # ---------------------------------------------------------------------------
