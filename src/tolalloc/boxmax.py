@@ -141,6 +141,19 @@ def _project(points: np.ndarray, grads: np.ndarray, lo: np.ndarray, hi: np.ndarr
     return grads
 
 
+def _dedup(points: np.ndarray, radius: float) -> np.ndarray:
+    """The rows a greedy scan keeps: each row farther than ``radius`` from
+    every row kept before it.  The first row not yet dropped is always kept,
+    so one vectorized distance pass per kept row does the scan."""
+    alive = np.ones(len(points), dtype=bool)
+    kept = []
+    while alive.any():
+        first = int(np.argmax(alive))
+        kept.append(first)
+        alive &= np.linalg.norm(points - points[first], axis=1) > radius
+    return points[kept]
+
+
 def box_maximize(model: SeparatedModel, box: ToleranceBox) -> BoxMaxResult:
     """Compute G(tau) by deterministic multistart projected gradient ascent."""
     if box.dim != model.dim:
@@ -192,17 +205,11 @@ def box_maximize(model: SeparatedModel, box: ToleranceBox) -> BoxMaxResult:
     tie_tol = TIE_REL_TOL * max(abs(g_value), 1e-300)
     winners = points[values >= g_value - tie_tol]
 
-    # Deduplicate at a radius relative to the box diagonal, then sort so the
-    # result is deterministic regardless of multistart scheduling.
+    # Sort so the result is deterministic regardless of multistart
+    # scheduling, then deduplicate at a radius relative to the box diagonal.
     diag = float(np.linalg.norm(2.0 * half))
     radius = DEDUP_REL_RADIUS * (diag if diag > 0.0 else 1.0)
-    order = np.lexsort(winners.T[::-1])
-    winners = winners[order]
-    kept: list[np.ndarray] = []
-    for point in winners:
-        if all(np.linalg.norm(point - other) > radius for other in kept):
-            kept.append(point)
-    maximizers = np.array(kept)
+    maximizers = _dedup(winners[np.lexsort(winners.T[::-1])], radius)
 
     wall_contacts: list[list[int]] = []
     for i in range(box.dim):

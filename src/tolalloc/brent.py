@@ -5,9 +5,11 @@ and of ``scipy.optimize.minimize_scalar(method="bounded")``.  Both follow
 Brent, *Algorithms for Minimization without Derivatives* (1973), ch. 4 and 5.
 They take the same steps in the same floating-point order as scipy's, so they
 return the same x after the same number of function calls, and raise the
-exception types scipy raises.  The traversal calls them thousands of times per
-allocation; importing ``scipy.optimize`` for them cost each ``size-domain``
-and ``allocate`` process about half a second.
+exception types scipy raises.  The line search calls ``brentq`` on the slope
+of the measure along the manifold, and the domain sizing on each axis
+threshold; importing ``scipy.optimize`` for it cost each ``size-domain`` and
+``allocate`` process about half a second.  ``minimize_bounded`` has no caller
+in the package since the line search works on slopes.
 """
 
 from __future__ import annotations

@@ -1,33 +1,43 @@
 """Traversal of the level-set manifold {tau : G(tau) = q_allow}.
 
 Bound-constrained gradient ascent and Fletcher-Reeves nonlinear conjugate
-gradients over the manifold, using a retractor-induced retraction and a Brent
-line search.  The ``gfun`` argument is any object with ``value(tau) -> float``
+gradients over the manifold, using a retractor-induced retraction and a line
+search.  Both run on slopes, not values: the retraction meets the manifold by
+safeguarded Newton steps on G along the retractor line, and the line search
+takes the root of the analytic slope dF/dalpha of the retracted point by
+Brent's method.  Every slope uses grad G at a point whose G has already been
+computed.  The ``gfun`` argument is any object with ``value(tau) -> float``
 and ``grad(tau) -> ndarray`` (see :mod:`tolalloc.boxmax`).
 """
 
 from __future__ import annotations
 
 import csv
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .brent import brentq, minimize_bounded
+from .brent import MAXITER, brentq
 from .domain import BoundingBox
 
-_PENALTY = -1e300
 # Stopping rules and tolerances of the traversal.  An iteration that raises F,
 # or moves tau in max norm, by less than F_INCREASE_TOL ends it; so does a
 # projected direction no longer than TANGENT_TOL.  RETRACTION_TOL bounds
 # |G - q_allow| / |q_allow|, LINE_SEARCH_TOL is relative to the longest
-# feasible step and WALL_REL_TOL to the bounding-box width.
+# feasible step and WALL_REL_TOL to the bounding-box width.  A manifold
+# crossing is solved to |G - q_allow| <= CROSSING_FTOL |q_allow|, a few ulps,
+# or until its bracket in s is narrower than CROSSING_XTOL + CROSSING_RTOL |s|.
 MAX_ITERS = 100
 F_INCREASE_TOL = 1e-6
 RETRACTION_TOL = 1e-10
 LINE_SEARCH_TOL = 1e-10
 TANGENT_TOL = 1e-12
 WALL_REL_TOL = 1e-8
+CROSSING_FTOL = 4.0 * np.finfo(float).eps
+CROSSING_XTOL = 1e-15
+CROSSING_RTOL = 8.9e-16
 
 
 class RetractionError(RuntimeError):
@@ -94,13 +104,62 @@ class AllocationResult:
 # Retraction
 # ---------------------------------------------------------------------------
 
+def _crossing(
+    gfun, q_allow: float, bbox: BoundingBox, base, direction,
+    a: float, f_a: float, b: float, f_b: float,
+) -> tuple[float, float]:
+    """The s between a and b where G(clip(base + s direction)) = q_allow, and
+    the residual G - q_allow there, given residuals f_a and f_b of unlike sign.
+
+    Safeguarded Newton-bisection (``rtsafe``, Press et al., *Numerical
+    Recipes* §9.4) from the end of smaller |residual|.  The slope is
+    grad G . direction over the axes the clip leaves free, so a step costs one
+    G value and one G gradient.  A Newton step that leaves the bracket, or
+    does not halve the step before last, is replaced by bisection.  Returns
+    the probe of least |residual|.
+    """
+    lo, hi = (a, b) if f_a < f_b else (b, a)   # the residual is <= 0 at lo
+    s, f = (a, f_a) if abs(f_a) < abs(f_b) else (b, f_b)
+    best_s, best_f = s, f
+    step = step_old = hi - lo
+    raw = base + s * direction
+    point = bbox.clip(raw)
+    for _ in range(MAXITER):
+        if (abs(f) <= CROSSING_FTOL * abs(q_allow)
+                or abs(hi - lo) <= CROSSING_XTOL + CROSSING_RTOL * abs(s)):
+            break
+        slope = float(gfun.grad(point) @ np.where(raw == point, direction, 0.0))
+        step_old, s_old = step, s
+        if (((s - hi) * slope - f) * ((s - lo) * slope - f) > 0.0
+                or abs(2.0 * f) > abs(step_old * slope)):
+            step = 0.5 * (hi - lo)
+            s = lo + step
+        else:
+            step = f / slope
+            s -= step
+        if s == s_old:
+            break
+        raw = base + s * direction
+        point = bbox.clip(raw)
+        f = gfun.value(point) - q_allow
+        if f < 0.0:
+            lo = s
+        else:
+            hi = s
+        if abs(f) < abs(best_f):
+            best_s, best_f = s, f
+    return best_s, best_f
+
+
 def retract(
     tau, eta, bbox: BoundingBox, gfun, q_allow: float, tol: float = RETRACTION_TOL
 ) -> np.ndarray:
     """Return to the manifold along the retractor line through tau + eta.
 
     Above the manifold the retractor points back toward tau_min; below, toward
-    tau_max.  The intersection G = q_allow is solved by bracketed Brent.
+    tau_max.  The intersection G = q_allow is solved by safeguarded Newton
+    steps from the anchor clip(tau + eta), within the sign bracket between the
+    anchor and the box corner.
     """
     tau = np.asarray(tau, dtype=float)
     eta = np.asarray(eta, dtype=float)
@@ -109,36 +168,22 @@ def retract(
     if abs(g_anchor - q_allow) <= tol * abs(q_allow):
         return anchor
     if g_anchor >= q_allow:
-        direction = anchor - bbox.tau_min
+        direction, far = anchor - bbox.tau_min, -1.0
     else:
-        direction = bbox.tau_max - anchor
+        direction, far = bbox.tau_max - anchor, 1.0
     if not np.any(direction != 0.0):
         raise RetractionError("degenerate retractor direction (point on box corner)")
-
-    def residual(s: float) -> float:
-        return gfun.value(bbox.clip(anchor + s * direction)) - q_allow
-
-    if g_anchor >= q_allow:
-        lo, hi = -1.0, 0.0
-        f_lo, f_hi = residual(lo), g_anchor - q_allow
-    else:
-        lo, hi = 0.0, 1.0
-        f_lo, f_hi = g_anchor - q_allow, residual(hi)
-    if f_lo == 0.0:
-        s_star = lo
-    elif f_hi == 0.0:
-        s_star = hi
-    elif f_lo * f_hi > 0.0:
+    f_anchor = g_anchor - q_allow
+    f_far = gfun.value(bbox.clip(anchor + far * direction)) - q_allow
+    if f_anchor * f_far > 0.0:
         raise RetractionError(
             f"no manifold crossing along retractor line: q_allow={q_allow} outside "
-            f"[{min(f_lo, f_hi) + q_allow}, {max(f_lo, f_hi) + q_allow}]"
+            f"[{min(f_anchor, f_far) + q_allow}, {max(f_anchor, f_far) + q_allow}]"
         )
-    else:
-        s_star = brentq(residual, lo, hi, xtol=1e-15, rtol=8.9e-16)
-    result = bbox.clip(anchor + s_star * direction)
-    if abs(gfun.value(result) - q_allow) > tol * abs(q_allow):
+    s_star, f_star = _crossing(gfun, q_allow, bbox, anchor, direction, 0.0, f_anchor, far, f_far)
+    if not abs(f_star) <= tol * abs(q_allow):
         raise RetractionError("retraction failed to meet the manifold residual tolerance")
-    return result
+    return bbox.clip(anchor + s_star * direction)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +223,8 @@ def vector_transport(frame_new: TangentFrame, v_old) -> np.ndarray:
 def initial_guess(
     bbox: BoundingBox, measure, gfun, q_allow: float, tol: float = RETRACTION_TOL
 ) -> np.ndarray:
-    """First manifold point: ray from tau_min along the measure ascent direction."""
+    """First manifold point: ray from tau_min along the measure ascent direction,
+    crossing G = q_allow by the same safeguarded Newton steps as ``retract``."""
     direction = np.asarray(measure.ascent_direction_at(bbox.tau_min), dtype=float)
     norm = np.linalg.norm(direction)
     if norm == 0.0:
@@ -204,21 +250,65 @@ def initial_guess(
     f_end = residual(s_max)
     if f_end < 0.0:
         raise InitializationError("initial ray exits the box before crossing the manifold")
-    s_star = brentq(residual, 0.0, s_max, xtol=1e-15, rtol=8.9e-16)
-    tau0 = bbox.clip(bbox.tau_min + s_star * direction)
-    if abs(gfun.value(tau0) - q_allow) > tol * abs(q_allow):
+    s_star, f_star = _crossing(gfun, q_allow, bbox, bbox.tau_min, direction, 0.0, f0, s_max, f_end)
+    if not abs(f_star) <= tol * abs(q_allow):
         raise InitializationError("initial guess failed the manifold residual tolerance")
-    return tau0
+    return bbox.clip(bbox.tau_min + s_star * direction)
+
+
+def _probe(
+    tau, unit, alpha: float, bbox: BoundingBox, measure, gfun, q_allow: float
+) -> tuple[np.ndarray | None, float, float]:
+    """The retracted point p = R_tau(alpha unit), F(p) and the slope dF(p)/dalpha.
+
+    The retraction moves the anchor a = clip(tau + alpha unit) along the ray
+    from o = tau_min (then p <= a) or o = tau_max (then p >= a), so that
+    p - o = c (a - o) with c in (0, 1].  Differentiating G(p) = q_allow gives
+
+        dp/dalpha = c (a' - w (grad G . a') / (grad G . w)),   w = p - o,
+
+    with a' = unit on the axes the anchor's clip leaves free and 0 on the
+    others.  The segment from a to o lies in the box, so p itself is never
+    clipped.  grad G is taken at p, whose G the retraction has computed.  A
+    probe whose retraction fails, or whose retractor line is tangent to the
+    manifold, is a step too long: p is None and F and the slope are -inf.
+    """
+    raw = tau + alpha * unit
+    anchor = bbox.clip(raw)
+    try:
+        point = retract(tau, alpha * unit, bbox, gfun, q_allow)
+    except RetractionError:
+        return None, -math.inf, -math.inf
+    f = measure.value(point)
+    if f == 0.0:
+        # The least value of every measure, reached on a zero tolerance where
+        # the reciprocal measures have no gradient: F has only fallen here.
+        return point, f, -math.inf
+    origin = bbox.tau_max if np.any(point > anchor) else bbox.tau_min
+    w = point - origin
+    grad_g = gfun.grad(point)
+    g_w = float(grad_g @ w)
+    if g_w == 0.0:
+        return None, -math.inf, -math.inf
+    da = np.where(raw == anchor, unit, 0.0)
+    reach = anchor - origin
+    c = float(w @ reach) / float(reach @ reach)
+    dp = c * (da - w * (float(grad_g @ da) / g_w))
+    return point, f, float(measure.grad(point) @ dp)
 
 
 def line_search(
     tau, v, bbox: BoundingBox, measure, gfun, q_allow: float
 ) -> tuple[float, np.ndarray, float, bool]:
-    """Maximize F(R_tau(alpha v)) for alpha in [0, alpha_max].
+    """Maximize phi(alpha) = F(R_tau(alpha v)) for alpha in [0, alpha_max].
 
     Returns ``(alpha, tau_plus, f_plus, stalled)``.  The direction is
-    normalized internally so the step scale is the tangent arc length; every
-    objective probe retracts back onto the manifold first.
+    normalized internally so the step scale is the tangent arc length.  The
+    maximizer is the root of the slope phi'(alpha), found by Brent's method,
+    unless phi'(alpha_max) >= 0 (the step runs to the wall) or phi'(0) <= 0
+    (no ascent, so only alpha_max is tried).  The better of the root and
+    alpha_max is taken if it raises F above F(tau); otherwise the search
+    stalls.
     """
     tau = np.asarray(tau, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -235,27 +325,21 @@ def line_search(
     if not np.isfinite(alpha_max) or alpha_max <= 0.0:
         return 0.0, tau, f0, True
 
-    def objective(alpha: float) -> float:
-        try:
-            point = retract(tau, alpha * unit, bbox, gfun, q_allow)
-        except RetractionError:
-            return _PENALTY
-        return measure.value(point)
+    @functools.cache
+    def probe(alpha: float) -> tuple[np.ndarray | None, float, float]:
+        return _probe(tau, unit, alpha, bbox, measure, gfun, q_allow)
 
-    alpha_opt = minimize_bounded(
-        lambda a: -objective(a), 0.0, alpha_max,
-        xatol=LINE_SEARCH_TOL * alpha_max, maxiter=200,
-    )
-    candidates = [alpha_opt, alpha_max]
-    best_alpha, best_f = 0.0, f0
+    candidates = [alpha_max]
+    if probe(alpha_max)[2] < 0.0 and probe(0.0)[2] > 0.0:
+        root = brentq(lambda alpha: probe(alpha)[2], 0.0, alpha_max,
+                      xtol=LINE_SEARCH_TOL * alpha_max)
+        candidates.insert(0, root)
+    best_alpha, tau_plus, best_f = 0.0, tau, f0
     for alpha in candidates:
-        f_alpha = objective(alpha)
-        if f_alpha > best_f:
-            best_alpha, best_f = alpha, f_alpha
-    if best_alpha == 0.0:
-        return 0.0, tau, f0, True
-    tau_plus = retract(tau, best_alpha * unit, bbox, gfun, q_allow)
-    return best_alpha, tau_plus, measure.value(tau_plus), False
+        point, f, _ = probe(alpha)
+        if f > best_f:
+            best_alpha, tau_plus, best_f = alpha, point, f
+    return best_alpha, tau_plus, best_f, best_alpha == 0.0
 
 
 # ---------------------------------------------------------------------------

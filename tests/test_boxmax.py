@@ -167,6 +167,52 @@ def test_box_maximize_deterministic():
     assert first.wall_contacts == second.wall_contacts
 
 
+def exact_bowl_model(d: int) -> SeparatedModel:
+    """Q(mu) = sum_i mu_i^2 on [-1, 1]^d as a rank-d separated model."""
+    square = np.array([1.0 / 3.0, 0.0, 2.0 / 3.0])   # x^2 = (1 + 2 P_2) / 3
+    one = np.array([1.0, 0.0, 0.0])
+    coeffs = np.array([[square if i == r else one for i in range(d)] for r in range(d)])
+    return SeparatedModel(dim=d, rank=d, degree=2, intervals=(Interval(-1.0, 1.0),) * d,
+                          scales=np.ones(d), coeffs=coeffs)
+
+
+def dedup_by_pairs(points, radius):
+    """The greedy dedup as a loop over pairs: a row is kept when it is farther
+    than ``radius`` from every row kept before it."""
+    kept = []
+    for point in points:
+        if all(np.linalg.norm(point - other) > radius for other in kept):
+            kept.append(point)
+    return np.array(kept)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_box_maximize_dedup_matches_pair_loop_on_tied_corners(d, monkeypatch):
+    # Every corner of a centered box ties for the maximum of an exact bowl, and
+    # the face and interior starts climb to the same corners, so the winners
+    # are the 2^d corners, each many times over.
+    calls = []
+    dedup = boxmax._dedup
+    monkeypatch.setattr(boxmax, "_dedup",
+                        lambda points, radius: calls.append((points, radius)) or dedup(points, radius))
+    box = ToleranceBox(center=np.zeros(d), half_widths=np.linspace(0.3, 0.6, d))
+    result = box_maximize(exact_bowl_model(d), box)
+    (winners, radius), = calls
+    assert len(winners) > 2 ** d
+    assert len(result.maximizers) == 2 ** d
+    np.testing.assert_array_equal(result.maximizers, dedup_by_pairs(winners, radius))
+
+
+def test_dedup_keeps_the_greedy_rule_on_a_chain():
+    # Rows 0.6 radius apart: each is close to its neighbours but not to the
+    # ones beyond, so the greedy scan keeps every other row, where dropping
+    # every row with a close predecessor would keep only the first.
+    radius = 1e-8
+    chain = np.column_stack([np.arange(7) * 0.6 * radius, np.zeros(7)])
+    np.testing.assert_array_equal(boxmax._dedup(chain, radius), chain[::2])
+    np.testing.assert_array_equal(boxmax._dedup(chain, radius), dedup_by_pairs(chain, radius))
+
+
 def test_box_maximize_dimension_mismatch():
     model = linear_model(1.0, 1.0)
     with pytest.raises(ValueError):

@@ -38,6 +38,9 @@ ROOT_CASES = {
     "numpy-scalar": (lambda x: np.float64(x) ** 2 - 0.5, 0.0, 1.0),
     "root-at-bracket-end": (lambda x: x - 2.0, 0.0, 2.0),
     "f(a)=0": (lambda x: x, 0.0, 3.0),
+    # The line search's slope is -inf where a retraction fails.
+    "minus-inf-beyond": (lambda x: -math.inf if x > 0.7 else 0.5 - x, 0.0, 1.0),
+    "minus-inf-shelf": (lambda x: -math.inf if x > 0.3 else 1.0, 0.0, 1.0),
 }
 ROOT_TOLERANCES = [{}, {"xtol": 1e-15, "rtol": 8.9e-16}, {"xtol": 1e-3}]
 

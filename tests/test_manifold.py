@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+from tolalloc import manifold
 from tolalloc.boxmax import AnalyticWorstCase
 from tolalloc.domain import BoundingBox
 from tolalloc.manifold import (
@@ -168,6 +169,61 @@ def test_line_search_zero_direction_stalls():
     np.testing.assert_array_equal(tau_plus, tau)
 
 
+def _central_difference(tau, unit, alpha, box, h=1e-6):
+    def phi(a):
+        return manifold._probe(tau, unit, a, box, OneNorm(), ELLIPSE, 1.0)[1]
+    return (phi(alpha + h) - phi(alpha - h)) / (2.0 * h)
+
+
+@pytest.mark.parametrize("unit, alpha, tau_max", [
+    # Along the tangent: the anchor lies above the ellipse and retracts
+    # toward tau_min.
+    (np.array([3.2, -1.2]) / np.hypot(3.2, 1.2), 0.1, [2.0, 2.0]),
+    # Into the ellipse: the anchor lies below it and retracts toward tau_max.
+    (np.array([-0.6, -0.8]), 0.1, [2.0, 2.0]),
+    # Past the wall tau_1 = 0.7: the anchor's clip holds tau_1 there.
+    (np.array([1.0, 0.2]) / np.hypot(1.0, 0.2), 0.2, [0.7, 2.0]),
+], ids=["above", "below", "clipped-anchor"])
+def test_probe_slope_matches_central_difference(unit, alpha, tau_max):
+    box = BoundingBox(tau_min=np.zeros(2), tau_max=np.array(tau_max))
+    tau = np.array([0.6, 0.4])
+    point, f, slope = manifold._probe(tau, unit, alpha, box, OneNorm(), ELLIPSE, 1.0)
+    assert ELLIPSE.value(point) == pytest.approx(1.0, abs=1e-15)
+    assert f == OneNorm().value(point)
+    assert slope == pytest.approx(_central_difference(tau, unit, alpha, box), rel=1e-7)
+    if tau_max[0] < 2.0:
+        assert tau[0] + alpha * unit[0] > box.tau_max[0]
+
+
+def test_line_search_descent_direction_stalls():
+    # A conjugate direction need not ascend: here phi'(0) < 0 and
+    # phi'(alpha_max) < 0, so there is no slope bracket to search.
+    tau = np.array([0.6, 0.4])
+    alpha, tau_plus, f_plus, stalled = line_search(
+        tau, np.array([-3.2, 1.2]), BOX, OneNorm(), ELLIPSE, 1.0
+    )
+    assert stalled and alpha == 0.0 and f_plus == 1.0
+    np.testing.assert_array_equal(tau_plus, tau)
+
+
+def test_line_search_survives_failed_retractions():
+    # Beyond tau_1 = 0.75, G is capped at 0.9 < q_allow, so an anchor there
+    # has no crossing on its retractor line, as at alpha_max.
+    def value(t):
+        g = t[0] ** 2 + 4.0 * t[1] ** 2
+        return min(g, 0.9) if t[0] > 0.75 else g
+
+    capped = AnalyticWorstCase(value, lambda t: np.array([2.0 * t[0], 8.0 * t[1]]))
+    tau, v = np.array([0.6, 0.4]), np.array([3.2, -1.2])
+    with pytest.raises(RetractionError):
+        retract(tau, 1.1 * v / np.linalg.norm(v), BOX, capped, 1.0)
+    alpha, tau_plus, f_plus, stalled = line_search(tau, v, BOX, OneNorm(), capped, 1.0)
+    assert not stalled and alpha > 0.0
+    assert f_plus > OneNorm().value(tau)
+    assert tau_plus[0] <= 0.75
+    assert capped.value(tau_plus) == pytest.approx(1.0, abs=1e-10)
+
+
 # ---------------------------------------------------------------------------
 # Traversal drivers
 # ---------------------------------------------------------------------------
@@ -193,6 +249,13 @@ def test_traversal_flat_manifold_minus_one_norm(solve):
     result = solve(tau0, BOX, FLAT, 1.0, MinusOneNorm())
     np.testing.assert_allclose(result.tau, [0.5, 0.5], atol=1e-6)
     assert result.f_opt == pytest.approx(0.25, abs=1e-9)
+
+
+def test_traversal_minus_one_norm_from_lopsided_start():
+    # The first step may run to tau_1 = 0, where the harmonic measure is 0 and
+    # has no gradient; the line search must still find the balanced point.
+    result = gradient_ascent(np.array([0.9, 0.1]), BOX, FLAT, 1.0, MinusOneNorm())
+    np.testing.assert_allclose(result.tau, [0.5, 0.5], atol=1e-6)
 
 
 def test_traversal_stops_on_binding_wall():
@@ -237,3 +300,24 @@ def test_trace_csv_format(tmp_path):
     assert len(rows) == len(result.trace.iterates) + 1
     # Values round-trip bit-exactly through repr.
     assert float(rows[1][1]) == result.trace.iterates[0][0]
+
+
+def test_traversal_g_request_budget():
+    # Acceptance criterion 9's anisotropic 6-d quadratic, with every G value
+    # and gradient counted.  A value-only Brent line search over value-only
+    # Brent retractions made 1402 requests for CG (1395 values, 7 gradients)
+    # and 3584 for GA (3568 values, 16 gradients).
+    a = np.random.default_rng(0).uniform(0.5, 5.0, 6)
+    calls = []
+    gfun = AnalyticWorstCase(
+        lambda t: calls.append("value") or float(a @ (t * t)),
+        lambda t: calls.append("grad") or 2.0 * a * t,
+    )
+    bbox = BoundingBox(tau_min=np.zeros(6), tau_max=np.full(6, 2.0))
+    tau0 = initial_guess(bbox, OneNorm(), gfun, 1.0, 1e-10)
+    opt = (1.0 / a) / np.sqrt(np.sum(1.0 / a))
+    for solve, before in ((conjugate_gradient, 1402), (gradient_ascent, 3584)):
+        calls.clear()
+        result = solve(tau0, bbox, gfun, 1.0, OneNorm())
+        assert np.max(np.abs(result.tau - opt)) <= 1e-3
+        assert len(calls) <= before // 2
