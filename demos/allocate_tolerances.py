@@ -29,14 +29,12 @@ def main():
     evaluator = make_builtin("quadratic-bowl", {"a": [1.0, 4.0]})
 
     # 1. Size the tolerance bounding box by univariate root finding.
-    bbox, sampling = size_bounding_box(evaluator, NOMINAL, Q_ALLOW, caps=10.0)
+    bbox, intervals = size_bounding_box(evaluator, NOMINAL, Q_ALLOW, caps=10.0)
     print(f"bounding box tau_max = {bbox.tau_max.tolist()}  (exact: [1.0, 0.5])")
 
-    # 2. Sample the performance over the sampling domain and fit a surrogate.
-    samples = draw_samples(evaluator, sampling.intervals, 300, seed=7)
-    model, report = als_fit(
-        samples, FitConfig(target_rank=2, degree=2, seed=7), sampling.intervals
-    )
+    # 2. Sample the performance over the sampling intervals and fit a surrogate.
+    samples = draw_samples(evaluator, intervals, 300, seed=7)
+    model, report = als_fit(samples, FitConfig(target_rank=2, degree=2, seed=7), intervals)
     print(f"surrogate: rank {report.final_rank}, residual "
           f"{report.residual_history[-1]:.2e} after {report.sweeps_used} sweeps")
 

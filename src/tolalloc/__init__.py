@@ -17,7 +17,6 @@ from .boxmax import (
 from .domain import (
     BoundingBox,
     ConstraintError,
-    SamplingDomain,
     axis_threshold,
     size_bounding_box,
 )
@@ -43,7 +42,6 @@ from .manifold import (
     initial_guess,
     line_search,
     retract,
-    vector_transport,
 )
 from .measures import (
     MinusOneNorm,

@@ -57,13 +57,6 @@ class ToleranceBox:
     def hi(self) -> np.ndarray:
         return self.center + self.half_widths
 
-    def contains(self, mu, rel_slack: float = 0.0) -> bool:
-        mu = np.asarray(mu, dtype=float)
-        slack = rel_slack * np.maximum(self.half_widths, 1.0)
-        return bool(
-            np.all(mu >= self.lo - slack) and np.all(mu <= self.hi + slack)
-        )
-
 
 @dataclass
 class BoxMaxResult:

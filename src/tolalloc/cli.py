@@ -27,7 +27,11 @@ from .surrogate import atomic_write, write_json
 CONFIG_FORMAT_VERSION = 1
 CONFIG_FIELDS = {"format_version", "seed", "evaluator", "nominal", "q_allow", "measure", "fit",
                  "bbox", "check_thresholds"}
-BBOX_FIELDS = {"caps", "tau_min"}
+# The keys each object-valued config field accepts.
+CONFIG_SECTION_FIELDS = {
+    "bbox": {"caps", "tau_min"},
+    "check_thresholds": {"tol_err_inf", "objective_rel_err", "constraint_rel_err"},
+}
 EXIT_OK = 0
 EXIT_THRESHOLD = 1
 EXIT_USAGE = 2
@@ -47,17 +51,20 @@ def _load_json(path, what: str) -> dict:
 
 def load_config(path) -> dict:
     config = _load_json(path, "config")
-    if not isinstance(config, dict) or not isinstance(config.get("bbox", {}), dict):
-        raise UsageError(f"config {path} and its 'bbox' field must be JSON objects")
+    if not isinstance(config, dict) or not all(
+            isinstance(config.get(name, {}), dict) for name in CONFIG_SECTION_FIELDS):
+        raise UsageError(
+            f"config {path} and its 'bbox' and 'check_thresholds' fields must be JSON objects")
     version = config.get("format_version")
     if version != CONFIG_FORMAT_VERSION:
         raise UsageError(f"unsupported config format_version {version!r} in {path}")
     unknown = sorted(set(config) - CONFIG_FIELDS)
     if unknown:
         raise UsageError(f"unknown config field(s) {', '.join(unknown)} in {path}")
-    unknown = sorted(set(config.get("bbox", {})) - BBOX_FIELDS)
-    if unknown:
-        raise UsageError(f"unknown 'bbox' field(s) {', '.join(unknown)} in {path}")
+    for name, fields in CONFIG_SECTION_FIELDS.items():
+        unknown = sorted(set(config.get(name, {})) - fields)
+        if unknown:
+            raise UsageError(f"unknown '{name}' field(s) {', '.join(unknown)} in {path}")
     return config
 
 
@@ -132,13 +139,13 @@ def cmd_size_domain(args) -> int:
     caps = np.asarray(bbox_config.get("caps", 10.0), dtype=float)
     tau_min = bbox_config.get("tau_min")
     with _open_evaluator(config) as evaluator:
-        bbox, sampling = size_bounding_box(evaluator, nominal, q_allow, caps, tau_min=tau_min)
+        bbox, intervals = size_bounding_box(evaluator, nominal, q_allow, caps, tau_min=tau_min)
     capped = [bool(t >= c) for t, c in zip(bbox.tau_max, np.broadcast_to(caps, nominal.shape))]
     write_json(args.out, {
         "format_version": 1,
         "tau_min": bbox.tau_min.tolist(),
         "tau_max": bbox.tau_max.tolist(),
-        "sampling_domain": [[iv.lo, iv.hi] for iv in sampling.intervals],
+        "sampling_domain": [[iv.lo, iv.hi] for iv in intervals],
         "capped": capped,
     })
     print(f"tau_max = {bbox.tau_max.tolist()}")
@@ -177,6 +184,8 @@ def cmd_allocate(args) -> int:
     config = load_config(args.config)
     model = SeparatedModel.from_dict(_load_json(args.model, "model"))
     bbox, _ = _domain_from(args.domain)
+    if args.emit_manifold_scan and bbox.dim != 2:
+        raise UsageError("--emit-manifold-scan requires a 2-parameter problem")
     q_allow = float(_require(config, "q_allow"))
     gfun = _gfun_for(model, config)
     measure = _measure_for(config, model)
@@ -202,8 +211,6 @@ def cmd_allocate(args) -> int:
 
 
 def _emit_manifold_scan(path, gfun, bbox: BoundingBox, resolution: int = 101) -> None:
-    if bbox.dim != 2:
-        raise UsageError("--emit-manifold-scan requires a 2-parameter problem")
     axis_1 = np.linspace(bbox.tau_min[0], bbox.tau_max[0], resolution)
     axis_2 = np.linspace(bbox.tau_min[1], bbox.tau_max[1], resolution)
     lines = ["tau_1,tau_2,G"]
@@ -247,6 +254,8 @@ def cmd_report(args) -> int:
     summary: dict = {"format_version": 1, "artifacts": {}}
     rows = []
     for path in sorted(directory.glob("*.json")):
+        if path.name == "summary.json":  # the previous run's output, not an artifact
+            continue
         data = _load_json(path, "artifact")
         summary["artifacts"][path.name] = data
         if "tau" in data:

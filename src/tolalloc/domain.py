@@ -48,30 +48,12 @@ class BoundingBox:
     def clip(self, tau) -> np.ndarray:
         return np.clip(np.asarray(tau, dtype=float), self.tau_min, self.tau_max)
 
-    def contains(self, tau, rel_slack: float = 0.0) -> bool:
-        tau = np.asarray(tau, dtype=float)
-        slack = rel_slack * (self.tau_max - self.tau_min)
-        return bool(np.all(tau >= self.tau_min - slack) and np.all(tau <= self.tau_max + slack))
-
     def walls(self, tau, rel_tol: float) -> tuple[np.ndarray, np.ndarray]:
         """Masks of the axes where tau lies on the lower and on the upper wall,
         within ``rel_tol`` of the box width."""
         tau = np.asarray(tau, dtype=float)
         slack = rel_tol * (self.tau_max - self.tau_min)
         return tau - self.tau_min <= slack, self.tau_max - tau <= slack
-
-
-@dataclass(frozen=True)
-class SamplingDomain:
-    """Hyperrectangle centered on the nominal design with tau_max half-widths."""
-
-    intervals: tuple[Interval, ...]
-
-    @classmethod
-    def from_tau_max(cls, mu_hat, tau_max) -> "SamplingDomain":
-        mu_hat = np.asarray(mu_hat, dtype=float)
-        tau_max = np.asarray(tau_max, dtype=float)
-        return cls(tuple(Interval(m - t, m + t) for m, t in zip(mu_hat, tau_max)))
 
 
 def axis_threshold(
@@ -142,11 +124,12 @@ def size_bounding_box(
     q_allow: float,
     caps,
     tau_min=None,
-) -> tuple[BoundingBox, SamplingDomain]:
-    """Size the tolerance bounding box and the sampling domain.
+) -> tuple[BoundingBox, tuple[Interval, ...]]:
+    """Size the tolerance bounding box and the sampling intervals.
 
     The binding direction governs each axis since the tolerance box extends
-    symmetrically about the nominal design.
+    symmetrically about the nominal design; the sampling interval of axis i is
+    [mu_hat_i - tau_max_i, mu_hat_i + tau_max_i].
     """
     mu_hat = np.asarray(mu_hat, dtype=float)
     caps = np.broadcast_to(np.asarray(caps, dtype=float), mu_hat.shape)
@@ -158,4 +141,4 @@ def size_bounding_box(
     if tau_min is None:
         tau_min = np.zeros_like(tau_max)
     bbox = BoundingBox(tau_min=np.asarray(tau_min, dtype=float), tau_max=tau_max)
-    return bbox, SamplingDomain.from_tau_max(mu_hat, tau_max)
+    return bbox, tuple(Interval(m - t, m + t) for m, t in zip(mu_hat, tau_max))

@@ -211,11 +211,6 @@ def build_projection(tau, bbox: BoundingBox, grad_g_val, grad_f_val) -> TangentF
     return TangentFrame(normal=normal, projector=projector, cg_flag=not blocked.any())
 
 
-def vector_transport(frame_new: TangentFrame, v_old) -> np.ndarray:
-    """Projection transport into the new tangent space (wall rows included)."""
-    return frame_new.projector @ np.asarray(v_old, dtype=float)
-
-
 # ---------------------------------------------------------------------------
 # Initial guess and line search
 # ---------------------------------------------------------------------------
@@ -373,7 +368,8 @@ def _traverse(
         g_sq = float(g @ g)
         if use_cg and frame.cg_flag and i > 0 and g_prev_sq > 0.0:
             beta = g_sq / g_prev_sq
-            v = g + beta * vector_transport(frame, v_prev)
+            # Transport v_prev by projection into the new tangent space.
+            v = g + beta * (frame.projector @ v_prev)
         else:
             v = g
             if use_cg and i > 0:

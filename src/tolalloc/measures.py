@@ -37,9 +37,6 @@ class OneNorm:
     def ascent_direction_at(self, tau) -> np.ndarray:
         return np.ones_like(np.asarray(tau, dtype=float))
 
-    def to_config(self) -> dict:
-        return {"kind": "one-norm"}
-
 
 @dataclass(frozen=True)
 class MuNorm:
@@ -67,9 +64,6 @@ class MuNorm:
     def ascent_direction_at(self, tau) -> np.ndarray:
         return self.weights.copy()
 
-    def to_config(self) -> dict:
-        return {"kind": "mu-norm", "weights": self.weights.tolist()}
-
 
 @dataclass(frozen=True)
 class MinusOneNorm:
@@ -95,9 +89,6 @@ class MinusOneNorm:
         if np.any(tau <= 0.0):
             return np.ones_like(tau)
         return self.grad(tau)
-
-    def to_config(self) -> dict:
-        return {"kind": "minus-one-norm"}
 
 
 @dataclass(frozen=True)
@@ -141,14 +132,6 @@ class ReciprocalPowerCost:
         if np.any(tau <= 0.0):
             return np.ones_like(tau)
         return self.grad(tau)
-
-    def to_config(self) -> dict:
-        return {
-            "kind": "reciprocal-power-cost",
-            "a": self.a.tolist(),
-            "b": self.b.tolist(),
-            "k": self.k.tolist(),
-        }
 
 
 def compute_mu_weights(model: SeparatedModel, mu_hat) -> np.ndarray:

@@ -81,10 +81,6 @@ class Interval:
         """Affine map sending lo -> -1 and hi -> +1.  Extrapolation permitted."""
         return 2.0 * (np.asarray(mu, dtype=float) - self.lo) / self.width - 1.0
 
-    def from_standard(self, x):
-        """Inverse of :meth:`to_standard`."""
-        return self.lo + 0.5 * (np.asarray(x, dtype=float) + 1.0) * self.width
-
     def contains(self, mu, rel_slack: float = EXTRAPOLATION_SLACK) -> bool:
         slack = rel_slack * self.width
         return bool(np.all(mu >= self.lo - slack) and np.all(mu <= self.hi + slack))
@@ -309,23 +305,27 @@ class SampleSet:
 # ALS fitting
 # ---------------------------------------------------------------------------
 
+# Sweep schedule of als_fit: at most MAX_SWEEPS sweeps per rank, a rank ends
+# when a sweep changes the relative residual by at most SWEEP_STALL_TOL of
+# itself, and every normal matrix gets the Tikhonov term REGULARIZATION times
+# the mean squared sample value on its diagonal.
+MAX_SWEEPS = 200
+SWEEP_STALL_TOL = 1e-6
+REGULARIZATION = 1e-10
+
+
 @dataclass
 class FitConfig:
     target_rank: int
     degree: int
-    max_sweeps: int = 200
     rel_residual_tol: float = 1e-8
-    sweep_stall_tol: float = 1e-6
-    regularization: float = 1e-10
     seed: int = 0
 
     def __post_init__(self):
-        if self.target_rank < 1 or self.degree < 0 or self.max_sweeps < 1:
-            raise ValueError("target_rank/max_sweeps must be positive, degree nonnegative")
-        if self.rel_residual_tol <= 0 or self.sweep_stall_tol <= 0:
-            raise ValueError("residual tolerances must be positive")
-        if self.regularization < 0:
-            raise ValueError("regularization must be nonnegative")
+        if self.target_rank < 1 or self.degree < 0:
+            raise ValueError("target_rank must be positive, degree nonnegative")
+        if self.rel_residual_tol <= 0:
+            raise ValueError("rel_residual_tol must be positive")
 
 
 @dataclass
@@ -387,7 +387,7 @@ def als_fit(
     q_norm = float(np.linalg.norm(q))
     if q_norm == 0.0:
         q_norm = 1.0
-    lam = config.regularization * float(np.mean(q * q))
+    lam = REGULARIZATION * float(np.mean(q * q))
 
     x = np.empty_like(samples.points)
     for i, iv in enumerate(intervals):
@@ -411,7 +411,7 @@ def als_fit(
 
     while True:
         prev_residual = np.inf
-        for _ in range(config.max_sweeps):
+        for _ in range(MAX_SWEEPS):
             for i in range(d):
                 others = scales[:, None] * factors[:, :, others_of[i]].prod(axis=2)  # (r, n)
                 design = (others.T[:, :, None] * basis[i][:, None, :]).reshape(n, rank * p1)
@@ -434,7 +434,7 @@ def als_fit(
             sweeps_used += 1
             if residual <= config.rel_residual_tol:
                 break
-            if abs(prev_residual - residual) <= config.sweep_stall_tol * max(residual, 1e-300):
+            if abs(prev_residual - residual) <= SWEEP_STALL_TOL * max(residual, 1e-300):
                 break
             prev_residual = residual
         if residual <= config.rel_residual_tol or rank >= config.target_rank:

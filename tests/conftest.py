@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from tolalloc import FitConfig, Interval, SampleSet, SeparatedModel, als_fit, draw_samples

@@ -9,6 +9,7 @@ agree bit for bit.
 
 import numpy as np
 
+from tolalloc import surrogate
 from tolalloc.surrogate import FitError, _normalize, legendre_table
 
 
@@ -21,7 +22,7 @@ def reference_als_fit(samples, config, intervals):
     q_norm = float(np.linalg.norm(q))
     if q_norm == 0.0:
         q_norm = 1.0
-    lam = config.regularization * float(np.mean(q * q))
+    lam = surrogate.REGULARIZATION * float(np.mean(q * q))
 
     x = np.empty_like(samples.points)
     for i, iv in enumerate(intervals):
@@ -37,7 +38,7 @@ def reference_als_fit(samples, config, intervals):
 
     while True:
         prev_residual = np.inf
-        for _ in range(config.max_sweeps):
+        for _ in range(surrogate.MAX_SWEEPS):
             for i in range(d):
                 factors = np.einsum("lij,nij->lni", coeffs, basis)  # (r, n, d)
                 mask = np.arange(d) != i
@@ -58,7 +59,7 @@ def reference_als_fit(samples, config, intervals):
             history.append(residual)
             if residual <= config.rel_residual_tol:
                 break
-            if abs(prev_residual - residual) <= config.sweep_stall_tol * max(residual, 1e-300):
+            if abs(prev_residual - residual) <= surrogate.SWEEP_STALL_TOL * max(residual, 1e-300):
                 break
             prev_residual = residual
         if residual <= config.rel_residual_tol or rank >= config.target_rank:

@@ -50,8 +50,6 @@ def test_tolerance_box_geometry():
     box = ToleranceBox(center=np.array([1.0, -1.0]), half_widths=np.array([0.5, 0.25]))
     np.testing.assert_allclose(box.lo, [0.5, -1.25])
     np.testing.assert_allclose(box.hi, [1.5, -0.75])
-    assert box.contains([1.0, -1.0])
-    assert not box.contains([1.6, -1.0])
     with pytest.raises(ValueError):
         ToleranceBox(center=np.array([0.0]), half_widths=np.array([-0.1]))
     with pytest.raises(ValueError):
@@ -154,7 +152,9 @@ def test_box_maximize_matches_dense_grid():
         result = box_maximize(model, box)
         assert result.value >= oracle - 1e-12
         assert result.value == pytest.approx(oracle, rel=1e-4)
-        assert all(box.contains(m, rel_slack=1e-12) for m in result.maximizers)
+        slack = 1e-12 * np.maximum(half, 1.0)
+        assert np.all(result.maximizers >= box.lo - slack)
+        assert np.all(result.maximizers <= box.hi + slack)
 
 
 def test_box_maximize_deterministic():

@@ -328,10 +328,16 @@ def test_non_finite_nominal_performance_exits_3(tmp_path, capsys):
     assert "non-finite performance" in stderr
 
 
-@pytest.mark.parametrize("section", ["fit"])
-def test_unknown_key_in_config_section_exits_2(tmp_path, capsys, section):
+# The ALS sweep schedule is constants in tolalloc.surrogate, not fit settings.
+@pytest.mark.parametrize("section, key", [
+    ("fit", "bogus"),
+    ("fit", "max_sweeps"),
+    ("fit", "sweep_stall_tol"),
+    ("fit", "regularization"),
+], ids=["fit", "fit.max_sweeps", "fit.sweep_stall_tol", "fit.regularization"])
+def test_unknown_key_in_config_section_exits_2(tmp_path, capsys, section, key):
     config = dict(BOWL_CONFIG)
-    config[section] = {**config[section], "bogus": 1}
+    config[section] = {**config[section], key: 1}
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     domain = _write_domain(tmp_path)
@@ -343,7 +349,7 @@ def test_unknown_key_in_config_section_exits_2(tmp_path, capsys, section):
                           "--samples", str(samples), "--out", str(tmp_path / "model.json"))
     assert code == 2
     assert f"malformed '{section}' section" in stderr
-    assert "bogus" in stderr
+    assert key in stderr
 
 
 @pytest.mark.parametrize("field, value, named", [
@@ -351,8 +357,10 @@ def test_unknown_key_in_config_section_exits_2(tmp_path, capsys, section):
     ("traversal", {"max_iters": 5}, "traversal"),
     ("sampling_domain", [[-1.0, 1.0], [-0.5, 0.5]], "sampling_domain"),
     ("bbox", {"caps": 10.0, "tau_max": [0.5, 0.5]}, "tau_max"),
+    ("check_thresholds", {"tol_err": 1e-3}, "tol_err"),
     ("q_alow", 1.0, "q_alow"),
-], ids=["boxmax", "traversal", "sampling_domain", "bbox.tau_max", "misspelled"])
+], ids=["boxmax", "traversal", "sampling_domain", "bbox.tau_max", "check_thresholds.tol_err",
+        "misspelled"])
 def test_unknown_config_field_exits_2(tmp_path, capsys, field, value, named):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({**BOWL_CONFIG, field: value}))
@@ -363,7 +371,12 @@ def test_unknown_config_field_exits_2(tmp_path, capsys, field, value, named):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("text", ["[1]", json.dumps({**BOWL_CONFIG, "bbox": 10.0})])
+@pytest.mark.parametrize("text", [
+    "[1]",
+    json.dumps({**BOWL_CONFIG, "bbox": 10.0}),
+    pytest.param(json.dumps({**BOWL_CONFIG, "check_thresholds": [["tol_err_inf", 1e-3]]}),
+                 id="check_thresholds"),
+])
 def test_config_that_is_not_an_object_exits_2(tmp_path, capsys, text):
     path = tmp_path / "config.json"
     path.write_text(text)
@@ -371,6 +384,33 @@ def test_config_that_is_not_an_object_exits_2(tmp_path, capsys, text):
                           "--out", str(tmp_path / "domain.json"))
     assert code == 2
     assert "must be JSON objects" in stderr
+
+
+def test_manifold_scan_of_three_parameters_exits_2_before_allocating(tmp_path, capsys):
+    config = {**BOWL_CONFIG, "nominal": [0.0, 0.0, 0.0], "fit": {"target_rank": 3, "degree": 2},
+              "evaluator": {**BOWL_CONFIG["evaluator"], "parameters": {"a": [1.0, 4.0, 2.0]}}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    domain = tmp_path / "domain.json"
+    domain.write_text(json.dumps({
+        "tau_min": [0.0, 0.0, 0.0],
+        "tau_max": [1.0, 0.5, 0.5 ** 0.5],
+        "sampling_domain": [[-1.0, 1.0], [-0.5, 0.5], [-0.5 ** 0.5, 0.5 ** 0.5]],
+    }))
+    samples, model = tmp_path / "samples.csv", tmp_path / "model.json"
+    run(capsys, "sample", "--config", str(path), "--domain", str(domain), "--n", "200",
+        "--out", str(samples))
+    code, _, _ = run(capsys, "fit", "--config", str(path), "--domain", str(domain),
+                     "--samples", str(samples), "--out", str(model))
+    assert code == 0
+    result, scan = tmp_path / "result.json", tmp_path / "scan.csv"
+    code, _, stderr = run(capsys, "allocate", "--config", str(path), "--domain", str(domain),
+                          "--model", str(model), "--method", "cg", "--out", str(result),
+                          "--emit-manifold-scan", str(scan))
+    assert code == 2
+    assert "--emit-manifold-scan requires a 2-parameter problem" in stderr
+    assert not result.exists()
+    assert not scan.exists()
 
 
 def test_tabulated_grid_left_by_size_domain_exits_3(tmp_path, capsys):
@@ -414,6 +454,19 @@ def test_removed_flags_are_rejected(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+def test_report_does_not_summarize_its_own_summary(tmp_path, capsys):
+    result = {"format_version": 1, "method": "GA", "tau": [0.5, 0.2], "f_opt": 0.7}
+    (tmp_path / "result_ga.json").write_text(json.dumps(result))
+    summary = tmp_path / "summary.json"
+    code, _, _ = run(capsys, "report", "--dir", str(tmp_path))
+    assert code == 0
+    first = summary.read_bytes()
+    code, _, _ = run(capsys, "report", "--dir", str(tmp_path))
+    assert code == 0
+    assert summary.read_bytes() == first
+    assert json.loads(first) == {"format_version": 1, "artifacts": {"result_ga.json": result}}
 
 
 def test_report_on_missing_directory_exits_2(tmp_path, capsys):

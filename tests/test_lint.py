@@ -1,0 +1,43 @@
+"""Static checks on the package source that need no linter installed."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import tolalloc
+
+MODULES = sorted(p for p in Path(tolalloc.__file__).parent.glob("*.py")
+                 if p.name != "__init__.py")
+
+
+def _imported_names(tree: ast.Module) -> dict[str, int]:
+    """Name bound by each module-level import, with its line number."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _referenced_names(tree: ast.Module) -> set[str]:
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    # Forward references written as strings, e.g. -> "SeparatedModel".
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                names.add(node.value)
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_module_has_no_unused_import(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = _referenced_names(tree)
+    unused = {name: line for name, line in _imported_names(tree).items() if name not in used}
+    assert not unused, f"{path.name}: unused import(s) " + ", ".join(
+        f"{name} (line {line})" for name, line in sorted(unused.items(), key=lambda kv: kv[1]))

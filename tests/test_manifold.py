@@ -16,7 +16,6 @@ from tolalloc.manifold import (
     initial_guess,
     line_search,
     retract,
-    vector_transport,
 )
 from tolalloc.measures import MinusOneNorm, MuNorm, OneNorm
 
@@ -109,13 +108,6 @@ def test_build_projection_keeps_inward_wall_rows():
 def test_build_projection_degenerate_normal():
     with pytest.raises(DegenerateNormalError):
         build_projection(np.array([0.5, 0.5]), BOX, np.zeros(2), np.ones(2))
-
-
-def test_vector_transport_projects():
-    tau = np.array([0.6, 0.4])
-    frame = build_projection(tau, BOX, ELLIPSE.grad(tau), np.ones(2))
-    moved = vector_transport(frame, np.array([1.0, 0.0]))
-    assert abs(moved @ frame.normal) < 1e-12
 
 
 # ---------------------------------------------------------------------------

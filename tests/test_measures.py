@@ -156,9 +156,19 @@ def test_mu_weights_degenerate_warns_and_falls_back():
 
 def test_config_roundtrip_all_kinds():
     tau = np.array([0.4, 0.9])
-    for measure in measures_for(tau):
-        rebuilt = from_config(measure.to_config())
-        assert rebuilt.value(tau) == pytest.approx(measure.value(tau), rel=1e-15)
+    weights, a, b, k = [0.5, 2.0], [0.1, 0.2], [1.0, 0.5], [1.0, 2.0]
+    specs = [
+        ({"kind": "one-norm"}, OneNorm()),
+        ({"kind": "mu-norm", "weights": weights}, MuNorm(weights=np.array(weights))),
+        ({"kind": "minus-one-norm"}, MinusOneNorm()),
+        ({"kind": "reciprocal-power-cost", "a": a, "b": b, "k": k},
+         ReciprocalPowerCost(a=np.array(a), b=np.array(b), k=np.array(k))),
+    ]
+    for spec, measure in specs:
+        rebuilt = from_config(spec)
+        assert type(rebuilt) is type(measure)
+        assert rebuilt.value(tau) == measure.value(tau)
+        np.testing.assert_array_equal(rebuilt.grad(tau), measure.grad(tau))
 
 
 def test_from_config_mu_norm_derives_weights():
