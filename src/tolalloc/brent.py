@@ -1,15 +1,13 @@
-"""Brent's bracketed root finder and bounded scalar minimizer, in pure Python.
+"""Brent's bracketed root finder, in pure Python.
 
-Ports of ``scipy.optimize.brentq`` (scipy's C routine and its Python checks)
-and of ``scipy.optimize.minimize_scalar(method="bounded")``.  Both follow
-Brent, *Algorithms for Minimization without Derivatives* (1973), ch. 4 and 5.
-They take the same steps in the same floating-point order as scipy's, so they
-return the same x after the same number of function calls, and raise the
-exception types scipy raises.  The line search calls ``brentq`` on the slope
-of the measure along the manifold, and the domain sizing on each axis
+A port of ``scipy.optimize.brentq`` (scipy's C routine and its Python
+checks), after Brent, *Algorithms for Minimization without Derivatives*
+(1973), ch. 4.  It takes the same steps in the same floating-point order as
+scipy's, so it returns the same x after the same number of function calls,
+and raises the exception types scipy raises.  The line search calls it on the
+slope of the measure along the manifold, and the domain sizing on each axis
 threshold; importing ``scipy.optimize`` for it cost each ``size-domain`` and
-``allocate`` process about half a second.  ``minimize_bounded`` has no caller
-in the package since the line search works on slopes.
+``allocate`` process about half a second.
 """
 
 from __future__ import annotations
@@ -23,8 +21,6 @@ import numpy as np
 XTOL = 2e-12
 RTOL = 4 * sys.float_info.epsilon
 MAXITER = 100
-_SQRT_EPS = math.sqrt(2.2e-16)
-_GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
 
 
 def brentq(f, a: float, b: float, xtol: float = XTOL, rtol: float = RTOL,
@@ -98,101 +94,3 @@ def brentq(f, a: float, b: float, xtol: float = XTOL, rtol: float = RTOL,
             xcur += delta if sbis > 0 else -delta
         fcur = call(xcur)
     raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
-
-
-def _sign(x: float) -> float:
-    """``np.sign(x) + (x == 0)``: +-1 for nonzero x, 1 for zero, NaN for NaN."""
-    if x != x:
-        return x
-    return -1.0 if x < 0 else 1.0
-
-
-def minimize_bounded(func, lower: float, upper: float, xatol: float = 1e-5,
-                     maxiter: int = 500) -> float:
-    """A local minimizer of ``func`` on [lower, upper] by Brent's method.
-
-    Parabolic interpolation falls back to golden-section steps; the search
-    stops when the bracket is within ``xatol`` (plus a relative floor) of the
-    best point, or after ``maxiter`` function calls, and returns the best
-    point found either way.  Raises ``ValueError`` for bounds that are not
-    finite or not ordered.
-    """
-    if not (np.size(lower) == 1 and np.isfinite(lower)
-            and np.size(upper) == 1 and np.isfinite(upper)):
-        raise ValueError("Optimization bounds must be finite scalars.")
-    if lower > upper:
-        raise ValueError("The lower bound exceeds the upper bound.")
-
-    a, b = lower, upper
-    fulc = a + _GOLDEN_MEAN * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    x = xf
-    fx = func(x)
-    num = 1
-
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-
-    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
-        golden = True
-        # Check for parabolic fit
-        if abs(e) > tol1:
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-
-            # Check for acceptability of parabola
-            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 * _sign(xm - xf)
-            else:
-                golden = True
-
-        if golden:
-            e = (a - xf) if xf >= xm else (b - xf)
-            rat = _GOLDEN_MEAN * e
-
-        # max(|rat|, tol1), propagating a NaN from either side as np.maximum does
-        step = abs(rat) if (abs(rat) >= tol1 or rat != rat) else tol1
-        x = xf + _sign(rat) * step
-        fu = func(x)
-        num += 1
-
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if (fu <= fnfc) or (nfc == xf):
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
-                fulc, ffulc = x, fu
-
-        xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-
-        if num >= maxiter:
-            break
-    return float(xf)

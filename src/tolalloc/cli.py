@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -27,10 +28,12 @@ from .surrogate import atomic_write, write_json
 CONFIG_FORMAT_VERSION = 1
 CONFIG_FIELDS = {"format_version", "seed", "evaluator", "nominal", "q_allow", "measure", "fit",
                  "bbox", "check_thresholds"}
-# The keys each object-valued config field accepts.
+# The keys each object-valued config field accepts.  The ALS seed is the
+# top-level ``seed`` (or ``--seed``), not a 'fit' key.
 CONFIG_SECTION_FIELDS = {
     "bbox": {"caps", "tau_min"},
     "check_thresholds": {"tol_err_inf", "objective_rel_err", "constraint_rel_err"},
+    "fit": {"target_rank", "degree", "rel_residual_tol"},
 }
 EXIT_OK = 0
 EXIT_THRESHOLD = 1
@@ -53,8 +56,8 @@ def load_config(path) -> dict:
     config = _load_json(path, "config")
     if not isinstance(config, dict) or not all(
             isinstance(config.get(name, {}), dict) for name in CONFIG_SECTION_FIELDS):
-        raise UsageError(
-            f"config {path} and its 'bbox' and 'check_thresholds' fields must be JSON objects")
+        raise UsageError(f"config {path} and its {', '.join(map(repr, CONFIG_SECTION_FIELDS))} "
+                         "fields must be JSON objects")
     version = config.get("format_version")
     if version != CONFIG_FORMAT_VERSION:
         raise UsageError(f"unsupported config format_version {version!r} in {path}")
@@ -64,7 +67,12 @@ def load_config(path) -> dict:
     for name, fields in CONFIG_SECTION_FIELDS.items():
         unknown = sorted(set(config.get(name, {})) - fields)
         if unknown:
-            raise UsageError(f"unknown '{name}' field(s) {', '.join(unknown)} in {path}")
+            raise UsageError(f"malformed '{name}' section in config {path}: "
+                             f"unknown field(s) {', '.join(unknown)}")
+    for name, limit in config.get("check_thresholds", {}).items():
+        if type(limit) not in (int, float) or not math.isfinite(limit):  # excludes bool
+            raise UsageError(f"'check_thresholds' field {name!r} must be a finite number, "
+                             f"got {limit!r} in {path}")
     return config
 
 
@@ -159,7 +167,7 @@ def cmd_fit(args) -> int:
     _, intervals = _domain_from(args.domain)
     seed = _seed_of(args, config)
     try:
-        fit_config = FitConfig(**{"seed": seed, **_require(config, "fit")})
+        fit_config = FitConfig(**_require(config, "fit"), seed=seed)
     except TypeError as exc:
         raise UsageError(f"malformed 'fit' section in config: {exc}")
     if not Path(args.samples).exists():
@@ -239,7 +247,7 @@ def cmd_check(args) -> int:
     thresholds = config.get("check_thresholds", {})
     failed = [
         name for name, limit in thresholds.items()
-        if getattr(report, name) > float(limit)
+        if getattr(report, name) > limit
     ]
     if failed:
         print(f"thresholds exceeded: {', '.join(sorted(failed))}", file=sys.stderr)

@@ -7,6 +7,7 @@ gradient is defined, ``gradient(mu) -> ndarray``.
 
 from __future__ import annotations
 
+import math
 import os
 import select
 import shlex
@@ -37,13 +38,15 @@ class DomainError(ValueError):
 # Builtin analytic problems
 # ---------------------------------------------------------------------------
 
-class QuadraticBowl:
-    """Q(mu) = sum_i a_i (mu_i - center_i)^2."""
+class _CenteredSum:
+    """Coefficient vector ``a`` and a ``center`` of the same length (zero by
+    default), shared by the builtins that sum a_i g(mu_i - center_i).  Each
+    subclass names itself in ``kind``, its catalog name."""
 
     def __init__(self, a, center=None):
         self.a = np.asarray(a, dtype=float)
         if self.a.ndim != 1 or self.a.size < 1:
-            raise ValueError("quadratic-bowl requires a 1-d coefficient vector a")
+            raise ValueError(f"{self.kind} requires a 1-d coefficient vector a")
         self.center = np.zeros_like(self.a) if center is None else np.asarray(center, dtype=float)
         if self.center.shape != self.a.shape:
             raise ValueError("center must match a in length")
@@ -51,6 +54,12 @@ class QuadraticBowl:
     @property
     def dim(self) -> int:
         return self.a.size
+
+
+class QuadraticBowl(_CenteredSum):
+    """Q(mu) = sum_i a_i (mu_i - center_i)^2."""
+
+    kind = "quadratic-bowl"
 
     def __call__(self, mu) -> float:
         delta = np.asarray(mu, dtype=float) - self.center
@@ -60,21 +69,11 @@ class QuadraticBowl:
         return 2.0 * self.a * (np.asarray(mu, dtype=float) - self.center)
 
 
-class AbsSum:
+class AbsSum(_CenteredSum):
     """Q(mu) = sum_i a_i |mu_i - center_i|.  Gradient is the subgradient
     a_i * sign(mu_i - center_i), zero at kinks."""
 
-    def __init__(self, a, center=None):
-        self.a = np.asarray(a, dtype=float)
-        if self.a.ndim != 1 or self.a.size < 1:
-            raise ValueError("abs-sum requires a 1-d coefficient vector a")
-        self.center = np.zeros_like(self.a) if center is None else np.asarray(center, dtype=float)
-        if self.center.shape != self.a.shape:
-            raise ValueError("center must match a in length")
-
-    @property
-    def dim(self) -> int:
-        return self.a.size
+    kind = "abs-sum"
 
     def __call__(self, mu) -> float:
         return float(self.a @ np.abs(np.asarray(mu, dtype=float) - self.center))
@@ -245,6 +244,8 @@ class ExternalEvaluator:
         if dim < 1:
             raise ValueError("dim must be positive")
         self._dim = dim
+        if not (math.isfinite(timeout_seconds) and timeout_seconds > 0):
+            raise ValueError(f"timeout_seconds must be finite and positive, got {timeout_seconds}")
         self.timeout_seconds = timeout_seconds
         self._proc: subprocess.Popen | None = None
         self._stderr = None  # the running child's stderr file

@@ -21,6 +21,7 @@ import numpy as np
 
 from .brent import MAXITER, brentq
 from .domain import BoundingBox
+from .measures import ascent_direction
 
 # Stopping rules and tolerances of the traversal.  An iteration that raises F,
 # or moves tau in max norm, by less than F_INCREASE_TOL ends it; so does a
@@ -220,7 +221,7 @@ def initial_guess(
 ) -> np.ndarray:
     """First manifold point: ray from tau_min along the measure ascent direction,
     crossing G = q_allow by the same safeguarded Newton steps as ``retract``."""
-    direction = np.asarray(measure.ascent_direction_at(bbox.tau_min), dtype=float)
+    direction = np.asarray(ascent_direction(measure, bbox.tau_min), dtype=float)
     norm = np.linalg.norm(direction)
     if norm == 0.0:
         raise InitializationError("measure ascent direction vanished at tau_min")

@@ -34,9 +34,6 @@ class OneNorm:
     def grad(self, tau) -> np.ndarray:
         return np.ones_like(_check_nonnegative(tau))
 
-    def ascent_direction_at(self, tau) -> np.ndarray:
-        return np.ones_like(np.asarray(tau, dtype=float))
-
 
 @dataclass(frozen=True)
 class MuNorm:
@@ -61,9 +58,6 @@ class MuNorm:
         _check_nonnegative(tau)
         return self.weights.copy()
 
-    def ascent_direction_at(self, tau) -> np.ndarray:
-        return self.weights.copy()
-
 
 @dataclass(frozen=True)
 class MinusOneNorm:
@@ -81,14 +75,6 @@ class MinusOneNorm:
             raise ValueError("-1-norm gradient undefined at zero components")
         f = self.value(tau)
         return (f * f) / (tau * tau)
-
-    def ascent_direction_at(self, tau) -> np.ndarray:
-        tau = np.asarray(tau, dtype=float)
-        # The gradient is singular at the boundary; the isotropic limit
-        # direction applies there.
-        if np.any(tau <= 0.0):
-            return np.ones_like(tau)
-        return self.grad(tau)
 
 
 @dataclass(frozen=True)
@@ -127,11 +113,16 @@ class ReciprocalPowerCost:
         f = self.value(tau)
         return (f * f) * self.b * self.k / tau ** (self.k + 1.0)
 
-    def ascent_direction_at(self, tau) -> np.ndarray:
-        tau = np.asarray(tau, dtype=float)
-        if np.any(tau <= 0.0):
-            return np.ones_like(tau)
-        return self.grad(tau)
+
+def ascent_direction(measure, tau) -> np.ndarray:
+    """The direction in which ``measure`` grows from ``tau``: its gradient where
+    that is defined, and all ones where ``grad`` raises ``ValueError``.  The
+    reciprocal measures' gradients are singular at a zero component, and the
+    isotropic limit direction applies there."""
+    try:
+        return measure.grad(tau)
+    except ValueError:
+        return np.ones_like(np.asarray(tau, dtype=float))
 
 
 def compute_mu_weights(model: SeparatedModel, mu_hat) -> np.ndarray:

@@ -173,14 +173,17 @@ class SeparatedModel:
             raise ValueError(f"point outside model intervals (overshoot {worst:.3e})")
         return np.clip(x, -1.0, 1.0)
 
-    def eval_many(self, points) -> np.ndarray:
-        """Evaluate the surrogate at an (N, dim) array of design points."""
+    def _basis_factors(self, points) -> tuple[np.ndarray, np.ndarray]:
+        """Legendre table (N, d, p+1) and factors (r, N, d) at (N, dim) points."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[1] != self.dim:
             raise ValueError(f"expected {self.dim}-dimensional points, got {pts.shape[1]}")
-        x = self._standardize(pts)
-        basis = legendre_table(x, self.degree)               # (N, d, p+1)
-        factors = np.einsum("lij,nij->lni", self.coeffs, basis)  # (r, N, d)
+        basis = legendre_table(self._standardize(pts), self.degree)
+        return basis, np.einsum("lij,nij->lni", self.coeffs, basis)
+
+    def eval_many(self, points) -> np.ndarray:
+        """Evaluate the surrogate at an (N, dim) array of design points."""
+        _, factors = self._basis_factors(points)
         return self.scales @ factors.prod(axis=2)
 
     def __call__(self, mu) -> float:
@@ -190,14 +193,8 @@ class SeparatedModel:
         """Values (N,) and analytic gradients (N, dim) at an (N, dim) array of
         points, from one standardization and one Legendre table.  Each output
         equals what :meth:`eval_many` and :meth:`grad_many` return, bit for bit."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if pts.shape[1] != self.dim:
-            raise ValueError(f"expected {self.dim}-dimensional points, got {pts.shape[1]}")
-        x = self._standardize(pts)
-        basis = legendre_table(x, self.degree)
-        dbasis = legendre_deriv_table(basis)
-        factors = np.einsum("lij,nij->lni", self.coeffs, basis)    # (r, N, d)
-        dfactors = np.einsum("lij,nij->lni", self.coeffs, dbasis)  # (r, N, d)
+        basis, factors = self._basis_factors(points)
+        dfactors = np.einsum("lij,nij->lni", self.coeffs, legendre_deriv_table(basis))
         d = self.dim
         others = np.empty_like(factors)
         for i in range(d):

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 from scipy.optimize import brentq as scipy_brentq
-from scipy.optimize import minimize_scalar
 
-from tolalloc.brent import brentq, minimize_bounded
+from tolalloc.brent import brentq
 
 
 def counted(f):
@@ -57,34 +56,6 @@ def test_brentq_matches_scipy_bit_for_bit(name, tol):
     assert our_calls == their_calls
 
 
-MIN_CASES = {
-    "parabola": (lambda x: (x - 0.3) ** 2, 0.0, 1.0),
-    "quartic": (lambda x: x**4 - 3.0 * x**3 + 2.0, 0.0, 5.0),
-    "exp-cos": (lambda x: -math.exp(-x * x) * math.cos(3.0 * x), -2.0, 2.0),
-    "kink": (lambda x: abs(x - 0.7), 0.0, 1.0),
-    "piecewise-flat": (lambda x: 0.0 if x < 0.5 else 1.0, 0.0, 1.0),
-    "min-at-upper-end": (lambda x: -x, 0.0, 1.0),
-    "min-at-lower-end": (lambda x: x, 0.0, 1.0),
-    "multimodal": (lambda x: math.sin(5.0 * x), 0.0, 3.0),
-    "constant": (lambda x: 1.0, 0.0, 2.0),
-    "penalty-cliff": (lambda x: -1e300 if x > 0.9 else 0.0, 0.0, 1.0),
-}
-MIN_OPTIONS = [{}, {"xatol": 1e-10, "maxiter": 200}, {"xatol": 1e-12, "maxiter": 5}]
-
-
-@pytest.mark.parametrize("options", MIN_OPTIONS, ids=["default", "line-search", "maxiter"])
-@pytest.mark.parametrize("name", list(MIN_CASES))
-def test_minimize_bounded_matches_scipy_bit_for_bit(name, options):
-    f, lower, upper = MIN_CASES[name]
-    ours, our_calls = counted(f)
-    theirs, their_calls = counted(f)
-    x = minimize_bounded(ours, lower, upper, **options)
-    expected = minimize_scalar(theirs, bounds=(lower, upper), method="bounded",
-                               options=options).x
-    assert np.float64(x).tobytes() == np.float64(expected).tobytes()
-    assert [float(v) for v in our_calls] == [float(v) for v in their_calls]
-
-
 def _raised(call):
     with pytest.raises(Exception) as info:
         call()
@@ -104,9 +75,3 @@ def test_brentq_errors_match_scipy(name):
     f, a, b, options, error = BRENTQ_ERRORS[name]
     assert _raised(lambda: scipy_brentq(f, a, b, **options)) is error
     assert _raised(lambda: brentq(f, a, b, **options)) is error
-
-
-@pytest.mark.parametrize("bounds", [(1.0, 0.0), (0.0, math.inf), (math.nan, 1.0)])
-def test_minimize_bounded_rejects_bad_bounds_like_scipy(bounds):
-    expected = _raised(lambda: minimize_scalar(lambda x: x, bounds=bounds, method="bounded"))
-    assert _raised(lambda: minimize_bounded(lambda x: x, *bounds)) is expected

@@ -328,28 +328,36 @@ def test_non_finite_nominal_performance_exits_3(tmp_path, capsys):
     assert "non-finite performance" in stderr
 
 
-# The ALS sweep schedule is constants in tolalloc.surrogate, not fit settings.
+# The ALS sweep schedule is constants in tolalloc.surrogate, not fit settings,
+# and the ALS seed is the top-level seed, which --seed overrides.
 @pytest.mark.parametrize("section, key", [
     ("fit", "bogus"),
     ("fit", "max_sweeps"),
     ("fit", "sweep_stall_tol"),
     ("fit", "regularization"),
-], ids=["fit", "fit.max_sweeps", "fit.sweep_stall_tol", "fit.regularization"])
+    ("fit", "seed"),
+], ids=["fit", "fit.max_sweeps", "fit.sweep_stall_tol", "fit.regularization", "fit.seed"])
 def test_unknown_key_in_config_section_exits_2(tmp_path, capsys, section, key):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(BOWL_CONFIG))
     config = dict(BOWL_CONFIG)
     config[section] = {**config[section], key: 1}
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     domain = _write_domain(tmp_path)
     samples = tmp_path / "s.csv"
-    code, _, _ = run(capsys, "sample", "--config", str(path), "--domain", domain,
+    code, _, _ = run(capsys, "sample", "--config", str(good), "--domain", domain,
                      "--n", "200", "--out", str(samples))
     assert code == 0
-    code, _, stderr = run(capsys, "fit", "--config", str(path), "--domain", domain,
-                          "--samples", str(samples), "--out", str(tmp_path / "model.json"))
-    assert code == 2
-    assert f"malformed '{section}' section" in stderr
-    assert key in stderr
+    model = tmp_path / "model.json"
+    for argv in (["sample", "--n", "200", "--out", str(tmp_path / "s2.csv")],
+                 ["fit", "--samples", str(samples), "--seed", "1", "--out", str(model)]):
+        code, _, stderr = run(capsys, argv[0], "--config", str(path), "--domain", domain,
+                              *argv[1:])
+        assert code == 2
+        assert f"malformed '{section}' section" in stderr
+        assert key in stderr
+    assert not model.exists()
 
 
 @pytest.mark.parametrize("field, value, named", [
@@ -384,6 +392,34 @@ def test_config_that_is_not_an_object_exits_2(tmp_path, capsys, text):
                           "--out", str(tmp_path / "domain.json"))
     assert code == 2
     assert "must be JSON objects" in stderr
+
+
+def _external_bowl(timeout) -> dict:
+    return {"variant": "external", "dim": 2, "timeout_seconds": timeout,
+            "command": [sys.executable, "-m", "tolalloc.serve", "quadratic-bowl",
+                        "--parameters", json.dumps({"a": [1.0, 4.0]})]}
+
+
+# Each is rejected before any work: no evaluator child is started.
+@pytest.mark.parametrize("field, value, named", [
+    ("check_thresholds", {"tol_err_inf": "tight"}, "'tol_err_inf' must be a finite number"),
+    ("check_thresholds", {"tol_err_inf": True}, "'tol_err_inf' must be a finite number"),
+    ("check_thresholds", {"tol_err_inf": None}, "'tol_err_inf' must be a finite number"),
+    ("check_thresholds", {"tol_err_inf": float("nan")}, "'tol_err_inf' must be a finite number"),
+    ("evaluator", _external_bowl(-1.0), "bad evaluator spec: timeout_seconds"),
+    ("evaluator", _external_bowl(0.0), "bad evaluator spec: timeout_seconds"),
+    ("evaluator", _external_bowl(float("nan")), "bad evaluator spec: timeout_seconds"),
+    ("evaluator", _external_bowl(float("inf")), "bad evaluator spec: timeout_seconds"),
+], ids=["threshold-string", "threshold-bool", "threshold-null", "threshold-nan",
+        "timeout-negative", "timeout-zero", "timeout-nan", "timeout-inf"])
+def test_bad_config_value_exits_2(tmp_path, capsys, field, value, named):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**BOWL_CONFIG, field: value}))
+    out = tmp_path / "domain.json"
+    code, _, stderr = run(capsys, "size-domain", "--config", str(path), "--out", str(out))
+    assert code == 2
+    assert named in stderr
+    assert not out.exists()
 
 
 def test_manifold_scan_of_three_parameters_exits_2_before_allocating(tmp_path, capsys):

@@ -7,8 +7,8 @@ import pytest
 
 import tolalloc
 
-MODULES = sorted(p for p in Path(tolalloc.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+PACKAGE = sorted(Path(tolalloc.__file__).parent.glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
@@ -41,3 +41,27 @@ def test_module_has_no_unused_import(path):
     unused = {name: line for name, line in _imported_names(tree).items() if name not in used}
     assert not unused, f"{path.name}: unused import(s) " + ", ".join(
         f"{name} (line {line})" for name, line in sorted(unused.items(), key=lambda kv: kv[1]))
+
+
+def _package_references() -> set[str]:
+    """Every name any package module uses: as a name, an attribute, an
+    imported name or a string annotation."""
+    names = set()
+    for path in PACKAGE:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        names |= _referenced_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_module_has_no_dead_definition(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = _package_references()
+    dead = [f"{node.name} (line {node.lineno})" for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in used]
+    assert not dead, f"{path.name}: nothing in the package refers to " + ", ".join(dead)

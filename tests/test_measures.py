@@ -7,6 +7,7 @@ from tolalloc.measures import (
     MuNorm,
     OneNorm,
     ReciprocalPowerCost,
+    ascent_direction,
     compute_mu_weights,
     from_config,
     mu_norm_from_model,
@@ -110,11 +111,14 @@ def test_gradients_strictly_positive_in_interior(tau):
 
 
 def test_ascent_direction_at_boundary():
-    for measure in (MinusOneNorm(), ReciprocalPowerCost(a=np.zeros(2), b=np.ones(2),
-                                                        k=np.ones(2))):
-        np.testing.assert_array_equal(measure.ascent_direction_at([0.0, 0.0]), [1.0, 1.0])
+    for measure in (OneNorm(), MinusOneNorm(),
+                    ReciprocalPowerCost(a=np.zeros(2), b=np.ones(2), k=np.ones(2))):
+        np.testing.assert_array_equal(ascent_direction(measure, [0.0, 0.0]), [1.0, 1.0])
+    # The mu-norm's gradient is defined at zero: its weights, not all ones.
+    np.testing.assert_array_equal(ascent_direction(MuNorm(weights=[2.0, 0.5]), [0.0, 0.0]),
+                                  [2.0, 0.5])
     tau = np.array([0.5, 0.25])
-    np.testing.assert_array_equal(MinusOneNorm().ascent_direction_at(tau),
+    np.testing.assert_array_equal(ascent_direction(MinusOneNorm(), tau),
                                   MinusOneNorm().grad(tau))
 
 

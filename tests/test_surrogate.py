@@ -218,6 +218,23 @@ def test_eval_grad_many_rows_equal_eval_many_and_grad_many(dim, rank):
     assert grad.tobytes() == model.gradient(points[5])[None, :].tobytes()
 
 
+def test_values_build_no_derivative_table(monkeypatch):
+    rng = np.random.default_rng(17)
+    model = random_model(rng, dim=4, rank=3, degree=3)
+    points = rng.uniform(-1.0, 1.0, (11, 4))
+    values = model.eval_many(points)
+    value = model(points[2])
+
+    def no_derivatives(vals):
+        raise AssertionError("a value-only evaluation built the derivative table")
+
+    monkeypatch.setattr(surrogate, "legendre_deriv_table", no_derivatives)
+    assert model.eval_many(points).tobytes() == values.tobytes()
+    assert model(points[2]) == value
+    with pytest.raises(AssertionError, match="derivative table"):
+        model.eval_grad_many(points)
+
+
 # ---------------------------------------------------------------------------
 # ALS fitting
 # ---------------------------------------------------------------------------
