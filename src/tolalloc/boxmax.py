@@ -61,9 +61,9 @@ class ToleranceBox:
 @dataclass
 class BoxMaxResult:
     value: float
-    maximizers: np.ndarray          # (m, d), lexicographically sorted
-    wall_contacts: list[list[int]]  # per axis, indices into maximizers
-    box: ToleranceBox = field(repr=False, default=None)
+    maximizers: np.ndarray     # (m, d), lexicographically sorted
+    wall_contacts: np.ndarray  # (m, d) bool: maximizer k touches a wall of axis i
+    box: ToleranceBox = field(repr=False)
 
 
 def latin_hypercube(n: int, d: int, seed: int) -> np.ndarray:
@@ -157,7 +157,7 @@ def box_maximize(model: SeparatedModel, box: ToleranceBox) -> BoxMaxResult:
         return BoxMaxResult(
             value=value,
             maximizers=box.center[None, :].copy(),
-            wall_contacts=[[0] for _ in range(box.dim)],
+            wall_contacts=np.ones((1, box.dim), dtype=bool),
             box=box,
         )
     lo, hi = box.lo, box.hi
@@ -204,50 +204,29 @@ def box_maximize(model: SeparatedModel, box: ToleranceBox) -> BoxMaxResult:
     radius = DEDUP_REL_RADIUS * (diag if diag > 0.0 else 1.0)
     maximizers = _dedup(winners[np.lexsort(winners.T[::-1])], radius)
 
-    wall_contacts: list[list[int]] = []
-    for i in range(box.dim):
-        if half[i] == 0.0:
-            wall_contacts.append(list(range(len(maximizers))))
-            continue
-        threshold = half[i] * (1.0 - WALL_REL_TOL)
-        contacts = [
-            k for k, point in enumerate(maximizers)
-            if abs(point[i] - box.center[i]) >= threshold
-        ]
-        wall_contacts.append(contacts)
-
+    # A fixed axis (half-width 0) has threshold 0, so every maximizer is on
+    # its wall.
+    wall_contacts = np.abs(maximizers - box.center) >= half * (1.0 - WALL_REL_TOL)
     return BoxMaxResult(value=g_value, maximizers=maximizers, wall_contacts=wall_contacts, box=box)
 
 
 def grad_G(model: SeparatedModel, box: ToleranceBox, result: BoxMaxResult) -> np.ndarray:
     """Analytic d G / d tau from the wall-contacting maximizers.
 
-    For a degenerate axis (tau_i = 0) the box can grow to either side, so the
-    one-sided derivative is the absolute partial of the surrogate there.
+    d G / d tau_i is the largest outward partial of the surrogate over the
+    maximizers on a wall of axis i, and 0 when none is.  For a degenerate axis
+    (tau_i = 0) the box can grow to either side, so the outward partial is the
+    absolute partial of the surrogate there.
     """
-    if result.box is not box and (result.box is None or not (
+    if result.box is not box and not (
         np.array_equal(result.box.center, box.center)
         and np.array_equal(result.box.half_widths, box.half_widths)
-    )):
+    ):
         raise ValueError("result was not produced for this box")
-    out = np.zeros(box.dim)
-    if len(result.maximizers) == 0:
-        return out
     grads = model.grad_many(result.maximizers)
-    for i in range(box.dim):
-        contacts = result.wall_contacts[i]
-        if not contacts:
-            continue
-        best = 0.0
-        for k in contacts:
-            if box.half_widths[i] == 0.0:
-                slope = abs(grads[k, i])
-            else:
-                sign = np.sign(result.maximizers[k, i] - box.center[i])
-                slope = max(grads[k, i] * sign, 0.0)
-            best = max(best, slope)
-        out[i] = best
-    return out
+    slopes = np.where(box.half_widths == 0.0, np.abs(grads),
+                      np.maximum(grads * np.sign(result.maximizers - box.center), 0.0))
+    return np.where(result.wall_contacts, slopes, 0.0).max(axis=0)
 
 
 class SurrogateWorstCase:
@@ -261,10 +240,6 @@ class SurrogateWorstCase:
         self.model = model
         self.center = np.asarray(center, dtype=float)
         self._cache: dict[bytes, BoxMaxResult] = {}
-
-    @property
-    def dim(self) -> int:
-        return self.center.size
 
     def _result(self, tau: np.ndarray) -> BoxMaxResult:
         key = tau.tobytes()

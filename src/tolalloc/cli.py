@@ -11,6 +11,7 @@ numeric failures, although both subclass ``ValueError``.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -50,6 +51,13 @@ def _load_json(path, what: str) -> dict:
         return json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read {what} file {path}: {exc}")
+
+
+def _load_object(path, what: str) -> dict:
+    data = _load_json(path, what)
+    if not isinstance(data, dict):
+        raise UsageError(f"{what} file {path} must hold a JSON object")
+    return data
 
 
 def load_config(path) -> dict:
@@ -105,7 +113,10 @@ def _open_evaluator(config: dict):
 
 def _domain_from(path) -> tuple[BoundingBox, list[Interval]]:
     """Bounding box and sampling intervals from a size-domain file."""
-    data = _load_json(path, "domain")
+    data = _load_object(path, "domain")
+    missing = sorted({"tau_min", "tau_max", "sampling_domain"} - set(data))
+    if missing:
+        raise UsageError(f"domain file {path} lacks field(s) {', '.join(missing)}")
     bbox = BoundingBox(
         tau_min=np.asarray(data["tau_min"], dtype=float),
         tau_max=np.asarray(data["tau_max"], dtype=float),
@@ -183,14 +194,14 @@ def cmd_fit(args) -> int:
     }
     if args.holdout:
         holdout = SampleSet.read_csv(args.holdout)
-        summary["holdout"] = metrics.surrogate_errors(model, holdout).to_dict()
+        summary["holdout"] = dataclasses.asdict(metrics.surrogate_errors(model, holdout))
     print(json.dumps(summary, indent=2, sort_keys=True))
     return EXIT_OK
 
 
 def cmd_allocate(args) -> int:
     config = load_config(args.config)
-    model = SeparatedModel.from_dict(_load_json(args.model, "model"))
+    model = SeparatedModel.from_dict(_load_object(args.model, "model"))
     bbox, _ = _domain_from(args.domain)
     if args.emit_manifold_scan and bbox.dim != 2:
         raise UsageError("--emit-manifold-scan requires a 2-parameter problem")
@@ -238,12 +249,12 @@ def cmd_check(args) -> int:
         tau_ref = np.asarray(reference["tau"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"malformed tolerance file: {exc}")
-    model = SeparatedModel.from_dict(_load_json(args.model, "model"))
+    model = SeparatedModel.from_dict(_load_object(args.model, "model"))
     gfun = _gfun_for(model, config)
     measure = _measure_for(config, model)
     q_allow = float(_require(config, "q_allow"))
     report = metrics.allocation_errors(tau, tau_ref, measure, gfun, q_allow)
-    print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+    print(json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True))
     thresholds = config.get("check_thresholds", {})
     failed = [
         name for name, limit in thresholds.items()

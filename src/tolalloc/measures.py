@@ -91,8 +91,9 @@ class ReciprocalPowerCost:
         k = np.asarray(self.k, dtype=float)
         if not (a.shape == b.shape == k.shape) or a.ndim != 1:
             raise ValueError("a, b, k must be 1-d vectors of equal length")
-        if np.any(b <= 0.0) or np.any(k <= 0.0):
-            raise ValueError("b and k must be positive")
+        if not (np.all(np.isfinite([a, b, k])) and np.all(a >= 0.0)
+                and np.all(b > 0.0) and np.all(k > 0.0)):
+            raise ValueError("a must be finite and nonnegative, b and k finite and positive")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "k", k)

@@ -19,26 +19,12 @@ class ErrorReport:
     max_rel: float
     n_compared: int
 
-    def to_dict(self) -> dict:
-        return {
-            "mean_rel": self.mean_rel,
-            "max_rel": self.max_rel,
-            "n_compared": self.n_compared,
-        }
-
 
 @dataclass(frozen=True)
 class AllocationErrorReport:
     tol_err_inf: float
     objective_rel_err: float
     constraint_rel_err: float
-
-    def to_dict(self) -> dict:
-        return {
-            "tol_err_inf": self.tol_err_inf,
-            "objective_rel_err": self.objective_rel_err,
-            "constraint_rel_err": self.constraint_rel_err,
-        }
 
 
 def surrogate_errors(model: SeparatedModel, holdout: SampleSet) -> ErrorReport:

@@ -20,8 +20,8 @@ MODEL_FORMAT_VERSION = 1
 
 # Tolerated overshoot of the standardized coordinate beyond [-1, 1].
 X_SLACK = 1e-12
-# Relative interval overshoot that is silently clamped during evaluation
-# (optimizers probing box edges land here through round-off).
+# Relative interval overshoot that is silently clamped when a point is
+# evaluated or fitted (optimizers probing box edges land here through round-off).
 EXTRAPOLATION_SLACK = 1e-9
 
 
@@ -77,13 +77,20 @@ class Interval:
     def width(self) -> float:
         return self.hi - self.lo
 
-    def to_standard(self, mu):
-        """Affine map sending lo -> -1 and hi -> +1.  Extrapolation permitted."""
-        return 2.0 * (np.asarray(mu, dtype=float) - self.lo) / self.width - 1.0
 
-    def contains(self, mu, rel_slack: float = EXTRAPOLATION_SLACK) -> bool:
-        slack = rel_slack * self.width
-        return bool(np.all(mu >= self.lo - slack) and np.all(mu <= self.hi + slack))
+def _standardize(points: np.ndarray, lo: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """Map (N, d) points affinely onto [-1, 1] per dimension, lo -> -1 and
+    lo + width -> +1.  An overshoot of at most 2 EXTRAPOLATION_SLACK is
+    clamped; a larger one, or a NaN coordinate, raises ValueError naming the
+    first dimension at fault."""
+    x = 2.0 * (points - lo) / width - 1.0
+    overshoot = np.abs(x) - 1.0
+    outside = ~(overshoot <= 2.0 * EXTRAPOLATION_SLACK)  # NaN counts as outside
+    if outside.any():
+        i = int(np.flatnonzero(outside.any(axis=0))[0])
+        raise ValueError(f"points fall outside interval for dimension {i} "
+                         f"(overshoot {float(np.max(overshoot[:, i])):.3e})")
+    return np.clip(x, -1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -165,20 +172,12 @@ class SeparatedModel:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _standardize(self, points: np.ndarray) -> np.ndarray:
-        x = 2.0 * (points - self._lo) / self._width - 1.0
-        overshoot = np.abs(x) - 1.0
-        if np.any(overshoot > 2.0 * EXTRAPOLATION_SLACK):
-            worst = float(np.max(overshoot))
-            raise ValueError(f"point outside model intervals (overshoot {worst:.3e})")
-        return np.clip(x, -1.0, 1.0)
-
     def _basis_factors(self, points) -> tuple[np.ndarray, np.ndarray]:
         """Legendre table (N, d, p+1) and factors (r, N, d) at (N, dim) points."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[1] != self.dim:
             raise ValueError(f"expected {self.dim}-dimensional points, got {pts.shape[1]}")
-        basis = legendre_table(self._standardize(pts), self.degree)
+        basis = legendre_table(_standardize(pts, self._lo, self._width), self.degree)
         return basis, np.einsum("lij,nij->lni", self.coeffs, basis)
 
     def eval_many(self, points) -> np.ndarray:
@@ -319,10 +318,14 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.target_rank < 1 or self.degree < 0:
-            raise ValueError("target_rank must be positive, degree nonnegative")
-        if self.rel_residual_tol <= 0:
-            raise ValueError("rel_residual_tol must be positive")
+        # type() rather than isinstance() so that a bool is rejected.
+        if type(self.target_rank) is not int or self.target_rank < 1:
+            raise ValueError(f"target_rank must be an integer >= 1, got {self.target_rank!r}")
+        if type(self.degree) is not int or self.degree < 0:
+            raise ValueError(f"degree must be an integer >= 0, got {self.degree!r}")
+        tol = self.rel_residual_tol
+        if type(tol) not in (int, float) or not (np.isfinite(tol) and tol > 0):
+            raise ValueError(f"rel_residual_tol must be a finite number > 0, got {tol!r}")
 
 
 @dataclass
@@ -376,9 +379,11 @@ def als_fit(
         raise FitError(
             f"need at least target_rank*(degree+1) = {config.target_rank * p1} samples, got {n}"
         )
-    for i, iv in enumerate(intervals):
-        if not iv.contains(samples.points[:, i]):
-            raise FitError(f"samples fall outside interval for dimension {i}")
+    try:
+        x = _standardize(samples.points, np.array([iv.lo for iv in intervals]),
+                         np.array([iv.width for iv in intervals]))
+    except ValueError as exc:
+        raise FitError(str(exc)) from exc
 
     q = samples.values
     q_norm = float(np.linalg.norm(q))
@@ -386,9 +391,6 @@ def als_fit(
         q_norm = 1.0
     lam = REGULARIZATION * float(np.mean(q * q))
 
-    x = np.empty_like(samples.points)
-    for i, iv in enumerate(intervals):
-        x[:, i] = np.clip(iv.to_standard(samples.points[:, i]), -1.0, 1.0)
     basis = legendre_table(x.T, config.degree)  # (d, n, p+1)
     others_of = [np.arange(d) != i for i in range(d)]
 

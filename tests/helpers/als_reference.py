@@ -26,7 +26,7 @@ def reference_als_fit(samples, config, intervals):
 
     x = np.empty_like(samples.points)
     for i, iv in enumerate(intervals):
-        x[:, i] = np.clip(iv.to_standard(samples.points[:, i]), -1.0, 1.0)
+        x[:, i] = np.clip(2.0 * (samples.points[:, i] - iv.lo) / iv.width - 1.0, -1.0, 1.0)
     basis = legendre_table(x, config.degree)  # (n, d, p+1)
 
     rng = np.random.default_rng(config.seed)

@@ -13,6 +13,8 @@ from tolalloc.boxmax import (
 )
 from tolalloc.evaluator import Rank2Synthetic
 
+from conftest import random_model
+
 UNIT_SQUARE = (Interval(-1.0, 1.0), Interval(-1.0, 1.0))
 
 
@@ -76,7 +78,7 @@ def test_box_maximize_linear_hits_signed_corner():
     assert result.value == pytest.approx(model(expected_max), rel=1e-12)
     assert len(result.maximizers) == 1
     np.testing.assert_allclose(result.maximizers[0], expected_max, atol=1e-10)
-    assert result.wall_contacts == [[0], [0]]
+    np.testing.assert_array_equal(result.wall_contacts, np.ones((1, 2), dtype=bool), strict=True)
 
 
 def test_box_maximize_interior_walls_only_where_touching():
@@ -97,7 +99,7 @@ def test_box_maximize_reports_tied_corners():
     assert len(result.maximizers) == 2
     np.testing.assert_allclose(result.maximizers[0], [-0.5, -0.5], atol=1e-10)
     np.testing.assert_allclose(result.maximizers[1], [0.5, 0.5], atol=1e-10)
-    assert result.wall_contacts == [[0, 1], [0, 1]]
+    np.testing.assert_array_equal(result.wall_contacts, np.ones((2, 2), dtype=bool), strict=True)
 
 
 def test_box_maximize_zero_width_box(monkeypatch):
@@ -106,7 +108,7 @@ def test_box_maximize_zero_width_box(monkeypatch):
     box = ToleranceBox(center=np.array([0.2, 0.3]), half_widths=np.zeros(2))
     result = box_maximize(model, box)
     assert result.value == pytest.approx(0.5)
-    assert result.wall_contacts == [[0], [0]]
+    np.testing.assert_array_equal(result.wall_contacts, np.ones((1, 2), dtype=bool), strict=True)
 
 
 def test_box_maximize_projected_step_reaches_corners_in_few_kernel_calls(monkeypatch):
@@ -132,7 +134,7 @@ def test_box_maximize_projected_step_reaches_corners_in_few_kernel_calls(monkeyp
     corners = np.array([[-0.5, -0.25], [-0.5, 0.25], [0.5, -0.25], [0.5, 0.25]])
     np.testing.assert_array_equal(result.maximizers, corners)
     assert result.value == pytest.approx(0.3125, rel=1e-10)
-    assert result.wall_contacts == [[0, 1, 2, 3], [0, 1, 2, 3]]
+    np.testing.assert_array_equal(result.wall_contacts, np.ones((4, 2), dtype=bool), strict=True)
 
 
 def test_box_maximize_matches_dense_grid():
@@ -164,7 +166,7 @@ def test_box_maximize_deterministic():
     second = box_maximize(model, box)
     assert first.value == second.value
     np.testing.assert_array_equal(first.maximizers, second.maximizers)
-    assert first.wall_contacts == second.wall_contacts
+    np.testing.assert_array_equal(first.wall_contacts, second.wall_contacts, strict=True)
 
 
 def exact_bowl_model(d: int) -> SeparatedModel:
@@ -254,9 +256,66 @@ def test_grad_G_degenerate_axis_uses_absolute_partial():
     model = linear_model(-2.0, 1.0)
     box = ToleranceBox(center=np.array([0.1, 0.1]), half_widths=np.array([0.0, 0.2]))
     result = box_maximize(model, box)
+    assert result.wall_contacts[:, 0].all()
     grad = grad_G(model, box, result)
     assert grad[0] == pytest.approx(2.0, rel=1e-10)
     assert grad[1] == pytest.approx(1.0, rel=1e-10)
+
+
+def grad_G_by_contacts(model, box, result):
+    """Wall contacts and d G / d tau as loops over axes and maximizers, with
+    the fixed axis apart: on each axis, the largest outward partial over the
+    maximizers that touch one of its walls."""
+    grads = model.grad_many(result.maximizers)
+    contacts = np.zeros(result.maximizers.shape, dtype=bool)
+    out = np.zeros(box.dim)
+    for i in range(box.dim):
+        for k, point in enumerate(result.maximizers):
+            offset = point[i] - box.center[i]
+            if box.half_widths[i] == 0.0:
+                slope = abs(grads[k, i])
+            elif abs(offset) >= box.half_widths[i] * (1.0 - boxmax.WALL_REL_TOL):
+                slope = max(grads[k, i] * np.sign(offset), 0.0)
+            else:
+                continue
+            contacts[k, i] = True
+            out[i] = max(out[i], slope)
+    return contacts, out
+
+
+def test_grad_G_matches_contact_loop():
+    cases = []
+    for d in range(2, 7):  # 2^d tied corners
+        box = ToleranceBox(center=np.zeros(d), half_widths=np.linspace(0.3, 0.6, d))
+        cases.append((exact_bowl_model(d), box))
+    cases.append((exact_bowl_model(3), ToleranceBox(center=np.array([0.1, 0.2, 0.0]),
+                                                    half_widths=np.array([0.3, 0.0, 0.4]))))
+    rng = np.random.default_rng(21)
+    for d in (2, 3, 4, 6):
+        center = rng.uniform(-0.3, 0.3, d)
+        half = rng.uniform(0.05, 0.5, d)
+        if d == 4:
+            half[1] = 0.0
+        cases.append((random_model(rng, dim=d, rank=3, degree=3),
+                      ToleranceBox(center=center, half_widths=half)))
+    ties = []
+    for model, box in cases:
+        result = box_maximize(model, box)
+        contacts, expected = grad_G_by_contacts(model, box, result)
+        np.testing.assert_array_equal(result.wall_contacts, contacts, strict=True)
+        assert grad_G(model, box, result).tobytes() == expected.tobytes()
+        ties.append(len(result.maximizers))
+    assert ties[:6] == [4, 8, 16, 32, 64, 2]
+    # A contact whose partial points into the box adds slope 0, not a
+    # negative one; no maximizer box_maximize finds shows this, so the
+    # result is made by hand.
+    model = linear_model(2.0, -3.0)
+    box = ToleranceBox(center=np.zeros(2), half_widths=np.array([0.3, 0.4]))
+    inward = boxmax.BoxMaxResult(value=0.0, maximizers=np.array([[0.3, 0.4]]),
+                                 wall_contacts=np.ones((1, 2), dtype=bool), box=box)
+    _, expected = grad_G_by_contacts(model, box, inward)
+    np.testing.assert_array_equal(expected, [2.0, 0.0])
+    assert grad_G(model, box, inward).tobytes() == expected.tobytes()
 
 
 def test_grad_G_rejects_foreign_result():
@@ -293,7 +352,6 @@ def test_surrogate_worst_case_value_and_cache():
     assert worst.value(tau) == box_maximize(model, box).value
     assert worst.value(tau) == worst.value(tau.copy())
     assert len(worst._cache) == 1
-    assert worst.dim == 2
 
 
 def test_analytic_worst_case_wraps_callables():

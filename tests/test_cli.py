@@ -394,6 +394,52 @@ def test_config_that_is_not_an_object_exits_2(tmp_path, capsys, text):
     assert "must be JSON objects" in stderr
 
 
+@pytest.mark.parametrize("command, flag, text", [
+    ("sample", "--domain", "[]"),
+    ("sample", "--domain", "{}"),
+    ("sample", "--domain", '{"tau_min": [0.0, 0.0], "tau_max": [1.0, 0.5]}'),
+    ("allocate", "--model", "[]"),
+], ids=["domain-list", "domain-empty", "domain-no-sampling_domain", "model-list"])
+def test_domain_or_model_file_that_is_not_an_object_exits_2(tmp_path, capsys, config_path,
+                                                            command, flag, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    files = {"--domain": _write_domain(tmp_path), "--model": str(tmp_path / "model.json"),
+             flag: str(bad)}
+    out = tmp_path / "out"
+    argv = {"sample": ["--domain", files["--domain"], "--n", "10"],
+            "allocate": ["--domain", files["--domain"], "--model", files["--model"]]}[command]
+    code, _, stderr = run(capsys, command, "--config", config_path, *argv, "--out", str(out))
+    assert code == 2
+    assert str(bad) in stderr
+    assert "Traceback" not in stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fit, named", [
+    ({"target_rank": 2, "degree": 2.5}, "degree must be an integer"),
+    ({"target_rank": 1.5, "degree": 2}, "target_rank must be an integer"),
+    ({"target_rank": True, "degree": 2}, "target_rank must be an integer"),
+    ({"target_rank": 2, "degree": 2, "rel_residual_tol": float("nan")},
+     "rel_residual_tol must be a finite number"),
+    ({"target_rank": 2, "degree": 2, "rel_residual_tol": "1e-8"},
+     "rel_residual_tol must be a finite number"),
+], ids=["degree-float", "rank-float", "rank-bool", "tol-nan", "tol-string"])
+def test_bad_fit_value_exits_2(tmp_path, capsys, fit, named):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**BOWL_CONFIG, "fit": fit}))
+    domain, samples = _write_domain(tmp_path), tmp_path / "samples.csv"
+    code, _, _ = run(capsys, "sample", "--config", str(path), "--domain", domain,
+                     "--n", "60", "--out", str(samples))
+    assert code == 0
+    model = tmp_path / "model.json"
+    code, _, stderr = run(capsys, "fit", "--config", str(path), "--domain", domain,
+                          "--samples", str(samples), "--out", str(model))
+    assert code == 2
+    assert named in stderr
+    assert not model.exists()
+
+
 def _external_bowl(timeout) -> dict:
     return {"variant": "external", "dim": 2, "timeout_seconds": timeout,
             "command": [sys.executable, "-m", "tolalloc.serve", "quadratic-bowl",

@@ -82,6 +82,15 @@ def test_reciprocal_power_cost_values():
         ReciprocalPowerCost(a=np.zeros(2), b=np.array([1.0, -1.0]), k=np.ones(2))
     with pytest.raises(ValueError):
         ReciprocalPowerCost(a=np.zeros(2), b=np.ones(2), k=np.zeros(2))
+    for a, b, k in [([-5.0, -5.0], [1.0, 1.0], [1.0, 1.0]),
+                    ([np.inf, 0.0], [1.0, 1.0], [1.0, 1.0]),
+                    ([np.nan, 0.0], [1.0, 1.0], [1.0, 1.0]),
+                    ([0.0, 0.0], [np.inf, 1.0], [1.0, 1.0]),
+                    ([0.0, 0.0], [np.nan, 1.0], [1.0, 1.0]),
+                    ([0.0, 0.0], [1.0, 1.0], [1.0, np.inf]),
+                    ([0.0, 0.0], [1.0, 1.0], [1.0, np.nan])]:
+        with pytest.raises(ValueError):
+            ReciprocalPowerCost(a=np.array(a), b=np.array(b), k=np.array(k))
 
 
 def test_negative_tolerances_rejected():

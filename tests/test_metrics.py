@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -58,7 +60,7 @@ def test_surrogate_errors_rejects_zero_truth():
 
 def test_error_report_to_dict():
     report = ErrorReport(mean_rel=0.1, max_rel=0.2, n_compared=5)
-    assert report.to_dict() == {"mean_rel": 0.1, "max_rel": 0.2, "n_compared": 5}
+    assert asdict(report) == {"mean_rel": 0.1, "max_rel": 0.2, "n_compared": 5}
 
 
 def test_allocation_errors_hand_computed():
@@ -70,8 +72,8 @@ def test_allocation_errors_hand_computed():
     assert report.tol_err_inf == pytest.approx(0.1)
     assert report.objective_rel_err == pytest.approx(0.05)
     assert report.constraint_rel_err == pytest.approx(0.05)
-    assert set(report.to_dict()) == {"tol_err_inf", "objective_rel_err",
-                                     "constraint_rel_err"}
+    assert set(asdict(report)) == {"tol_err_inf", "objective_rel_err",
+                                   "constraint_rel_err"}
 
 
 def test_allocation_errors_zero_for_exact_match():

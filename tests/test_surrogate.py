@@ -73,9 +73,14 @@ def test_legendre_domain_error():
 # ---------------------------------------------------------------------------
 
 def test_to_standard_examples():
-    assert Interval(0.0, 2.0).to_standard(1.0) == 0.0
-    assert Interval(-1.0, 1.0).to_standard(0.25) == 0.25
-    assert Interval(0.3, 0.4).to_standard(0.375) == pytest.approx(0.5, abs=1e-14)
+    intervals = (Interval(0.0, 2.0), Interval(-1.0, 1.0), Interval(0.3, 0.4))
+    lo = np.array([iv.lo for iv in intervals])
+    width = np.array([iv.width for iv in intervals])
+    x = surrogate._standardize(np.array([[1.0, 0.25, 0.375], [2.0, -1.0, 0.3]]), lo, width)
+    assert x[0, 0] == 0.0
+    assert x[0, 1] == 0.25
+    assert x[0, 2] == pytest.approx(0.5, abs=1e-14)
+    np.testing.assert_array_equal(x[1], [1.0, -1.0, -1.0])
 
 
 def test_interval_validation():
@@ -108,7 +113,7 @@ def test_model_eval_product():
 
 
 def _naive_eval(model, mu):
-    x = [iv.to_standard(v) for iv, v in zip(model.intervals, mu)]
+    x = [2.0 * (v - iv.lo) / (iv.hi - iv.lo) - 1.0 for iv, v in zip(model.intervals, mu)]
     total = 0.0
     for ell in range(model.rank):
         term = model.scales[ell]
@@ -138,8 +143,10 @@ def test_model_eval_extrapolation_clamped_then_error():
     model = _product_model()
     # round-off overshoot is clamped
     model(np.array([1.0 + 1e-12, 0.0]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="dimension 0"):
         model(np.array([1.1, 0.0]))
+    with pytest.raises(ValueError, match="dimension 1"):
+        model(np.array([0.0, np.nan]))
 
 
 def test_evaluation_linearity():
@@ -293,10 +300,12 @@ def test_als_sample_count_precondition():
 
 
 def test_als_rejects_samples_outside_intervals():
-    points = np.array([[0.0, 0.0], [2.0, 0.0]])
-    samples = SampleSet(points=points, values=np.array([1.0, 2.0]))
-    with pytest.raises(FitError):
-        als_fit(samples, FitConfig(target_rank=1, degree=1), (Interval(-1, 1), Interval(-1, 1)))
+    for outside in (2.0, np.nan):
+        points = np.array([[0.0, 0.0], [outside, 0.0]])
+        samples = SampleSet(points=points, values=np.array([1.0, 2.0]))
+        with pytest.raises(FitError, match="outside interval for dimension 0"):
+            als_fit(samples, FitConfig(target_rank=1, degree=1),
+                    (Interval(-1, 1), Interval(-1, 1)))
 
 
 def test_als_normalization_invariant():
