@@ -122,7 +122,34 @@ def _domain_from(path) -> tuple[BoundingBox, list[Interval]]:
         tau_max=np.asarray(data["tau_max"], dtype=float),
     )
     intervals = [Interval(float(lo), float(hi)) for lo, hi in data["sampling_domain"]]
+    if len(intervals) != bbox.dim:
+        raise UsageError(f"domain file {path} has {len(intervals)} sampling_domain row(s) "
+                         f"for {bbox.dim} tolerance(s)")
     return bbox, intervals
+
+
+def _model_from(path) -> SeparatedModel:
+    """Surrogate from a model file that ``fit`` wrote."""
+    data = _load_object(path, "model")
+    missing = sorted({field.name for field in dataclasses.fields(SeparatedModel)} - set(data))
+    if missing:
+        raise UsageError(f"model file {path} lacks field(s) {', '.join(missing)}")
+    try:
+        return SeparatedModel.from_dict(data)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"bad model file {path}: {exc}")
+
+
+def _tau_from(path, what: str) -> np.ndarray:
+    """The ``tau`` vector of an ``allocate`` result file."""
+    data = _load_object(path, what)
+    try:
+        tau = np.asarray(data["tau"], dtype=float)
+        if tau.ndim == 1 and np.all(np.isfinite(tau)):
+            return tau
+    except (KeyError, TypeError, ValueError):
+        pass
+    raise UsageError(f"{what} file {path} lacks a 'tau' vector of finite numbers")
 
 
 def _gfun_for(model: SeparatedModel, config: dict) -> boxmax.SurrogateWorstCase:
@@ -201,7 +228,7 @@ def cmd_fit(args) -> int:
 
 def cmd_allocate(args) -> int:
     config = load_config(args.config)
-    model = SeparatedModel.from_dict(_load_object(args.model, "model"))
+    model = _model_from(args.model)
     bbox, _ = _domain_from(args.domain)
     if args.emit_manifold_scan and bbox.dim != 2:
         raise UsageError("--emit-manifold-scan requires a 2-parameter problem")
@@ -242,14 +269,9 @@ def _emit_manifold_scan(path, gfun, bbox: BoundingBox, resolution: int = 101) ->
 
 def cmd_check(args) -> int:
     config = load_config(args.config)
-    candidate = _load_json(args.tau, "tolerance result")
-    reference = _load_json(args.reference, "reference result")
-    try:
-        tau = np.asarray(candidate["tau"], dtype=float)
-        tau_ref = np.asarray(reference["tau"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"malformed tolerance file: {exc}")
-    model = SeparatedModel.from_dict(_load_object(args.model, "model"))
+    tau = _tau_from(args.tau, "tolerance result")
+    tau_ref = _tau_from(args.reference, "reference result")
+    model = _model_from(args.model)
     gfun = _gfun_for(model, config)
     measure = _measure_for(config, model)
     q_allow = float(_require(config, "q_allow"))

@@ -1,8 +1,9 @@
 """System-performance evaluators: builtin analytic problems, tabulated data,
 external solver subprocesses, and the max-of-several composite.
 
-All evaluators expose ``dim``, ``__call__(mu) -> float`` and, where a
-gradient is defined, ``gradient(mu) -> ndarray``.
+Every evaluator exposes ``dim`` and ``__call__(mu) -> float``; one that
+holds a child process also has ``close()``.  No stage differentiates an
+evaluator: every gradient the allocation uses comes from the surrogate.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ import numpy as np
 
 from .surrogate import Interval, SampleSet, SeparatedModel
 
-# Relative tie tolerance for picking the attaining branch of a max-composite.
-MAX_TIE_REL_TOL = 1e-12
-# External-evaluator errors quote at most this many trailing bytes of stderr.
+# External-evaluator errors quote at most this many trailing bytes of stderr
+# and this many leading characters of any stdout they name.
 STDERR_TAIL_BYTES = 4096
+STDOUT_QUOTE_CHARS = 256
 
 
 class EvaluatorError(RuntimeError):
@@ -65,21 +66,14 @@ class QuadraticBowl(_CenteredSum):
         delta = np.asarray(mu, dtype=float) - self.center
         return float(self.a @ (delta * delta))
 
-    def gradient(self, mu) -> np.ndarray:
-        return 2.0 * self.a * (np.asarray(mu, dtype=float) - self.center)
-
 
 class AbsSum(_CenteredSum):
-    """Q(mu) = sum_i a_i |mu_i - center_i|.  Gradient is the subgradient
-    a_i * sign(mu_i - center_i), zero at kinks."""
+    """Q(mu) = sum_i a_i |mu_i - center_i|."""
 
     kind = "abs-sum"
 
     def __call__(self, mu) -> float:
         return float(self.a @ np.abs(np.asarray(mu, dtype=float) - self.center))
-
-    def gradient(self, mu) -> np.ndarray:
-        return self.a * np.sign(np.asarray(mu, dtype=float) - self.center)
 
 
 class ExpCos:
@@ -90,11 +84,6 @@ class ExpCos:
     def __call__(self, mu) -> float:
         mu = np.asarray(mu, dtype=float)
         return float(np.exp(mu[0]) * np.cos(mu[1]))
-
-    def gradient(self, mu) -> np.ndarray:
-        mu = np.asarray(mu, dtype=float)
-        e = np.exp(mu[0])
-        return np.array([e * np.cos(mu[1]), -e * np.sin(mu[1])])
 
 
 def _rank2_synthetic_model() -> SeparatedModel:
@@ -125,9 +114,6 @@ class Rank2Synthetic:
     def __call__(self, mu) -> float:
         return self._model(mu)
 
-    def gradient(self, mu) -> np.ndarray:
-        return self._model.gradient(mu)
-
 
 class LinearForm:
     """Q(mu) = a . mu, handy for affine-reproduction checks."""
@@ -143,9 +129,6 @@ class LinearForm:
 
     def __call__(self, mu) -> float:
         return float(self.a @ np.asarray(mu, dtype=float))
-
-    def gradient(self, mu) -> np.ndarray:
-        return self.a.copy()
 
 
 _BUILTINS = {
@@ -203,7 +186,6 @@ class TabulatedEvaluator:
         method = "linear" if interpolation == "multilinear" else "nearest"
         self._interp = RegularGridInterpolator(axes, grid, method=method, bounds_error=True)
         self._dim = d
-        self.interpolation = interpolation
 
     @classmethod
     def from_csv(cls, path, interpolation: str = "multilinear") -> "TabulatedEvaluator":
@@ -233,8 +215,10 @@ class ExternalEvaluator:
     serialized; the child stays resident across requests.  Each request must
     be answered within ``timeout_seconds``, and output the child writes
     beyond its one response line is an error, so answers cannot drift out of
-    step with requests.  The child's stderr goes to an unnamed temporary file,
-    so a child that logs cannot block on a full pipe.
+    step with requests.  The pipes carry bytes, and output is decoded with
+    replacement, so a non-UTF-8 byte is never a decoding error.  The child's
+    stderr goes to an unnamed temporary file, so a child that logs cannot
+    block on a full pipe.
     """
 
     def __init__(self, command, dim: int, timeout_seconds: float = 60.0):
@@ -263,14 +247,8 @@ class ExternalEvaluator:
                 self._proc = None
             stderr = tempfile.TemporaryFile()
             try:
-                self._proc = subprocess.Popen(
-                    self.command,
-                    stdin=subprocess.PIPE,
-                    stdout=subprocess.PIPE,
-                    stderr=stderr,
-                    text=True,
-                    bufsize=1,
-                )
+                self._proc = subprocess.Popen(self.command, stdin=subprocess.PIPE,
+                                              stdout=subprocess.PIPE, stderr=stderr)
             except OSError as exc:
                 stderr.close()
                 raise EvaluatorError(f"cannot start external evaluator {self.command}: {exc}")
@@ -278,11 +256,12 @@ class ExternalEvaluator:
             self._pending = b""
         return self._proc
 
-    def _fail(self, proc: subprocess.Popen, message: str) -> EvaluatorError:
+    def _fail(self, proc: subprocess.Popen, what: str) -> EvaluatorError:
+        """Stop the child and describe ``what`` it did, with its stderr tail."""
         stderr = _stop_child(proc, self._stderr, grace=0.0).strip()
         self._proc = None
         detail = f"; stderr: {stderr}" if stderr else ""
-        return EvaluatorError(message + detail)
+        return EvaluatorError(f"external evaluator {what}{detail}")
 
     def _unsolicited(self, proc: subprocess.Popen) -> bytes:
         """Output the child has written while no request was pending."""
@@ -297,12 +276,10 @@ class ExternalEvaluator:
         while b"\n" not in self._pending:
             remaining = deadline - time.monotonic()
             if remaining <= 0.0 or not select.select([fd], [], [], remaining)[0]:
-                raise self._fail(
-                    proc, f"external evaluator timed out after {self.timeout_seconds}s"
-                )
+                raise self._fail(proc, f"timed out after {self.timeout_seconds}s")
             chunk = os.read(fd, 65536)
             if not chunk:
-                raise self._fail(proc, f"external evaluator exited on request {request!r}")
+                raise self._fail(proc, f"exited on request {request!r}")
             self._pending += chunk
         line, _, self._pending = self._pending.partition(b"\n")
         return line.decode(errors="replace")
@@ -317,25 +294,22 @@ class ExternalEvaluator:
             deadline = time.monotonic() + self.timeout_seconds
             stray = self._unsolicited(proc)
             if stray:
-                raise self._fail(proc, f"external evaluator wrote unsolicited output {stray!r}")
+                raise self._fail(proc, f"wrote unsolicited output {_quote(stray)}")
             try:
-                proc.stdin.write(request + "\n")
+                proc.stdin.write(request.encode() + b"\n")
                 proc.stdin.flush()
             except (BrokenPipeError, OSError):
-                raise self._fail(proc, f"external evaluator died on request {request!r}")
+                raise self._fail(proc, f"died on request {request!r}")
             line = self._read_line(proc, deadline, request)
             if self._pending:
-                raise self._fail(
-                    proc,
-                    f"external evaluator wrote unsolicited output {self._pending!r} "
-                    f"after its answer to {request!r}",
-                )
+                raise self._fail(proc, f"wrote unsolicited output {_quote(self._pending)} "
+                                       f"after its answer to {request!r}")
             try:
                 value = float(line)
             except ValueError:
-                raise self._fail(proc, f"external evaluator returned non-numeric output {line!r}")
+                raise self._fail(proc, f"returned non-numeric output {_quote(line)}")
             if not np.isfinite(value):
-                raise self._fail(proc, f"external evaluator returned non-finite value {line!r}")
+                raise self._fail(proc, f"returned non-finite value {_quote(line)}")
             return value
 
     def close(self) -> None:
@@ -349,6 +323,12 @@ class ExternalEvaluator:
 
     def __exit__(self, *exc_info):
         self.close()
+
+
+def _quote(output) -> str:
+    """The repr of the child's ``output``, bytes or str, cut after STDOUT_QUOTE_CHARS."""
+    more = len(output) - STDOUT_QUOTE_CHARS
+    return repr(output[:STDOUT_QUOTE_CHARS]) + (f" and {more} more" if more > 0 else "")
 
 
 def _stop_child(proc: subprocess.Popen, stderr, grace: float) -> str:
@@ -377,11 +357,7 @@ def close_evaluator(evaluator) -> None:
 # ---------------------------------------------------------------------------
 
 class MaxComposite:
-    """Pointwise maximum of several evaluators sharing one dimension.
-
-    The gradient is that of the attaining branch; on ties within
-    ``MAX_TIE_REL_TOL`` relative, the lowest-index child wins.
-    """
+    """Pointwise maximum of several evaluators sharing one dimension."""
 
     def __init__(self, children):
         children = list(children)
@@ -396,21 +372,8 @@ class MaxComposite:
     def dim(self) -> int:
         return self.children[0].dim
 
-    def _branch(self, mu) -> tuple[int, float]:
-        values = [child(mu) for child in self.children]
-        best = max(values)
-        tol = MAX_TIE_REL_TOL * max(abs(best), 1e-300)
-        for k, value in enumerate(values):
-            if value >= best - tol:
-                return k, best
-        raise AssertionError("unreachable")
-
     def __call__(self, mu) -> float:
-        return self._branch(mu)[1]
-
-    def gradient(self, mu) -> np.ndarray:
-        k, _ = self._branch(mu)
-        return self.children[k].gradient(mu)
+        return max(child(mu) for child in self.children)
 
     def close(self) -> None:
         for child in self.children:
@@ -455,6 +418,9 @@ def draw_samples(evaluator, domain, n: int, seed: int) -> SampleSet:
     if n < 1:
         raise ValueError("need n >= 1 samples")
     intervals = tuple(domain)
+    if len(intervals) != evaluator.dim:
+        raise ValueError(f"sampling domain has {len(intervals)} interval(s) for a "
+                         f"{evaluator.dim}-parameter evaluator")
     lo = np.array([iv.lo for iv in intervals])
     width = np.array([iv.width for iv in intervals])
     rng = np.random.Generator(np.random.Philox(seed))

@@ -7,6 +7,8 @@ then hangs.
 ``chatty``: answers correctly, but logs about 210 bytes to stderr per
 request, so a parent that never drains stderr fills the pipe within a few
 hundred requests.
+``flood``: answers, then writes 200 000 ``0xff`` bytes in the same call:
+more than a 64 KiB pipe read, none of it UTF-8.
 """
 
 import sys
@@ -19,6 +21,9 @@ def main() -> int:
         value = sum(float(token) ** 2 for token in line.split())
         if mode == "twice":
             sys.stdout.write(f"{value!r}\n{value!r}\n")
+            sys.stdout.flush()
+        elif mode == "flood":
+            sys.stdout.buffer.write(f"{value!r}\n".encode() + b"\xff" * 200_000)
             sys.stdout.flush()
         elif mode == "chatty":
             sys.stderr.write(f"solver: request {line.strip()!r} -> {value!r} {'.' * 160}\n")

@@ -398,8 +398,12 @@ def test_config_that_is_not_an_object_exits_2(tmp_path, capsys, text):
     ("sample", "--domain", "[]"),
     ("sample", "--domain", "{}"),
     ("sample", "--domain", '{"tau_min": [0.0, 0.0], "tau_max": [1.0, 0.5]}'),
+    ("sample", "--domain", json.dumps({"tau_min": [0.0, 0.0], "tau_max": [1.0, 0.5],
+                                       "sampling_domain": [[0.0, 1.0]]})),
     ("allocate", "--model", "[]"),
-], ids=["domain-list", "domain-empty", "domain-no-sampling_domain", "model-list"])
+    ("allocate", "--model", json.dumps({"format_version": 1})),
+], ids=["domain-list", "domain-empty", "domain-no-sampling_domain", "domain-rows-differ-from-tau",
+        "model-list", "model-no-fields"])
 def test_domain_or_model_file_that_is_not_an_object_exits_2(tmp_path, capsys, config_path,
                                                             command, flag, text):
     bad = tmp_path / "bad.json"
@@ -414,6 +418,45 @@ def test_domain_or_model_file_that_is_not_an_object_exits_2(tmp_path, capsys, co
     assert str(bad) in stderr
     assert "Traceback" not in stderr
     assert not out.exists()
+
+
+def test_sampling_domain_of_another_dimension_than_the_evaluator_exits_2(tmp_path, capsys,
+                                                                         config_path):
+    path = tmp_path / "domain.json"
+    path.write_text(json.dumps({"tau_min": [0.0], "tau_max": [1.0],
+                                "sampling_domain": [[0.0, 1.0]]}))
+    out = tmp_path / "samples.csv"
+    code, _, stderr = run(capsys, "sample", "--config", config_path, "--domain", str(path),
+                          "--n", "10", "--out", str(out))
+    assert code == 2
+    assert "sampling domain has 1 interval(s) for a 2-parameter evaluator" in stderr
+    assert not out.exists()
+
+
+RESULT = json.dumps({"tau": [0.1, 0.1]})
+MODEL_FIELDS = "coeffs, degree, dim, intervals, rank, scales"
+
+
+@pytest.mark.parametrize("flag, text, named", [
+    ("--tau", "[]", "must hold a JSON object"),
+    ("--reference", "[]", "must hold a JSON object"),
+    ("--tau", "{}", "lacks a 'tau' vector of finite numbers"),
+    ("--reference", json.dumps({"tau": "wide"}), "lacks a 'tau' vector of finite numbers"),
+    ("--tau", json.dumps({"tau": [None, None]}), "lacks a 'tau' vector of finite numbers"),
+    ("--model", json.dumps({"format_version": 1}), f"lacks field(s) {MODEL_FIELDS}"),
+], ids=["tau-list", "reference-list", "tau-empty", "reference-tau-string", "tau-nulls",
+        "model-no-fields"])
+def test_check_file_that_is_malformed_exits_2(tmp_path, capsys, config_path, flag, text, named):
+    files = {"--tau": tmp_path / "tau.json", "--reference": tmp_path / "reference.json",
+             "--model": tmp_path / "model.json"}
+    for path in files.values():
+        path.write_text(RESULT)
+    files[flag].write_text(text)
+    argv = [str(arg) for pair in files.items() for arg in pair]
+    code, _, stderr = run(capsys, "check", "--config", config_path, *argv)
+    assert code == 2
+    assert f"file {files[flag]} {named}" in stderr
+    assert "Traceback" not in stderr
 
 
 @pytest.mark.parametrize("fit, named", [

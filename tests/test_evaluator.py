@@ -1,5 +1,7 @@
+import gc
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -26,26 +28,14 @@ SERVER = "tests/helpers/quadratic_bowl_server.py"
 MISBEHAVING = "tests/helpers/misbehaving_server.py"
 
 
-def central_fd(f, mu, h=1e-6):
-    mu = np.asarray(mu, dtype=float)
-    grad = np.zeros_like(mu)
-    for i in range(mu.size):
-        step = np.zeros_like(mu)
-        step[i] = h
-        grad[i] = (f(mu + step) - f(mu - step)) / (2.0 * h)
-    return grad
-
-
 # ---------------------------------------------------------------------------
 # Builtin analytic problems
 # ---------------------------------------------------------------------------
 
-def test_quadratic_bowl_value_and_gradient():
+def test_quadratic_bowl_value():
     bowl = QuadraticBowl(a=[2.0, 3.0], center=[0.5, -1.0])
-    mu = np.array([1.5, 1.0])
-    assert bowl(mu) == pytest.approx(2.0 * 1.0 + 3.0 * 4.0)
-    np.testing.assert_allclose(bowl.gradient(mu), [4.0, 12.0])
-    np.testing.assert_allclose(bowl.gradient(mu), central_fd(bowl, mu), rtol=1e-8)
+    assert bowl(np.array([1.5, 1.0])) == pytest.approx(2.0 * 1.0 + 3.0 * 4.0)
+    assert bowl([0.5, -1.0]) == 0.0
 
 
 def test_quadratic_bowl_rejects_bad_parameters():
@@ -55,19 +45,16 @@ def test_quadratic_bowl_rejects_bad_parameters():
         QuadraticBowl(a=[1.0, 2.0], center=[0.0])
 
 
-def test_abs_sum_value_and_subgradient():
+def test_abs_sum_value():
     f = AbsSum(a=[1.0, 2.0])
     assert f([-0.5, 0.25]) == pytest.approx(0.5 + 0.5)
-    np.testing.assert_allclose(f.gradient([-0.5, 0.25]), [-1.0, 2.0])
-    # At a kink the subgradient component is zero.
-    assert f.gradient([0.0, 1.0])[0] == 0.0
+    assert AbsSum(a=[1.0, 2.0], center=[1.0, -1.0])([0.0, 0.0]) == pytest.approx(1.0 + 2.0)
 
 
 def test_exp_cos_matches_formula():
     f = ExpCos()
     mu = np.array([0.3, -0.2])
     assert f(mu) == pytest.approx(np.exp(0.3) * np.cos(-0.2))
-    np.testing.assert_allclose(f.gradient(mu), central_fd(f, mu), rtol=1e-8)
 
 
 def test_rank2_synthetic_is_reproducible_and_separated():
@@ -78,13 +65,12 @@ def test_rank2_synthetic_is_reproducible_and_separated():
     model = f.as_separated_model()
     assert model.rank == 2 and model.degree == 3
     assert model(mu) == f(mu)
-    np.testing.assert_allclose(f.gradient(mu), central_fd(f, mu), rtol=1e-6)
 
 
 def test_linear_form():
     f = LinearForm(a=[1.0, -2.0, 0.5])
     assert f([1.0, 1.0, 2.0]) == pytest.approx(0.0)
-    np.testing.assert_allclose(f.gradient([9.0, 9.0, 9.0]), [1.0, -2.0, 0.5])
+    assert f([9.0, 9.0, 9.0]) == pytest.approx(-4.5)
 
 
 def test_builtin_catalog_and_factory():
@@ -230,6 +216,33 @@ def test_external_error_quotes_the_tail_of_child_stderr():
     assert len(str(exc.value)) < 5000
 
 
+def test_external_survives_a_flood_of_non_utf8_output():
+    # The child answers, then writes 200 000 0xff bytes: more than one pipe
+    # read, none of it UTF-8.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ext = ExternalEvaluator([sys.executable, MISBEHAVING, "flood"], dim=1)
+        with pytest.raises(EvaluatorError, match="unsolicited output"):
+            ext([1.0])
+        assert ext._proc is None
+        ext.close()
+        del ext
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+@pytest.mark.parametrize("output, named", [
+    ("'1.0\\n' + 'x' * 200000", "unsolicited output"),
+    ("'x' * 200000 + '\\n'", "non-numeric output"),
+], ids=["after-answer", "long-line"])
+def test_external_error_quotes_a_bounded_head_of_child_output(output, named):
+    script = f"import sys; sys.stdin.readline(); sys.stdout.write({output}); sys.stdout.flush()"
+    with ExternalEvaluator([sys.executable, "-c", script], dim=1) as ext:
+        with pytest.raises(EvaluatorError, match=named) as exc:
+            ext([1.0])
+    assert len(str(exc.value)) < 5000
+
+
 def test_external_timeout_on_partial_line():
     with ExternalEvaluator([sys.executable, MISBEHAVING, "no-newline"],
                            dim=1, timeout_seconds=1.0) as ext:
@@ -243,17 +256,11 @@ def test_external_timeout_on_partial_line():
 # Max composite
 # ---------------------------------------------------------------------------
 
-def test_max_composite_value_and_gradient_follow_attaining_branch():
+def test_max_composite_value_is_the_largest_child_value():
     comp = MaxComposite([LinearForm([1.0, 0.0]), LinearForm([0.0, 1.0])])
-    assert comp([2.0, 1.0]) == pytest.approx(2.0)
-    np.testing.assert_allclose(comp.gradient([2.0, 1.0]), [1.0, 0.0])
-    assert comp([1.0, 3.0]) == pytest.approx(3.0)
-    np.testing.assert_allclose(comp.gradient([1.0, 3.0]), [0.0, 1.0])
-
-
-def test_max_composite_tie_takes_lowest_index():
-    comp = MaxComposite([LinearForm([0.0, 1.0]), LinearForm([1.0, 0.0])])
-    np.testing.assert_allclose(comp.gradient([1.0, 1.0]), [0.0, 1.0])
+    assert comp([2.0, 1.0]) == 2.0
+    assert comp([1.0, 3.0]) == 3.0
+    assert comp([1.5, 1.5]) == 1.5
 
 
 def test_max_composite_validates_children():
