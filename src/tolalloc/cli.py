@@ -152,6 +152,24 @@ def _tau_from(path, what: str) -> np.ndarray:
     raise UsageError(f"{what} file {path} lacks a 'tau' vector of finite numbers")
 
 
+def _config_vectors(config: dict) -> dict:
+    """The config fields that hold one number per parameter, by name."""
+    spec = config.get("measure")
+    spec = spec if isinstance(spec, dict) else {}
+    return {"nominal": _require(config, "nominal"),
+            **{f"measure.{key}": spec[key] for key in ("weights", "a", "b", "k") if key in spec}}
+
+
+def _check_dims(model: SeparatedModel, files: dict) -> None:
+    """Exit 2, naming the file and the field, when a vector of ``files``
+    ({path: {field: value}}) does not hold one number per model parameter."""
+    for path, fields in files.items():
+        for name, value in fields.items():
+            if np.shape(value) != (model.dim,):
+                raise UsageError(f"{name!r} in {path} must hold {model.dim} numbers, "
+                                 "one per parameter of the model")
+
+
 def _gfun_for(model: SeparatedModel, config: dict) -> boxmax.SurrogateWorstCase:
     nominal = np.asarray(_require(config, "nominal"), dtype=float)
     return boxmax.SurrogateWorstCase(model, nominal)
@@ -232,6 +250,8 @@ def cmd_allocate(args) -> int:
     bbox, _ = _domain_from(args.domain)
     if args.emit_manifold_scan and bbox.dim != 2:
         raise UsageError("--emit-manifold-scan requires a 2-parameter problem")
+    _check_dims(model, {args.config: _config_vectors(config),
+                        args.domain: {"tau_min": bbox.tau_min, "tau_max": bbox.tau_max}})
     q_allow = float(_require(config, "q_allow"))
     gfun = _gfun_for(model, config)
     measure = _measure_for(config, model)
@@ -245,7 +265,7 @@ def cmd_allocate(args) -> int:
         "f_opt": result.f_opt,
         "g_residual": result.g_residual,
         "iterations": result.iterations,
-        "stalled": result.stalled,
+        "stop": result.stop,
         "restarts": result.trace.restarts,
     })
     if args.trace:
@@ -272,6 +292,8 @@ def cmd_check(args) -> int:
     tau = _tau_from(args.tau, "tolerance result")
     tau_ref = _tau_from(args.reference, "reference result")
     model = _model_from(args.model)
+    _check_dims(model, {args.config: _config_vectors(config), args.tau: {"tau": tau},
+                        args.reference: {"tau": tau_ref}})
     gfun = _gfun_for(model, config)
     measure = _measure_for(config, model)
     q_allow = float(_require(config, "q_allow"))

@@ -8,6 +8,11 @@ takes the root of the analytic slope dF/dalpha of the retracted point by
 Brent's method.  Every slope uses grad G at a point whose G has already been
 computed.  The ``gfun`` argument is any object with ``value(tau) -> float``
 and ``grad(tau) -> ndarray`` (see :mod:`tolalloc.boxmax`).
+
+A traversal stops where ||P grad F|| <= STATIONARY_TOL ||grad F||, a test that
+no rescaling of F changes; on a line-search stall, as at a kink of G; or after
+MAX_ITERS steps.  ``AllocationResult.stop`` names which: "stationary",
+"stalled" or "max_iters".
 """
 
 from __future__ import annotations
@@ -23,18 +28,16 @@ from .brent import MAXITER, brentq
 from .domain import BoundingBox
 from .measures import ascent_direction
 
-# Stopping rules and tolerances of the traversal.  An iteration that raises F,
-# or moves tau in max norm, by less than F_INCREASE_TOL ends it; so does a
-# projected direction no longer than TANGENT_TOL.  RETRACTION_TOL bounds
-# |G - q_allow| / |q_allow|, LINE_SEARCH_TOL is relative to the longest
-# feasible step and WALL_REL_TOL to the bounding-box width.  A manifold
-# crossing is solved to |G - q_allow| <= CROSSING_FTOL |q_allow|, a few ulps,
-# or until its bracket in s is narrower than CROSSING_XTOL + CROSSING_RTOL |s|.
+# Tolerances of the traversal.  STATIONARY_TOL is its stopping rule (see
+# above), RETRACTION_TOL bounds |G - q_allow| / |q_allow|, LINE_SEARCH_TOL is
+# relative to the longest feasible step and WALL_REL_TOL to the bounding-box
+# width.  A manifold crossing is solved to |G - q_allow| <= CROSSING_FTOL
+# |q_allow|, a few ulps, or until its bracket in s is narrower than
+# CROSSING_XTOL + CROSSING_RTOL |s|.
 MAX_ITERS = 100
-F_INCREASE_TOL = 1e-6
+STATIONARY_TOL = 1e-4
 RETRACTION_TOL = 1e-10
 LINE_SEARCH_TOL = 1e-10
-TANGENT_TOL = 1e-12
 WALL_REL_TOL = 1e-8
 CROSSING_FTOL = 4.0 * np.finfo(float).eps
 CROSSING_XTOL = 1e-15
@@ -98,7 +101,7 @@ class AllocationResult:
     iterations: int
     method: str
     trace: TraversalTrace
-    stalled: bool = False
+    stop: str                # "stationary" | "stalled" | "max_iters"
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +361,7 @@ def _traverse(
 
     v_prev: np.ndarray | None = None
     g_prev_sq = 0.0
-    stalled = False
-    iterations = 0
+    stop = "max_iters"
 
     for i in range(MAX_ITERS):
         grad_g_val = gfun.grad(tau)
@@ -367,6 +369,9 @@ def _traverse(
         frame = build_projection(tau, bbox, grad_g_val, grad_f_val)
         g = frame.projector @ grad_f_val
         g_sq = float(g @ g)
+        if math.sqrt(g_sq) <= STATIONARY_TOL * np.linalg.norm(grad_f_val):
+            stop = "stationary"
+            break
         if use_cg and frame.cg_flag and i > 0 and g_prev_sq > 0.0:
             beta = g_sq / g_prev_sq
             # Transport v_prev by projection into the new tangent space.
@@ -377,36 +382,28 @@ def _traverse(
                 trace.restarts.append(i)
         g_prev_sq = g_sq
 
-        if np.linalg.norm(v) <= TANGENT_TOL:
+        _, tau_new, f_new, stalled = line_search(tau, v, bbox, measure, gfun, q_allow)
+        if stalled:
+            stop = "stalled"
             break
 
-        alpha, tau_new, f_new, step_stalled = line_search(tau, v, bbox, measure, gfun, q_allow)
-        if step_stalled:
-            stalled = i == 0
-            break
-
-        iterations = i + 1
-        df = f_new - trace.f_values[-1]
-        dtau = float(np.max(np.abs(tau_new - tau)))
         on_lower, on_upper = bbox.walls(tau_new, WALL_REL_TOL)
         for axis in np.flatnonzero(on_lower | on_upper):
-            trace.wall_events.append((iterations, int(axis)))
+            trace.wall_events.append((i + 1, int(axis)))
         tau = tau_new
         v_prev = v
         trace.iterates.append(tau.copy())
         trace.f_values.append(f_new)
         trace.g_residuals.append(residual_of(tau))
-        if df < F_INCREASE_TOL or dtau < F_INCREASE_TOL:
-            break
 
     return AllocationResult(
         tau=tau,
         f_opt=trace.f_values[-1],
         g_residual=trace.g_residuals[-1],
-        iterations=iterations,
+        iterations=len(trace.iterates) - 1,
         method=method.upper(),
         trace=trace,
-        stalled=stalled,
+        stop=stop,
     )
 
 

@@ -45,12 +45,14 @@ def surrogate_errors(model: SeparatedModel, holdout: SampleSet) -> ErrorReport:
 
 
 def allocation_errors(
-    tau, tau_ref, measure, gfun_ref, q_allow: float
+    tau, tau_ref, measure, gfun, q_allow: float
 ) -> AllocationErrorReport:
     """Compare an allocated tolerance against a reference optimum.
 
-    The constraint error is evaluated through the reference performance
-    function, so it measures how far the candidate misses the true constraint.
+    The constraint error is |q_allow - G(tau)| / |q_allow| for the worst case
+    ``gfun`` that the caller passes.  ``tolalloc check`` passes the
+    surrogate's, so it measures how far tau is from the surrogate's manifold,
+    not how far it misses the true constraint.
     """
     tau = np.asarray(tau, dtype=float)
     tau_ref = np.asarray(tau_ref, dtype=float)
@@ -62,5 +64,5 @@ def allocation_errors(
     return AllocationErrorReport(
         tol_err_inf=float(np.max(np.abs(tau_ref - tau))),
         objective_rel_err=abs(f_ref - measure.value(tau)) / abs(f_ref),
-        constraint_rel_err=abs(q_allow - gfun_ref.value(tau)) / abs(q_allow),
+        constraint_rel_err=abs(q_allow - gfun.value(tau)) / abs(q_allow),
     )

@@ -18,8 +18,6 @@ import numpy as np
 
 MODEL_FORMAT_VERSION = 1
 
-# Tolerated overshoot of the standardized coordinate beyond [-1, 1].
-X_SLACK = 1e-12
 # Relative interval overshoot that is silently clamped when a point is
 # evaluated or fitted (optimizers probing box edges land here through round-off).
 EXTRAPOLATION_SLACK = 1e-9
@@ -100,13 +98,12 @@ def _standardize(points: np.ndarray, lo: np.ndarray, width: np.ndarray) -> np.nd
 def legendre_table(x, degree: int) -> np.ndarray:
     """Values L_0(x)..L_degree(x) by the three-term recurrence.
 
-    Returns an array of shape ``x.shape + (degree + 1,)``.
+    Returns an array of shape ``x.shape + (degree + 1,)``.  ``x`` lies in
+    [-1, 1]: the model passes it through :func:`_standardize`, which clips.
     """
     x = np.asarray(x, dtype=float)
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    if np.any(np.abs(x) > 1.0 + X_SLACK):
-        raise ValueError("legendre argument outside [-1, 1]")
     out = np.empty(x.shape + (degree + 1,))
     out[..., 0] = 1.0
     if degree >= 1:

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from tolalloc import SeparatedModel
+from tolalloc import Interval, SeparatedModel
 from tolalloc.cli import main
 
 BOWL_CONFIG = {
@@ -86,7 +86,7 @@ def test_full_pipeline_reaches_closed_form(tmp_path, capsys, config_path):
     assert data["f_opt"] == pytest.approx(np.sqrt(5.0) / 2.0, abs=1e-4)
     assert data["g_residual"] < 1e-8
     assert data["method"] == "GA"
-    assert not data["stalled"]
+    assert data["stop"] == "stationary"
 
 
 def test_allocate_cg_and_trace_and_scan(tmp_path, capsys, config_path):
@@ -457,6 +457,46 @@ def test_check_file_that_is_malformed_exits_2(tmp_path, capsys, config_path, fla
     assert code == 2
     assert f"file {files[flag]} {named}" in stderr
     assert "Traceback" not in stderr
+
+
+THREE = [0.1, 0.2, 0.3]
+
+
+# Each names the file and the field whose length is not the d = 2 model's.
+@pytest.mark.parametrize("command, name, text, field", [
+    ("allocate", "config", {**BOWL_CONFIG, "nominal": [0.0, 0.0, 0.0]}, "nominal"),
+    ("allocate", "domain", {"tau_min": [0.0] * 3, "tau_max": [1.0] * 3,
+                            "sampling_domain": [[-1.0, 1.0]] * 3}, "tau_min"),
+    ("allocate", "config", {**BOWL_CONFIG, "measure": {"kind": "mu-norm", "weights": THREE}},
+     "measure.weights"),
+    ("allocate", "config", {**BOWL_CONFIG, "measure": {
+        "kind": "reciprocal-power-cost", "a": [0.0, 0.0], "b": THREE, "k": [1.0, 1.0]}},
+     "measure.b"),
+    ("check", "config", {**BOWL_CONFIG, "measure": {"kind": "mu-norm", "weights": THREE}},
+     "measure.weights"),
+    ("check", "tau", {"tau": THREE}, "tau"),
+    ("check", "reference", {"tau": THREE}, "tau"),
+], ids=["allocate-nominal", "allocate-domain", "allocate-weights", "allocate-cost-b",
+        "check-weights", "check-tau", "check-reference"])
+def test_vector_of_another_dimension_than_the_model_exits_2(tmp_path, capsys, command, name,
+                                                            text, field):
+    files = {key: tmp_path / f"{key}.json" for key in ("config", "tau", "reference", "model")}
+    files["config"].write_text(json.dumps(BOWL_CONFIG))
+    files["tau"].write_text(RESULT)
+    files["reference"].write_text(RESULT)
+    files["domain"] = _write_domain(tmp_path)
+    SeparatedModel(dim=2, rank=1, degree=2, intervals=(Interval(-1.0, 1.0), Interval(-0.5, 0.5)),
+                   scales=np.ones(1), coeffs=np.ones((1, 2, 3))).save(files["model"])
+    files[name] = tmp_path / f"bad_{name}.json"
+    files[name].write_text(json.dumps(text))
+    out = tmp_path / "out.json"
+    argv = {"allocate": ["--domain", files["domain"], "--model", files["model"], "--out", out],
+            "check": ["--model", files["model"], "--tau", files["tau"],
+                      "--reference", files["reference"]]}[command]
+    code, _, stderr = run(capsys, command, "--config", *map(str, [files["config"], *argv]))
+    assert code == 2
+    assert f"'{field}' in {files[name]} must hold 2 numbers" in stderr
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("fit, named", [

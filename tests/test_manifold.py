@@ -17,7 +17,7 @@ from tolalloc.manifold import (
     line_search,
     retract,
 )
-from tolalloc.measures import MinusOneNorm, MuNorm, OneNorm
+from tolalloc.measures import MinusOneNorm, MuNorm, OneNorm, ReciprocalPowerCost
 
 # G(tau) = tau_1^2 + 4 tau_2^2 with q_allow = 1: maximizing tau_1 + tau_2 on
 # this ellipse has the closed-form solution (2, 1/2) / sqrt(5) with value
@@ -30,6 +30,14 @@ ELLIPSE_OPT = np.array([2.0, 0.5]) / np.sqrt(5.0)
 ELLIPSE_F = np.sqrt(5.0) / 2.0
 
 FLAT = AnalyticWorstCase(lambda t: t[0] + t[1], lambda t: np.ones(2))
+
+# The larger of two crossed ellipses: G has a kink where they meet, at the
+# one-norm optimum (1, 1)/sqrt(5), and its gradient there is the first one's.
+KINKED = AnalyticWorstCase(
+    lambda t: max(t[0] ** 2 + 4.0 * t[1] ** 2, 4.0 * t[0] ** 2 + t[1] ** 2),
+    lambda t: (np.array([2.0 * t[0], 8.0 * t[1]]) if t[1] >= t[0]
+               else np.array([8.0 * t[0], 2.0 * t[1]])),
+)
 
 BOX = BoundingBox(tau_min=np.zeros(2), tau_max=np.array([2.0, 2.0]))
 
@@ -227,7 +235,7 @@ def test_traversal_reaches_ellipse_optimum(solve):
     np.testing.assert_allclose(result.tau, ELLIPSE_OPT, atol=1e-4)
     assert result.f_opt == pytest.approx(ELLIPSE_F, abs=1e-8)
     assert result.g_residual < 1e-9
-    assert not result.stalled
+    assert result.stop == "stationary"
     # The trace records every accepted iterate and never decreases in F.
     assert len(result.trace.iterates) == result.iterations + 1
     f = result.trace.f_values
@@ -266,8 +274,19 @@ def test_traversal_starts_off_manifold():
 
 def test_traversal_immediate_convergence_at_optimum():
     result = gradient_ascent(ELLIPSE_OPT.copy(), BOX, ELLIPSE, 1.0, OneNorm())
-    assert result.iterations <= 1
+    assert result.iterations == 0 and result.stop == "stationary"
     np.testing.assert_allclose(result.tau, ELLIPSE_OPT, atol=1e-6)
+
+
+@pytest.mark.parametrize("solve", [gradient_ascent, conjugate_gradient], ids=["ga", "cg"])
+def test_traversal_stalls_at_a_kink(solve):
+    # The projected gradient of the first ellipse does not vanish at the kink,
+    # but every step from it lowers F: only the line-search stall ends the run.
+    tau0 = initial_guess(BOX, OneNorm(), KINKED, 1.0)
+    np.testing.assert_allclose(tau0, [1.0 / np.sqrt(5.0)] * 2, rtol=1e-12)
+    result = solve(tau0, BOX, KINKED, 1.0, OneNorm())
+    assert result.stop == "stalled" and result.iterations == 0
+    np.testing.assert_array_equal(result.tau, tau0)
 
 
 def test_cg_matches_ga_iterates_in_two_dims():
@@ -292,6 +311,50 @@ def test_trace_csv_format(tmp_path):
     assert len(rows) == len(result.trace.iterates) + 1
     # Values round-trip bit-exactly through repr.
     assert float(rows[1][1]) == result.trace.iterates[0][0]
+
+
+def _quadratic(d=6):
+    # Acceptance criterion 9's anisotropic quadratic G = sum_i a_i tau_i^2 (at
+    # d = 6) and its one-norm optimum.
+    a = np.random.default_rng(0).uniform(0.5, 5.0, d)
+    gfun = AnalyticWorstCase(lambda t: float(a @ (t * t)), lambda t: 2.0 * a * t)
+    bbox = BoundingBox(tau_min=np.zeros(d), tau_max=np.full(d, 2.0))
+    return gfun, bbox, (1.0 / a) / np.sqrt(np.sum(1.0 / a))
+
+
+@pytest.mark.parametrize("d", [6, 10])
+@pytest.mark.parametrize("solve", [gradient_ascent, conjugate_gradient], ids=["ga", "cg"])
+def test_traversal_reaches_quadratic_optimum_with_exact_g(solve, d):
+    gfun, bbox, opt = _quadratic(d)
+    result = solve(initial_guess(bbox, OneNorm(), gfun, 1.0), bbox, gfun, 1.0, OneNorm())
+    assert np.max(np.abs(result.tau - opt)) <= 2e-4
+    assert result.stop == "stationary"
+
+
+@pytest.mark.parametrize("measure_of", [
+    lambda c: MuNorm(weights=np.full(6, c)),
+    lambda c: ReciprocalPowerCost(a=np.zeros(6), b=np.full(6, c), k=np.ones(6)),
+], ids=["mu-norm", "cost"])
+@pytest.mark.parametrize("solve", [gradient_ascent, conjugate_gradient], ids=["ga", "cg"])
+def test_traversal_ignores_the_scale_of_the_measure(solve, measure_of):
+    # Scaling the weights or the cost coefficients scales F and nothing else,
+    # so the allocation must not move.
+    gfun, bbox, _ = _quadratic()
+    taus = []
+    for c in (1.0, 1e-3, 1e3):
+        measure = measure_of(c)
+        taus.append(solve(initial_guess(bbox, measure, gfun, 1.0), bbox, gfun, 1.0,
+                          measure).tau)
+    for tau in taus[1:]:
+        np.testing.assert_allclose(tau, taus[0], rtol=0.0, atol=1e-9)
+
+
+def test_traversal_reports_exhausted_iterations(monkeypatch):
+    monkeypatch.setattr(manifold, "MAX_ITERS", 2)
+    gfun, bbox, _ = _quadratic()
+    result = gradient_ascent(initial_guess(bbox, OneNorm(), gfun, 1.0), bbox, gfun, 1.0,
+                             OneNorm())
+    assert result.stop == "max_iters" and result.iterations == 2
 
 
 def test_traversal_g_request_budget():

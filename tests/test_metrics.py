@@ -66,7 +66,7 @@ def test_error_report_to_dict():
 def test_allocation_errors_hand_computed():
     gfun = AnalyticWorstCase(lambda t: t[0] + t[1], lambda t: np.ones(2))
     report = allocation_errors(
-        tau=[0.4, 0.55], tau_ref=[0.5, 0.5], measure=OneNorm(), gfun_ref=gfun,
+        tau=[0.4, 0.55], tau_ref=[0.5, 0.5], measure=OneNorm(), gfun=gfun,
         q_allow=1.0,
     )
     assert report.tol_err_inf == pytest.approx(0.1)
