@@ -57,6 +57,7 @@ from .surrogate import (
     FitError,
     FitReport,
     Interval,
+    MissingFieldError,
     SampleSet,
     SeparatedModel,
     als_fit,

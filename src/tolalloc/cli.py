@@ -23,8 +23,8 @@ import numpy as np
 from . import boxmax, evaluator as evaluator_mod, manifold, measures, metrics
 from .domain import BoundingBox, ConstraintError, size_bounding_box
 from .evaluator import DomainError, EvaluatorError
-from .surrogate import FitConfig, FitError, Interval, SampleSet, SeparatedModel, als_fit
-from .surrogate import atomic_write, write_json
+from .surrogate import FitConfig, FitError, Interval, MissingFieldError, SampleSet, SeparatedModel
+from .surrogate import als_fit, write_csv, write_json
 
 CONFIG_FORMAT_VERSION = 1
 CONFIG_FIELDS = {"format_version", "seed", "evaluator", "nominal", "q_allow", "measure", "fit",
@@ -60,11 +60,16 @@ def _load_object(path, what: str) -> dict:
     return data
 
 
+def _is_finite_number(value) -> bool:
+    return type(value) in (int, float) and math.isfinite(value)  # excludes bool
+
+
 def load_config(path) -> dict:
     config = _load_json(path, "config")
+    objects = ("evaluator", "measure", *CONFIG_SECTION_FIELDS)
     if not isinstance(config, dict) or not all(
-            isinstance(config.get(name, {}), dict) for name in CONFIG_SECTION_FIELDS):
-        raise UsageError(f"config {path} and its {', '.join(map(repr, CONFIG_SECTION_FIELDS))} "
+            isinstance(config.get(name, {}), dict) for name in objects):
+        raise UsageError(f"config {path} and its {', '.join(map(repr, objects))} "
                          "fields must be JSON objects")
     version = config.get("format_version")
     if version != CONFIG_FORMAT_VERSION:
@@ -78,9 +83,15 @@ def load_config(path) -> dict:
             raise UsageError(f"malformed '{name}' section in config {path}: "
                              f"unknown field(s) {', '.join(unknown)}")
     for name, limit in config.get("check_thresholds", {}).items():
-        if type(limit) not in (int, float) or not math.isfinite(limit):  # excludes bool
+        if not _is_finite_number(limit):
             raise UsageError(f"'check_thresholds' field {name!r} must be a finite number, "
                              f"got {limit!r} in {path}")
+    if "q_allow" in config and not _is_finite_number(config["q_allow"]):
+        raise UsageError(f"config field 'q_allow' must be a finite number, "
+                         f"got {config['q_allow']!r} in {path}")
+    seed = config.get("seed", 0)
+    if type(seed) is not int or seed < 0:
+        raise UsageError(f"config field 'seed' must be an integer >= 0, got {seed!r} in {path}")
     return config
 
 
@@ -94,7 +105,7 @@ def _seed_of(args, config: dict) -> int:
     if getattr(args, "seed", None) is not None:
         return args.seed
     if "seed" in config:
-        return int(config["seed"])
+        return config["seed"]
     raise UsageError("--seed is required when the config has no seed field")
 
 
@@ -117,11 +128,17 @@ def _domain_from(path) -> tuple[BoundingBox, list[Interval]]:
     missing = sorted({"tau_min", "tau_max", "sampling_domain"} - set(data))
     if missing:
         raise UsageError(f"domain file {path} lacks field(s) {', '.join(missing)}")
-    bbox = BoundingBox(
-        tau_min=np.asarray(data["tau_min"], dtype=float),
-        tau_max=np.asarray(data["tau_max"], dtype=float),
-    )
-    intervals = [Interval(float(lo), float(hi)) for lo, hi in data["sampling_domain"]]
+
+    def field(name, parse):
+        try:
+            return parse(data[name])
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"field {name!r} of domain file {path} is malformed: {exc}")
+
+    bbox = BoundingBox(*(field(name, lambda value: np.asarray(value, dtype=float))
+                         for name in ("tau_min", "tau_max")))
+    intervals = field("sampling_domain",
+                      lambda rows: [Interval(float(lo), float(hi)) for lo, hi in rows])
     if len(intervals) != bbox.dim:
         raise UsageError(f"domain file {path} has {len(intervals)} sampling_domain row(s) "
                          f"for {bbox.dim} tolerance(s)")
@@ -131,12 +148,11 @@ def _domain_from(path) -> tuple[BoundingBox, list[Interval]]:
 def _model_from(path) -> SeparatedModel:
     """Surrogate from a model file that ``fit`` wrote."""
     data = _load_object(path, "model")
-    missing = sorted({field.name for field in dataclasses.fields(SeparatedModel)} - set(data))
-    if missing:
-        raise UsageError(f"model file {path} lacks field(s) {', '.join(missing)}")
     try:
         return SeparatedModel.from_dict(data)
-    except (TypeError, ValueError) as exc:
+    except MissingFieldError as exc:
+        raise UsageError(f"model file {path} {exc}")
+    except ValueError as exc:
         raise UsageError(f"bad model file {path}: {exc}")
 
 
@@ -154,8 +170,7 @@ def _tau_from(path, what: str) -> np.ndarray:
 
 def _config_vectors(config: dict) -> dict:
     """The config fields that hold one number per parameter, by name."""
-    spec = config.get("measure")
-    spec = spec if isinstance(spec, dict) else {}
+    spec = config.get("measure", {})
     return {"nominal": _require(config, "nominal"),
             **{f"measure.{key}": spec[key] for key in ("weights", "a", "b", "k") if key in spec}}
 
@@ -190,7 +205,7 @@ def cmd_sample(args) -> int:
     seed = _seed_of(args, config)
     with _open_evaluator(config) as evaluator:
         samples = evaluator_mod.draw_samples(evaluator, intervals, args.n, seed)
-    atomic_write(args.out, samples.write_csv)
+    samples.write_csv(args.out)
     print(f"wrote {len(samples)} samples to {args.out}")
     return EXIT_OK
 
@@ -269,22 +284,18 @@ def cmd_allocate(args) -> int:
         "restarts": result.trace.restarts,
     })
     if args.trace:
-        atomic_write(args.trace, result.trace.write_csv)
+        result.trace.write_csv(args.trace)
     if args.emit_manifold_scan:
         _emit_manifold_scan(args.emit_manifold_scan, gfun, bbox)
     print(f"tau_hat = {result.tau.tolist()}  F = {result.f_opt}")
     return EXIT_OK
 
 
-def _emit_manifold_scan(path, gfun, bbox: BoundingBox, resolution: int = 101) -> None:
-    axis_1 = np.linspace(bbox.tau_min[0], bbox.tau_max[0], resolution)
-    axis_2 = np.linspace(bbox.tau_min[1], bbox.tau_max[1], resolution)
-    lines = ["tau_1,tau_2,G"]
-    for t1 in axis_1:
-        for t2 in axis_2:
-            g = gfun.value(np.array([t1, t2]))
-            lines.append(f"{t1!r},{t2!r},{g!r}")
-    atomic_write(path, lambda tmp: Path(tmp).write_text("\n".join(lines) + "\n"))
+def _emit_manifold_scan(path, gfun, bbox: BoundingBox) -> None:
+    """G on a 101 x 101 grid of the box of a 2-parameter problem."""
+    axis_1, axis_2 = (np.linspace(lo, hi, 101) for lo, hi in zip(bbox.tau_min, bbox.tau_max))
+    write_csv(path, ["tau_1", "tau_2", "G"],
+              [(t1, t2, gfun.value(np.array([t1, t2]))) for t1 in axis_1 for t2 in axis_2])
 
 
 def cmd_check(args) -> int:

@@ -55,6 +55,13 @@ class BoundingBox:
         slack = rel_tol * (self.tau_max - self.tau_min)
         return tau - self.tau_min <= slack, self.tau_max - tau <= slack
 
+    def ray_length(self, origin, direction) -> float:
+        """How far origin + s direction, s >= 0, runs in the box (<= 0: not at all)."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            upper = np.where(direction > 0.0, (self.tau_max - origin) / direction, np.inf)
+            lower = np.where(direction < 0.0, (self.tau_min - origin) / direction, np.inf)
+        return float(np.minimum(upper, lower).min())
+
 
 def axis_threshold(
     evaluator,

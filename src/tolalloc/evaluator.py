@@ -187,10 +187,6 @@ class TabulatedEvaluator:
         self._interp = RegularGridInterpolator(axes, grid, method=method, bounds_error=True)
         self._dim = d
 
-    @classmethod
-    def from_csv(cls, path, interpolation: str = "multilinear") -> "TabulatedEvaluator":
-        return cls(SampleSet.read_csv(path), interpolation=interpolation)
-
     @property
     def dim(self) -> int:
         return self._dim
@@ -396,8 +392,9 @@ def from_config(spec: dict):
     if variant == "builtin":
         return make_builtin(spec["name"], spec.get("parameters"))
     if variant == "tabulated":
-        return TabulatedEvaluator.from_csv(
-            spec["path"], interpolation=spec.get("interpolation", "multilinear")
+        return TabulatedEvaluator(
+            SampleSet.read_csv(spec["path"]),
+            interpolation=spec.get("interpolation", "multilinear"),
         )
     if variant == "external":
         return ExternalEvaluator(

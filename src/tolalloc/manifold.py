@@ -17,7 +17,6 @@ MAX_ITERS steps.  ``AllocationResult.stop`` names which: "stationary",
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass, field
@@ -27,6 +26,7 @@ import numpy as np
 from .brent import MAXITER, brentq
 from .domain import BoundingBox
 from .measures import ascent_direction
+from .surrogate import write_csv
 
 # Tolerances of the traversal.  STATIONARY_TOL is its stopping rule (see
 # above), RETRACTION_TOL bounds |G - q_allow| / |q_allow|, LINE_SEARCH_TOL is
@@ -58,8 +58,8 @@ class InitializationError(RuntimeError):
 
 @dataclass
 class TangentFrame:
-    normal: np.ndarray       # unit manifold normal grad G / |grad G|
-    projector: np.ndarray    # (d, d), rows zeroed on active walls
+    normal: np.ndarray       # unit normal of the manifold within the active wall face
+    projector: np.ndarray    # (d, d), onto the manifold's tangent space in that face
     cg_flag: bool
 
 
@@ -78,19 +78,12 @@ class TraversalTrace:
             events.setdefault(iteration, []).append(f"wall:{axis}")
         for iteration in self.restarts:
             events.setdefault(iteration, []).append("restart")
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["iter"] + [f"tau_{i + 1}" for i in range(dim)] + ["F", "G_residual", "event"]
-            )
-            for it, (tau, f, g) in enumerate(
-                zip(self.iterates, self.f_values, self.g_residuals)
-            ):
-                writer.writerow(
-                    [it]
-                    + [repr(float(v)) for v in tau]
-                    + [repr(float(f)), repr(float(g)), ";".join(events.get(it, []))]
-                )
+        write_csv(
+            path,
+            ["iter"] + [f"tau_{i + 1}" for i in range(dim)] + ["F", "G_residual", "event"],
+            ([it, *tau, f, g, ";".join(events.get(it, []))] for it, (tau, f, g)
+             in enumerate(zip(self.iterates, self.f_values, self.g_residuals))),
+        )
 
 
 @dataclass
@@ -195,24 +188,34 @@ def retract(
 # ---------------------------------------------------------------------------
 
 def build_projection(tau, bbox: BoundingBox, grad_g_val, grad_f_val) -> TangentFrame:
-    """Tangent projector I - n n^T at tau with wall rows zeroed.
+    """Projector diag(free) - n n^T onto the manifold's tangent space within
+    the wall face at tau, n being grad G on the free axes, normalized.
 
-    A row k is zeroed when tau_k sits on a bounding-box wall and the measure
-    gradient points out of that wall; this also clears the CG flag so the
-    conjugate-gradient method restarts.
+    Axis k is blocked when tau_k sits on a bounding-box wall and both the
+    measure gradient and the multiplier grad F_k - lam grad G_k (lam fitted on
+    the free axes) point out of it; axes whose multiplier points in are
+    released until none is.  A blocked axis clears the CG flag so the
+    conjugate-gradient method restarts.  With no axis blocked P = I - n n^T.
     """
     grad_g_val = np.asarray(grad_g_val, dtype=float)
     grad_f_val = np.asarray(grad_f_val, dtype=float)
-    norm = np.linalg.norm(grad_g_val)
-    if norm == 0.0:
+    if np.linalg.norm(grad_g_val) == 0.0:
         raise DegenerateNormalError("grad G vanished: manifold tangent space undefined")
-    normal = grad_g_val / norm
-    projector = np.eye(normal.size) - np.outer(normal, normal)
     on_lower, on_upper = bbox.walls(tau, WALL_REL_TOL)
-    outward = np.where(on_lower, -grad_f_val, grad_f_val)
-    blocked = (on_lower | on_upper) & (outward >= 0.0)
-    projector[blocked, :] = 0.0
-    return TangentFrame(normal=normal, projector=projector, cg_flag=not blocked.any())
+    outward = np.where(on_lower, -1.0, 1.0)
+    free = ~((on_lower | on_upper) & (outward * grad_f_val >= 0.0))
+    face_grad = np.where(free, grad_g_val, 0.0)
+    while not free.all() and face_grad @ face_grad > 0.0:
+        lam = (face_grad @ grad_f_val) / (face_grad @ face_grad)
+        inward = ~free & (outward * (grad_f_val - lam * grad_g_val) < 0.0)
+        if not inward.any():
+            break
+        free |= inward
+        face_grad = np.where(free, grad_g_val, 0.0)
+    norm = np.linalg.norm(face_grad)
+    normal = face_grad / norm if norm > 0.0 else face_grad
+    projector = np.diag(free.astype(float)) - np.outer(normal, normal)
+    return TangentFrame(normal=normal, projector=projector, cg_flag=bool(free.all()))
 
 
 # ---------------------------------------------------------------------------
@@ -230,11 +233,7 @@ def initial_guess(
         raise InitializationError("measure ascent direction vanished at tau_min")
     direction = direction / norm
 
-    with np.errstate(divide="ignore"):
-        limits = np.where(
-            direction > 0.0, (bbox.tau_max - bbox.tau_min) / direction, np.inf
-        )
-    s_max = float(limits.min())
+    s_max = bbox.ray_length(bbox.tau_min, direction)
     if not np.isfinite(s_max) or s_max <= 0.0:
         raise InitializationError("initial ray does not enter the bounding box")
 
@@ -317,10 +316,7 @@ def line_search(
         return 0.0, tau, f0, True
     unit = v / norm
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        upper = np.where(unit > 0.0, (bbox.tau_max - tau) / unit, np.inf)
-        lower = np.where(unit < 0.0, (bbox.tau_min - tau) / unit, np.inf)
-    alpha_max = float(np.minimum(upper, lower).min())
+    alpha_max = bbox.ray_length(tau, unit)
     if not np.isfinite(alpha_max) or alpha_max <= 0.0:
         return 0.0, tau, f0, True
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +25,10 @@ EXTRAPOLATION_SLACK = 1e-9
 
 class FitError(RuntimeError):
     """Raised when an ALS fit cannot proceed (singular system, bad inputs)."""
+
+
+class MissingFieldError(ValueError):
+    """Raised when a model dict lacks fields that ``to_dict`` writes."""
 
 
 # ---------------------------------------------------------------------------
@@ -52,6 +56,19 @@ def write_json(path, obj: dict) -> None:
     """Write ``obj`` as indented JSON with sorted keys, atomically."""
     text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     atomic_write(path, lambda tmp: Path(tmp).write_text(text))
+
+
+def write_csv(path, header, rows) -> None:
+    """Write ``header`` and ``rows`` as CSV, atomically: strings and ints as
+    given, every other cell as ``repr(float(v))``, which reads back bit for bit."""
+    def write(tmp):
+        with open(tmp, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows([v if isinstance(v, (str, int)) else repr(float(v)) for v in row]
+                             for row in rows)
+
+    atomic_write(path, write)
 
 
 # ---------------------------------------------------------------------------
@@ -222,24 +239,28 @@ class SeparatedModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SeparatedModel":
+        """The model :meth:`to_dict` describes; ValueError on any other dict,
+        MissingFieldError naming the fields it lacks."""
+        missing = sorted({field.name for field in fields(cls)} - set(data))
+        if missing:
+            raise MissingFieldError(f"lacks field(s) {', '.join(missing)}")
         version = data.get("format_version")
         if version != MODEL_FORMAT_VERSION:
             raise ValueError(f"unsupported model format_version: {version!r}")
-        return cls(
-            dim=int(data["dim"]),
-            rank=int(data["rank"]),
-            degree=int(data["degree"]),
-            intervals=tuple(Interval(float(lo), float(hi)) for lo, hi in data["intervals"]),
-            scales=np.asarray(data["scales"], dtype=float),
-            coeffs=np.asarray(data["coeffs"], dtype=float),
-        )
+        try:
+            return cls(
+                dim=int(data["dim"]),
+                rank=int(data["rank"]),
+                degree=int(data["degree"]),
+                intervals=tuple(Interval(float(lo), float(hi)) for lo, hi in data["intervals"]),
+                scales=np.asarray(data["scales"], dtype=float),
+                coeffs=np.asarray(data["coeffs"], dtype=float),
+            )
+        except TypeError as exc:
+            raise ValueError(str(exc)) from exc
 
     def save(self, path) -> None:
         write_json(path, self.to_dict())
-
-    @classmethod
-    def load(cls, path) -> "SeparatedModel":
-        return cls.from_dict(json.loads(Path(path).read_text()))
 
 
 # ---------------------------------------------------------------------------
@@ -271,11 +292,8 @@ class SampleSet:
         return self.points.shape[1]
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"mu_{i + 1}" for i in range(self.dim)] + ["q"])
-            for point, value in zip(self.points, self.values):
-                writer.writerow([repr(float(v)) for v in point] + [repr(float(value))])
+        write_csv(path, [f"mu_{i + 1}" for i in range(self.dim)] + ["q"],
+                  ([*point.tolist(), value] for point, value in zip(self.points, self.values)))
 
     @classmethod
     def read_csv(cls, path) -> "SampleSet":

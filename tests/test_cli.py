@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import stat
@@ -7,8 +8,11 @@ import sys
 import numpy as np
 import pytest
 
-from tolalloc import Interval, SeparatedModel
+from tolalloc import Interval, SeparatedModel, SurrogateWorstCase
 from tolalloc.cli import main
+from tolalloc.surrogate import write_json
+
+from conftest import random_model
 
 BOWL_CONFIG = {
     "format_version": 1,
@@ -90,7 +94,7 @@ def test_full_pipeline_reaches_closed_form(tmp_path, capsys, config_path):
 
 
 def test_allocate_cg_and_trace_and_scan(tmp_path, capsys, config_path):
-    domain, _, model, _ = run_pipeline(tmp_path, capsys, config_path)
+    domain, samples, model, _ = run_pipeline(tmp_path, capsys, config_path)
     result = tmp_path / "result_cg.json"
     trace = tmp_path / "trace.csv"
     scan = tmp_path / "scan.csv"
@@ -105,6 +109,25 @@ def test_allocate_cg_and_trace_and_scan(tmp_path, capsys, config_path):
     scan_lines = scan.read_text().splitlines()
     assert scan_lines[0] == "tau_1,tau_2,G"
     assert len(scan_lines) == 1 + 101 * 101
+    # Every numeric cell of the three CSV artifacts is a float literal.
+    tables = {name: _read_csv(path) for name, path in
+              [("samples", samples), ("trace", trace), ("scan", scan)]}
+    assert tables["samples"][0] == ["mu_1", "mu_2", "q"]
+    for name, rows in tables.items():
+        numeric = rows[1:] if name != "trace" else [row[:-1] for row in rows[1:]]
+        values = np.array([[float(cell) for cell in row] for row in numeric])
+        assert np.all(np.isfinite(values)), name
+    # A scan row holds G at its tau.
+    gfun = SurrogateWorstCase(SeparatedModel.from_dict(json.loads(model.read_text())),
+                              BOWL_CONFIG["nominal"])
+    for row in tables["scan"][1::2525]:
+        t1, t2, g = map(float, row)
+        assert g == gfun.value(np.array([t1, t2]))
+
+
+def _read_csv(path) -> list[list[str]]:
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
 
 
 def test_check_passes_against_itself(tmp_path, capsys, config_path):
@@ -188,7 +211,7 @@ def test_fit_writes_what_model_save_writes(tmp_path, capsys, config_path):
                      "--samples", str(samples), "--out", str(model))
     assert code == 0
     saved = tmp_path / "saved.json"
-    SeparatedModel.load(model).save(saved)
+    SeparatedModel.from_dict(json.loads(model.read_text())).save(saved)
     assert saved.read_bytes() == model.read_bytes()
     assert model.read_text() == json.dumps(
         json.loads(model.read_text()), indent=2, sort_keys=True) + "\n"
@@ -459,6 +482,26 @@ def test_check_file_that_is_malformed_exits_2(tmp_path, capsys, config_path, fla
     assert "Traceback" not in stderr
 
 
+@pytest.mark.parametrize("field, value, reason", [
+    ("format_version", 2, "unsupported model format_version: 2"),
+    ("intervals", 5, "'int' object is not iterable"),
+    ("scales", "x", "could not convert string to float: 'x'"),
+], ids=["version", "intervals", "scales"])
+def test_model_file_with_a_bad_value_exits_2(tmp_path, capsys, config_path, field, value,
+                                             reason):
+    data = random_model(np.random.default_rng(17)).to_dict()
+    data[field] = value
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(data))
+    files = {"--tau": tmp_path / "tau.json", "--reference": tmp_path / "reference.json"}
+    for path in files.values():
+        path.write_text(RESULT)
+    argv = [str(arg) for pair in files.items() for arg in pair]
+    code, _, stderr = run(capsys, "check", "--config", config_path, "--model", str(model), *argv)
+    assert code == 2
+    assert stderr == f"error: bad model file {model}: {reason}\n"
+
+
 THREE = [0.1, 0.2, 0.3]
 
 
@@ -548,6 +591,42 @@ def test_bad_config_value_exits_2(tmp_path, capsys, field, value, named):
     code, _, stderr = run(capsys, "size-domain", "--config", str(path), "--out", str(out))
     assert code == 2
     assert named in stderr
+    assert not out.exists()
+
+
+# Each exits 2, naming the file and the field, and writes nothing.
+@pytest.mark.parametrize("command, name, text, field", [
+    ("allocate", "config", {**BOWL_CONFIG, "q_allow": [1, 2]}, "q_allow"),
+    ("allocate", "config", {**BOWL_CONFIG, "q_allow": None}, "q_allow"),
+    ("allocate", "config", {**BOWL_CONFIG, "measure": None}, "measure"),
+    ("sample", "config", {**BOWL_CONFIG, "seed": [1]}, "seed"),
+    ("sample", "config", {**BOWL_CONFIG, "seed": 1.5}, "seed"),
+    ("sample", "domain", {"tau_min": [0.0, 0.0], "tau_max": [1.0, 0.5],
+                          "sampling_domain": 5}, "sampling_domain"),
+    ("sample", "domain", {"tau_min": [0.0, 0.0], "tau_max": [1.0, 0.5],
+                          "sampling_domain": None}, "sampling_domain"),
+    ("sample", "domain", {"tau_min": [0.0, 0.0], "tau_max": [1.0, 0.5],
+                          "sampling_domain": [5, 6]}, "sampling_domain"),
+    ("allocate", "domain", {"tau_min": [0.0, 0.0], "tau_max": {"a": 1},
+                            "sampling_domain": [[-1.0, 1.0], [-0.5, 0.5]]}, "tau_max"),
+], ids=["q_allow-list", "q_allow-null", "measure-null", "seed-list", "seed-float",
+        "sampling_domain-number", "sampling_domain-null", "sampling_domain-flat", "tau_max-object"])
+def test_malformed_field_exits_2(tmp_path, capsys, command, name, text, field):
+    files = {"config": tmp_path / "config.json", "model": tmp_path / "model.json",
+             "domain": _write_domain(tmp_path)}
+    files["config"].write_text(json.dumps(BOWL_CONFIG))
+    write_json(files["model"], SeparatedModel(
+        dim=2, rank=1, degree=2, intervals=(Interval(-1.0, 1.0), Interval(-0.5, 0.5)),
+        scales=np.ones(1), coeffs=np.ones((1, 2, 3))).to_dict())
+    files[name] = tmp_path / f"bad_{name}.json"
+    files[name].write_text(json.dumps(text))
+    out = tmp_path / "out"
+    argv = {"sample": ["--domain", files["domain"], "--n", "10"],
+            "allocate": ["--domain", files["domain"], "--model", files["model"]]}[command]
+    code, _, stderr = run(capsys, command, "--config", *map(str, [files["config"], *argv]),
+                          "--out", str(out))
+    assert code == 2
+    assert str(files[name]) in stderr and f"'{field}'" in stderr
     assert not out.exists()
 
 

@@ -25,6 +25,18 @@ def test_bounding_box_validation_and_clip():
         BoundingBox(tau_min=np.array([-0.1]), tau_max=np.array([0.5]))
 
 
+def test_ray_length_to_the_first_wall():
+    box = BoundingBox(tau_min=np.array([0.0, 0.1]), tau_max=np.array([1.0, 0.5]))
+    # From the lower corner only the upward components count.
+    assert box.ray_length(box.tau_min, np.array([0.5, 0.0])) == 2.0
+    # From inside, a downward component meets the lower wall first.
+    assert box.ray_length(np.array([0.5, 0.3]), np.array([1.0, -0.4])) == pytest.approx(0.5)
+    assert box.ray_length(np.array([0.5, 0.3]), np.array([0.25, -0.4])) == pytest.approx(0.5)
+    # A ray leaving through the wall it sits on has length 0; one going nowhere, inf.
+    assert box.ray_length(box.tau_min, np.array([-1.0, 1.0])) <= 0.0
+    assert box.ray_length(box.tau_min, np.zeros(2)) == np.inf
+
+
 # ---------------------------------------------------------------------------
 # Axis thresholds
 # ---------------------------------------------------------------------------

@@ -136,7 +136,7 @@ def test_tabulated_csv_roundtrip(tmp_path):
     samples = _grid_samples(lambda p: p[0] * p[1], axes)
     path = tmp_path / "table.csv"
     samples.write_csv(path)
-    tab = TabulatedEvaluator.from_csv(path)
+    tab = TabulatedEvaluator(SampleSet.read_csv(path))
     assert tab([0.5, 0.5]) == pytest.approx(0.25, abs=1e-12)
 
 

@@ -79,3 +79,67 @@ def test_module_has_no_dead_definition(path):
     used = _package_references()
     dead = [f"{name} (line {line})" for name, line in _definitions(tree) if name not in used]
     assert not dead, f"{path.name}: nothing in the package refers to " + ", ".join(dead)
+
+
+# Every artifact goes through these, so that each is written atomically and
+# in one format.
+WRITERS = {"atomic_write", "write_json", "write_csv"}
+OS_WRITE_FLAGS = {"O_WRONLY", "O_RDWR", "O_APPEND", "O_CREAT", "O_TRUNC"}
+
+
+def _writes_file(call: ast.Call) -> bool:
+    """Whether ``call`` opens a file for writing or writes a whole file:
+    ``open``/``Path.open`` with a mode that is not read-only, ``os.open`` with
+    a write flag, ``write_text`` or ``write_bytes``."""
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if name in ("write_text", "write_bytes"):
+        return True
+    if name != "open":
+        return False
+    if isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "os":
+        return any(getattr(node, "attr", getattr(node, "id", None)) in OS_WRITE_FLAGS
+                   for arg in call.args[1:2] for node in ast.walk(arg))
+    position = 1 if isinstance(func, ast.Name) else 0  # open(file, mode) or path.open(mode)
+    mode = next((kw.value for kw in call.keywords if kw.arg == "mode"),
+                call.args[position] if len(call.args) > position else None)
+    return mode is not None and not (isinstance(mode, ast.Constant)
+                                     and isinstance(mode.value, str)
+                                     and set(mode.value) <= set("rbt"))
+
+
+def _file_writes_outside_writers(tree: ast.Module) -> list[int]:
+    """Lines of the file writes outside the module-level functions named in WRITERS."""
+    return [node.lineno for top in tree.body
+            if not (isinstance(top, ast.FunctionDef) and top.name in WRITERS)
+            for node in ast.walk(top) if isinstance(node, ast.Call) and _writes_file(node)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_module_writes_files_only_through_the_artifact_writers(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = _file_writes_outside_writers(tree)
+    assert not lines, (f"{path.name}: file written outside {', '.join(sorted(WRITERS))} "
+                       f"on line(s) {', '.join(map(str, lines))}")
+
+
+@pytest.mark.parametrize("source, flagged", [
+    ('open(p, "w")', True),
+    ('open(p, mode="a", newline="")', True),
+    ("open(p, mode)", True),
+    ('Path(p).open("wb")', True),
+    ("os.open(p, os.O_WRONLY | os.O_CREAT)", True),
+    ('p.write_text("x")', True),
+    ('p.write_bytes(b"x")', True),
+    ('def save(p):\n    with open(p, "w") as fh:\n        pass', True),
+    ("open(p)", False),
+    ('open(p, "rb")', False),
+    ('open(p, newline="")', False),
+    ("Path(p).open()", False),
+    ("os.open(p, os.O_RDONLY)", False),
+    ("tempfile.TemporaryFile()", False),
+    ('class Samples:\n    def write_csv(self, p):\n        open(p, "w")', True),
+    ('def write_csv(p):\n    def write(tmp):\n        open(tmp, "w")', False),
+])
+def test_file_write_detector(source, flagged):
+    assert bool(_file_writes_outside_writers(ast.parse(source))) == flagged

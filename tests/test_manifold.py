@@ -113,6 +113,23 @@ def test_build_projection_keeps_inward_wall_rows():
     assert frame.cg_flag
 
 
+def test_build_projection_projects_within_the_wall_face():
+    # tau_1 is blocked on its upper wall (multiplier 3 - 4 * 5/13 > 0): the
+    # projector maps onto the vectors of the face tau_1 = const that are
+    # tangent to G, here 2 t_2 + 3 t_3 = 0.
+    box = BoundingBox(tau_min=np.zeros(3), tau_max=np.array([0.5, 2.0, 2.0]))
+    grad_g = np.array([4.0, 2.0, 3.0])
+    frame = build_projection(np.array([0.5, 0.4, 0.4]), box, grad_g, np.array([3.0, 1.0, 1.0]))
+    np.testing.assert_allclose(frame.normal, np.array([0.0, 2.0, 3.0]) / np.sqrt(13.0))
+    np.testing.assert_allclose(frame.projector, frame.projector.T, atol=1e-15)
+    np.testing.assert_allclose(frame.projector @ frame.projector, frame.projector, atol=1e-15)
+    np.testing.assert_array_equal(frame.projector[0], np.zeros(3))
+    np.testing.assert_array_equal(frame.projector[:, 0], np.zeros(3))
+    np.testing.assert_allclose(frame.projector @ np.array([0.0, 3.0, -2.0]), [0.0, 3.0, -2.0])
+    np.testing.assert_allclose(frame.projector @ grad_g, np.zeros(3), atol=1e-15)
+    assert not frame.cg_flag
+
+
 def test_build_projection_degenerate_normal():
     with pytest.raises(DegenerateNormalError):
         build_projection(np.array([0.5, 0.5]), BOX, np.zeros(2), np.ones(2))
@@ -259,12 +276,31 @@ def test_traversal_minus_one_norm_from_lopsided_start():
 
 
 def test_traversal_stops_on_binding_wall():
+    # On the wall tau_1 = 0.7 the face's tangent space of the manifold is the
+    # single point, so the projected gradient vanishes there.
     box = BoundingBox(tau_min=np.zeros(2), tau_max=np.array([0.7, 2.0]))
     tau0 = initial_guess(box, OneNorm(), ELLIPSE, 1.0, 1e-10)
-    result = gradient_ascent(tau0, box, ELLIPSE, 1.0, OneNorm())
     expected = np.array([0.7, np.sqrt((1.0 - 0.49) / 4.0)])
-    np.testing.assert_allclose(result.tau, expected, atol=1e-6)
-    assert any(axis == 0 for _, axis in result.trace.wall_events)
+    for solve in (gradient_ascent, conjugate_gradient):
+        result = solve(tau0, box, ELLIPSE, 1.0, OneNorm())
+        np.testing.assert_allclose(result.tau, expected, atol=1e-6)
+        assert any(axis == 0 for _, axis in result.trace.wall_events)
+        assert result.stop == "stationary", solve.__name__
+
+
+def test_traversal_leaves_a_wall_whose_multiplier_points_inward():
+    # On the wall tau_1 = 0.95 above the optimum, grad F - lam grad G points
+    # into the box along tau_1, so the wall releases and the traversal goes
+    # on to the interior optimum.
+    box = BoundingBox(tau_min=np.zeros(2), tau_max=np.array([0.95, 2.0]))
+    tau0 = np.array([0.95, np.sqrt(0.0975) / 2.0])
+    frame = build_projection(tau0, box, ELLIPSE.grad(tau0), OneNorm().grad(tau0))
+    normal = ELLIPSE.grad(tau0) / np.linalg.norm(ELLIPSE.grad(tau0))
+    np.testing.assert_array_equal(frame.projector, np.eye(2) - np.outer(normal, normal))
+    for solve in (gradient_ascent, conjugate_gradient):
+        result = solve(tau0, box, ELLIPSE, 1.0, OneNorm())
+        np.testing.assert_allclose(result.tau, ELLIPSE_OPT, atol=1e-6)
+        assert result.f_opt == pytest.approx(ELLIPSE_F, rel=1e-10), solve.__name__
 
 
 def test_traversal_starts_off_manifold():

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import numpy.polynomial.legendre as npleg
 import pytest
@@ -11,7 +13,7 @@ from tolalloc import (
     als_fit,
 )
 from tolalloc import surrogate
-from tolalloc.surrogate import legendre_deriv_table, legendre_table
+from tolalloc.surrogate import legendre_deriv_table, legendre_table, write_json
 
 from conftest import random_model
 from helpers.als_reference import reference_als_fit
@@ -362,8 +364,8 @@ def test_model_json_roundtrip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(16)
     model = random_model(rng, dim=3, rank=2, degree=4)
     path = tmp_path / "model.json"
-    model.save(path)
-    restored = SeparatedModel.load(path)
+    write_json(path, model.to_dict())
+    restored = SeparatedModel.from_dict(json.loads(path.read_text()))
     np.testing.assert_array_equal(restored.coeffs, model.coeffs)
     np.testing.assert_array_equal(restored.scales, model.scales)
     assert restored.intervals == model.intervals
@@ -373,6 +375,22 @@ def test_model_rejects_unknown_format_version(tmp_path):
     rng = np.random.default_rng(17)
     data = random_model(rng).to_dict()
     data["format_version"] = 99
+    with pytest.raises(ValueError):
+        SeparatedModel.from_dict(data)
+
+
+@pytest.mark.parametrize("field", ["dim", "intervals", "coeffs"])
+def test_model_from_dict_names_a_missing_field(field):
+    data = random_model(np.random.default_rng(17)).to_dict()
+    del data[field]
+    with pytest.raises(ValueError, match=rf"lacks field\(s\) {field}$"):
+        SeparatedModel.from_dict(data)
+
+
+@pytest.mark.parametrize("field, value", [("dim", None), ("intervals", 5), ("scales", "x")])
+def test_model_from_dict_raises_value_error_on_a_malformed_field(field, value):
+    data = random_model(np.random.default_rng(17)).to_dict()
+    data[field] = value
     with pytest.raises(ValueError):
         SeparatedModel.from_dict(data)
 
