@@ -86,6 +86,11 @@ def load_config(path) -> dict:
         if not _is_finite_number(limit):
             raise UsageError(f"'check_thresholds' field {name!r} must be a finite number, "
                              f"got {limit!r} in {path}")
+    nominal = config.get("nominal")
+    if "nominal" in config and not (isinstance(nominal, list) and nominal and all(
+            type(value) in (int, float) for value in nominal)):  # excludes bool
+        raise UsageError(f"config field 'nominal' must be a non-empty list of numbers, "
+                         f"got {nominal!r} in {path}")
     if "q_allow" in config and not _is_finite_number(config["q_allow"]):
         raise UsageError(f"config field 'q_allow' must be a finite number, "
                          f"got {config['q_allow']!r} in {path}")
@@ -135,8 +140,13 @@ def _domain_from(path) -> tuple[BoundingBox, list[Interval]]:
         except (TypeError, ValueError) as exc:
             raise UsageError(f"field {name!r} of domain file {path} is malformed: {exc}")
 
-    bbox = BoundingBox(*(field(name, lambda value: np.asarray(value, dtype=float))
-                         for name in ("tau_min", "tau_max")))
+    tau_min, tau_max = (field(name, lambda value: np.asarray(value, dtype=float))
+                        for name in ("tau_min", "tau_max"))
+    try:
+        bbox = BoundingBox(tau_min, tau_max)
+    except ValueError as exc:
+        raise UsageError(f"fields 'tau_min' and 'tau_max' of domain file {path} "
+                         f"are malformed: {exc}")
     intervals = field("sampling_domain",
                       lambda rows: [Interval(float(lo), float(hi)) for lo, hi in rows])
     if len(intervals) != bbox.dim:
@@ -215,11 +225,15 @@ def cmd_size_domain(args) -> int:
     nominal = np.asarray(_require(config, "nominal"), dtype=float)
     q_allow = float(_require(config, "q_allow"))
     bbox_config = config.get("bbox", {})
-    caps = np.asarray(bbox_config.get("caps", 10.0), dtype=float)
+    try:
+        caps = np.broadcast_to(np.asarray(bbox_config.get("caps", 10.0), dtype=float),
+                               nominal.shape)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"'bbox' field 'caps' in config {args.config} is malformed: {exc}")
     tau_min = bbox_config.get("tau_min")
     with _open_evaluator(config) as evaluator:
         bbox, intervals = size_bounding_box(evaluator, nominal, q_allow, caps, tau_min=tau_min)
-    capped = [bool(t >= c) for t, c in zip(bbox.tau_max, np.broadcast_to(caps, nominal.shape))]
+    capped = [bool(t >= c) for t, c in zip(bbox.tau_max, caps)]
     write_json(args.out, {
         "format_version": 1,
         "tau_min": bbox.tau_min.tolist(),
@@ -247,6 +261,7 @@ def cmd_fit(args) -> int:
     model, report = als_fit(samples, fit_config, intervals)
     model.save(args.out)
     summary = {
+        "additive_residual": report.additive_residual,
         "final_rank": report.final_rank,
         "sweeps_used": report.sweeps_used,
         "final_residual": report.residual_history[-1],

@@ -349,6 +349,8 @@ class FitReport:
     sweeps_used: int
     residual_history: list[float]
     converged: bool
+    # Relative residual of the additive start alone; None without one.
+    additive_residual: float | None
 
 
 def _normalize(scales: np.ndarray, coeffs: np.ndarray) -> None:
@@ -373,6 +375,32 @@ def _factor_table(coeffs: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return table
 
 
+def _additive_start(basis: np.ndarray, q: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """Scales (d,) and coeffs (d, d, p+1) of c + sum_i f_i(x_i) fitted by one
+    regularized solve over the constant and the L_1..L_p columns of every
+    dimension.  Term i holds f_i in dimension i and L_0 in every other; the
+    constant goes into term 0."""
+    d, n, p1 = basis.shape
+    design = np.concatenate([np.ones((n, 1)), *basis[:, :, 1:]], axis=1)  # (n, 1 + d p)
+    gram = design.T @ design
+    gram.flat[:: design.shape[1] + 1] += lam
+    try:
+        theta = np.linalg.solve(gram, design.T @ q)
+    except np.linalg.LinAlgError as exc:
+        raise FitError("singular additive system") from exc
+    if not np.all(np.isfinite(theta)):
+        raise FitError("non-finite additive solution")
+    coeffs = np.zeros((d, d, p1))
+    coeffs[:, :, 0] = 1.0
+    own = np.arange(d)
+    coeffs[own, own, 0] = 0.0
+    coeffs[own, own, 1:] = theta[1:].reshape(d, p1 - 1)
+    coeffs[0, 0, 0] = theta[0]
+    scales = np.ones(d)
+    _normalize(scales, coeffs)
+    return scales, coeffs
+
+
 def als_fit(
     samples: SampleSet,
     config: FitConfig,
@@ -380,6 +408,11 @@ def als_fit(
 ) -> tuple[SeparatedModel, FitReport]:
     """Fit a separated model by cyclic per-dimension linear least squares.
 
+    When ``target_rank >= d`` the fit starts from the additive part
+    c + sum_i f_i(mu_i), fitted by one linear solve and stored as d rank-1
+    terms; its residual is the first entry of ``residual_history``, and if it
+    already meets ``rel_residual_tol`` no sweep runs (``sweeps_used`` is 0).
+    When ``target_rank < d`` the fit starts from one seeded random term.
     Within a fixed rank, sweeps repeat until the relative residual stalls; the
     rank is then grown one term at a time (warm-started, new factor seeded
     random) until ``rel_residual_tol`` or ``target_rank`` is reached.
@@ -410,9 +443,14 @@ def als_fit(
     others_of = [np.arange(d) != i for i in range(d)]
 
     rng = np.random.default_rng(config.seed)
-    rank = 1
-    scales = np.ones(1)
-    coeffs = rng.uniform(-1.0, 1.0, size=(1, d, p1))
+    additive = config.target_rank >= d
+    if additive:
+        rank = d
+        scales, coeffs = _additive_start(basis, q, lam)
+    else:
+        rank = 1
+        scales = np.ones(1)
+        coeffs = rng.uniform(-1.0, 1.0, size=(1, d, p1))
     # Factor table: entry (l, k, i) is factor l of dimension i at sample k.  A
     # solve in dimension i changes only column i, so only that column is
     # refreshed; the einsum per column keeps every value bit-identical to the
@@ -422,8 +460,11 @@ def als_fit(
     history: list[float] = []
     sweeps_used = 0
     residual = np.inf
+    if additive:
+        residual = float(np.linalg.norm(q - scales @ factors.prod(axis=2)) / q_norm)
+        history.append(residual)
 
-    while True:
+    while residual > config.rel_residual_tol:
         prev_residual = np.inf
         for _ in range(MAX_SWEEPS):
             for i in range(d):
@@ -473,5 +514,6 @@ def als_fit(
         sweeps_used=sweeps_used,
         residual_history=history,
         converged=residual <= config.rel_residual_tol,
+        additive_residual=history[0] if additive else None,
     )
     return model, report

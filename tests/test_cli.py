@@ -217,6 +217,26 @@ def test_fit_writes_what_model_save_writes(tmp_path, capsys, config_path):
         json.loads(model.read_text()), indent=2, sort_keys=True) + "\n"
 
 
+def test_fit_reports_the_additive_residual(tmp_path, capsys, config_path):
+    domain = _write_domain(tmp_path)
+    samples = tmp_path / "samples.csv"
+    run(capsys, "sample", "--config", config_path, "--domain", domain, "--n", "60",
+        "--out", str(samples))
+    reports = {}
+    for rank in (1, 2):
+        path = tmp_path / f"config{rank}.json"
+        path.write_text(json.dumps({**BOWL_CONFIG, "fit": {"target_rank": rank, "degree": 2}}))
+        code, stdout, _ = run(capsys, "fit", "--config", str(path), "--domain", domain,
+                              "--samples", str(samples), "--out", str(tmp_path / "model.json"))
+        assert code == 0
+        reports[rank] = json.loads(stdout)
+    # Rank 1 < d starts from a random term; rank 2 = d from the exact additive bowl.
+    assert reports[1]["additive_residual"] is None
+    assert reports[2]["additive_residual"] <= 1e-9
+    assert reports[2]["sweeps_used"] == 0
+    assert reports[2]["final_residual"] == reports[2]["additive_residual"]
+
+
 SCIPY_PROBE = """
 import json, sys
 from tolalloc.cli import main
@@ -440,6 +460,42 @@ def test_domain_or_model_file_that_is_not_an_object_exits_2(tmp_path, capsys, co
     assert code == 2
     assert str(bad) in stderr
     assert "Traceback" not in stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("nominal", [None, 0.5, [], [[0.0, 0.0]], ["0", "0"]],
+                         ids=["null", "scalar", "empty", "nested", "strings"])
+def test_nominal_that_is_not_a_list_of_numbers_exits_2(tmp_path, capsys, nominal):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**BOWL_CONFIG, "nominal": nominal}))
+    out = tmp_path / "domain.json"
+    code, _, stderr = run(capsys, "size-domain", "--config", str(path), "--out", str(out))
+    assert code == 2
+    assert str(path) in stderr and "'nominal'" in stderr
+    assert "Traceback" not in stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("caps", ["x", [1.0, 2.0, 3.0]], ids=["string", "wrong-length"])
+def test_malformed_bbox_caps_exits_2(tmp_path, capsys, caps):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**BOWL_CONFIG, "bbox": {"caps": caps}}))
+    out = tmp_path / "domain.json"
+    code, _, stderr = run(capsys, "size-domain", "--config", str(path), "--out", str(out))
+    assert code == 2
+    assert str(path) in stderr and "'caps'" in stderr
+    assert not out.exists()
+
+
+def test_domain_file_with_tau_min_not_below_tau_max_exits_2(tmp_path, capsys, config_path):
+    path = tmp_path / "domain.json"
+    path.write_text(json.dumps({"tau_min": [0.0, 0.5], "tau_max": [1.0, 0.5],
+                                "sampling_domain": [[-1.0, 1.0], [-0.5, 0.5]]}))
+    out = tmp_path / "samples.csv"
+    code, _, stderr = run(capsys, "sample", "--config", config_path, "--domain", str(path),
+                          "--n", "10", "--out", str(out))
+    assert code == 2
+    assert str(path) in stderr and "'tau_min'" in stderr and "'tau_max'" in stderr
     assert not out.exists()
 
 

@@ -13,6 +13,7 @@ from tolalloc import (
     als_fit,
 )
 from tolalloc import surrogate
+from tolalloc.metrics import surrogate_errors
 from tolalloc.surrogate import legendre_deriv_table, legendre_table, write_json
 
 from conftest import random_model
@@ -336,11 +337,13 @@ def test_als_deterministic_given_seed():
     np.testing.assert_array_equal(model_a.scales, model_b.scales)
 
 
-@pytest.mark.parametrize("dim", [1, 2, 6, 10])
-@pytest.mark.parametrize("target_rank", [1, 3])
+@pytest.mark.parametrize("target_rank, dim", [
+    (1, 1), (1, 2), (1, 6), (1, 10), (3, 1), (3, 2), (3, 6), (3, 10), (6, 6),
+])
 def test_als_matches_recompute_all_reference(dim, target_rank, monkeypatch):
     # The incrementally updated factor table must reproduce the fit that
-    # recomputes every factor before each solve, bit for bit.
+    # recomputes every factor before each solve, bit for bit, from the
+    # additive start (target_rank >= dim) and from the random one.
     rng = np.random.default_rng(40 + dim)
     intervals = tuple(Interval(-2.0, 1.5) for _ in range(dim))
     points = rng.uniform(-2.0, 1.5, (30 * dim + 20, dim))
@@ -351,6 +354,69 @@ def test_als_matches_recompute_all_reference(dim, target_rank, monkeypatch):
     model, report = als_fit(samples, config, intervals)
     scales, coeffs, history = reference_als_fit(samples, config, intervals)
     assert report.final_rank == target_rank
+    np.testing.assert_array_equal(model.coeffs, coeffs)
+    np.testing.assert_array_equal(model.scales, scales)
+    np.testing.assert_array_equal(report.residual_history, history)
+
+
+def test_als_fits_an_additive_bowl_without_a_sweep():
+    # A d = 10 bowl has CP rank 10 but border rank 2, so ALS from a random
+    # start never converges on it; the additive start is exact.
+    rng = np.random.default_rng(21)
+    d = 10
+    a = rng.uniform(0.5, 5.0, d)
+    half = 1.0 / np.sqrt(a)
+    intervals = tuple(Interval(-h, h) for h in half)
+    points, holdout = (rng.uniform(-half, half, (400, d)) for _ in range(2))
+    model, report = als_fit(SampleSet(points=points, values=points ** 2 @ a),
+                            FitConfig(target_rank=d, degree=2, seed=1), intervals)
+    assert report.sweeps_used == 0
+    assert report.converged
+    assert report.final_rank == d
+    assert report.residual_history == [report.additive_residual]
+    holdout_errors = surrogate_errors(model, SampleSet(points=holdout, values=holdout ** 2 @ a))
+    assert holdout_errors.max_rel <= 1e-9
+
+
+@pytest.mark.parametrize("dim, degree, values", [
+    (1, 2, lambda x: 1.0 + x[:, 0] + x[:, 0] ** 2 + np.cos(3.0 * x[:, 0])),
+    (2, 0, lambda x: x[:, 0] * x[:, 1]),
+], ids=["d1", "degree0"])
+def test_als_additive_start_edge_cases(dim, degree, values):
+    rng = np.random.default_rng(23)
+    points = rng.uniform(-1.0, 1.0, (50, dim))
+    model, report = als_fit(SampleSet(points=points, values=values(points)),
+                            FitConfig(target_rank=dim, degree=degree),
+                            tuple(Interval(-1, 1) for _ in range(dim)))
+    assert report.final_rank == dim
+    assert report.residual_history[0] == report.additive_residual
+    assert np.all(np.isfinite(model.eval_many(points)))
+
+
+def test_als_all_zero_values_fit_the_zero_model():
+    points = np.random.default_rng(24).uniform(-1.0, 1.0, (40, 3))
+    model, report = als_fit(SampleSet(points=points, values=np.zeros(40)),
+                            FitConfig(target_rank=3, degree=2),
+                            tuple(Interval(-1, 1) for _ in range(3)))
+    assert report.sweeps_used == 0
+    assert report.additive_residual == 0.0
+    np.testing.assert_array_equal(model.eval_many(points), 0.0)
+
+
+def test_als_below_rank_d_keeps_the_random_start():
+    # Acceptance criterion 1's generator: rank 2 at d = 4 starts from the
+    # seeded random term, exactly as the recompute-all reference does.
+    generator_rng = np.random.default_rng(42)
+    intervals = tuple(Interval(-1.0, 1.0) for _ in range(4))
+    generator = SeparatedModel(dim=4, rank=2, degree=3, intervals=intervals,
+                               scales=np.array([2.0, 0.7]),
+                               coeffs=generator_rng.uniform(-1.0, 1.0, (2, 4, 4)))
+    points = np.random.default_rng(7).uniform(-1.0, 1.0, (2000, 4))
+    samples = SampleSet(points=points, values=generator.eval_many(points))
+    config = FitConfig(target_rank=2, degree=3, rel_residual_tol=1e-12, seed=5)
+    model, report = als_fit(samples, config, intervals)
+    scales, coeffs, history = reference_als_fit(samples, config, intervals)
+    assert report.additive_residual is None
     np.testing.assert_array_equal(model.coeffs, coeffs)
     np.testing.assert_array_equal(model.scales, scales)
     np.testing.assert_array_equal(report.residual_history, history)
