@@ -119,7 +119,7 @@ def _open_evaluator(config: dict):
     """The config's evaluator, closed (child processes stopped) on exit."""
     try:
         evaluator = evaluator_mod.from_config(_require(config, "evaluator"))
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"bad evaluator spec: {exc}")
     try:
         yield evaluator
@@ -230,9 +230,20 @@ def cmd_size_domain(args) -> int:
                                nominal.shape)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"'bbox' field 'caps' in config {args.config} is malformed: {exc}")
-    tau_min = bbox_config.get("tau_min")
+    if not np.all(np.isfinite(caps) & (caps > 0.0)):
+        raise UsageError(f"'bbox' field 'caps' in config {args.config} must be finite and "
+                         f"> 0, got {bbox_config['caps']!r}")
+    tau_min = bbox_config.get("tau_min", [0.0] * nominal.size)
+    if not (isinstance(tau_min, list) and len(tau_min) == nominal.size
+            and all(_is_finite_number(t) and t >= 0 for t in tau_min)):
+        raise UsageError(f"'bbox' field 'tau_min' in config {args.config} must be a list of "
+                         f"{nominal.size} numbers >= 0, one per 'nominal' entry, got {tau_min!r}")
     with _open_evaluator(config) as evaluator:
-        bbox, intervals = size_bounding_box(evaluator, nominal, q_allow, caps, tau_min=tau_min)
+        sized, intervals = size_bounding_box(evaluator, nominal, q_allow, caps)
+    if any(low >= high for low, high in zip(tau_min, sized.tau_max)):
+        raise UsageError(f"'bbox' field 'tau_min' in config {args.config} must lie below the "
+                         f"sized tau_max: tau_min = {tau_min}, tau_max = {sized.tau_max.tolist()}")
+    bbox = BoundingBox(np.asarray(tau_min, dtype=float), sized.tau_max)
     capped = [bool(t >= c) for t, c in zip(bbox.tau_max, caps)]
     write_json(args.out, {
         "format_version": 1,

@@ -17,7 +17,6 @@ from .surrogate import Interval
 
 ROOT_REL_TOL = 1e-10
 BRACKET_INITIAL_FRACTION = 1e-3
-BRACKET_MAX_DOUBLINGS = 60
 
 
 class ConstraintError(ValueError):
@@ -77,8 +76,8 @@ def axis_threshold(
     """
     if direction not in (-1, 1):
         raise ValueError("direction must be +1 or -1")
-    if search_cap <= 0:
-        raise ValueError("search_cap must be positive")
+    if not search_cap > 0:
+        raise ValueError(f"search_cap must be positive, got {search_cap}")
     mu_hat = np.asarray(mu_hat, dtype=float)
 
     def q_of(t: float) -> float:
@@ -95,27 +94,20 @@ def axis_threshold(
             f"constraint violated at nominal: Q(mu_hat)={q0} >= q_allow={q_allow}"
         )
 
-    t_prev = 0.0
-    step = BRACKET_INITIAL_FRACTION * search_cap
-    bracket = None
-    for k in range(BRACKET_MAX_DOUBLINGS + 1):
-        t = min(step * 2.0**k, search_cap)
-        if q_of(t) >= q_allow:
-            bracket = (t_prev, t)
-            break
-        t_prev = t
+    # Steps double from BRACKET_INITIAL_FRACTION of the cap until one crosses
+    # q_allow or the step reaches the cap, which takes at most 11 steps.
+    t_prev, fraction = 0.0, BRACKET_INITIAL_FRACTION
+    while q_of(t := min(fraction * search_cap, search_cap)) < q_allow:
         if t >= search_cap:
-            break
-    if bracket is None:
-        warnings.warn(
-            f"no performance crossing within search cap {search_cap} on axis {axis} "
-            f"(direction {direction:+d}); returning the cap",
-            stacklevel=2,
-        )
-        return search_cap
+            warnings.warn(
+                f"no performance crossing within search cap {search_cap} on axis {axis} "
+                f"(direction {direction:+d}); returning the cap",
+                stacklevel=2,
+            )
+            return search_cap
+        t_prev, fraction = t, 2.0 * fraction
 
-    lo, hi = bracket
-    root = brentq(lambda t: q_of(t) - q_allow, lo, hi, xtol=1e-15, rtol=8.9e-16)
+    root = brentq(lambda t: q_of(t) - q_allow, t_prev, t, xtol=1e-15, rtol=8.9e-16)
     if abs(q_of(root) - q_allow) > ROOT_REL_TOL * abs(q_allow):
         warnings.warn(
             f"axis {axis} crossing refined to residual above {ROOT_REL_TOL} relative "

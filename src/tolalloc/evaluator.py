@@ -158,45 +158,45 @@ def make_builtin(name: str, parameters: dict | None = None):
 # ---------------------------------------------------------------------------
 
 class TabulatedEvaluator:
-    """Interpolates a full tensor-product grid of samples.
+    """Multilinear interpolation of a full tensor-product grid of samples.
 
-    ``interpolation`` is "multilinear" or "nearest".  Queries outside the grid
-    hull raise :class:`DomainError`.
+    Queries outside the grid hull, NaN included, raise :class:`DomainError`.
     """
 
-    def __init__(self, samples: SampleSet, interpolation: str = "multilinear"):
-        from scipy.interpolate import RegularGridInterpolator
-
-        if interpolation not in ("multilinear", "nearest"):
-            raise ValueError(f"unknown interpolation {interpolation!r}")
-        d = samples.dim
-        axes = [np.unique(samples.points[:, i]) for i in range(d)]
-        shape = tuple(len(ax) for ax in axes)
+    def __init__(self, samples: SampleSet):
+        self._axes = [np.unique(column) for column in samples.points.T]
+        shape = tuple(len(ax) for ax in self._axes)
         if int(np.prod(shape)) != len(samples):
             raise ValueError(
                 f"tabulated data is not a full tensor-product grid: "
                 f"{len(samples)} rows vs grid of {int(np.prod(shape))}"
             )
-        grid = np.full(shape, np.nan)
-        for point, value in zip(samples.points, samples.values):
-            idx = tuple(int(np.searchsorted(ax, c)) for ax, c in zip(axes, point))
-            grid[idx] = value
-        if np.any(np.isnan(grid)):
+        self._grid = np.full(shape, np.nan)
+        self._grid[tuple(map(np.searchsorted, self._axes, samples.points.T))] = samples.values
+        if np.any(np.isnan(self._grid)):
             raise ValueError("tabulated data has duplicate or missing grid nodes")
-        method = "linear" if interpolation == "multilinear" else "nearest"
-        self._interp = RegularGridInterpolator(axes, grid, method=method, bounds_error=True)
-        self._dim = d
 
     @property
     def dim(self) -> int:
-        return self._dim
+        return len(self._axes)
 
     def __call__(self, mu) -> float:
         mu = np.asarray(mu, dtype=float)
-        try:
-            return float(self._interp(mu[None, :])[0])
-        except ValueError as exc:
-            raise DomainError(f"tabulated query outside grid hull: {mu.tolist()}") from exc
+        if mu.shape != (self.dim,):
+            raise ValueError(f"expected {self.dim} components, got shape {mu.shape}")
+        cell, weights = [], []
+        for ax, x in zip(self._axes, mu):
+            if not ax[0] <= x <= ax[-1]:
+                raise DomainError(f"tabulated query outside grid hull: {mu.tolist()}")
+            # The cell [ax[j], ax[j + 1]] holding x; a single-node axis is its own cell.
+            j = int(np.clip(np.searchsorted(ax, x) - 1, 0, max(ax.size - 2, 0)))
+            cell.append(slice(j, j + 2))
+            t = (x - ax[j]) / (ax[j + 1] - ax[j]) if ax.size > 1 else 0.0
+            weights.append(np.array([1.0 - t, t][:ax.size]))
+        value = self._grid[tuple(cell)]  # the 2^d corner block
+        for w in reversed(weights):
+            value = value @ w
+        return float(value)
 
 
 # ---------------------------------------------------------------------------
@@ -380,30 +380,43 @@ class MaxComposite:
 # Config factory and sampling
 # ---------------------------------------------------------------------------
 
+# The keys each evaluator variant reads, besides "variant".
+VARIANT_KEYS = {
+    "builtin": {"name", "parameters"},
+    "tabulated": {"path"},
+    "external": {"command", "dim", "timeout_seconds"},
+    "max": {"children"},
+}
+
+
 def from_config(spec: dict):
     """Build an evaluator from its JSON description.
 
     Variants: ``{"variant": "builtin", "name": ..., "parameters": {...}}``,
-    ``{"variant": "tabulated", "path": ..., "interpolation": ...}``,
+    ``{"variant": "tabulated", "path": ...}``,
     ``{"variant": "external", "command": [...], "dim": ..., "timeout_seconds": ...}``,
-    ``{"variant": "max", "children": [spec, ...]}``.
+    ``{"variant": "max", "children": [spec, ...]}``.  A key the variant does
+    not read is a ``ValueError``.
     """
+    if not isinstance(spec, dict):
+        raise ValueError(f"an evaluator spec must be a JSON object, got {spec!r}")
     variant = spec.get("variant")
+    if variant not in VARIANT_KEYS:
+        raise ValueError(f"unknown evaluator variant {variant!r}")
+    unknown = sorted(set(spec) - VARIANT_KEYS[variant] - {"variant"})
+    if unknown:
+        raise ValueError(f"{variant} evaluator does not read key(s) {', '.join(unknown)}; "
+                         f"it reads {', '.join(sorted(VARIANT_KEYS[variant]))}")
     if variant == "builtin":
         return make_builtin(spec["name"], spec.get("parameters"))
     if variant == "tabulated":
-        return TabulatedEvaluator(
-            SampleSet.read_csv(spec["path"]),
-            interpolation=spec.get("interpolation", "multilinear"),
-        )
+        return TabulatedEvaluator(SampleSet.read_csv(spec["path"]))
     if variant == "external":
         return ExternalEvaluator(
             spec["command"], dim=int(spec["dim"]),
             timeout_seconds=float(spec.get("timeout_seconds", 60.0)),
         )
-    if variant == "max":
-        return MaxComposite(from_config(child) for child in spec["children"])
-    raise ValueError(f"unknown evaluator variant {variant!r}")
+    return MaxComposite(from_config(child) for child in spec["children"])
 
 
 def draw_samples(evaluator, domain, n: int, seed: int) -> SampleSet:

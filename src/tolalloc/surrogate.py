@@ -479,7 +479,6 @@ def als_fit(
                 if not np.all(np.isfinite(theta)):
                     raise FitError(f"non-finite solution in dimension {i}")
                 coeffs[:, i, :] = theta.reshape(rank, p1)
-                scales = np.ones(rank)
                 factors[:, :, i] = _factor_column(coeffs, basis, i)
             _normalize(scales, coeffs)
             factors = _factor_table(coeffs, basis)

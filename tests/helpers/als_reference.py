@@ -78,7 +78,6 @@ def reference_als_fit(samples, config, intervals):
                 except np.linalg.LinAlgError as exc:
                     raise FitError(f"singular per-direction system (dimension {i})") from exc
                 coeffs[:, i, :] = theta.reshape(rank, p1)
-                scales = np.ones(rank)
             _normalize(scales, coeffs)
             factors = np.einsum("lij,nij->lni", coeffs, basis)
             pred = scales @ factors.prod(axis=2)

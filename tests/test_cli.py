@@ -244,10 +244,10 @@ from tolalloc.cli import main
 def scipy_modules():
     return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 
-loaded = {"import": scipy_modules()}
+loaded = [["import", scipy_modules()]]
 for argv in json.loads(sys.argv[1]):
     assert main(argv) == 0, argv
-    loaded[argv[0]] = scipy_modules()
+    loaded.append([argv[0], scipy_modules()])
 print(json.dumps(loaded))
 """
 
@@ -270,6 +270,19 @@ def test_cli_commands_do_not_import_scipy(tmp_path, config_path):
         ["check", "--config", config_path, "--model", model, "--tau", result,
          "--reference", str(tau)],
     ]
+    # A tabulated evaluator interpolates in numpy too: Q = mu_1^2 + 4 mu_2^2
+    # on a grid that holds the whole Q = 1 box.
+    grid = [-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5]
+    table = tmp_path / "table.csv"
+    table.write_text("mu_1,mu_2,q\n" + "".join(
+        f"{x!r},{y!r},{x * x + 4.0 * y * y!r}\n" for x in grid for y in grid))
+    tabulated = tmp_path / "tabulated.json"
+    tabulated.write_text(json.dumps(
+        {**BOWL_CONFIG, "evaluator": {"variant": "tabulated", "path": str(table)}}))
+    commands += [
+        ["size-domain", "--config", str(tabulated), "--out", domain],
+        ["sample", "--config", str(tabulated), "--domain", domain, "--n", "60", "--out", samples],
+    ]
     src = os.path.dirname(os.path.dirname(tolalloc.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -279,8 +292,8 @@ def test_cli_commands_do_not_import_scipy(tmp_path, config_path):
     )
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert loaded == {"import": [], "size-domain": [], "sample": [], "fit": [],
-                      "allocate": [], "check": []}
+    assert loaded == [[name, []] for name in ["import", "size-domain", "sample", "fit",
+                                              "allocate", "check", "size-domain", "sample"]]
 
 
 def _write_domain(tmp_path):
@@ -476,14 +489,48 @@ def test_nominal_that_is_not_a_list_of_numbers_exits_2(tmp_path, capsys, nominal
     assert not out.exists()
 
 
-@pytest.mark.parametrize("caps", ["x", [1.0, 2.0, 3.0]], ids=["string", "wrong-length"])
-def test_malformed_bbox_caps_exits_2(tmp_path, capsys, caps):
+@pytest.mark.parametrize("field, value", [
+    ("caps", "x"),
+    ("caps", [1.0, 2.0, 3.0]),
+    ("caps", -1.0),
+    ("caps", [1.0, 0.0]),
+    ("tau_min", "x"),
+    ("tau_min", [0.0, 0.0, 0.0]),
+    ("tau_min", [-1.0, 0.0]),
+    ("tau_min", [0.0, True]),
+], ids=["string", "wrong-length", "caps-negative", "caps-zero", "tau_min-string",
+        "tau_min-wrong-length", "tau_min-negative", "tau_min-bool"])
+def test_malformed_bbox_caps_exits_2(tmp_path, capsys, field, value):
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({**BOWL_CONFIG, "bbox": {"caps": caps}}))
+    path.write_text(json.dumps({**BOWL_CONFIG, "bbox": {"caps": 10.0, field: value}}))
     out = tmp_path / "domain.json"
     code, _, stderr = run(capsys, "size-domain", "--config", str(path), "--out", str(out))
     assert code == 2
-    assert str(path) in stderr and "'caps'" in stderr
+    assert str(path) in stderr and f"'{field}'" in stderr
+    assert not out.exists()
+
+
+def test_bbox_tau_min_is_checked_before_the_evaluator_starts(tmp_path, capsys):
+    config = {**BOWL_CONFIG, "bbox": {"tau_min": [-1.0, 0.0]},
+              "evaluator": {"variant": "external", "dim": 2,
+                            "command": [str(tmp_path / "no-such-solver")]}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, _, stderr = run(capsys, "size-domain", "--config", str(path),
+                          "--out", str(tmp_path / "domain.json"))
+    assert code == 2
+    assert "'tau_min'" in stderr and "cannot start" not in stderr
+
+
+def test_bbox_tau_min_above_the_sized_tau_max_prints_both(tmp_path, capsys):
+    # The bowl's tau_max is (1, 0.5), so tau_min_2 = 0.5 is not below it.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**BOWL_CONFIG, "bbox": {"tau_min": [0.1, 0.5]}}))
+    out = tmp_path / "domain.json"
+    code, _, stderr = run(capsys, "size-domain", "--config", str(path), "--out", str(out))
+    assert code == 2
+    assert str(path) in stderr and "'tau_min'" in stderr
+    assert "tau_min = [0.1, 0.5], tau_max = [1.0, 0.5]" in stderr
     assert not out.exists()
 
 
@@ -711,6 +758,23 @@ def test_manifold_scan_of_three_parameters_exits_2_before_allocating(tmp_path, c
     assert "--emit-manifold-scan requires a 2-parameter problem" in stderr
     assert not result.exists()
     assert not scan.exists()
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({**_external_bowl(5), "timeout_second": 5}, "timeout_second"),
+    ({"variant": "max", "children": [1]}, "must be a JSON object"),
+    ({"variant": "max", "children": 5}, "not iterable"),
+    ({"variant": "builtin", "name": "quadratic-bowl", "parameters": [1.0, 4.0]}, "mapping"),
+], ids=["key-variant-does-not-read", "max-child-not-object", "max-children-not-list",
+        "builtin-parameters-not-object"])
+def test_malformed_evaluator_spec_exits_2(tmp_path, capsys, spec, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**BOWL_CONFIG, "evaluator": spec}))
+    out = tmp_path / "domain.json"
+    code, _, stderr = run(capsys, "size-domain", "--config", str(path), "--out", str(out))
+    assert code == 2
+    assert "bad evaluator spec" in stderr and message in stderr
+    assert not out.exists()
 
 
 def test_tabulated_grid_left_by_size_domain_exits_3(tmp_path, capsys):

@@ -66,12 +66,28 @@ def test_axis_threshold_caps_when_no_crossing():
     assert t == 2.0
 
 
+def test_axis_threshold_doubles_its_step_up_to_the_cap():
+    steps = []
+
+    def flat(mu):
+        steps.append(float(mu[0]))
+        return 0.0
+
+    with pytest.warns(UserWarning, match="search cap"):
+        t = axis_threshold(flat, [0.0], 1.0, axis=0, direction=+1, search_cap=2.0)
+    assert t == 2.0
+    # Q(mu_hat), then 2e-3 * 2^k for k = 0..9, then the cap itself.
+    assert steps == [0.0] + [2e-3 * 2.0**k for k in range(10)] + [2.0]
+
+
 def test_axis_threshold_input_validation():
     bowl = QuadraticBowl(a=[1.0])
     with pytest.raises(ValueError):
         axis_threshold(bowl, [0.0], 1.0, axis=0, direction=2, search_cap=1.0)
     with pytest.raises(ValueError):
         axis_threshold(bowl, [0.0], 1.0, axis=0, direction=1, search_cap=0.0)
+    with pytest.raises(ValueError):
+        axis_threshold(bowl, [0.0], 1.0, axis=0, direction=1, search_cap=float("nan"))
     with pytest.raises(ConstraintError):
         axis_threshold(bowl, [2.0], 1.0, axis=0, direction=1, search_cap=1.0)
 

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.interpolate import RegularGridInterpolator
 
 from tolalloc import Interval, SampleSet
 from tolalloc.evaluator import (
@@ -104,31 +105,56 @@ def test_tabulated_reproduces_grid_nodes():
 def test_tabulated_multilinear_exact_on_affine_data():
     axes = (np.linspace(-1.0, 1.0, 4), np.linspace(-2.0, 2.0, 6))
     samples = _grid_samples(lambda p: 3.0 * p[0] - 0.5 * p[1] + 1.0, axes)
-    tab = TabulatedEvaluator(samples, interpolation="multilinear")
+    tab = TabulatedEvaluator(samples)
     rng = np.random.default_rng(5)
     for _ in range(20):
         mu = rng.uniform([-1.0, -2.0], [1.0, 2.0])
         assert tab(mu) == pytest.approx(3.0 * mu[0] - 0.5 * mu[1] + 1.0, abs=1e-12)
 
 
-def test_tabulated_nearest_snaps_to_grid_value():
-    axes = (np.array([0.0, 1.0]), np.array([0.0, 1.0]))
-    samples = _grid_samples(lambda p: 10.0 * p[0] + p[1], axes)
-    tab = TabulatedEvaluator(samples, interpolation="nearest")
-    assert tab([0.1, 0.1]) == pytest.approx(0.0)
-    assert tab([0.9, 0.9]) == pytest.approx(11.0)
-
-
 def test_tabulated_rejects_non_grid_and_out_of_hull():
     points = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     with pytest.raises(ValueError, match="tensor-product"):
         TabulatedEvaluator(SampleSet(points=points, values=np.zeros(3)))
+    repeated = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="duplicate or missing"):
+        TabulatedEvaluator(SampleSet(points=repeated, values=np.zeros(4)))
     axes = (np.array([0.0, 1.0]), np.array([0.0, 1.0]))
     tab = TabulatedEvaluator(_grid_samples(lambda p: 0.0, axes))
     with pytest.raises(DomainError):
         tab([1.5, 0.5])
-    with pytest.raises(ValueError):
-        TabulatedEvaluator(SampleSet(points=points, values=np.zeros(3)), interpolation="cubic")
+    with pytest.raises(ValueError) as info:
+        tab([0.5, 0.5, 0.5])
+    assert not isinstance(info.value, DomainError)
+
+
+# Axis lengths per dimension, 1 to 5 nodes, a single-node axis included.
+SCIPY_ORACLE_AXES = {1: (5,), 2: (1, 4), 3: (3, 5, 2), 4: (2, 1, 5, 3)}
+
+
+@pytest.mark.parametrize("d", sorted(SCIPY_ORACLE_AXES))
+def test_tabulated_matches_scipy_linear(d):
+    rng = np.random.default_rng(100 + d)
+    axes = [np.sort(rng.uniform(-2.0, 3.0, n)) for n in SCIPY_ORACLE_AXES[d]]
+    table = rng.normal(scale=50.0, size=SCIPY_ORACLE_AXES[d])
+    nodes = np.column_stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")])
+    order = rng.permutation(len(nodes))
+    tab = TabulatedEvaluator(SampleSet(points=nodes[order], values=table.ravel()[order]))
+    oracle = RegularGridInterpolator(axes, table, method="linear", bounds_error=True)
+
+    assert [tab(node) for node in nodes] == list(table.ravel())
+    points = np.column_stack([rng.uniform(ax[0], ax[-1], 2000) for ax in axes])
+    ours = np.array([tab(point) for point in points])
+    tolerance = 4 * np.spacing(np.abs(table).max())
+    np.testing.assert_allclose(ours, oracle(points), rtol=0.0, atol=tolerance)
+
+    outside = nodes[0].copy()
+    outside[-1] = np.nextafter(axes[-1][-1], np.inf)
+    with pytest.raises(DomainError):
+        tab(outside)
+    outside[-1] = np.nan
+    with pytest.raises(DomainError):
+        tab(outside)
 
 
 def test_tabulated_csv_roundtrip(tmp_path):
@@ -305,6 +331,19 @@ def test_from_config_tabulated_and_external(tmp_path):
         assert ext([3.0]) == pytest.approx(9.0)
     with pytest.raises(ValueError, match="variant"):
         from_config({"variant": "mystery"})
+
+
+@pytest.mark.parametrize("spec, key", [
+    ({"variant": "tabulated", "path": "table.csv", "interpolation": "cubic"}, "interpolation"),
+    ({"variant": "external", "command": ["solver"], "dim": 1, "timeout_second": 5},
+     "timeout_second"),
+    ({"variant": "builtin", "name": "exp-cos", "params": {}}, "params"),
+    ({"variant": "max", "children": [{"variant": "builtin", "name": "exp-cos", "dim": 2}]},
+     "dim"),
+], ids=["tabulated", "external", "builtin", "max-child"])
+def test_from_config_rejects_keys_the_variant_does_not_read(spec, key):
+    with pytest.raises(ValueError, match=f"does not read key.*{key}"):
+        from_config(spec)
 
 
 # ---------------------------------------------------------------------------

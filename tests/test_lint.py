@@ -81,6 +81,33 @@ def test_module_has_no_dead_definition(path):
     assert not dead, f"{path.name}: nothing in the package refers to " + ", ".join(dead)
 
 
+def _scipy_imports(tree: ast.Module) -> list[int]:
+    """Lines of every ``import scipy...`` and ``from scipy... import``, at any depth."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Import) and any(
+                alias.name.split(".")[0] == "scipy" for alias in node.names)
+            or isinstance(node, ast.ImportFrom) and node.level == 0
+            and node.module.split(".")[0] == "scipy"]
+
+
+def test_package_does_not_import_scipy():
+    # numpy is the only runtime dependency; scipy is a test-only oracle.
+    found = {path.name: lines for path in PACKAGE
+             if (lines := _scipy_imports(ast.parse(path.read_text(), filename=str(path))))}
+    assert not found, f"scipy imported in the package: {found}"
+
+
+@pytest.mark.parametrize("source, flagged", [
+    ("import scipy", True),
+    ("import numpy, scipy.optimize as opt", True),
+    ("from scipy.interpolate import RegularGridInterpolator", True),
+    ("def f():\n    from scipy import stats", True),
+    ("import scipyx\nfrom .scipy import x\nfrom numpy import scipy", False),
+])
+def test_scipy_import_detector(source, flagged):
+    assert bool(_scipy_imports(ast.parse(source))) == flagged
+
+
 # Every artifact goes through these, so that each is written atomically and
 # in one format.
 WRITERS = {"atomic_write", "write_json", "write_csv"}

@@ -285,13 +285,18 @@ def test_als_residual_history_monotone():
     intervals = (Interval(-0.5, 0.5), Interval(-0.5, 0.5))
     points = rng.uniform(-0.5, 0.5, (300, 2))
     values = np.exp(points[:, 0]) * np.cos(points[:, 1])
-    _, report = als_fit(
-        SampleSet(points=points, values=values),
-        FitConfig(target_rank=2, degree=3, seed=2),
-        intervals,
-    )
-    history = np.asarray(report.residual_history)
-    assert np.all(np.diff(history) <= 1e-12 + 1e-6 * history[:-1])
+    # d = 1 keeps each term's scale through the only per-dimension solve.
+    x = rng.uniform(-1.0, 1.0, 50)
+    cases = [
+        (SampleSet(points=points, values=values), FitConfig(target_rank=2, degree=3, seed=2),
+         intervals),
+        (SampleSet(points=x[:, None], values=1.0 + x + x**2 + np.cos(3.0 * x)),
+         FitConfig(target_rank=1, degree=2, seed=0), (Interval(-1.0, 1.0),)),
+    ]
+    for samples, config, domain in cases:
+        _, report = als_fit(samples, config, domain)
+        history = np.asarray(report.residual_history)
+        assert np.all(np.diff(history) <= 1e-12 + 1e-6 * history[:-1])
 
 
 def test_als_sample_count_precondition():
