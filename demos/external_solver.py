@@ -1,10 +1,12 @@
 """Bridge an external solver process into the toolkit.
 
 Any executable that reads one whitespace-separated design vector per stdin
-line and answers one decimal real per stdout line can serve as a performance
-evaluator.  Here the "solver" is this package's own line-protocol server
-(python3 -m tolalloc.serve), but the same wiring works for a compiled
-simulation code.
+line and answers each with one decimal real per stdout line, in order, can
+serve as a performance evaluator.  Sampling writes requests ahead of the
+answers, so the executable must read its input as a stream: several
+requests may be waiting when it takes the next one.  Here the "solver" is
+this package's own line-protocol server (python3 -m tolalloc.serve), but
+the same wiring works for a compiled simulation code.
 
 Run with:  python3 demos/external_solver.py
 """
@@ -32,8 +34,9 @@ def main():
             want = reference(mu)
             print(f"Q({mu}) = {got:.12f}  (builtin: {want:.12f})")
 
-        # The bridge plugs into the same sampling harness as builtins, and
-        # the child process stays resident across all requests.
+        # The bridge plugs into the same sampling harness as builtins: the
+        # resident child gets all 50 points as one pipelined batch, and
+        # close() at the end of the block fails if it wrote any stray output.
         intervals = (Interval(-1.0, 1.0), Interval(-0.5, 0.5))
         samples = draw_samples(external, intervals, 50, seed=7)
         builtin_samples = draw_samples(reference, intervals, 50, seed=7)

@@ -2,12 +2,15 @@
 external solver subprocesses, and the max-of-several composite.
 
 Every evaluator exposes ``dim`` and ``__call__(mu) -> float``; one that
-holds a child process also has ``close()``.  No stage differentiates an
-evaluator: every gradient the allocation uses comes from the surrogate.
+holds a child process also has ``close()``.  The external evaluator adds a
+batch call, ``many(points) -> values``, which sampling uses.  No stage
+differentiates an evaluator: every gradient the allocation uses comes from
+the surrogate.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import select
@@ -25,10 +28,19 @@ from .surrogate import Interval, SampleSet, SeparatedModel
 # and this many leading characters of any stdout they name.
 STDERR_TAIL_BYTES = 4096
 STDOUT_QUOTE_CHARS = 256
+# A batch encodes this many requests at a time, so the bytes waiting for the
+# child's stdin stay bounded however many points the batch holds; it reads
+# the child's stdout up to READ_BYTES at a time.
+REQUEST_BLOCK_ROWS = 1024
+READ_BYTES = 65536
 
 
 class EvaluatorError(RuntimeError):
-    """Raised when an evaluator cannot produce a value."""
+    """Raised when an evaluator cannot produce a value.  One raised by a batch
+    (:meth:`ExternalEvaluator.many`) sets ``row``, the index of the point
+    whose answer failed."""
+
+    row: int | None = None
 
 
 class DomainError(ValueError):
@@ -207,29 +219,35 @@ class ExternalEvaluator:
     """Bridges to a resident child process over a line-based protocol.
 
     One request per line: ``dim`` whitespace-separated decimal reals on stdin.
-    One response per line: a single decimal real on stdout.  Requests are
-    serialized; the child stays resident across requests.  Each request must
-    be answered within ``timeout_seconds``, and output the child writes
-    beyond its one response line is an error, so answers cannot drift out of
-    step with requests.  The pipes carry bytes, and output is decoded with
-    replacement, so a non-UTF-8 byte is never a decoding error.  The child's
-    stderr goes to an unnamed temporary file, so a child that logs cannot
-    block on a full pipe.
+    One answer per request: a single decimal real on its own stdout line,
+    given in the order of the requests.  Requests may be written before
+    earlier ones are answered, so the child must read stdin as a stream; it
+    stays resident across requests and batches.  Each answer must arrive
+    within ``timeout_seconds`` of the previous answer, or of the start of the
+    batch for the first one.  Output the child writes before a batch's first
+    request or beyond its last answer is an error, and so is any output
+    still unread when :meth:`close` stops the child, so answers cannot drift
+    out of step with requests unnoticed.  The pipes carry bytes, and output
+    is decoded with replacement, so a non-UTF-8 byte is never a decoding
+    error.  The child's stderr goes to an unnamed temporary file, so a child
+    that logs cannot block on a full pipe.
     """
 
     def __init__(self, command, dim: int, timeout_seconds: float = 60.0):
         if isinstance(command, str):
             command = shlex.split(command)
         self.command = list(command)
-        if dim < 1:
-            raise ValueError("dim must be positive")
+        # type() rather than isinstance() so that a bool is rejected.
+        if type(dim) is not int or dim < 1:
+            raise ValueError(f"dim must be an integer >= 1, got {dim!r}")
         self._dim = dim
-        if not (math.isfinite(timeout_seconds) and timeout_seconds > 0):
-            raise ValueError(f"timeout_seconds must be finite and positive, got {timeout_seconds}")
+        if type(timeout_seconds) not in (int, float) or not (
+                math.isfinite(timeout_seconds) and timeout_seconds > 0):
+            raise ValueError(f"timeout_seconds must be a finite number > 0, "
+                             f"got {timeout_seconds!r}")
         self.timeout_seconds = timeout_seconds
         self._proc: subprocess.Popen | None = None
         self._stderr = None  # the running child's stderr file
-        self._pending = b""  # stdout bytes read but not yet consumed
         self._lock = threading.Lock()
 
     @property
@@ -239,8 +257,7 @@ class ExternalEvaluator:
     def _ensure_started(self) -> subprocess.Popen:
         if self._proc is None or self._proc.poll() is not None:
             if self._proc is not None:
-                _stop_child(self._proc, self._stderr, grace=0.0)
-                self._proc = None
+                self._stop(grace=0.0)
             stderr = tempfile.TemporaryFile()
             try:
                 self._proc = subprocess.Popen(self.command, stdin=subprocess.PIPE,
@@ -249,70 +266,130 @@ class ExternalEvaluator:
                 stderr.close()
                 raise EvaluatorError(f"cannot start external evaluator {self.command}: {exc}")
             self._stderr = stderr
-            self._pending = b""
+            os.set_blocking(self._proc.stdin.fileno(), False)
         return self._proc
 
-    def _fail(self, proc: subprocess.Popen, what: str) -> EvaluatorError:
+    def _stop(self, grace: float) -> tuple[bytes, str]:
+        """Close the child's stdin, give it ``grace`` seconds to exit, then kill
+        it; reap it, close its pipes and its stderr file, and return what it
+        wrote to stdout that was not read yet and the tail of its stderr."""
+        proc, stderr, self._proc, self._stderr = self._proc, self._stderr, None, None
+        try:
+            stdout, _ = proc.communicate(timeout=grace)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            stdout, _ = proc.communicate()
+        with stderr:
+            size = stderr.seek(0, os.SEEK_END)
+            stderr.seek(max(size - STDERR_TAIL_BYTES, 0))
+            return stdout, stderr.read().decode(errors="replace")
+
+    def _fail(self, what: str) -> EvaluatorError:
         """Stop the child and describe ``what`` it did, with its stderr tail."""
-        stderr = _stop_child(proc, self._stderr, grace=0.0).strip()
-        self._proc = None
-        detail = f"; stderr: {stderr}" if stderr else ""
-        return EvaluatorError(f"external evaluator {what}{detail}")
+        _, stderr = self._stop(grace=0.0)
+        return _external_error(what, stderr)
 
-    def _unsolicited(self, proc: subprocess.Popen) -> bytes:
-        """Output the child has written while no request was pending."""
-        fd = proc.stdout.fileno()
-        if select.select([fd], [], [], 0.0)[0]:
-            return os.read(fd, 65536)
-        return b""
-
-    def _read_line(self, proc: subprocess.Popen, deadline: float, request: str) -> str:
-        """The child's next stdout line, read from the raw pipe by ``deadline``."""
-        fd = proc.stdout.fileno()
-        while b"\n" not in self._pending:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0.0 or not select.select([fd], [], [], remaining)[0]:
-                raise self._fail(proc, f"timed out after {self.timeout_seconds}s")
-            chunk = os.read(fd, 65536)
-            if not chunk:
-                raise self._fail(proc, f"exited on request {request!r}")
-            self._pending += chunk
-        line, _, self._pending = self._pending.partition(b"\n")
-        return line.decode(errors="replace")
+    def _parse(self, line: bytes) -> float:
+        text = line.decode(errors="replace")
+        try:
+            value = float(text)
+        except ValueError:
+            raise self._fail(f"returned non-numeric output {_quote(text)}")
+        if not math.isfinite(value):
+            raise self._fail(f"returned non-finite value {_quote(text)}")
+        return value
 
     def __call__(self, mu) -> float:
         mu = np.asarray(mu, dtype=float)
         if mu.shape != (self._dim,):
             raise ValueError(f"expected {self._dim} components, got shape {mu.shape}")
+        return float(self.many(mu[np.newaxis])[0])
+
+    def many(self, points) -> np.ndarray:
+        """Values at the rows of an (n, dim) stack, in one pipelined exchange.
+
+        On failure the child is stopped, the next call starts a new one, and
+        the :class:`EvaluatorError` names in ``row`` the point whose answer
+        failed.
+        """
+        points = np.asarray(points, dtype=float)
+        if points.ndim != 2 or points.shape[1] != self._dim:
+            raise ValueError(f"expected an (n, {self._dim}) stack of points, "
+                             f"got shape {points.shape}")
+        values = np.empty(len(points))
+        answered = 0
         with self._lock:
-            proc = self._ensure_started()
-            request = " ".join(repr(float(v)) for v in mu)
-            deadline = time.monotonic() + self.timeout_seconds
-            stray = self._unsolicited(proc)
-            if stray:
-                raise self._fail(proc, f"wrote unsolicited output {_quote(stray)}")
             try:
-                proc.stdin.write(request.encode() + b"\n")
-                proc.stdin.flush()
-            except (BrokenPipeError, OSError):
-                raise self._fail(proc, f"died on request {request!r}")
-            line = self._read_line(proc, deadline, request)
-            if self._pending:
-                raise self._fail(proc, f"wrote unsolicited output {_quote(self._pending)} "
-                                       f"after its answer to {request!r}")
-            try:
-                value = float(line)
-            except ValueError:
-                raise self._fail(proc, f"returned non-numeric output {_quote(line)}")
-            if not np.isfinite(value):
-                raise self._fail(proc, f"returned non-finite value {_quote(line)}")
-            return value
+                for value in self._answers(points):
+                    values[answered] = value
+                    answered += 1
+            except EvaluatorError as exc:
+                exc.row = min(answered, len(points) - 1)
+                raise
+            except BaseException:
+                # An interrupted batch leaves answers in flight; drop them
+                # with the child rather than read them as the next batch's.
+                if self._proc is not None:
+                    self._stop(grace=0.0)
+                raise
+        return values
+
+    def _answers(self, points: np.ndarray):
+        """The child's answers to the rows of ``points``, in order.  Requests
+        are encoded REQUEST_BLOCK_ROWS at a time and written as the child's
+        stdin accepts them, while answers are read as they arrive."""
+        proc = self._ensure_started()
+        out_fd, in_fd = proc.stdout.fileno(), proc.stdin.fileno()
+        n, answered, encoded = len(points), 0, 0
+        outbox, wrote = b"", False
+        pending = b""  # stdout bytes read but not yet consumed
+        deadline = time.monotonic() + self.timeout_seconds
+        while answered < n:
+            if not outbox and encoded < n:
+                block = points[encoded:encoded + REQUEST_BLOCK_ROWS]
+                outbox = "".join(_request(row) + "\n" for row in block).encode()
+                encoded += len(block)
+            remaining = deadline - time.monotonic()
+            if remaining <= 0.0:
+                raise self._fail(f"timed out after {self.timeout_seconds}s")
+            readable, writable, _ = select.select([out_fd], [in_fd] if outbox else [], [],
+                                                  remaining)
+            if readable:
+                chunk = os.read(out_fd, READ_BYTES)
+                if not chunk:
+                    raise self._fail(f"exited on request {_request(points[answered])!r}")
+                if not wrote:
+                    raise self._fail(f"wrote unsolicited output {_quote(chunk)}")
+                lines = (pending + chunk).split(b"\n")
+                taken = min(len(lines) - 1, n - answered)
+                for line in lines[:taken]:
+                    yield self._parse(line)
+                answered += taken
+                pending = b"\n".join(lines[taken:])
+                if taken:
+                    deadline = time.monotonic() + self.timeout_seconds
+            if writable:
+                try:
+                    outbox = outbox[os.write(in_fd, outbox):]
+                    wrote = True
+                except BrokenPipeError:
+                    # The child is gone; reading stdout to its end still
+                    # takes the answers it gave before it went.
+                    outbox, encoded = b"", n
+        if pending:
+            raise self._fail(f"wrote unsolicited output {_quote(pending)} "
+                             f"after its answer to {_request(points[-1])!r}")
 
     def close(self) -> None:
+        """Stop the child.  Raises :class:`EvaluatorError`, once the child is
+        reaped, if it wrote output that no request asked for."""
         with self._lock:
-            if self._proc is not None:
-                _stop_child(self._proc, self._stderr, grace=5.0)
-            self._proc = None
+            if self._proc is None:
+                return
+            stray, stderr = self._stop(grace=5.0)
+        if stray:
+            raise _external_error(f"wrote unsolicited output {_quote(stray)} "
+                                  f"after its last answer", stderr)
 
     def __enter__(self):
         return self
@@ -321,25 +398,22 @@ class ExternalEvaluator:
         self.close()
 
 
+def _request(point: np.ndarray) -> str:
+    """The request line for a float ``point``, without its line end: the
+    full-precision repr of each component."""
+    return " ".join(map(repr, point.tolist()))
+
+
+def _external_error(what: str, stderr: str) -> EvaluatorError:
+    stderr = stderr.strip()
+    detail = f"; stderr: {stderr}" if stderr else ""
+    return EvaluatorError(f"external evaluator {what}{detail}")
+
+
 def _quote(output) -> str:
     """The repr of the child's ``output``, bytes or str, cut after STDOUT_QUOTE_CHARS."""
     more = len(output) - STDOUT_QUOTE_CHARS
     return repr(output[:STDOUT_QUOTE_CHARS]) + (f" and {more} more" if more > 0 else "")
-
-
-def _stop_child(proc: subprocess.Popen, stderr, grace: float) -> str:
-    """Close the child's stdin, give it ``grace`` seconds to exit, then kill it;
-    reap it, close its pipes and its ``stderr`` file, and return the tail of
-    what it wrote there."""
-    try:
-        proc.communicate(timeout=grace)
-    except subprocess.TimeoutExpired:
-        proc.kill()
-        proc.communicate()
-    with stderr:
-        size = stderr.seek(0, os.SEEK_END)
-        stderr.seek(max(size - STDERR_TAIL_BYTES, 0))
-        return stderr.read().decode(errors="replace")
 
 
 def close_evaluator(evaluator) -> None:
@@ -372,8 +446,10 @@ class MaxComposite:
         return max(child(mu) for child in self.children)
 
     def close(self) -> None:
-        for child in self.children:
-            close_evaluator(child)
+        """Close every child, even after one of them raises."""
+        with contextlib.ExitStack() as stack:
+            for child in self.children:
+                stack.callback(close_evaluator, child)
 
 
 # ---------------------------------------------------------------------------
@@ -412,10 +488,8 @@ def from_config(spec: dict):
     if variant == "tabulated":
         return TabulatedEvaluator(SampleSet.read_csv(spec["path"]))
     if variant == "external":
-        return ExternalEvaluator(
-            spec["command"], dim=int(spec["dim"]),
-            timeout_seconds=float(spec.get("timeout_seconds", 60.0)),
-        )
+        return ExternalEvaluator(spec["command"], dim=spec["dim"],
+                                 timeout_seconds=spec.get("timeout_seconds", 60.0))
     return MaxComposite(from_config(child) for child in spec["children"])
 
 
@@ -435,6 +509,12 @@ def draw_samples(evaluator, domain, n: int, seed: int) -> SampleSet:
     width = np.array([iv.width for iv in intervals])
     rng = np.random.Generator(np.random.Philox(seed))
     points = lo + rng.random((n, len(intervals))) * width
+    if hasattr(evaluator, "many"):
+        try:
+            return SampleSet(points=points, values=evaluator.many(points))
+        except EvaluatorError as exc:
+            raise EvaluatorError(f"evaluation failed at mu={points[exc.row].tolist()}: "
+                                 f"{exc}") from exc
     values = np.empty(n)
     for j, point in enumerate(points):
         try:

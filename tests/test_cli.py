@@ -765,8 +765,16 @@ def test_manifold_scan_of_three_parameters_exits_2_before_allocating(tmp_path, c
     ({"variant": "max", "children": [1]}, "must be a JSON object"),
     ({"variant": "max", "children": 5}, "not iterable"),
     ({"variant": "builtin", "name": "quadratic-bowl", "parameters": [1.0, 4.0]}, "mapping"),
+    ({**_external_bowl(5), "dim": "two"}, "dim must be an integer >= 1, got 'two'"),
+    ({**_external_bowl(5), "dim": 2.7}, "dim must be an integer >= 1, got 2.7"),
+    ({**_external_bowl(5), "dim": True}, "dim must be an integer >= 1, got True"),
+    ({**_external_bowl(5), "dim": 0}, "dim must be an integer >= 1, got 0"),
+    (_external_bowl("5"), "timeout_seconds must be a finite number > 0, got '5'"),
+    (_external_bowl(True), "timeout_seconds must be a finite number > 0, got True"),
 ], ids=["key-variant-does-not-read", "max-child-not-object", "max-children-not-list",
-        "builtin-parameters-not-object"])
+        "builtin-parameters-not-object", "external-dim-string", "external-dim-fraction",
+        "external-dim-bool", "external-dim-zero", "external-timeout-string",
+        "external-timeout-bool"])
 def test_malformed_evaluator_spec_exits_2(tmp_path, capsys, spec, message):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({**BOWL_CONFIG, "evaluator": spec}))
@@ -791,6 +799,22 @@ def test_tabulated_grid_left_by_size_domain_exits_3(tmp_path, capsys):
                           "--out", str(tmp_path / "domain.json"))
     assert code == 3
     assert "outside grid hull" in stderr
+
+
+@pytest.mark.parametrize("n", ["2", "3"])
+def test_sample_from_a_child_that_duplicates_its_answers_exits_3(tmp_path, capsys, n):
+    # With two points the batch reads the copy of the first answer as the
+    # second and succeeds; only close() sees the copy of the second one.
+    evaluator = {"variant": "external", "dim": 2,
+                 "command": [sys.executable, "tests/helpers/misbehaving_server.py", "slow-twice"]}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**BOWL_CONFIG, "evaluator": evaluator}))
+    out = tmp_path / "samples.csv"
+    code, _, stderr = run(capsys, "sample", "--config", str(path),
+                          "--domain", _write_domain(tmp_path), "--n", n, "--out", str(out))
+    assert code == 3
+    assert "unsolicited output" in stderr
+    assert not out.exists()
 
 
 def test_holdout_with_zero_performance_exits_3(tmp_path, capsys, config_path):

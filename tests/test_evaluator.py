@@ -278,6 +278,76 @@ def test_external_timeout_on_partial_line():
         assert time.monotonic() - start < 10.0
 
 
+def test_external_many_on_a_large_batch_matches_per_point_calls():
+    # 20 000 requests and answers are each more than a pipe buffer, so a
+    # parent that wrote everything before reading would deadlock.
+    points = np.column_stack([np.arange(20_000) * 0.37, np.full(20_000, -1.25)])
+    with ExternalEvaluator([sys.executable, MISBEHAVING, "chatty"],
+                           dim=2, timeout_seconds=5.0) as ext:
+        batch = ext.many(points)
+        single = np.array([ext(point) for point in points[::97]])
+    np.testing.assert_array_equal(batch[::97], single)
+    np.testing.assert_array_equal(batch, [sum(float(v) ** 2 for v in p) for p in points])
+
+
+def test_external_many_writes_requests_ahead_of_the_answers():
+    # The child answers nothing until it holds K requests.
+    k = 7
+    points = np.arange(6 * k, dtype=float).reshape(3 * k, 2)
+    with ExternalEvaluator([sys.executable, MISBEHAVING, "batch", str(k)],
+                           dim=2, timeout_seconds=1.0) as ext:
+        with pytest.raises(EvaluatorError, match="timed out"):
+            ext(points[0])
+        np.testing.assert_array_equal(ext.many(points[:k]), (points[:k] ** 2).sum(axis=1))
+        np.testing.assert_array_equal(ext.many(points), (points ** 2).sum(axis=1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_external_duplicated_answers_fail_no_later_than_close(n):
+    # Pipelined, the copy of answer j can be read as answer j + 1; the batch
+    # or, at the latest, close() must see the copy left over at the end.
+    points = np.arange(2.0 * n).reshape(n, 2)
+    ext = ExternalEvaluator([sys.executable, MISBEHAVING, "slow-twice"], dim=2)
+    with pytest.raises(EvaluatorError, match="unsolicited output"):
+        try:
+            ext.many(points)
+        finally:
+            ext.close()
+    assert ext._proc is None
+
+
+@pytest.mark.parametrize("mode, named", [
+    ("exit-after", "exited on request"),
+    ("garbage-at", "non-numeric output 'oops'"),
+    ("stall-at", "timed out"),
+])
+def test_external_failure_mid_batch_names_the_row_and_restarts(mode, named):
+    k, domain = 3, (Interval(-1, 1), Interval(-1, 1))
+    points = draw_samples(QuadraticBowl(a=[1.0, 1.0]), domain, 8, seed=4).points
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ext = ExternalEvaluator([sys.executable, MISBEHAVING, mode, str(k)],
+                                dim=2, timeout_seconds=1.0)
+        with pytest.raises(EvaluatorError, match=named) as exc:
+            draw_samples(ext, domain, 8, seed=4)
+        assert f"evaluation failed at mu={points[k].tolist()}:" in str(exc.value)
+        assert exc.value.__cause__.row == k
+        assert ext._proc is None
+        np.testing.assert_array_equal(ext.many(points[:k]), (points[:k] ** 2).sum(axis=1))
+        ext.close()
+        del ext
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+def test_external_many_rejects_a_stack_of_the_wrong_shape():
+    ext = ExternalEvaluator([sys.executable, SERVER, "1.0,1.0"], dim=2)
+    for points in ([1.0, 2.0], np.zeros((3, 1))):
+        with pytest.raises(ValueError, match="stack of points"):
+            ext.many(points)
+    assert ext._proc is None
+
+
 # ---------------------------------------------------------------------------
 # Max composite
 # ---------------------------------------------------------------------------
@@ -294,6 +364,17 @@ def test_max_composite_validates_children():
         MaxComposite([])
     with pytest.raises(ValueError, match="dim"):
         MaxComposite([LinearForm([1.0]), LinearForm([1.0, 2.0])])
+
+
+def test_max_composite_close_stops_every_child_when_one_fails():
+    duplicating = ExternalEvaluator([sys.executable, MISBEHAVING, "slow-twice"], dim=2)
+    honest = ExternalEvaluator([sys.executable, SERVER, "1.0,1.0"], dim=2)
+    comp = MaxComposite([duplicating, honest])
+    duplicating.many(np.zeros((2, 2)))  # leaves the copy of the second answer unread
+    assert honest([1.0, 2.0]) == 5.0
+    with pytest.raises(EvaluatorError, match="after its last answer"):
+        comp.close()
+    assert duplicating._proc is None and honest._proc is None
 
 
 # ---------------------------------------------------------------------------
