@@ -16,7 +16,6 @@ import numpy as np
 
 from .surrogate import SeparatedModel
 
-DEDUP_REL_RADIUS = 1e-8
 # Multistart schedule and stopping rules of box_maximize.  The tolerances are
 # relative to the largest half-width (step), the best value (tie) and each
 # half-width (wall contact).
@@ -61,7 +60,9 @@ class ToleranceBox:
 @dataclass
 class BoxMaxResult:
     value: float
-    maximizers: np.ndarray     # (m, d), lexicographically sorted
+    # (m, d): every point that ties for the value, each once (rows are merged
+    # only when exactly equal), lexicographically sorted.
+    maximizers: np.ndarray
     wall_contacts: np.ndarray  # (m, d) bool: maximizer k touches a wall of axis i
     box: ToleranceBox = field(repr=False)
 
@@ -134,19 +135,6 @@ def _project(points: np.ndarray, grads: np.ndarray, lo: np.ndarray, hi: np.ndarr
     return grads
 
 
-def _dedup(points: np.ndarray, radius: float) -> np.ndarray:
-    """The rows a greedy scan keeps: each row farther than ``radius`` from
-    every row kept before it.  The first row not yet dropped is always kept,
-    so one vectorized distance pass per kept row does the scan."""
-    alive = np.ones(len(points), dtype=bool)
-    kept = []
-    while alive.any():
-        first = int(np.argmax(alive))
-        kept.append(first)
-        alive &= np.linalg.norm(points - points[first], axis=1) > radius
-    return points[kept]
-
-
 def box_maximize(model: SeparatedModel, box: ToleranceBox) -> BoxMaxResult:
     """Compute G(tau) by deterministic multistart projected gradient ascent."""
     if box.dim != model.dim:
@@ -199,10 +187,11 @@ def box_maximize(model: SeparatedModel, box: ToleranceBox) -> BoxMaxResult:
     winners = points[values >= g_value - tie_tol]
 
     # Sort so the result is deterministic regardless of multistart
-    # scheduling, then deduplicate at a radius relative to the box diagonal.
-    diag = float(np.linalg.norm(2.0 * half))
-    radius = DEDUP_REL_RADIUS * (diag if diag > 0.0 else 1.0)
-    maximizers = _dedup(winners[np.lexsort(winners.T[::-1])], radius)
+    # scheduling, then keep each row that differs from the one before it.
+    winners = winners[np.lexsort(winners.T[::-1])]
+    distinct = np.ones(len(winners), dtype=bool)
+    distinct[1:] = (winners[1:] != winners[:-1]).any(axis=1)
+    maximizers = winners[distinct]
 
     # A fixed axis (half-width 0) has threshold 0, so every maximizer is on
     # its wall.

@@ -122,13 +122,12 @@ def size_bounding_box(
     mu_hat,
     q_allow: float,
     caps,
-    tau_min=None,
 ) -> tuple[BoundingBox, tuple[Interval, ...]]:
     """Size the tolerance bounding box and the sampling intervals.
 
     The binding direction governs each axis since the tolerance box extends
     symmetrically about the nominal design; the sampling interval of axis i is
-    [mu_hat_i - tau_max_i, mu_hat_i + tau_max_i].
+    [mu_hat_i - tau_max_i, mu_hat_i + tau_max_i].  The box's tau_min is 0.
     """
     mu_hat = np.asarray(mu_hat, dtype=float)
     caps = np.broadcast_to(np.asarray(caps, dtype=float), mu_hat.shape)
@@ -137,7 +136,5 @@ def size_bounding_box(
         plus = axis_threshold(evaluator, mu_hat, q_allow, i, +1, float(caps[i]))
         minus = axis_threshold(evaluator, mu_hat, q_allow, i, -1, float(caps[i]))
         tau_max[i] = min(plus, minus)
-    if tau_min is None:
-        tau_min = np.zeros_like(tau_max)
-    bbox = BoundingBox(tau_min=np.asarray(tau_min, dtype=float), tau_max=tau_max)
+    bbox = BoundingBox(tau_min=np.zeros_like(tau_max), tau_max=tau_max)
     return bbox, tuple(Interval(m - t, m + t) for m, t in zip(mu_hat, tau_max))

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy.stats import qmc
@@ -178,41 +180,33 @@ def exact_bowl_model(d: int) -> SeparatedModel:
                           scales=np.ones(d), coeffs=coeffs)
 
 
-def dedup_by_pairs(points, radius):
-    """The greedy dedup as a loop over pairs: a row is kept when it is farther
-    than ``radius`` from every row kept before it."""
-    kept = []
-    for point in points:
-        if all(np.linalg.norm(point - other) > radius for other in kept):
-            kept.append(point)
-    return np.array(kept)
-
-
-@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
-def test_box_maximize_dedup_matches_pair_loop_on_tied_corners(d, monkeypatch):
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 10])
+def test_box_maximize_reports_each_tied_corner_once(d):
     # Every corner of a centered box ties for the maximum of an exact bowl, and
     # the face and interior starts climb to the same corners, so the winners
-    # are the 2^d corners, each many times over.
-    calls = []
-    dedup = boxmax._dedup
-    monkeypatch.setattr(boxmax, "_dedup",
-                        lambda points, radius: calls.append((points, radius)) or dedup(points, radius))
-    box = ToleranceBox(center=np.zeros(d), half_widths=np.linspace(0.3, 0.6, d))
+    # are the 2^d corners, each many times over.  d = 10 is the last dimension
+    # whose corners are all starts.
+    half = np.linspace(0.3, 0.6, d)
+    box = ToleranceBox(center=np.zeros(d), half_widths=half)
     result = box_maximize(exact_bowl_model(d), box)
-    (winners, radius), = calls
-    assert len(winners) > 2 ** d
-    assert len(result.maximizers) == 2 ** d
-    np.testing.assert_array_equal(result.maximizers, dedup_by_pairs(winners, radius))
+    corners = np.array(list(itertools.product(*zip(box.center - half, box.center + half))))
+    np.testing.assert_array_equal(result.maximizers, corners)
+    np.testing.assert_array_equal(result.wall_contacts, np.ones((2 ** d, d), dtype=bool),
+                                  strict=True)
 
 
-def test_dedup_keeps_the_greedy_rule_on_a_chain():
-    # Rows 0.6 radius apart: each is close to its neighbours but not to the
-    # ones beyond, so the greedy scan keeps every other row, where dropping
-    # every row with a close predecessor would keep only the first.
-    radius = 1e-8
-    chain = np.column_stack([np.arange(7) * 0.6 * radius, np.zeros(7)])
-    np.testing.assert_array_equal(boxmax._dedup(chain, radius), chain[::2])
-    np.testing.assert_array_equal(boxmax._dedup(chain, radius), dedup_by_pairs(chain, radius))
+def test_box_maximize_keeps_tied_points_that_differ(monkeypatch):
+    # Q = mu_2 is maximized on the whole top edge.  Both starts sit on it with
+    # a gradient blocked by the wall, so neither moves, and the two points,
+    # 1e-12 apart, are distinct maximizers.
+    starts = np.array([[0.0, 0.5], [1e-12, 0.5]])
+    monkeypatch.setattr(boxmax, "_starts", lambda model, box: starts.copy())
+    model = linear_model(0.0, 1.0)
+    box = ToleranceBox(center=np.zeros(2), half_widths=np.array([0.5, 0.5]))
+    result = box_maximize(model, box)
+    assert result.value == 0.5
+    np.testing.assert_array_equal(result.maximizers, starts)
+    np.testing.assert_array_equal(grad_G(model, box, result), [0.0, 1.0])
 
 
 def test_box_maximize_dimension_mismatch():

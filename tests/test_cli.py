@@ -80,6 +80,17 @@ def test_size_domain_quadratic_reference(tmp_path, capsys, config_path):
     assert "tau_max" in stdout
 
 
+def test_size_domain_writes_the_configured_tau_min(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**BOWL_CONFIG, "bbox": {"caps": 5.0, "tau_min": [0.1, 0.05]}}))
+    out = tmp_path / "domain.json"
+    code, _, _ = run(capsys, "size-domain", "--config", str(path), "--out", str(out))
+    assert code == 0
+    data = json.loads(out.read_text())
+    np.testing.assert_array_equal(data["tau_min"], [0.1, 0.05])
+    np.testing.assert_allclose(data["tau_max"], [1.0, 0.5], rtol=1e-10)
+
+
 def test_full_pipeline_reaches_closed_form(tmp_path, capsys, config_path):
     *_, result = run_pipeline(tmp_path, capsys, config_path, method="ga")
     data = json.loads(result.read_text())

@@ -122,12 +122,6 @@ def test_size_bounding_box_quadratic_reference():
     np.testing.assert_allclose(bbox.tau_max, [1.0, 0.5], rtol=1e-12)
 
 
-def test_size_bounding_box_custom_tau_min():
-    bowl = QuadraticBowl(a=[1.0, 4.0])
-    bbox, _ = size_bounding_box(bowl, [0.0, 0.0], 1.0, caps=5.0, tau_min=[0.1, 0.05])
-    np.testing.assert_array_equal(bbox.tau_min, [0.1, 0.05])
-
-
 def test_size_bounding_box_smooth_nonpolynomial():
     # Q = exp(mu_1) cos(mu_2) at mu_hat = 0 equals 1; with q_allow = e^0.3 the
     # +e_1 crossing is exactly 0.3 while -e_1 never crosses (capped), and the
