@@ -1,9 +1,12 @@
 """Worst-case performance over a tolerance box and its tolerance gradient.
 
-G(tau) is the maximum of the surrogate over the tolerance hyperrectangle,
-computed by deterministic multistart projected gradient ascent.  The gradient
-of G with respect to the tolerances follows analytically from the maximizers
-that touch the box walls.
+G(tau) is the maximum of the surrogate over the tolerance hyperrectangle.  It
+is exact for a model whose terms are each univariate: such a model is
+c + sum_i f_i(mu_i), so its maximum is c plus the maximum of each f_i over the
+ends and the critical points of its interval.  For any other model G comes
+from deterministic multistart projected gradient ascent.  The gradient of G
+with respect to the tolerances follows analytically from the maximizers that
+touch the box walls.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .surrogate import SeparatedModel
+from .surrogate import SeparatedModel, _standardize, legendre_deriv_table, legendre_table
 
 # Multistart schedule and stopping rules of box_maximize.  The tolerances are
 # relative to the largest half-width (step), the best value (tie) and each
@@ -218,17 +221,117 @@ def grad_G(model: SeparatedModel, box: ToleranceBox, result: BoxMaxResult) -> np
     return np.where(result.wall_contacts, slopes, 0.0).max(axis=0)
 
 
+@dataclass(frozen=True)
+class AdditiveModel:
+    """A surrogate whose terms are each univariate, c + sum_i f_i(x_i), in the
+    standardized coordinates x_i in [-1, 1] of its intervals."""
+
+    constant: float
+    coeffs: np.ndarray  # (d, p+1): the Legendre coefficients of each f_i
+    # (d, k): candidate critical points of each f_i, padded with +inf, and the
+    # values of f_i there, padded with -inf.
+    critical_x: np.ndarray
+    critical_values: np.ndarray
+    lo: np.ndarray
+    width: np.ndarray
+
+
+def _legendre_to_monomial(degree: int) -> np.ndarray:
+    """(p+1, p+1) matrix whose row j holds the monomial coefficients of L_j,
+    lowest power first, by the three-term recurrence."""
+    out = np.zeros((degree + 1, degree + 1))
+    out[0, 0] = 1.0
+    if degree >= 1:
+        out[1, 1] = 1.0
+    for j in range(1, degree):
+        out[j + 1, 1:] = (2 * j + 1) * out[j, :-1]
+        out[j + 1] = (out[j + 1] - j * out[j - 1]) / (j + 1)
+    return out
+
+
+def additive_split(model: SeparatedModel) -> AdditiveModel | None:
+    """The model as c + sum_i f_i(x_i), or None when one of its terms is not
+    univariate.  A term is univariate when its coefficients beyond L_0 are
+    zero in all but at most one dimension."""
+    varying = (model.coeffs[:, :, 1:] != 0.0).any(axis=2)  # (r, d)
+    if (varying.sum(axis=1) > 1).any():
+        return None
+    d, p = model.dim, model.degree
+    constant = 0.0
+    coeffs = np.zeros((d, p + 1))
+    for scale, term, axes in zip(model.scales, model.coeffs, varying):
+        if axes.any():
+            i = int(np.argmax(axes))
+            coeffs[i] += scale * np.prod(np.delete(term[:, 0], i)) * term[i]
+        else:
+            constant += scale * float(np.prod(term[:, 0]))
+    # The roots of f_i' from its monomial coefficients.  The real part of every
+    # root is a candidate, so a multiple root that np.roots returns with a
+    # small imaginary part is kept; a candidate that is not a critical point
+    # still lies in the interval, so it cannot raise the maximum.
+    derivs = (coeffs @ _legendre_to_monomial(p))[:, 1:] * np.arange(1, p + 1)
+    roots = [np.roots(row[::-1]).real for row in derivs]
+    k = max(1, max(map(len, roots)))
+    critical_x = np.full((d, k), np.inf)
+    critical_values = np.full((d, k), -np.inf)
+    for i, x in enumerate(roots):
+        critical_x[i, :len(x)] = x
+        critical_values[i, :len(x)] = legendre_table(x, p) @ coeffs[i]
+    return AdditiveModel(constant=constant, coeffs=coeffs, critical_x=critical_x,
+                         critical_values=critical_values,
+                         lo=np.array([iv.lo for iv in model.intervals]),
+                         width=np.array([iv.width for iv in model.intervals]))
+
+
+def additive_worst_case(split: AdditiveModel, box: ToleranceBox) -> tuple[float, np.ndarray]:
+    """G and d G / d tau of an additive model over a box, exactly.
+
+    The maximum of each f_i is the largest of its values at the two ends of
+    the box's interval and at its critical points strictly inside it.  The
+    gradient follows :func:`grad_G`'s rule: an end whose value is within
+    TIE_REL_TOL |G| of its axis's maximum is a maximizer on that wall, d G /
+    d tau_i is the largest outward slope over those ends, clamped at 0, and an
+    interior maximizer adds 0.  On a fixed axis (tau_i = 0) it is the absolute
+    slope.  An end outside the model's intervals raises ValueError.
+    """
+    if box.dim != split.coeffs.shape[0]:
+        raise ValueError("box dimension does not match model")
+    ends = _standardize(np.stack([box.lo, box.hi]), split.lo, split.width)  # (2, d)
+    basis = legendre_table(ends, split.coeffs.shape[1] - 1)  # (2, d, p+1)
+    values = np.einsum("kij,ij->ki", basis, split.coeffs)
+    slopes = np.einsum("kij,ij->ki", legendre_deriv_table(basis), split.coeffs) * (
+        2.0 / split.width)
+    inside = (split.critical_x > ends[0, :, None]) & (split.critical_x < ends[1, :, None])
+    axis_max = np.maximum(values.max(axis=0),
+                          np.where(inside, split.critical_values, -np.inf).max(axis=1))
+    g_value = split.constant + float(axis_max.sum())
+    tie_tol = TIE_REL_TOL * max(abs(g_value), 1e-300)
+    outward = np.maximum(slopes * np.array([[-1.0], [1.0]]), 0.0)
+    grad = np.where(values >= axis_max - tie_tol, outward, 0.0).max(axis=0)
+    fixed = box.half_widths == 0.0
+    grad[fixed] = np.abs(slopes[1, fixed])
+    return g_value, grad
+
+
 class SurrogateWorstCase:
     """G(tau) and its gradient for a fixed surrogate and nominal design.
 
     Presents the ``value``/``grad`` interface the manifold traversal expects.
+    A model whose terms are each univariate is split once, and every request
+    is answered exactly by :func:`additive_worst_case`; any other model goes
+    through :func:`box_maximize`, whose results are cached per tau.
     Thread-safety follows the model's: reads only, plus a per-instance cache.
     """
 
     def __init__(self, model: SeparatedModel, center):
         self.model = model
         self.center = np.asarray(center, dtype=float)
+        self._additive = additive_split(model)
         self._cache: dict[bytes, BoxMaxResult] = {}
+
+    def _exact(self, tau: np.ndarray) -> tuple[float, np.ndarray]:
+        return additive_worst_case(self._additive,
+                                   ToleranceBox(center=self.center, half_widths=tau))
 
     def _result(self, tau: np.ndarray) -> BoxMaxResult:
         key = tau.tobytes()
@@ -242,10 +345,15 @@ class SurrogateWorstCase:
         return result
 
     def value(self, tau) -> float:
-        return self._result(np.asarray(tau, dtype=float)).value
+        tau = np.asarray(tau, dtype=float)
+        if self._additive is not None:
+            return self._exact(tau)[0]
+        return self._result(tau).value
 
     def grad(self, tau) -> np.ndarray:
         tau = np.asarray(tau, dtype=float)
+        if self._additive is not None:
+            return self._exact(tau)[1]
         result = self._result(tau)
         return grad_G(self.model, result.box, result)
 

@@ -2,10 +2,10 @@
 external solver subprocesses, and the max-of-several composite.
 
 Every evaluator exposes ``dim`` and ``__call__(mu) -> float``; one that
-holds a child process also has ``close()``.  The external evaluator adds a
-batch call, ``many(points) -> values``, which sampling uses.  No stage
-differentiates an evaluator: every gradient the allocation uses comes from
-the surrogate.
+holds a child process also has ``close()``.  The external evaluator and the
+max composite add a batch call, ``many(points) -> values``, which sampling
+uses through :func:`evaluate_many`.  No stage differentiates an evaluator:
+every gradient the allocation uses comes from the surrogate.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ READ_BYTES = 65536
 
 class EvaluatorError(RuntimeError):
     """Raised when an evaluator cannot produce a value.  One raised by a batch
-    (:meth:`ExternalEvaluator.many`) sets ``row``, the index of the point
-    whose answer failed."""
+    (:func:`evaluate_many`) sets ``row``, the index of the point whose value
+    failed."""
 
     row: int | None = None
 
@@ -445,6 +445,11 @@ class MaxComposite:
     def __call__(self, mu) -> float:
         return max(child(mu) for child in self.children)
 
+    def many(self, points) -> np.ndarray:
+        """Elementwise maximum of the children's values at the rows of an
+        (n, dim) stack, each child's taken by :func:`evaluate_many`."""
+        return np.max([evaluate_many(child, points) for child in self.children], axis=0)
+
     def close(self) -> None:
         """Close every child, even after one of them raises."""
         with contextlib.ExitStack() as stack:
@@ -493,6 +498,22 @@ def from_config(spec: dict):
     return MaxComposite(from_config(child) for child in spec["children"])
 
 
+def evaluate_many(evaluator, points: np.ndarray) -> np.ndarray:
+    """Values at the rows of an (n, dim) stack: the evaluator's own ``many``
+    where it has one, else one call per row.  An :class:`EvaluatorError`
+    names in ``row`` the point whose value failed."""
+    if hasattr(evaluator, "many"):
+        return evaluator.many(points)
+    values = np.empty(len(points))
+    for row, point in enumerate(points):
+        try:
+            values[row] = evaluator(point)
+        except EvaluatorError as exc:
+            exc.row = row
+            raise
+    return values
+
+
 def draw_samples(evaluator, domain, n: int, seed: int) -> SampleSet:
     """Draw n i.i.d. uniform points over the box and evaluate them.
 
@@ -509,16 +530,8 @@ def draw_samples(evaluator, domain, n: int, seed: int) -> SampleSet:
     width = np.array([iv.width for iv in intervals])
     rng = np.random.Generator(np.random.Philox(seed))
     points = lo + rng.random((n, len(intervals))) * width
-    if hasattr(evaluator, "many"):
-        try:
-            return SampleSet(points=points, values=evaluator.many(points))
-        except EvaluatorError as exc:
-            raise EvaluatorError(f"evaluation failed at mu={points[exc.row].tolist()}: "
-                                 f"{exc}") from exc
-    values = np.empty(n)
-    for j, point in enumerate(points):
-        try:
-            values[j] = evaluator(point)
-        except EvaluatorError as exc:
-            raise EvaluatorError(f"evaluation failed at mu={point.tolist()}: {exc}") from exc
-    return SampleSet(points=points, values=values)
+    try:
+        return SampleSet(points=points, values=evaluate_many(evaluator, points))
+    except EvaluatorError as exc:
+        raise EvaluatorError(f"evaluation failed at mu={points[exc.row].tolist()}: "
+                             f"{exc}") from exc

@@ -9,6 +9,8 @@ from tolalloc.boxmax import (
     AnalyticWorstCase,
     SurrogateWorstCase,
     ToleranceBox,
+    additive_split,
+    additive_worst_case,
     box_maximize,
     grad_G,
     latin_hypercube,
@@ -332,6 +334,119 @@ def test_grad_G_matches_finite_differences():
         step[i] = h
         fd = (worst.value(tau + step) - worst.value(tau - step)) / (2.0 * h)
         assert grad[i] == pytest.approx(fd, rel=1e-4, abs=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# Exact worst case of an additive model
+# ---------------------------------------------------------------------------
+
+def random_additive_model(rng, d: int, degree: int) -> SeparatedModel:
+    """c + sum_i f_i(mu_i) on random intervals: term i varies in dimension i
+    only, and term d is a constant."""
+    coeffs = np.zeros((d + 1, d, degree + 1))
+    coeffs[:, :, 0] = rng.uniform(0.5, 1.5, (d + 1, d))
+    for i in range(d):
+        coeffs[i, i] = rng.uniform(-1.0, 1.0, degree + 1)
+    lo = rng.uniform(-2.0, 0.0, d)
+    intervals = tuple(Interval(a, a + w) for a, w in zip(lo, rng.uniform(1.0, 4.0, d)))
+    return SeparatedModel(dim=d, rank=d + 1, degree=degree, intervals=intervals,
+                          scales=rng.uniform(0.5, 2.0, d + 1), coeffs=coeffs)
+
+
+def test_additive_worst_case_matches_the_multistart():
+    rng = np.random.default_rng(40)
+    for _ in range(30):
+        d, degree = int(rng.integers(1, 9)), int(rng.integers(0, 6))
+        model = random_additive_model(rng, d, degree)
+        lo = np.array([iv.lo for iv in model.intervals])
+        hi = np.array([iv.hi for iv in model.intervals])
+        for _ in range(3):
+            center = lo + (hi - lo) * rng.uniform(0.3, 0.7, d)
+            tau = np.minimum(center - lo, hi - center) * rng.uniform(0.0, 1.0, d)
+            tau[rng.uniform(size=d) < 0.2] = 0.0
+            box = ToleranceBox(center=center, half_widths=tau)
+            value, grad = additive_worst_case(additive_split(model), box)
+            result = box_maximize(model, box)
+            assert value >= result.value - 1e-12 * abs(value)
+            assert value == pytest.approx(result.value, rel=1e-6)
+            np.testing.assert_allclose(grad, grad_G(model, box, result), rtol=0.0, atol=1e-9)
+            worst = SurrogateWorstCase(model, center)
+            assert worst.value(tau) == value
+            assert worst.grad(tau).tobytes() == grad.tobytes()
+
+
+def legendre_cubic(a0, a1, a2, a3) -> list[float]:
+    """Legendre coefficients of a0 + a1 x + a2 x^2 + a3 x^3, from
+    x^2 = (1 + 2 P_2) / 3 and x^3 = (3 P_1 + 2 P_3) / 5."""
+    return [a0 + a2 / 3.0, a1 + 3.0 * a3 / 5.0, 2.0 * a2 / 3.0, 2.0 * a3 / 5.0]
+
+
+def test_additive_worst_case_finds_the_interior_maximum_the_multistart_misses():
+    # Q = -100 mu_1^2 + 0.1 (mu_2 - mu_2^3): both maxima are interior, at
+    # mu_1 = 0 and mu_2 = 1 / sqrt(3), and the stiff first axis holds the
+    # polish's steps too short to reach the flat second one's.
+    one = legendre_cubic(1.0, 0.0, 0.0, 0.0)
+    coeffs = np.array([[legendre_cubic(0.0, 0.0, -100.0, 0.0), one],
+                       [one, legendre_cubic(0.0, 0.1, 0.0, -0.1)]])
+    model = SeparatedModel(dim=2, rank=2, degree=3, intervals=UNIT_SQUARE,
+                           scales=np.ones(2), coeffs=coeffs)
+    box = ToleranceBox(center=np.array([0.1, 0.5]), half_widths=np.array([0.3, 0.3]))
+    closed_form = 0.1 * 2.0 / (3.0 * np.sqrt(3.0))
+    value, grad = additive_worst_case(additive_split(model), box)
+    assert value == pytest.approx(closed_form, rel=1e-15)
+    np.testing.assert_array_equal(grad, [0.0, 0.0])
+    assert box_maximize(model, box).value < closed_form * (1.0 - 1e-4)
+
+
+def test_additive_worst_case_takes_the_largest_slope_over_tied_walls():
+    # Q = mu^3 - 3 mu on [-2, 2] is 2 at both ends of [-1, 2]: slope 0 at
+    # the lower wall (a critical point), 9 at the upper.
+    model = SeparatedModel(dim=1, rank=1, degree=3, intervals=(Interval(-2.0, 2.0),),
+                           scales=np.ones(1), coeffs=np.array([[[0.0, -1.2, 0.0, 3.2]]]))
+    box = ToleranceBox(center=np.array([0.5]), half_widths=np.array([1.5]))
+    value, grad = additive_worst_case(additive_split(model), box)
+    assert value == pytest.approx(2.0, rel=1e-14)
+    assert grad[0] == pytest.approx(9.0, rel=1e-14)
+    result = box_maximize(model, box)
+    assert len(result.maximizers) == 2
+    np.testing.assert_allclose(grad, grad_G(model, box, result), rtol=1e-14)
+
+
+@pytest.mark.parametrize("d", range(2, 11))
+def test_additive_worst_case_of_the_exact_bowl(d):
+    # Every corner ties, so both walls of each axis are maximizers.
+    tau = np.linspace(0.3, 0.6, d)
+    value, grad = additive_worst_case(additive_split(exact_bowl_model(d)),
+                                      ToleranceBox(center=np.zeros(d), half_widths=tau))
+    assert value == pytest.approx(float(np.sum(tau ** 2)), rel=1e-14)
+    np.testing.assert_allclose(grad, 2.0 * tau, rtol=1e-14)
+
+
+def test_a_model_with_one_non_univariate_term_goes_through_the_multistart():
+    d = 3
+    bowl = exact_bowl_model(d)
+    mixed = random_model(np.random.default_rng(8), dim=d, rank=1, degree=2)
+    bowl_plus_one = SeparatedModel(
+        dim=d, rank=d + 1, degree=2, intervals=bowl.intervals,
+        scales=np.concatenate([bowl.scales, 0.1 * mixed.scales]),
+        coeffs=np.concatenate([bowl.coeffs, mixed.coeffs]))
+    center, tau = np.array([0.1, -0.2, 0.0]), np.array([0.4, 0.3, 0.0])
+    box = ToleranceBox(center=center, half_widths=tau)
+    for model in (bowl_plus_one, random_model(np.random.default_rng(9), dim=d, rank=3, degree=3)):
+        assert additive_split(model) is None
+        result = box_maximize(model, box)
+        worst = SurrogateWorstCase(model, center)
+        assert worst.value(tau) == result.value
+        assert worst.grad(tau).tobytes() == grad_G(model, box, result).tobytes()
+
+
+def test_a_tau_beyond_the_model_interval_raises_on_both_paths():
+    mixed = random_model(np.random.default_rng(9), dim=2, rank=3, degree=3)
+    for model in (exact_bowl_model(2), mixed):
+        worst = SurrogateWorstCase(model, np.zeros(2))
+        for method in (worst.value, worst.grad):
+            with pytest.raises(ValueError, match="outside interval for dimension 1"):
+                method(np.array([0.5, 1.5]))
 
 
 # ---------------------------------------------------------------------------

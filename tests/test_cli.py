@@ -43,7 +43,7 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_pipeline(tmp_path, capsys, config_path, method="ga"):
+def run_pipeline(tmp_path, capsys, config_path, method="ga", n=300):
     domain = tmp_path / "domain.json"
     samples = tmp_path / "samples.csv"
     model = tmp_path / "model.json"
@@ -52,7 +52,7 @@ def run_pipeline(tmp_path, capsys, config_path, method="ga"):
     code, _, _ = run(capsys, "size-domain", "--config", config_path, "--out", str(domain))
     assert code == 0
     code, _, _ = run(capsys, "sample", "--config", config_path, "--domain", str(domain),
-                     "--n", "300", "--out", str(samples))
+                     "--n", str(n), "--out", str(samples))
     assert code == 0
     code, _, _ = run(capsys, "fit", "--config", config_path, "--domain", str(domain),
                      "--samples", str(samples), "--out", str(model))
@@ -134,6 +134,27 @@ def test_allocate_cg_and_trace_and_scan(tmp_path, capsys, config_path):
     for row in tables["scan"][1::2525]:
         t1, t2, g = map(float, row)
         assert g == gfun.value(np.array([t1, t2]))
+
+
+def test_d10_bowl_pipeline_reaches_the_closed_form(tmp_path, capsys):
+    # Q = sum_i a_i mu_i^2 with Q_allow = 1: the 1-norm optimum is
+    # tau_i = (1 / a_i) / sqrt(sum_j 1 / a_j).
+    a = np.linspace(0.5, 5.0, 10)
+    config = {**BOWL_CONFIG,
+              "evaluator": {**BOWL_CONFIG["evaluator"], "parameters": {"a": a.tolist()}},
+              "nominal": [0.0] * 10, "fit": {"target_rank": 10, "degree": 2},
+              "check_thresholds": {"tol_err_inf": 1e-4}}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    reference = tmp_path / "reference.json"
+    reference.write_text(json.dumps({"format_version": 1,
+                                     "tau": ((1.0 / a) / np.sqrt(np.sum(1.0 / a))).tolist()}))
+    _, _, model, result = run_pipeline(tmp_path, capsys, str(config_path), method="cg", n=400)
+    assert json.loads(result.read_text())["stop"] == "stationary"
+    code, stdout, _ = run(capsys, "check", "--config", str(config_path), "--model", str(model),
+                          "--tau", str(result), "--reference", str(reference))
+    assert code == 0
+    assert json.loads(stdout)["tol_err_inf"] <= 1e-4
 
 
 def _read_csv(path) -> list[list[str]]:

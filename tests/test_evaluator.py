@@ -377,6 +377,60 @@ def test_max_composite_close_stops_every_child_when_one_fails():
     assert duplicating._proc is None and honest._proc is None
 
 
+def test_max_composite_samples_as_its_children_do_point_by_point():
+    # Two children answer batches over the line protocol; the linear one has
+    # no batch call and is evaluated point by point.
+    comp = MaxComposite([ExternalEvaluator([sys.executable, MISBEHAVING, "chatty"], dim=2),
+                         ExternalEvaluator([sys.executable, SERVER, "4.0,0.25"], dim=2),
+                         LinearForm([1.0, -1.0])])
+    domain = (Interval(-1.0, 1.0), Interval(-2.0, 2.0))
+    try:
+        samples = draw_samples(comp, domain, 200, seed=3)
+        batch = comp.many(samples.points)
+        per_point = np.array([[child(point) for child in comp.children]
+                              for point in samples.points])
+    finally:
+        comp.close()
+    assert len(set(per_point.argmax(axis=1))) == 3
+    np.testing.assert_array_equal(batch, per_point.max(axis=1))
+    np.testing.assert_array_equal(samples.values, batch)
+
+
+class FailsOnCall:
+    """Q(mu) = mu_1, with no batch call, raising EvaluatorError on call ``k``."""
+
+    dim = 2
+
+    def __init__(self, k):
+        self.k, self.calls = k, 0
+
+    def __call__(self, mu) -> float:
+        self.calls += 1
+        if self.calls == self.k + 1:
+            raise EvaluatorError("no value")
+        return float(mu[0])
+
+
+@pytest.mark.parametrize("children", [
+    lambda k: [ExternalEvaluator([sys.executable, MISBEHAVING, "garbage-at", str(k)], dim=2),
+               ExternalEvaluator([sys.executable, SERVER, "1.0,1.0"], dim=2)],
+    lambda k: [ExternalEvaluator([sys.executable, SERVER, "1.0,1.0"], dim=2),
+               ExternalEvaluator([sys.executable, MISBEHAVING, "garbage-at", str(k)], dim=2)],
+    lambda k: [LinearForm([1.0, 1.0]), FailsOnCall(k)],
+], ids=["first-child", "second-child", "per-point-child"])
+def test_max_composite_failure_mid_batch_names_the_row(children):
+    k, domain = 3, (Interval(-1, 1), Interval(-1, 1))
+    points = draw_samples(QuadraticBowl(a=[1.0, 1.0]), domain, 8, seed=4).points
+    comp = MaxComposite(children(k))
+    try:
+        with pytest.raises(EvaluatorError) as exc:
+            draw_samples(comp, domain, 8, seed=4)
+    finally:
+        comp.close()
+    assert f"evaluation failed at mu={points[k].tolist()}:" in str(exc.value)
+    assert exc.value.__cause__.row == k
+
+
 # ---------------------------------------------------------------------------
 # Config factory
 # ---------------------------------------------------------------------------
