@@ -320,8 +320,8 @@ def cmd_allocate(args) -> int:
 def _emit_manifold_scan(path, gfun, bbox: BoundingBox) -> None:
     """G on a 101 x 101 grid of the box of a 2-parameter problem."""
     axis_1, axis_2 = (np.linspace(lo, hi, 101) for lo, hi in zip(bbox.tau_min, bbox.tau_max))
-    write_csv(path, ["tau_1", "tau_2", "G"],
-              [(t1, t2, gfun.value(np.array([t1, t2]))) for t1 in axis_1 for t2 in axis_2])
+    table = [(t1, t2, gfun.value(np.array([t1, t2]))) for t1 in axis_1 for t2 in axis_2]
+    write_csv(path, ["tau_1", "tau_2", "G"], np.array(table))
 
 
 def cmd_check(args) -> int:

@@ -60,13 +60,18 @@ def write_json(path, obj: dict) -> None:
 
 def write_csv(path, header, rows) -> None:
     """Write ``header`` and ``rows`` as CSV, atomically: strings and ints as
-    given, every other cell as ``repr(float(v))``, which reads back bit for bit."""
+    given, every other cell as ``repr(float(v))``, which reads back bit for bit;
+    a 2-d ndarray in one pass over the Python floats of its ``tolist()``."""
     def write(tmp):
         with open(tmp, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
-            writer.writerows([v if isinstance(v, (str, int)) else repr(float(v)) for v in row]
-                             for row in rows)
+            if isinstance(rows, np.ndarray):
+                line = ",".join(["%r"] * rows.shape[1]) + "\r\n"
+                fh.write((line * rows.shape[0]) % tuple(rows.astype(float).ravel().tolist()))
+            else:
+                writer.writerows([v if isinstance(v, (str, int)) else repr(float(v))
+                                  for v in row] for row in rows)
 
     atomic_write(path, write)
 
@@ -293,23 +298,27 @@ class SampleSet:
 
     def write_csv(self, path) -> None:
         write_csv(path, [f"mu_{i + 1}" for i in range(self.dim)] + ["q"],
-                  ([*point.tolist(), value] for point, value in zip(self.points, self.values)))
+                  np.column_stack([self.points, self.values]))
 
     @classmethod
     def read_csv(cls, path) -> "SampleSet":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or header[-1] != "q" or len(header) < 2:
-                raise ValueError(f"malformed sample file {path}: bad header {header!r}")
-            dim = len(header) - 1
-            points, values = [], []
-            for row in reader:
-                if len(row) != dim + 1:
-                    raise ValueError(f"malformed sample row in {path}: {row!r}")
-                points.append([float(v) for v in row[:dim]])
-                values.append(float(row[dim]))
-        return cls(points=np.array(points), values=np.array(values))
+        """Read ``mu_1,...,mu_d,q``, then d + 1 floats a row: no blank line, comment or quote."""
+        with open(path) as fh:
+            header = next(csv.reader(fh), None)
+            lines = fh.read().splitlines()
+        if header is None or header[-1] != "q" or len(header) < 2:
+            raise ValueError(f"malformed sample file {path}: bad header {header!r}")
+        if not lines:
+            raise ValueError(f"malformed sample file {path}: no sample rows")
+        try:
+            if not all(lines):  # loadtxt would skip it silently
+                raise ValueError(f"line {lines.index('') + 2} is blank")
+            table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+            if table.shape[1] != len(header):
+                raise ValueError(f"{table.shape[1]} columns under a {len(header)}-column header")
+        except ValueError as exc:
+            raise ValueError(f"malformed sample file {path}: {exc}") from exc
+        return cls(points=table[:, :-1], values=table[:, -1])
 
 
 # ---------------------------------------------------------------------------

@@ -373,6 +373,27 @@ def test_missing_sample_file_exits_2_without_writing(tmp_path, capsys, config_pa
     assert not out.exists()
 
 
+@pytest.mark.parametrize("body", ["", "1.0,0.0,1.0\r\n\r\n"], ids=["header-only", "blank-line"])
+def test_malformed_sample_file_exits_2_without_writing(tmp_path, capsys, config_path, body):
+    table = tmp_path / "samples.csv"
+    table.write_text("mu_1,mu_2,q\r\n" + body, newline="")
+    out = tmp_path / "model.json"
+    code, _, stderr = run(capsys, "fit", "--config", config_path,
+                          "--domain", _write_domain(tmp_path),
+                          "--samples", str(table), "--out", str(out))
+    assert code == 2
+    assert f"malformed sample file {table}" in stderr
+    assert not out.exists()
+    tabulated = tmp_path / "tabulated.json"
+    tabulated.write_text(json.dumps(
+        {**BOWL_CONFIG, "evaluator": {"variant": "tabulated", "path": str(table)}}))
+    code, _, stderr = run(capsys, "size-domain", "--config", str(tabulated),
+                          "--out", str(tmp_path / "domain.json"))
+    assert code == 2
+    assert f"malformed sample file {table}" in stderr
+    assert not (tmp_path / "domain.json").exists()
+
+
 def test_unknown_measure_kind_exits_2(tmp_path, capsys):
     config = dict(BOWL_CONFIG)
     config["measure"] = {"kind": "p-norm"}

@@ -1,4 +1,6 @@
 import json
+import re
+import warnings
 
 import numpy as np
 import numpy.polynomial.legendre as npleg
@@ -481,3 +483,48 @@ def test_sample_csv_rejects_bad_header(tmp_path):
     path.write_text("x,y\n1,2\n")
     with pytest.raises(ValueError):
         SampleSet.read_csv(path)
+
+
+def test_write_csv_formats_a_float_table_cell_by_cell_as_repr(tmp_path):
+    awkward = [-0.0, 5e-324, 1e16, 1e-5, 0.1, 1 / 3, 2.0, float("nan")]
+    rows = [[v if i % 2 else np.float64(v) for i, v in enumerate(awkward)],
+            [np.float64(v) if i % 2 else v for i, v in enumerate(reversed(awkward))]]
+    expected = "".join(",".join(repr(float(v)) for v in row) + "\r\n" for row in rows)
+    header = [f"c{i}" for i in range(len(awkward))]
+    for table in (np.array(rows), np.array(rows, dtype=object)):
+        path = tmp_path / "table.csv"
+        surrogate.write_csv(path, header, table)
+        text = path.read_bytes().decode()
+        assert text == ",".join(header) + "\r\n" + expected
+        assert "np.float64(" not in text
+
+
+def test_sample_csv_roundtrip_of_many_rows_is_bit_exact(tmp_path):
+    rng = np.random.default_rng(19)
+    table = rng.normal(size=(50_000, 3)) * 10.0 ** rng.integers(-300, 300, size=(50_000, 3))
+    path = tmp_path / "samples.csv"
+    SampleSet(points=table[:, :2], values=table[:, 2]).write_csv(path)
+    restored = SampleSet.read_csv(path)
+    np.testing.assert_array_equal(restored.points.view(np.int64), table[:, :2].view(np.int64))
+    np.testing.assert_array_equal(restored.values.view(np.int64), table[:, 2].view(np.int64))
+
+
+@pytest.mark.parametrize("body, named", [
+    ("1,2,3\r\n\r\n4,5,6\r\n", "line 3 is blank"),
+    ("1,2,3\r\n4,5\r\n", "columns"),
+    ("1,2,3\r\n4,5,6,7\r\n", "columns"),
+    ("1,2,3,4\r\n", "4 columns under a 3-column header"),
+    ("1,2,3\r\n4,x,6\r\n", "'x'"),
+    ("# comment\r\n1,2,3\r\n", "'# comment'"),
+    ('1,"2",3\r\n', """'"2"'"""),
+    ("", "no sample rows"),
+], ids=["blank-line", "short-row", "long-row", "wide-table", "non-numeric", "comment",
+        "quoted", "header-only"])
+def test_sample_csv_rejects_a_malformed_body_naming_the_file(tmp_path, body, named):
+    path = tmp_path / "samples.csv"
+    path.write_text("mu_1,mu_2,q\r\n" + body, newline="")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pattern = f"malformed sample file {re.escape(str(path))}: .*{re.escape(named)}"
+        with pytest.raises(ValueError, match=pattern):
+            SampleSet.read_csv(path)
