@@ -48,7 +48,6 @@ from .measures import (
     MuNorm,
     OneNorm,
     ReciprocalPowerCost,
-    compute_mu_weights,
     mu_norm_from_model,
 )
 from .metrics import AllocationErrorReport, ErrorReport, allocation_errors, surrogate_errors

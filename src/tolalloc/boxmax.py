@@ -206,19 +206,25 @@ def grad_G(model: SeparatedModel, box: ToleranceBox, result: BoxMaxResult) -> np
     """Analytic d G / d tau from the wall-contacting maximizers.
 
     d G / d tau_i is the largest outward partial of the surrogate over the
-    maximizers on a wall of axis i, and 0 when none is.  For a degenerate axis
-    (tau_i = 0) the box can grow to either side, so the outward partial is the
-    absolute partial of the surrogate there.
+    maximizers on a wall of axis i, clamped at 0, and 0 when none is.  For a
+    degenerate axis (tau_i = 0) the box can grow to either side, so the
+    outward partial is the absolute partial of the surrogate there.
     """
     if result.box is not box and not (
         np.array_equal(result.box.center, box.center)
         and np.array_equal(result.box.half_widths, box.half_widths)
     ):
         raise ValueError("result was not produced for this box")
-    grads = model.grad_many(result.maximizers)
-    slopes = np.where(box.half_widths == 0.0, np.abs(grads),
-                      np.maximum(grads * np.sign(result.maximizers - box.center), 0.0))
-    return np.where(result.wall_contacts, slopes, 0.0).max(axis=0)
+    return _tau_gradient(model.grad_many(result.maximizers),
+                         np.sign(result.maximizers - box.center), result.wall_contacts, box)
+
+
+def _tau_gradient(partials, sides, contacts, box: ToleranceBox) -> np.ndarray:
+    """:func:`grad_G`'s rule over (k, d) candidates, given the surrogate's
+    partials there, each one's side of the center and its wall contacts."""
+    slopes = np.where(box.half_widths == 0.0, np.abs(partials),
+                      np.maximum(partials * sides, 0.0))
+    return np.where(contacts, slopes, 0.0).max(axis=0)
 
 
 @dataclass(frozen=True)
@@ -287,12 +293,11 @@ def additive_worst_case(split: AdditiveModel, box: ToleranceBox) -> tuple[float,
     """G and d G / d tau of an additive model over a box, exactly.
 
     The maximum of each f_i is the largest of its values at the two ends of
-    the box's interval and at its critical points strictly inside it.  The
-    gradient follows :func:`grad_G`'s rule: an end whose value is within
-    TIE_REL_TOL |G| of its axis's maximum is a maximizer on that wall, d G /
-    d tau_i is the largest outward slope over those ends, clamped at 0, and an
-    interior maximizer adds 0.  On a fixed axis (tau_i = 0) it is the absolute
-    slope.  An end outside the model's intervals raises ValueError.
+    the box's interval and at its critical points strictly inside it.  An end
+    whose value is within TIE_REL_TOL |G| of its axis's maximum is a
+    maximizer on that wall, and d G / d tau follows :func:`grad_G`'s rule over
+    the two ends; an interior maximizer adds 0.  An end outside the model's
+    intervals raises ValueError.
     """
     if box.dim != split.coeffs.shape[0]:
         raise ValueError("box dimension does not match model")
@@ -306,56 +311,51 @@ def additive_worst_case(split: AdditiveModel, box: ToleranceBox) -> tuple[float,
                           np.where(inside, split.critical_values, -np.inf).max(axis=1))
     g_value = split.constant + float(axis_max.sum())
     tie_tol = TIE_REL_TOL * max(abs(g_value), 1e-300)
-    outward = np.maximum(slopes * np.array([[-1.0], [1.0]]), 0.0)
-    grad = np.where(values >= axis_max - tie_tol, outward, 0.0).max(axis=0)
-    fixed = box.half_widths == 0.0
-    grad[fixed] = np.abs(slopes[1, fixed])
-    return g_value, grad
+    return g_value, _tau_gradient(slopes, np.array([[-1.0], [1.0]]),
+                                  values >= axis_max - tie_tol, box)
 
 
 class SurrogateWorstCase:
     """G(tau) and its gradient for a fixed surrogate and nominal design.
 
     Presents the ``value``/``grad`` interface the manifold traversal expects.
-    A model whose terms are each univariate is split once, and every request
-    is answered exactly by :func:`additive_worst_case`; any other model goes
-    through :func:`box_maximize`, whose results are cached per tau.
-    Thread-safety follows the model's: reads only, plus a per-instance cache.
+    Each tau is solved once, by :func:`additive_worst_case` when every term of
+    the model is univariate and else by :func:`box_maximize` then
+    :func:`grad_G`; on both paths G and the read-only d G / d tau are cached
+    together.  Thread-safety follows the model's: reads only, plus a cache.
     """
 
     def __init__(self, model: SeparatedModel, center):
         self.model = model
         self.center = np.asarray(center, dtype=float)
         self._additive = additive_split(model)
-        self._cache: dict[bytes, BoxMaxResult] = {}
+        self._cache: dict[bytes, tuple[float, np.ndarray]] = {}
 
-    def _exact(self, tau: np.ndarray) -> tuple[float, np.ndarray]:
-        return additive_worst_case(self._additive,
-                                   ToleranceBox(center=self.center, half_widths=tau))
+    def _result(self, tau) -> BoxMaxResult:
+        """The multistart's result at tau, uncached."""
+        return box_maximize(self.model, ToleranceBox(center=self.center, half_widths=tau))
 
-    def _result(self, tau: np.ndarray) -> BoxMaxResult:
-        key = tau.tobytes()
-        result = self._cache.get(key)
-        if result is None:
-            box = ToleranceBox(center=self.center, half_widths=tau)
-            result = box_maximize(self.model, box)
+    def _solve(self, tau) -> tuple[float, np.ndarray]:
+        key = np.asarray(tau, dtype=float).tobytes()
+        solved = self._cache.get(key)
+        if solved is None:
+            if self._additive is None:
+                result = self._result(tau)
+                solved = result.value, grad_G(self.model, result.box, result)
+            else:
+                solved = additive_worst_case(
+                    self._additive, ToleranceBox(center=self.center, half_widths=tau))
+            solved[1].setflags(write=False)
             if len(self._cache) > 4096:
                 self._cache.clear()
-            self._cache[key] = result
-        return result
+            self._cache[key] = solved
+        return solved
 
     def value(self, tau) -> float:
-        tau = np.asarray(tau, dtype=float)
-        if self._additive is not None:
-            return self._exact(tau)[0]
-        return self._result(tau).value
+        return self._solve(tau)[0]
 
     def grad(self, tau) -> np.ndarray:
-        tau = np.asarray(tau, dtype=float)
-        if self._additive is not None:
-            return self._exact(tau)[1]
-        result = self._result(tau)
-        return grad_G(self.model, result.box, result)
+        return self._solve(tau)[1]
 
 
 class AnalyticWorstCase:

@@ -181,8 +181,10 @@ def _tau_from(path, what: str) -> np.ndarray:
 def _config_vectors(config: dict) -> dict:
     """The config fields that hold one number per parameter, by name."""
     spec = config.get("measure", {})
+    kind = spec.get("kind")
+    keys = measures.KIND_KEYS.get(kind, set()) if isinstance(kind, str) else set()
     return {"nominal": _require(config, "nominal"),
-            **{f"measure.{key}": spec[key] for key in ("weights", "a", "b", "k") if key in spec}}
+            **{f"measure.{key}": spec[key] for key in sorted(keys) if key in spec}}
 
 
 def _check_dims(model: SeparatedModel, files: dict) -> None:
@@ -195,14 +197,15 @@ def _check_dims(model: SeparatedModel, files: dict) -> None:
                                  "one per parameter of the model")
 
 
-def _gfun_for(model: SeparatedModel, config: dict) -> boxmax.SurrogateWorstCase:
+def _problem(config: dict, path, model: SeparatedModel):
+    """G, the measure and Q_allow of ``allocate`` and ``check``."""
     nominal = np.asarray(_require(config, "nominal"), dtype=float)
-    return boxmax.SurrogateWorstCase(model, nominal)
-
-
-def _measure_for(config: dict, model: SeparatedModel | None):
-    nominal = np.asarray(_require(config, "nominal"), dtype=float)
-    return measures.from_config(_require(config, "measure"), model=model, mu_hat=nominal)
+    q_allow = float(_require(config, "q_allow"))
+    try:
+        measure = measures.from_config(_require(config, "measure"), model=model, mu_hat=nominal)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"bad 'measure' in config {path}: {exc}")
+    return boxmax.SurrogateWorstCase(model, nominal), measure, q_allow
 
 
 # ---------------------------------------------------------------------------
@@ -293,9 +296,7 @@ def cmd_allocate(args) -> int:
         raise UsageError("--emit-manifold-scan requires a 2-parameter problem")
     _check_dims(model, {args.config: _config_vectors(config),
                         args.domain: {"tau_min": bbox.tau_min, "tau_max": bbox.tau_max}})
-    q_allow = float(_require(config, "q_allow"))
-    gfun = _gfun_for(model, config)
-    measure = _measure_for(config, model)
+    gfun, measure, q_allow = _problem(config, args.config, model)
     tau0 = manifold.initial_guess(bbox, measure, gfun, q_allow)
     run = manifold.gradient_ascent if args.method == "ga" else manifold.conjugate_gradient
     result = run(tau0, bbox, gfun, q_allow, measure)
@@ -331,9 +332,7 @@ def cmd_check(args) -> int:
     model = _model_from(args.model)
     _check_dims(model, {args.config: _config_vectors(config), args.tau: {"tau": tau},
                         args.reference: {"tau": tau_ref}})
-    gfun = _gfun_for(model, config)
-    measure = _measure_for(config, model)
-    q_allow = float(_require(config, "q_allow"))
+    gfun, measure, q_allow = _problem(config, args.config, model)
     report = metrics.allocation_errors(tau, tau_ref, measure, gfun, q_allow)
     print(json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True))
     thresholds = config.get("check_thresholds", {})

@@ -8,13 +8,13 @@ All are monotone in every component and pure functions of tau.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .surrogate import SeparatedModel
 
-DEGENERATE_WEIGHT_TOL = 1e-12
+DEGENERATE_WEIGHT_TOL = 1e-8
 
 
 def _check_nonnegative(tau: np.ndarray) -> np.ndarray:
@@ -126,48 +126,48 @@ def ascent_direction(measure, tau) -> np.ndarray:
         return np.ones_like(np.asarray(tau, dtype=float))
 
 
-def compute_mu_weights(model: SeparatedModel, mu_hat) -> np.ndarray:
-    """Sensitivity weights |dQ/dmu_i| at the nominal design, from the surrogate."""
-    weights = np.abs(model.gradient(mu_hat))
-    if np.all(weights < DEGENERATE_WEIGHT_TOL):
-        warnings.warn(
-            "all sensitivity weights are (numerically) zero: the nominal design is "
-            "stationary for the surrogate, so the mu-norm is degenerate",
-            stacklevel=2,
-        )
-    return weights
-
-
 def mu_norm_from_model(model: SeparatedModel, mu_hat):
-    """Build a mu-norm from surrogate sensitivities, degrading to the 1-norm
-    (loudly) when the nominal design is a stationary point."""
-    weights = compute_mu_weights(model, mu_hat)
-    if np.all(weights < DEGENERATE_WEIGHT_TOL):
-        return OneNorm()  # compute_mu_weights has warned
+    """A mu-norm weighted by the surrogate's |dQ/dmu_i| at the nominal design,
+    or, with a warning, the 1-norm when each weight is at most
+    DEGENERATE_WEIGHT_TOL times the largest partial at the 2d points that move
+    one coordinate of the nominal design to an end of its interval."""
+    mu_hat = np.asarray(mu_hat, dtype=float)
+    weights = np.abs(model.gradient(mu_hat))
+    ends = np.tile(mu_hat, (2, model.dim, 1))
+    for i, interval in enumerate(model.intervals):
+        ends[:, i, i] = interval.lo, interval.hi
+    scale = np.abs(model.grad_many(ends.reshape(-1, model.dim))).max()
+    if np.all(weights <= DEGENERATE_WEIGHT_TOL * scale):
+        warnings.warn("all sensitivity weights are negligible: the nominal design is "
+                      "stationary for the surrogate, so the mu-norm is degenerate; using the "
+                      "1-norm", stacklevel=2)
+        return OneNorm()
     return MuNorm(weights=weights)
 
 
-def from_config(spec: dict, model: SeparatedModel | None = None, mu_hat=None):
-    """Build a measure from its JSON description.
+# The measure of each config kind; its other keys are the class's fields.
+KINDS = {"one-norm": OneNorm, "mu-norm": MuNorm, "minus-one-norm": MinusOneNorm,
+         "reciprocal-power-cost": ReciprocalPowerCost}
+KIND_KEYS = {kind: {field.name for field in fields(cls)} for kind, cls in KINDS.items()}
 
-    ``{"kind": "mu-norm"}`` without explicit weights derives them from the
-    surrogate's gradient at the nominal design, which must then be supplied.
-    """
+
+def from_config(spec: dict, model: SeparatedModel | None = None, mu_hat=None):
+    """Build a measure from its JSON description.  A key the kind does not
+    read, or a missing one, is a ``ValueError`` that names it.  A mu-norm
+    without weights takes them from ``model`` at ``mu_hat`` (then required)."""
     kind = spec.get("kind")
-    if kind == "one-norm":
-        return OneNorm()
-    if kind == "mu-norm":
-        if "weights" in spec:
-            return MuNorm(weights=np.asarray(spec["weights"], dtype=float))
+    if not isinstance(kind, str) or kind not in KINDS:
+        raise ValueError(f"unknown measure kind {kind!r}")
+    keys = KIND_KEYS[kind]
+    unknown = sorted(set(spec) - keys - {"kind"})
+    if unknown:
+        raise ValueError(f"{kind} measure does not read key(s) {', '.join(unknown)}; "
+                         f"it reads {', '.join(sorted(keys)) or 'no other key'}")
+    if kind == "mu-norm" and "weights" not in spec:
         if model is None or mu_hat is None:
             raise ValueError("mu-norm without explicit weights needs a model and nominal design")
         return mu_norm_from_model(model, mu_hat)
-    if kind == "minus-one-norm":
-        return MinusOneNorm()
-    if kind == "reciprocal-power-cost":
-        return ReciprocalPowerCost(
-            a=np.asarray(spec["a"], dtype=float),
-            b=np.asarray(spec["b"], dtype=float),
-            k=np.asarray(spec["k"], dtype=float),
-        )
-    raise ValueError(f"unknown measure kind {kind!r}")
+    missing = sorted(keys - set(spec))
+    if missing:
+        raise ValueError(f"{kind} measure lacks key(s) {', '.join(missing)}")
+    return KINDS[kind](**{key: np.asarray(spec[key], dtype=float) for key in keys})

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 from scipy.stats import qmc
 
-from tolalloc import Interval, SeparatedModel, boxmax
+from tolalloc import (
+    BoundingBox,
+    Interval,
+    OneNorm,
+    SeparatedModel,
+    boxmax,
+    conjugate_gradient,
+    initial_guess,
+)
 from tolalloc.boxmax import (
     AnalyticWorstCase,
     SurrogateWorstCase,
@@ -461,6 +469,73 @@ def test_surrogate_worst_case_value_and_cache():
     assert worst.value(tau) == box_maximize(model, box).value
     assert worst.value(tau) == worst.value(tau.copy())
     assert len(worst._cache) == 1
+
+
+def count_calls(monkeypatch, name: str) -> list:
+    """Wrap ``boxmax.<name>``, called as ``name(model, box, ...)``, to record
+    the half-widths of each call's box."""
+    calls, fn = [], getattr(boxmax, name)
+
+    def counted(model, box, *args):
+        calls.append(box.half_widths.tobytes())
+        return fn(model, box, *args)
+
+    monkeypatch.setattr(boxmax, name, counted)
+    return calls
+
+
+def test_value_and_grad_at_one_tau_share_one_exact_solve(monkeypatch):
+    solves = count_calls(monkeypatch, "additive_worst_case")
+    worst = SurrogateWorstCase(exact_bowl_model(3), np.zeros(3))
+    tau = np.array([0.3, 0.4, 0.5])
+    value = worst.value(tau)
+    grad = worst.grad(tau.copy())
+    assert len(solves) == 1
+    assert value == pytest.approx(0.5, rel=1e-14)
+    np.testing.assert_allclose(grad, 2.0 * tau, rtol=1e-14)
+    assert worst.value(list(tau)) == value and len(solves) == 1
+
+
+def test_cg_allocation_on_an_exact_bowl_solves_each_tau_once(monkeypatch):
+    solves = count_calls(monkeypatch, "additive_worst_case")
+    bowl = exact_bowl_model(6)
+    a = np.linspace(0.5, 5.0, 6)
+    model = SeparatedModel(dim=6, rank=6, degree=2, intervals=bowl.intervals, scales=a,
+                           coeffs=bowl.coeffs)
+    worst = SurrogateWorstCase(model, np.zeros(6))
+    requests = []
+    for name in ("value", "grad"):
+        method = getattr(worst, name)
+        setattr(worst, name, lambda tau, method=method: requests.append(1) or method(tau))
+    bbox = BoundingBox(np.zeros(6), 0.5 / np.sqrt(a))
+    tau0 = initial_guess(bbox, OneNorm(), worst, 0.25)
+    result = conjugate_gradient(tau0, bbox, worst, 0.25, OneNorm())
+    assert result.iterations > 0
+    assert len(solves) == len(set(solves)) > 20
+    assert len(requests) > len(solves)
+
+
+def test_value_and_grad_of_a_non_additive_model_share_one_multistart(monkeypatch):
+    maximizes = count_calls(monkeypatch, "box_maximize")
+    gradients = count_calls(monkeypatch, "grad_G")
+    worst = SurrogateWorstCase(Rank2Synthetic().as_separated_model(), np.zeros(2))
+    tau = np.array([0.3, 0.2])
+    worst.value(tau)
+    worst.grad(tau)
+    worst.grad(tau.copy())
+    assert len(maximizes) == len(gradients) == 1
+
+
+@pytest.mark.parametrize("model", [exact_bowl_model(2), Rank2Synthetic().as_separated_model()],
+                         ids=["additive", "multistart"])
+def test_the_cached_gradient_is_read_only(model):
+    worst = SurrogateWorstCase(model, np.zeros(2))
+    tau = np.array([0.3, 0.2])
+    grad = worst.grad(tau)
+    before = grad.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        grad[0] = 1.0
+    np.testing.assert_array_equal(worst.grad(tau), before)
 
 
 def test_analytic_worst_case_wraps_callables():

@@ -698,6 +698,33 @@ def test_vector_of_another_dimension_than_the_model_exits_2(tmp_path, capsys, co
     assert not out.exists()
 
 
+# A measure key that the kind does not read, or lacks, and a kind that is not
+# a known name exit 2 naming the config file and the key; a one-norm's
+# 'weights' is not length-checked.
+@pytest.mark.parametrize("command", ["allocate", "check"])
+@pytest.mark.parametrize("measure, named", [
+    ({"kind": "mu-norm", "weight": [1.0, 1.0]}, "does not read key(s) weight"),
+    ({"kind": "one-norm", "weights": THREE}, "does not read key(s) weights"),
+    ({"kind": "reciprocal-power-cost", "a": [0.0, 0.0], "b": [1.0, 1.0]}, "lacks key(s) k"),
+    ({"kind": ["one-norm"]}, "unknown measure kind ['one-norm']"),
+], ids=["mu-norm-weight", "one-norm-weights", "cost-without-k", "kind-list"])
+def test_measure_key_the_kind_does_not_read_exits_2(tmp_path, capsys, command, measure, named):
+    config, model = tmp_path / "config.json", tmp_path / "model.json"
+    config.write_text(json.dumps({**BOWL_CONFIG, "measure": measure}))
+    SeparatedModel(dim=2, rank=1, degree=2, intervals=(Interval(-1.0, 1.0), Interval(-0.5, 0.5)),
+                   scales=np.ones(1), coeffs=np.ones((1, 2, 3))).save(model)
+    (tmp_path / "tau.json").write_text(RESULT)
+    out = tmp_path / "out.json"
+    argv = {"allocate": ["--domain", _write_domain(tmp_path), "--out", out],
+            "check": ["--tau", tmp_path / "tau.json", "--reference", tmp_path / "tau.json"]}
+    code, stdout, stderr = run(capsys, command, "--config", str(config), "--model", str(model),
+                               *map(str, argv[command]))
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith(f"error: bad 'measure' in config {config}: ") and named in stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("fit, named", [
     ({"target_rank": 2, "degree": 2.5}, "degree must be an integer"),
     ({"target_rank": 1.5, "degree": 2}, "target_rank must be an integer"),

@@ -1,14 +1,21 @@
 import numpy as np
 import pytest
 
-from tolalloc import Interval, SeparatedModel
+from tolalloc import (
+    FitConfig,
+    Interval,
+    SeparatedModel,
+    als_fit,
+    draw_samples,
+    make_builtin,
+    size_bounding_box,
+)
 from tolalloc.measures import (
     MinusOneNorm,
     MuNorm,
     OneNorm,
     ReciprocalPowerCost,
     ascent_direction,
-    compute_mu_weights,
     from_config,
     mu_norm_from_model,
 )
@@ -147,20 +154,42 @@ def linear_sum_model(c1, c2) -> SeparatedModel:
 
 def test_compute_mu_weights_from_linear_model():
     model = linear_sum_model(3.0, -2.0)
-    np.testing.assert_allclose(compute_mu_weights(model, [0.0, 0.0]), [3.0, 2.0],
-                               rtol=1e-12)
     measure = mu_norm_from_model(model, [0.0, 0.0])
     assert isinstance(measure, MuNorm)
+    np.testing.assert_allclose(measure.weights, [3.0, 2.0], rtol=1e-12)
     assert measure.value([1.0, 1.0]) == pytest.approx(5.0)
 
 
 def test_mu_weights_degenerate_warns_and_falls_back():
     model = linear_sum_model(0.0, 0.0)
     with pytest.warns(UserWarning, match="stationary"):
-        compute_mu_weights(model, [0.0, 0.0])
-    with pytest.warns(UserWarning):
         measure = mu_norm_from_model(model, [0.0, 0.0])
     assert isinstance(measure, OneNorm)
+
+
+def test_mu_weights_of_a_fitted_bowl_at_its_minimum_are_degenerate():
+    # The seed-1 d = 6 bowl of the benchmark, fitted as the CLI fits it: at
+    # the nominal design mu = 0 its partials are fitting noise, 1e-13 to
+    # 2.4e-12, some above any absolute cut-off of 1e-12, while the partials
+    # at the ends of its intervals are of order 1.
+    a = [5.0, 1.4, 3.2, 2.3, 4.1, 0.5]
+    bowl = make_builtin("quadratic-bowl", {"a": a})
+    _, intervals = size_bounding_box(bowl, np.zeros(6), 1.0, np.full(6, 10.0))
+    samples = draw_samples(bowl, intervals, 240, 1)
+    model, _ = als_fit(samples, FitConfig(target_rank=6, degree=2, seed=1), intervals)
+    weights = np.abs(model.gradient(np.zeros(6)))
+    assert 1e-12 < weights.max() < 1e-11
+    with pytest.warns(UserWarning, match="stationary"):
+        measure = mu_norm_from_model(model, np.zeros(6))
+    assert isinstance(measure, OneNorm)
+    # The test is scale-free: the same model scaled by 1e-6 is as degenerate.
+    scaled = SeparatedModel(dim=6, rank=model.rank, degree=2, intervals=model.intervals,
+                            scales=1e-6 * model.scales, coeffs=model.coeffs)
+    with pytest.warns(UserWarning, match="stationary"):
+        assert isinstance(mu_norm_from_model(scaled, np.zeros(6)), OneNorm)
+    # ... and a linear model as small as that noise is not.
+    tiny = mu_norm_from_model(linear_sum_model(3e-15, -2e-15), [0.0, 0.0])
+    np.testing.assert_allclose(tiny.weights, [3e-15, 2e-15], rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -192,3 +221,21 @@ def test_from_config_mu_norm_derives_weights():
         from_config({"kind": "mu-norm"})
     with pytest.raises(ValueError, match="kind"):
         from_config({"kind": "p-norm"})
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"kind": "mu-norm", "weight": [1.0, 2.0]},
+     "mu-norm measure does not read key\\(s\\) weight; it reads weights"),
+    ({"kind": "one-norm", "weights": [1.0]},
+     "one-norm measure does not read key\\(s\\) weights; it reads no other key"),
+    ({"kind": "minus-one-norm", "a": [1.0, 2.0], "k": [1.0, 1.0]},
+     "does not read key\\(s\\) a, k"),
+    ({"kind": "reciprocal-power-cost", "a": [0.1, 0.2], "b": [1.0, 1.0]},
+     "reciprocal-power-cost measure lacks key\\(s\\) k"),
+    ({"kind": "reciprocal-power-cost", "a": [0.1], "b": [1.0], "k": [1.0], "c": [1.0]},
+     "does not read key\\(s\\) c; it reads a, b, k"),
+], ids=["misspelt-weights", "one-norm-weights", "minus-one-norm-keys", "missing-k",
+        "cost-extra"])
+def test_from_config_names_a_key_the_kind_does_not_read_or_lacks(spec, message):
+    with pytest.raises(ValueError, match=message):
+        from_config(spec, model=linear_sum_model(1.0, 1.0), mu_hat=[0.0, 0.0])
