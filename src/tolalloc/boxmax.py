@@ -359,7 +359,7 @@ class SurrogateWorstCase:
 
 
 class AnalyticWorstCase:
-    """Closed-form G(tau) wrapper used for benchmarks and tests."""
+    """Closed-form G(tau) wrapper used for tests."""
 
     def __init__(self, value_fn, grad_fn):
         self._value = value_fn

@@ -33,8 +33,8 @@ CONFIG_FIELDS = {"format_version", "seed", "evaluator", "nominal", "q_allow", "m
 # top-level ``seed`` (or ``--seed``), not a 'fit' key.
 CONFIG_SECTION_FIELDS = {
     "bbox": {"caps", "tau_min"},
-    "check_thresholds": {"tol_err_inf", "objective_rel_err", "constraint_rel_err"},
-    "fit": {"target_rank", "degree", "rel_residual_tol"},
+    "check_thresholds": {field.name for field in dataclasses.fields(metrics.AllocationErrorReport)},
+    "fit": {field.name for field in dataclasses.fields(FitConfig)} - {"seed"},
 }
 EXIT_OK = 0
 EXIT_THRESHOLD = 1
@@ -201,6 +201,10 @@ def _problem(config: dict, path, model: SeparatedModel):
     """G, the measure and Q_allow of ``allocate`` and ``check``."""
     nominal = np.asarray(_require(config, "nominal"), dtype=float)
     q_allow = float(_require(config, "q_allow"))
+    try:
+        model(nominal)
+    except ValueError as exc:
+        raise UsageError(f"'nominal' in config {path} lies outside the model's intervals: {exc}")
     try:
         measure = measures.from_config(_require(config, "measure"), model=model, mu_hat=nominal)
     except (TypeError, ValueError) as exc:

@@ -102,11 +102,12 @@ class AllocationResult:
 # ---------------------------------------------------------------------------
 
 def _crossing(
-    gfun, q_allow: float, bbox: BoundingBox, base, direction,
-    a: float, f_a: float, b: float, f_b: float,
-) -> tuple[float, float]:
-    """The s between a and b where G(clip(base + s direction)) = q_allow, and
-    the residual G - q_allow there, given residuals f_a and f_b of unlike sign.
+    gfun, q_allow: float, bbox: BoundingBox, base, direction, far: float,
+    f_base: float, tol: float, error: type[Exception],
+) -> np.ndarray:
+    """The point clip(base + s direction), s between 0 and far, where G =
+    q_allow, given f_base = G - q_allow at base.  Raises ``error`` when G -
+    q_allow has one sign at both ends, or misses by more than ``tol`` relative.
 
     Safeguarded Newton-bisection (``rtsafe``, Press et al., *Numerical
     Recipes* §9.4) from the end of smaller |residual|.  The slope is
@@ -115,8 +116,12 @@ def _crossing(
     does not halve the step before last, is replaced by bisection.  Returns
     the probe of least |residual|.
     """
-    lo, hi = (a, b) if f_a < f_b else (b, a)   # the residual is <= 0 at lo
-    s, f = (a, f_a) if abs(f_a) < abs(f_b) else (b, f_b)
+    f_far = gfun.value(bbox.clip(base + far * direction)) - q_allow
+    if f_base * f_far > 0.0:
+        raise error(f"segment exits the box without crossing the manifold: q_allow={q_allow} "
+                    f"outside [{min(f_base, f_far) + q_allow}, {max(f_base, f_far) + q_allow}]")
+    lo, hi = (0.0, far) if f_base < f_far else (far, 0.0)   # the residual is <= 0 at lo
+    s, f = (0.0, f_base) if abs(f_base) < abs(f_far) else (far, f_far)
     best_s, best_f = s, f
     step = step_old = hi - lo
     raw = base + s * direction
@@ -145,7 +150,9 @@ def _crossing(
             hi = s
         if abs(f) < abs(best_f):
             best_s, best_f = s, f
-    return best_s, best_f
+    if not abs(best_f) <= tol * abs(q_allow):
+        raise error("manifold crossing failed the residual tolerance")
+    return bbox.clip(base + best_s * direction)
 
 
 def retract(
@@ -154,9 +161,8 @@ def retract(
     """Return to the manifold along the retractor line through tau + eta.
 
     Above the manifold the retractor points back toward tau_min; below, toward
-    tau_max.  The intersection G = q_allow is solved by safeguarded Newton
-    steps from the anchor clip(tau + eta), within the sign bracket between the
-    anchor and the box corner.
+    tau_max.  The intersection G = q_allow is solved by ``_crossing`` on the
+    segment from the anchor clip(tau + eta) to that box corner.
     """
     tau = np.asarray(tau, dtype=float)
     eta = np.asarray(eta, dtype=float)
@@ -170,17 +176,8 @@ def retract(
         direction, far = bbox.tau_max - anchor, 1.0
     if not np.any(direction != 0.0):
         raise RetractionError("degenerate retractor direction (point on box corner)")
-    f_anchor = g_anchor - q_allow
-    f_far = gfun.value(bbox.clip(anchor + far * direction)) - q_allow
-    if f_anchor * f_far > 0.0:
-        raise RetractionError(
-            f"no manifold crossing along retractor line: q_allow={q_allow} outside "
-            f"[{min(f_anchor, f_far) + q_allow}, {max(f_anchor, f_far) + q_allow}]"
-        )
-    s_star, f_star = _crossing(gfun, q_allow, bbox, anchor, direction, 0.0, f_anchor, far, f_far)
-    if not abs(f_star) <= tol * abs(q_allow):
-        raise RetractionError("retraction failed to meet the manifold residual tolerance")
-    return bbox.clip(anchor + s_star * direction)
+    return _crossing(gfun, q_allow, bbox, anchor, direction, far, g_anchor - q_allow,
+                     tol, RetractionError)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +223,7 @@ def initial_guess(
     bbox: BoundingBox, measure, gfun, q_allow: float, tol: float = RETRACTION_TOL
 ) -> np.ndarray:
     """First manifold point: ray from tau_min along the measure ascent direction,
-    crossing G = q_allow by the same safeguarded Newton steps as ``retract``."""
+    crossing G = q_allow by ``_crossing``, as ``retract`` does."""
     direction = np.asarray(ascent_direction(measure, bbox.tau_min), dtype=float)
     norm = np.linalg.norm(direction)
     if norm == 0.0:
@@ -236,22 +233,12 @@ def initial_guess(
     s_max = bbox.ray_length(bbox.tau_min, direction)
     if not np.isfinite(s_max) or s_max <= 0.0:
         raise InitializationError("initial ray does not enter the bounding box")
-
-    def residual(s: float) -> float:
-        return gfun.value(bbox.clip(bbox.tau_min + s * direction)) - q_allow
-
-    f0 = residual(0.0)
+    f0 = gfun.value(bbox.tau_min) - q_allow
     if f0 >= 0.0:
-        raise InitializationError(
-            f"G(tau_min) = {f0 + q_allow} already violates q_allow = {q_allow}"
-        )
-    f_end = residual(s_max)
-    if f_end < 0.0:
-        raise InitializationError("initial ray exits the box before crossing the manifold")
-    s_star, f_star = _crossing(gfun, q_allow, bbox, bbox.tau_min, direction, 0.0, f0, s_max, f_end)
-    if not abs(f_star) <= tol * abs(q_allow):
-        raise InitializationError("initial guess failed the manifold residual tolerance")
-    return bbox.clip(bbox.tau_min + s_star * direction)
+        raise InitializationError(f"G(tau_min) = {f0 + q_allow} already violates "
+                                  f"q_allow = {q_allow}")
+    return _crossing(gfun, q_allow, bbox, bbox.tau_min, direction, s_max, f0,
+                     tol, InitializationError)
 
 
 def _probe(

@@ -370,20 +370,6 @@ def _normalize(scales: np.ndarray, coeffs: np.ndarray) -> None:
     scales *= norms.prod(axis=1)
 
 
-def _factor_column(coeffs: np.ndarray, basis: np.ndarray, i: int) -> np.ndarray:
-    """Factors of dimension ``i`` at every sample, shape (r, n)."""
-    return np.einsum("lj,nj->ln", coeffs[:, i, :], basis[i])
-
-
-def _factor_table(coeffs: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """All factors, shape (r, n, d), from coeffs (r, d, p+1) and basis (d, n, p+1)."""
-    rank, d, _ = coeffs.shape
-    table = np.empty((rank, basis.shape[1], d))
-    for i in range(d):
-        table[:, :, i] = _factor_column(coeffs, basis, i)
-    return table
-
-
 def _additive_start(basis: np.ndarray, q: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
     """Scales (d,) and coeffs (d, d, p+1) of c + sum_i f_i(x_i) fitted by one
     regularized solve over the constant and the L_1..L_p columns of every
@@ -462,9 +448,9 @@ def als_fit(
         coeffs = rng.uniform(-1.0, 1.0, size=(1, d, p1))
     # Factor table: entry (l, k, i) is factor l of dimension i at sample k.  A
     # solve in dimension i changes only column i, so only that column is
-    # refreshed; the einsum per column keeps every value bit-identical to the
-    # whole-table einsum (a BLAS product would not).
-    factors = _factor_table(coeffs, basis)
+    # refreshed, by an einsum whose values equal the whole table's bit for bit
+    # (a BLAS product would not).
+    factors = np.einsum("lij,inj->lni", coeffs, basis)
 
     history: list[float] = []
     sweeps_used = 0
@@ -488,9 +474,9 @@ def als_fit(
                 if not np.all(np.isfinite(theta)):
                     raise FitError(f"non-finite solution in dimension {i}")
                 coeffs[:, i, :] = theta.reshape(rank, p1)
-                factors[:, :, i] = _factor_column(coeffs, basis, i)
+                factors[:, :, i] = np.einsum("lj,nj->ln", coeffs[:, i, :], basis[i])
             _normalize(scales, coeffs)
-            factors = _factor_table(coeffs, basis)
+            factors = np.einsum("lij,inj->lni", coeffs, basis)
             pred = scales @ factors.prod(axis=2)
             residual = float(np.linalg.norm(q - pred) / q_norm)
             history.append(residual)
@@ -507,7 +493,7 @@ def als_fit(
         rank += 1
         scales = np.concatenate([scales, [1.0]])
         coeffs = np.concatenate([coeffs, rng.uniform(-1.0, 1.0, size=(1, d, p1))], axis=0)
-        factors = _factor_table(coeffs, basis)
+        factors = np.einsum("lij,inj->lni", coeffs, basis)
 
     model = SeparatedModel(
         dim=d,

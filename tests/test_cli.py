@@ -725,6 +725,29 @@ def test_measure_key_the_kind_does_not_read_exits_2(tmp_path, capsys, command, m
     assert not out.exists()
 
 
+# A nominal design outside the model's intervals exits 2 naming the config
+# file and 'nominal', whichever measure the config asks for.
+@pytest.mark.parametrize("command", ["allocate", "check"])
+@pytest.mark.parametrize("measure", [{"kind": "one-norm"}, {"kind": "mu-norm"}],
+                         ids=["one-norm", "mu-norm"])
+def test_nominal_outside_the_model_intervals_exits_2(tmp_path, capsys, command, measure):
+    config, model = tmp_path / "config.json", tmp_path / "model.json"
+    config.write_text(json.dumps({**BOWL_CONFIG, "nominal": [5.0, 0.0], "measure": measure}))
+    SeparatedModel(dim=2, rank=1, degree=2, intervals=(Interval(-1.0, 1.0), Interval(-0.5, 0.5)),
+                   scales=np.ones(1), coeffs=np.ones((1, 2, 3))).save(model)
+    (tmp_path / "tau.json").write_text(RESULT)
+    out = tmp_path / "out.json"
+    argv = {"allocate": ["--domain", _write_domain(tmp_path), "--out", out],
+            "check": ["--tau", tmp_path / "tau.json", "--reference", tmp_path / "tau.json"]}
+    code, stdout, stderr = run(capsys, command, "--config", str(config), "--model", str(model),
+                               *map(str, argv[command]))
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith(f"error: 'nominal' in config {config} lies outside the model's "
+                             "intervals: points fall outside interval for dimension 0")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("fit, named", [
     ({"target_rank": 2, "degree": 2.5}, "degree must be an integer"),
     ({"target_rank": 1.5, "degree": 2}, "target_rank must be an integer"),
