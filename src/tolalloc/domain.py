@@ -128,23 +128,13 @@ def size_bounding_box(
     The binding direction governs each axis since the tolerance box extends
     symmetrically about the nominal design; the sampling interval of axis i is
     [mu_hat_i - tau_max_i, mu_hat_i + tau_max_i].  The box's tau_min is 0.
-    Each distinct point is evaluated once: Q(mu_hat), which every axis search
-    starts from, and the refined root that each search checks again.
     """
     mu_hat = np.asarray(mu_hat, dtype=float)
     caps = np.broadcast_to(np.asarray(caps, dtype=float), mu_hat.shape)
-    solved: dict[bytes, float] = {}
-
-    def solve(point: np.ndarray) -> float:
-        key = point.tobytes()
-        if key not in solved:
-            solved[key] = evaluator(point)
-        return solved[key]
-
     tau_max = np.empty_like(mu_hat)
     for i in range(mu_hat.size):
-        plus = axis_threshold(solve, mu_hat, q_allow, i, +1, float(caps[i]))
-        minus = axis_threshold(solve, mu_hat, q_allow, i, -1, float(caps[i]))
+        plus = axis_threshold(evaluator, mu_hat, q_allow, i, +1, float(caps[i]))
+        minus = axis_threshold(evaluator, mu_hat, q_allow, i, -1, float(caps[i]))
         tau_max[i] = min(plus, minus)
     bbox = BoundingBox(tau_min=np.zeros_like(tau_max), tau_max=tau_max)
     return bbox, tuple(Interval(m - t, m + t) for m, t in zip(mu_hat, tau_max))

@@ -147,6 +147,11 @@ def legendre_deriv_table(vals: np.ndarray) -> np.ndarray:
     return out
 
 
+def _factors(coeffs: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Factors (r, n, d) of coeffs (r, d, p+1) on a Legendre table (n, d, p+1)."""
+    return np.einsum("lij,nij->lni", coeffs, basis)
+
+
 # ---------------------------------------------------------------------------
 # Separated model
 # ---------------------------------------------------------------------------
@@ -197,7 +202,7 @@ class SeparatedModel:
         if pts.shape[1] != self.dim:
             raise ValueError(f"expected {self.dim}-dimensional points, got {pts.shape[1]}")
         basis = legendre_table(_standardize(pts, self._lo, self._width), self.degree)
-        return basis, np.einsum("lij,nij->lni", self.coeffs, basis)
+        return basis, _factors(self.coeffs, basis)
 
     def eval_many(self, points) -> np.ndarray:
         """Evaluate the surrogate at an (N, dim) array of design points."""
@@ -212,7 +217,7 @@ class SeparatedModel:
         points, from one standardization and one Legendre table.  Each output
         equals what :meth:`eval_many` and :meth:`grad_many` return, bit for bit."""
         basis, factors = self._basis_factors(points)
-        dfactors = np.einsum("lij,nij->lni", self.coeffs, legendre_deriv_table(basis))
+        dfactors = _factors(self.coeffs, legendre_deriv_table(basis))
         d = self.dim
         others = np.empty_like(factors)
         for i in range(d):
@@ -375,8 +380,8 @@ def _additive_start(basis: np.ndarray, q: np.ndarray, lam: float) -> tuple[np.nd
     regularized solve over the constant and the L_1..L_p columns of every
     dimension.  Term i holds f_i in dimension i and L_0 in every other; the
     constant goes into term 0."""
-    d, n, p1 = basis.shape
-    design = np.concatenate([np.ones((n, 1)), *basis[:, :, 1:]], axis=1)  # (n, 1 + d p)
+    n, d, p1 = basis.shape
+    design = np.concatenate([np.ones((n, 1)), basis[:, :, 1:].reshape(n, -1)], axis=1)
     gram = design.T @ design
     gram.flat[:: design.shape[1] + 1] += lam
     try:
@@ -434,7 +439,8 @@ def als_fit(
         q_norm = 1.0
     lam = REGULARIZATION * float(np.mean(q * q))
 
-    basis = legendre_table(x.T, config.degree)  # (d, n, p+1)
+    # (n, d, p+1), as the model's, over dimension-major memory for fast einsums.
+    basis = legendre_table(x.T, config.degree).transpose(1, 0, 2)
     others_of = [np.arange(d) != i for i in range(d)]
 
     rng = np.random.default_rng(config.seed)
@@ -446,11 +452,9 @@ def als_fit(
         rank = 1
         scales = np.ones(1)
         coeffs = rng.uniform(-1.0, 1.0, size=(1, d, p1))
-    # Factor table: entry (l, k, i) is factor l of dimension i at sample k.  A
-    # solve in dimension i changes only column i, so only that column is
-    # refreshed, by an einsum whose values equal the whole table's bit for bit
-    # (a BLAS product would not).
-    factors = np.einsum("lij,inj->lni", coeffs, basis)
+    # A solve in dimension i changes only column i of the factor table, so
+    # only that column is refreshed.
+    factors = _factors(coeffs, basis)
 
     history: list[float] = []
     sweeps_used = 0
@@ -464,7 +468,7 @@ def als_fit(
         for _ in range(MAX_SWEEPS):
             for i in range(d):
                 others = scales[:, None] * factors[:, :, others_of[i]].prod(axis=2)  # (r, n)
-                design = (others.T[:, :, None] * basis[i][:, None, :]).reshape(n, rank * p1)
+                design = (others.T[:, :, None] * basis[:, None, i, :]).reshape(n, rank * p1)
                 gram = design.T @ design
                 gram.flat[:: rank * p1 + 1] += lam
                 try:
@@ -474,9 +478,9 @@ def als_fit(
                 if not np.all(np.isfinite(theta)):
                     raise FitError(f"non-finite solution in dimension {i}")
                 coeffs[:, i, :] = theta.reshape(rank, p1)
-                factors[:, :, i] = np.einsum("lj,nj->ln", coeffs[:, i, :], basis[i])
+                factors[:, :, i : i + 1] = _factors(coeffs[:, i : i + 1], basis[:, i : i + 1])
             _normalize(scales, coeffs)
-            factors = np.einsum("lij,inj->lni", coeffs, basis)
+            factors = _factors(coeffs, basis)
             pred = scales @ factors.prod(axis=2)
             residual = float(np.linalg.norm(q - pred) / q_norm)
             history.append(residual)
@@ -493,7 +497,7 @@ def als_fit(
         rank += 1
         scales = np.concatenate([scales, [1.0]])
         coeffs = np.concatenate([coeffs, rng.uniform(-1.0, 1.0, size=(1, d, p1))], axis=0)
-        factors = np.einsum("lij,inj->lni", coeffs, basis)
+        factors = _factors(coeffs, basis)
 
     model = SeparatedModel(
         dim=d,

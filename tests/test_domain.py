@@ -137,23 +137,3 @@ def test_size_bounding_box_rejects_infeasible_nominal():
     bowl = QuadraticBowl(a=[1.0, 1.0])
     with pytest.raises(ConstraintError):
         size_bounding_box(bowl, [2.0, 0.0], 1.0, caps=5.0)
-
-
-@pytest.mark.parametrize("a, calls", [
-    ([1.0, 4.0], 55),
-    (np.linspace(0.5, 5.0, 6), 171),
-    (np.linspace(0.5, 5.0, 10), 273),
-])
-def test_size_bounding_box_evaluates_each_point_once(a, calls):
-    # Every axis search starts from Q(mu_hat) and checks its refined root
-    # again; neither repeat reaches the evaluator.
-    bowl = QuadraticBowl(a=list(a))
-    points = []
-
-    def counting(mu):
-        points.append(np.asarray(mu).tobytes())
-        return bowl(mu)
-
-    bbox, _ = size_bounding_box(counting, np.zeros(len(a)), 1.0, caps=10.0)
-    assert len(points) == len(set(points)) == calls
-    np.testing.assert_allclose(bbox.tau_max, 1.0 / np.sqrt(a), rtol=1e-12)
