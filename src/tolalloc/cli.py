@@ -6,6 +6,10 @@ fields.  Exit codes: 0 success, 1 threshold/constraint failure, 2 usage/IO
 error, 3 numeric failure.  A query outside a tabulated evaluator's grid
 (``DomainError``) and an undefined relative error (``MetricError``) are
 numeric failures, although both subclass ``ValueError``.
+
+Every command pays for numpy, ``surrogate``, ``domain`` and ``metrics``; the
+evaluator, worst-case, manifold and measure modules are imported only by the
+commands that run them, since each command is a process of its own.
 """
 
 from __future__ import annotations
@@ -20,9 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import boxmax, evaluator as evaluator_mod, manifold, measures, metrics
+from . import metrics
 from .domain import BoundingBox, ConstraintError, size_bounding_box
-from .evaluator import DomainError, EvaluatorError
 from .surrogate import FitConfig, FitError, Interval, MissingFieldError, SampleSet, SeparatedModel
 from .surrogate import als_fit, write_csv, write_json
 
@@ -117,6 +120,8 @@ def _seed_of(args, config: dict) -> int:
 @contextmanager
 def _open_evaluator(config: dict):
     """The config's evaluator, closed (child processes stopped) on exit."""
+    from . import evaluator as evaluator_mod
+
     try:
         evaluator = evaluator_mod.from_config(_require(config, "evaluator"))
     except (KeyError, TypeError, ValueError) as exc:
@@ -180,6 +185,8 @@ def _tau_from(path, what: str) -> np.ndarray:
 
 def _config_vectors(config: dict) -> dict:
     """The config fields that hold one number per parameter, by name."""
+    from . import measures
+
     spec = config.get("measure", {})
     kind = spec.get("kind")
     keys = measures.KIND_KEYS.get(kind, set()) if isinstance(kind, str) else set()
@@ -199,6 +206,8 @@ def _check_dims(model: SeparatedModel, files: dict) -> None:
 
 def _problem(config: dict, path, model: SeparatedModel):
     """G, the measure and Q_allow of ``allocate`` and ``check``."""
+    from . import boxmax, measures
+
     nominal = np.asarray(_require(config, "nominal"), dtype=float)
     q_allow = float(_require(config, "q_allow"))
     try:
@@ -217,6 +226,8 @@ def _problem(config: dict, path, model: SeparatedModel):
 # ---------------------------------------------------------------------------
 
 def cmd_sample(args) -> int:
+    from . import evaluator as evaluator_mod
+
     config = load_config(args.config)
     _, intervals = _domain_from(args.domain)
     seed = _seed_of(args, config)
@@ -293,6 +304,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_allocate(args) -> int:
+    from . import manifold
+
     config = load_config(args.config)
     model = _model_from(args.model)
     bbox, _ = _domain_from(args.domain)
@@ -429,6 +442,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _numeric_errors() -> tuple[type[BaseException], ...]:
+    """The exception classes that exit 3, imported only once one is raised."""
+    from .evaluator import DomainError, EvaluatorError
+    from .manifold import DegenerateNormalError, InitializationError, RetractionError
+
+    return (FitError, EvaluatorError, DomainError, metrics.MetricError, ArithmeticError,
+            RetractionError, InitializationError, DegenerateNormalError, np.linalg.LinAlgError)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -437,17 +459,7 @@ def main(argv=None) -> int:
     except ConstraintError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_THRESHOLD
-    except (
-        FitError,
-        EvaluatorError,
-        DomainError,
-        metrics.MetricError,
-        ArithmeticError,
-        manifold.RetractionError,
-        manifold.InitializationError,
-        manifold.DegenerateNormalError,
-        np.linalg.LinAlgError,
-    ) as exc:
+    except _numeric_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (UsageError, OSError, ValueError, KeyError) as exc:

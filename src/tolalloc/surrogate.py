@@ -197,11 +197,13 @@ class SeparatedModel:
     # -- evaluation ---------------------------------------------------------
 
     def _basis_factors(self, points) -> tuple[np.ndarray, np.ndarray]:
-        """Legendre table (N, d, p+1) and factors (r, N, d) at (N, dim) points."""
+        """Legendre table (N, d, p+1), over dimension-major memory as in
+        :func:`als_fit`, and factors (r, N, d) at (N, dim) points."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[1] != self.dim:
             raise ValueError(f"expected {self.dim}-dimensional points, got {pts.shape[1]}")
-        basis = legendre_table(_standardize(pts, self._lo, self._width), self.degree)
+        std = _standardize(pts, self._lo, self._width)
+        basis = legendre_table(std.T, self.degree).transpose(1, 0, 2)
         return basis, _factors(self.coeffs, basis)
 
     def eval_many(self, points) -> np.ndarray:

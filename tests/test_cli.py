@@ -8,8 +8,12 @@ import sys
 import numpy as np
 import pytest
 
-from tolalloc import Interval, SeparatedModel, SurrogateWorstCase
+from tolalloc import (ConstraintError, DegenerateNormalError, EvaluatorError, FitError,
+                      InitializationError, Interval, RetractionError, SeparatedModel,
+                      SurrogateWorstCase, cli)
 from tolalloc.cli import main
+from tolalloc.evaluator import DomainError
+from tolalloc.metrics import MetricError
 from tolalloc.surrogate import write_json
 
 from conftest import random_model
@@ -285,8 +289,6 @@ print(json.dumps(loaded))
 
 
 def test_cli_commands_do_not_import_scipy(tmp_path, config_path):
-    import tolalloc
-
     domain = str(tmp_path / "domain.json")
     samples, model = str(tmp_path / "samples.csv"), str(tmp_path / "model.json")
     result = str(tmp_path / "result.json")
@@ -315,17 +317,79 @@ def test_cli_commands_do_not_import_scipy(tmp_path, config_path):
         ["size-domain", "--config", str(tabulated), "--out", domain],
         ["sample", "--config", str(tabulated), "--domain", domain, "--n", "60", "--out", samples],
     ]
-    src = os.path.dirname(os.path.dirname(tolalloc.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", SCIPY_PROBE, json.dumps(commands)],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=_package_env(), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout.strip().splitlines()[-1])
     assert loaded == [[name, []] for name in ["import", "size-domain", "sample", "fit",
                                               "allocate", "check", "size-domain", "sample"]]
+
+
+def _package_env() -> dict:
+    """The environment with this package's sources on PYTHONPATH."""
+    import tolalloc
+
+    src = os.path.dirname(os.path.dirname(tolalloc.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+# Runs ``python -m MODULE ARGS...`` (or only imports the package when MODULE is
+# "tolalloc"), then prints the exit code and the tolalloc submodules loaded.
+IMPORT_PROBE = """
+import json, runpy, sys
+sys.argv = sys.argv[1:]
+code = 0
+if sys.argv[0] == "tolalloc":
+    import tolalloc
+else:
+    try:
+        runpy.run_module(sys.argv[0], run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps([code, sorted(name for name in sys.modules if name.startswith("tolalloc."))]))
+"""
+
+
+def test_each_cli_process_imports_only_the_modules_its_command_runs(tmp_path, config_path):
+    domain = str(tmp_path / "domain.json")
+    samples, model = str(tmp_path / "samples.csv"), str(tmp_path / "model.json")
+    tau = tmp_path / "tau.json"
+    tau.write_text(json.dumps({"tau": [0.5, 0.2]}))
+    commands = {
+        "--help": ["--help"],
+        "size-domain": ["size-domain", "--config", config_path, "--out", domain],
+        "sample": ["sample", "--config", config_path, "--domain", domain, "--n", "60",
+                   "--out", samples],
+        "fit": ["fit", "--config", config_path, "--domain", domain, "--samples", samples,
+                "--out", model],
+        "check": ["check", "--config", config_path, "--model", model, "--tau", str(tau),
+                  "--reference", str(tau)],
+    }
+    runs = {
+        "import": (["tolalloc"], None),
+        **{name: (["tolalloc.cli", *argv], None) for name, argv in commands.items()},
+        "serve": (["tolalloc.serve", "quadratic-bowl", "--parameters", '{"a": [1.0, 4.0]}'],
+                  "0.5 0.25\n"),
+    }
+    loaded = {}
+    for name, (argv, stdin) in runs.items():  # in order: each command reads the last one's file
+        proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *argv], input=stdin,
+                              capture_output=True, text=True, env=_package_env(), timeout=60)
+        assert proc.returncode == 0, (name, proc.stderr)
+        code, modules = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert code == 0, (name, proc.stderr)
+        loaded[name] = {module.removeprefix("tolalloc.") for module in modules}
+    unused = {"boxmax", "manifold", "measures"}
+    assert loaded["import"] == set()
+    for name in ("--help", "size-domain", "sample"):
+        assert not loaded[name] & unused, name
+    assert not loaded["fit"] & (unused | {"evaluator"})
+    assert not loaded["check"] & {"manifold", "evaluator"}
+    assert loaded["serve"] == {"evaluator", "surrogate"}
 
 
 def _write_domain(tmp_path):
@@ -964,3 +1028,19 @@ def test_report_on_missing_directory_exits_2(tmp_path, capsys):
     code, _, stderr = run(capsys, "report", "--dir", str(tmp_path / "missing"))
     assert code == 2
     assert "not a directory" in stderr
+
+
+@pytest.mark.parametrize("error, code", [
+    (FitError, 3), (EvaluatorError, 3), (DomainError, 3), (MetricError, 3), (RetractionError, 3),
+    (InitializationError, 3), (DegenerateNormalError, 3), (np.linalg.LinAlgError, 3),
+    (ArithmeticError, 3), (ConstraintError, 1),
+    (cli.UsageError, 2), (OSError, 2), (ValueError, 2), (KeyError, 2),
+], ids=lambda value: getattr(value, "__name__", None))
+def test_exit_code_of_each_error_class(tmp_path, capsys, monkeypatch, error, code):
+    # DomainError and MetricError subclass ValueError but are numeric failures.
+    def fail(args):
+        raise error("injected failure")
+
+    monkeypatch.setattr(cli, "cmd_report", fail)
+    assert run(capsys, "report", "--dir", str(tmp_path)) == (
+        code, "", f"error: {error('injected failure')}\n")

@@ -230,6 +230,29 @@ def test_eval_grad_many_rows_equal_eval_many_and_grad_many(dim, rank):
     assert grad.tobytes() == model.gradient(points[5])[None, :].tobytes()
 
 
+def test_dimension_major_table_gives_the_contiguous_table_bits(monkeypatch):
+    # The model reads its Legendre table as a transposed (d, N, p+1) array.
+    # A table laid out point-major, as an (N, d, p+1) array, must give the
+    # same values and gradients bit for bit.
+    rng = np.random.default_rng(29)
+    shapes = [(int(rng.integers(1, 11)), int(rng.integers(1, 11)), int(rng.integers(0, 7)),
+               int(rng.choice([1, 2, 7, 64, 240]))) for _ in range(60)]
+    models = [(random_model(rng, dim=d, rank=r, degree=p), rng.uniform(-1.0, 1.0, (n, d)))
+              for r, d, p, n in shapes]
+
+    def outputs():
+        return [(model.eval_many(points), *model.eval_grad_many(points))
+                for model, points in models]
+
+    dimension_major = outputs()
+    table = surrogate.legendre_table
+    monkeypatch.setattr(surrogate, "legendre_table", lambda x, degree: np.ascontiguousarray(
+        table(x, degree).transpose(1, 0, 2)).transpose(1, 0, 2))
+    assert models[0][0]._basis_factors(models[0][1])[0].flags.c_contiguous
+    for shape, got, want in zip(shapes, dimension_major, outputs()):
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want], shape
+
+
 def test_values_build_no_derivative_table(monkeypatch):
     rng = np.random.default_rng(17)
     model = random_model(rng, dim=4, rank=3, degree=3)
