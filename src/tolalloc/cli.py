@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import math
 import sys
@@ -467,5 +468,17 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
 
+def run(argv=None) -> int:
+    """``main`` for a process entry point.  It freezes what the imports made, and
+    then what the command left once its cyclic garbage is collected, so that no
+    collection, shutdown's included, walks those objects again.  Frozen objects
+    are never freed, so ``main`` itself does not freeze: tests call it in-process."""
+    gc.freeze()
+    code = main(argv)
+    gc.collect()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

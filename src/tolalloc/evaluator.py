@@ -13,9 +13,6 @@ from __future__ import annotations
 import contextlib
 import math
 import os
-import select
-import shlex
-import subprocess
 import tempfile
 import threading
 import time
@@ -235,6 +232,7 @@ class ExternalEvaluator:
 
     def __init__(self, command, dim: int, timeout_seconds: float = 60.0):
         if isinstance(command, str):
+            import shlex
             command = shlex.split(command)
         self.command = list(command)
         # type() rather than isinstance() so that a bool is rejected.
@@ -246,7 +244,7 @@ class ExternalEvaluator:
             raise ValueError(f"timeout_seconds must be a finite number > 0, "
                              f"got {timeout_seconds!r}")
         self.timeout_seconds = timeout_seconds
-        self._proc: subprocess.Popen | None = None
+        self._proc = None  # the running child's subprocess.Popen
         self._stderr = None  # the running child's stderr file
         self._lock = threading.Lock()
 
@@ -254,7 +252,8 @@ class ExternalEvaluator:
     def dim(self) -> int:
         return self._dim
 
-    def _ensure_started(self) -> subprocess.Popen:
+    def _ensure_started(self):
+        import subprocess
         if self._proc is None or self._proc.poll() is not None:
             if self._proc is not None:
                 self._stop(grace=0.0)
@@ -273,6 +272,7 @@ class ExternalEvaluator:
         """Close the child's stdin, give it ``grace`` seconds to exit, then kill
         it; reap it, close its pipes and its stderr file, and return what it
         wrote to stdout that was not read yet and the tail of its stderr."""
+        import subprocess
         proc, stderr, self._proc, self._stderr = self._proc, self._stderr, None, None
         try:
             stdout, _ = proc.communicate(timeout=grace)
@@ -320,9 +320,9 @@ class ExternalEvaluator:
         answered = 0
         with self._lock:
             try:
-                for value in self._answers(points):
-                    values[answered] = value
-                    answered += 1
+                for chunk in self._answers(points):
+                    values[answered:answered + len(chunk)] = chunk
+                    answered += len(chunk)
             except EvaluatorError as exc:
                 exc.row = min(answered, len(points) - 1)
                 raise
@@ -334,12 +334,23 @@ class ExternalEvaluator:
                 raise
         return values
 
+    def _parse_all(self, lines: list[bytes]):
+        """The values of answer ``lines``: one list when each is a finite float,
+        else one by one through :meth:`_parse`, which names the first bad line."""
+        with contextlib.suppress(ValueError):
+            values = list(map(float, lines))
+            if np.isfinite(values).all():
+                return [values]
+        return ([self._parse(line)] for line in lines)
+
     def _answers(self, points: np.ndarray):
-        """The child's answers to the rows of ``points``, in order.  Requests
-        are encoded REQUEST_BLOCK_ROWS at a time and written as the child's
-        stdin accepts them, while answers are read as they arrive."""
+        """Lists of the child's answers to the rows of ``points``, in order.
+        Requests are encoded REQUEST_BLOCK_ROWS at a time and written as the
+        child's stdin accepts them, while answers are read as they arrive."""
+        import select
         proc = self._ensure_started()
         out_fd, in_fd = proc.stdout.fileno(), proc.stdin.fileno()
+        row_format = " ".join(["%r"] * self._dim) + "\n"  # a line of _request
         n, answered, encoded = len(points), 0, 0
         outbox, wrote = b"", False
         pending = b""  # stdout bytes read but not yet consumed
@@ -347,7 +358,7 @@ class ExternalEvaluator:
         while answered < n:
             if not outbox and encoded < n:
                 block = points[encoded:encoded + REQUEST_BLOCK_ROWS]
-                outbox = "".join(_request(row) + "\n" for row in block).encode()
+                outbox = ((row_format * len(block)) % tuple(block.ravel().tolist())).encode()
                 encoded += len(block)
             remaining = deadline - time.monotonic()
             if remaining <= 0.0:
@@ -362,8 +373,7 @@ class ExternalEvaluator:
                     raise self._fail(f"wrote unsolicited output {_quote(chunk)}")
                 lines = (pending + chunk).split(b"\n")
                 taken = min(len(lines) - 1, n - answered)
-                for line in lines[:taken]:
-                    yield self._parse(line)
+                yield from self._parse_all(lines[:taken])
                 answered += taken
                 pending = b"\n".join(lines[taken:])
                 if taken:

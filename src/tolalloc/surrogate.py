@@ -403,6 +403,13 @@ def _additive_start(basis: np.ndarray, q: np.ndarray, lam: float) -> tuple[np.nd
     return scales, coeffs
 
 
+def _random_terms(seed: int, shape: tuple[int, ...]):
+    """Seeded uniform [-1, 1) draws of ``shape``; numpy.random loads at the first."""
+    rng = np.random.default_rng(seed)
+    while True:
+        yield rng.uniform(-1.0, 1.0, size=shape)
+
+
 def als_fit(
     samples: SampleSet,
     config: FitConfig,
@@ -445,7 +452,7 @@ def als_fit(
     basis = legendre_table(x.T, config.degree).transpose(1, 0, 2)
     others_of = [np.arange(d) != i for i in range(d)]
 
-    rng = np.random.default_rng(config.seed)
+    random_terms = _random_terms(config.seed, (1, d, p1))
     additive = config.target_rank >= d
     if additive:
         rank = d
@@ -453,7 +460,7 @@ def als_fit(
     else:
         rank = 1
         scales = np.ones(1)
-        coeffs = rng.uniform(-1.0, 1.0, size=(1, d, p1))
+        coeffs = next(random_terms)
     # A solve in dimension i changes only column i of the factor table, so
     # only that column is refreshed.
     factors = _factors(coeffs, basis)
@@ -498,7 +505,7 @@ def als_fit(
         # first per-direction solve, so the residual cannot increase.
         rank += 1
         scales = np.concatenate([scales, [1.0]])
-        coeffs = np.concatenate([coeffs, rng.uniform(-1.0, 1.0, size=(1, d, p1))], axis=0)
+        coeffs = np.concatenate([coeffs, next(random_terms)], axis=0)
         factors = _factors(coeffs, basis)
 
     model = SeparatedModel(

@@ -1,9 +1,11 @@
 import csv
+import gc
 import json
 import os
 import stat
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -338,9 +340,10 @@ def _package_env() -> dict:
 
 
 # Runs ``python -m MODULE ARGS...`` (or only imports the package when MODULE is
-# "tolalloc"), then prints the exit code and the tolalloc submodules loaded.
+# "tolalloc"), then prints the exit code, the tolalloc submodules loaded, with
+# ``subprocess`` and ``numpy.random`` if they were, and the frozen object count.
 IMPORT_PROBE = """
-import json, runpy, sys
+import gc, json, runpy, sys
 sys.argv = sys.argv[1:]
 code = 0
 if sys.argv[0] == "tolalloc":
@@ -350,7 +353,9 @@ else:
         runpy.run_module(sys.argv[0], run_name="__main__", alter_sys=True)
     except SystemExit as exc:
         code = exc.code
-print(json.dumps([code, sorted(name for name in sys.modules if name.startswith("tolalloc."))]))
+print(json.dumps([code, sorted(name for name in sys.modules if name.startswith("tolalloc.")
+                               or name in ("subprocess", "numpy.random")),
+                  gc.get_freeze_count()]))
 """
 
 
@@ -375,21 +380,81 @@ def test_each_cli_process_imports_only_the_modules_its_command_runs(tmp_path, co
         "serve": (["tolalloc.serve", "quadratic-bowl", "--parameters", '{"a": [1.0, 4.0]}'],
                   "0.5 0.25\n"),
     }
-    loaded = {}
+    loaded, frozen = {}, {}
     for name, (argv, stdin) in runs.items():  # in order: each command reads the last one's file
         proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *argv], input=stdin,
                               capture_output=True, text=True, env=_package_env(), timeout=60)
         assert proc.returncode == 0, (name, proc.stderr)
-        code, modules = json.loads(proc.stdout.strip().splitlines()[-1])
+        code, modules, frozen[name] = json.loads(proc.stdout.strip().splitlines()[-1])
         assert code == 0, (name, proc.stderr)
         loaded[name] = {module.removeprefix("tolalloc.") for module in modules}
     unused = {"boxmax", "manifold", "measures"}
     assert loaded["import"] == set()
     for name in ("--help", "size-domain", "sample"):
         assert not loaded[name] & unused, name
-    assert not loaded["fit"] & (unused | {"evaluator"})
+    # Only the external evaluator starts a process; BOWL_CONFIG's fit is additive.
+    for name in ("size-domain", "sample"):
+        assert "subprocess" not in loaded[name], name
+    assert not loaded["fit"] & (unused | {"evaluator", "numpy.random"})
     assert not loaded["check"] & {"manifold", "evaluator"}
     assert loaded["serve"] == {"evaluator", "surrogate"}
+    # The process entry point freezes what the imports made; importing does not.
+    assert frozen.pop("import") == 0 and frozen.pop("serve") == 0
+    assert all(count > 0 for count in frozen.values()), frozen
+
+
+def _cli_process(*argv) -> subprocess.CompletedProcess:
+    """``python -m tolalloc.cli ARGV...`` with its output on pipes."""
+    return subprocess.run([sys.executable, "-m", "tolalloc.cli", *argv], capture_output=True,
+                          text=True, env=_package_env(), timeout=60)
+
+
+def test_main_in_process_freezes_nothing(tmp_path, capsys, config_path):
+    before = gc.get_freeze_count()
+    run_pipeline(tmp_path, capsys, config_path)
+    assert gc.get_freeze_count() == before
+
+
+def test_cli_process_writes_what_main_writes(tmp_path, capsys, config_path):
+    domain, samples, model, _ = run_pipeline(tmp_path, capsys, config_path)
+    holdout, again = tmp_path / "holdout.csv", tmp_path / "again.json"
+    code, _, _ = run(capsys, "sample", "--config", config_path, "--domain", str(domain),
+                     "--n", "40", "--seed", "3", "--out", str(holdout))
+    assert code == 0
+    fit = ["fit", "--config", config_path, "--domain", str(domain), "--samples", str(samples),
+           "--holdout", str(holdout)]
+    code, out, _ = run(capsys, *fit, "--out", str(model))
+    assert code == 0
+    proc = _cli_process(*fit, "--out", str(again))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == out and "holdout" in json.loads(proc.stdout)
+    assert again.read_bytes() == model.read_bytes()
+
+
+@pytest.mark.parametrize("nominal, code, named", [
+    ([5.0, 5.0], 1, "constraint violated"),
+    ("not a list", 2, "config field 'nominal'"),
+    ([float("nan"), 0.0], 3, "non-finite performance"),
+], ids=["1", "2", "3"])
+def test_cli_process_exit_codes(tmp_path, nominal, code, named):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**BOWL_CONFIG, "nominal": nominal}))
+    proc = _cli_process("size-domain", "--config", str(path), "--out", str(tmp_path / "d.json"))
+    assert proc.returncode == code
+    assert named in proc.stderr and proc.stdout == ""
+
+
+def test_cli_process_usage_error_exits_2(tmp_path, config_path):
+    proc = _cli_process("fit", "--config", config_path, "--out", str(tmp_path / "m.json"))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage: tolalloc fit")
+    assert "--domain" in proc.stderr
+
+
+def test_console_script_is_the_process_entry_point():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
+    assert pyproject["project"]["scripts"] == {"tolalloc": "tolalloc.cli:run"}
 
 
 def _write_domain(tmp_path):

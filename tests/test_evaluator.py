@@ -340,6 +340,51 @@ def test_external_failure_mid_batch_names_the_row_and_restarts(mode, named):
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
+# Reads ARGV[1] requests, then writes every answer in one call, so the parent
+# reads them as one chunk: sum of squares, with ARGV[2] digits ("ascii" or
+# "arabic-indic") and ARGV[3] line ends, the answer to row ARGV[4] (if given)
+# replaced by ARGV[5].
+BLOCK_CHILD = """
+import sys
+n, digits, end = int(sys.argv[1]), sys.argv[2], sys.argv[3].encode().decode("unicode_escape")
+bad = {int(sys.argv[4]): sys.argv[5]} if len(sys.argv) > 4 else {}
+table = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+answers = [repr(sum(float(t) ** 2 for t in sys.stdin.readline().split())) for _ in range(n)]
+if digits == "arabic-indic":
+    answers = [answer.translate(table) for answer in answers]
+answers = [bad.get(row, answer) for row, answer in enumerate(answers)]
+sys.stdout.buffer.write("".join(answer + end for answer in answers).encode())
+sys.stdout.flush()
+sys.stdin.read()
+"""
+
+
+@pytest.mark.parametrize("answer, named", [
+    ("oops", "non-numeric output 'oops'"),
+    ("nan", "non-finite value 'nan'"),
+    ("-inf", "non-finite value '-inf'"),
+    ("", "non-numeric output ''"),
+])
+def test_external_bad_answer_inside_a_chunk_names_its_own_row(answer, named):
+    points = np.arange(16.0).reshape(8, 2)
+    ext = ExternalEvaluator([sys.executable, "-c", BLOCK_CHILD, "8", "ascii", "\\n", "5", answer],
+                            dim=2, timeout_seconds=5.0)
+    with pytest.raises(EvaluatorError, match=named) as exc:
+        ext.many(points)
+    assert exc.value.row == 5
+    assert ext._proc is None
+
+
+@pytest.mark.parametrize("digits, end", [
+    ("ascii", "\\r\\n"), ("arabic-indic", "\\n"), ("arabic-indic", "\\r\\n"),
+], ids=["crlf", "arabic-indic", "arabic-indic-crlf"])
+def test_external_accepts_answers_that_python_float_reads(digits, end):
+    points = np.arange(16.0).reshape(8, 2)
+    with ExternalEvaluator([sys.executable, "-c", BLOCK_CHILD, "8", digits, end],
+                           dim=2, timeout_seconds=5.0) as ext:
+        np.testing.assert_array_equal(ext.many(points), (points ** 2).sum(axis=1))
+
+
 def test_external_many_rejects_a_stack_of_the_wrong_shape():
     ext = ExternalEvaluator([sys.executable, SERVER, "1.0,1.0"], dim=2)
     for points in ([1.0, 2.0], np.zeros((3, 1))):
