@@ -469,15 +469,12 @@ def main(argv=None) -> int:
 
 
 def run(argv=None) -> int:
-    """``main`` for a process entry point.  It freezes what the imports made, and
-    then what the command left once its cyclic garbage is collected, so that no
-    collection, shutdown's included, walks those objects again.  Frozen objects
-    are never freed, so ``main`` itself does not freeze: tests call it in-process."""
+    """``main`` for a process entry point.  It freezes what the imports made, so
+    that no collection, shutdown's included, walks those objects again.  Frozen
+    objects are never freed, so ``main`` itself does not freeze: tests call it
+    in-process."""
     gc.freeze()
-    code = main(argv)
-    gc.collect()
-    gc.freeze()
-    return code
+    return main(argv)
 
 
 if __name__ == "__main__":

@@ -320,9 +320,9 @@ class ExternalEvaluator:
         answered = 0
         with self._lock:
             try:
-                for chunk in self._answers(points):
-                    values[answered:answered + len(chunk)] = chunk
-                    answered += len(chunk)
+                for value in self._answers(points):
+                    values[answered] = value
+                    answered += 1
             except EvaluatorError as exc:
                 exc.row = min(answered, len(points) - 1)
                 raise
@@ -334,23 +334,13 @@ class ExternalEvaluator:
                 raise
         return values
 
-    def _parse_all(self, lines: list[bytes]):
-        """The values of answer ``lines``: one list when each is a finite float,
-        else one by one through :meth:`_parse`, which names the first bad line."""
-        with contextlib.suppress(ValueError):
-            values = list(map(float, lines))
-            if np.isfinite(values).all():
-                return [values]
-        return ([self._parse(line)] for line in lines)
-
     def _answers(self, points: np.ndarray):
-        """Lists of the child's answers to the rows of ``points``, in order.
-        Requests are encoded REQUEST_BLOCK_ROWS at a time and written as the
-        child's stdin accepts them, while answers are read as they arrive."""
+        """The child's answers to the rows of ``points``, in order.  Requests
+        are encoded REQUEST_BLOCK_ROWS at a time and written as the child's
+        stdin accepts them, while answers are read as they arrive."""
         import select
         proc = self._ensure_started()
         out_fd, in_fd = proc.stdout.fileno(), proc.stdin.fileno()
-        row_format = " ".join(["%r"] * self._dim) + "\n"  # a line of _request
         n, answered, encoded = len(points), 0, 0
         outbox, wrote = b"", False
         pending = b""  # stdout bytes read but not yet consumed
@@ -358,7 +348,7 @@ class ExternalEvaluator:
         while answered < n:
             if not outbox and encoded < n:
                 block = points[encoded:encoded + REQUEST_BLOCK_ROWS]
-                outbox = ((row_format * len(block)) % tuple(block.ravel().tolist())).encode()
+                outbox = "".join(_request(row) + "\n" for row in block).encode()
                 encoded += len(block)
             remaining = deadline - time.monotonic()
             if remaining <= 0.0:
@@ -373,7 +363,8 @@ class ExternalEvaluator:
                     raise self._fail(f"wrote unsolicited output {_quote(chunk)}")
                 lines = (pending + chunk).split(b"\n")
                 taken = min(len(lines) - 1, n - answered)
-                yield from self._parse_all(lines[:taken])
+                for line in lines[:taken]:
+                    yield self._parse(line)
                 answered += taken
                 pending = b"\n".join(lines[taken:])
                 if taken:
