@@ -216,14 +216,15 @@ def grad_G(model: SeparatedModel, box: ToleranceBox, result: BoxMaxResult) -> np
     ):
         raise ValueError("result was not produced for this box")
     return _tau_gradient(model.grad_many(result.maximizers),
-                         np.sign(result.maximizers - box.center), result.wall_contacts, box)
+                         np.sign(result.maximizers - box.center), result.wall_contacts,
+                         box.half_widths)
 
 
-def _tau_gradient(partials, sides, contacts, box: ToleranceBox) -> np.ndarray:
-    """:func:`grad_G`'s rule over (k, d) candidates, given the surrogate's
-    partials there, each one's side of the center and its wall contacts."""
-    slopes = np.where(box.half_widths == 0.0, np.abs(partials),
-                      np.maximum(partials * sides, 0.0))
+def _tau_gradient(partials, sides, contacts, half_widths) -> np.ndarray:
+    """:func:`grad_G`'s rule over k candidates along the first axis, given the
+    surrogate's partials there, each one's side of the center, its wall
+    contacts and the half-widths, broadcast over (k, d) or (k, n, d)."""
+    slopes = np.where(half_widths == 0.0, np.abs(partials), np.maximum(partials * sides, 0.0))
     return np.where(contacts, slopes, 0.0).max(axis=0)
 
 
@@ -289,45 +290,54 @@ def additive_split(model: SeparatedModel) -> AdditiveModel | None:
                          width=np.array([iv.width for iv in model.intervals]))
 
 
-def additive_worst_case(split: AdditiveModel, box: ToleranceBox) -> tuple[float, np.ndarray]:
-    """G and d G / d tau of an additive model over a box, exactly.
+def additive_worst_case(split: AdditiveModel, center, taus) -> tuple[np.ndarray, np.ndarray]:
+    """G (n,) and d G / d tau (n, d) of an additive model over the boxes of
+    half-widths ``taus`` (n, d) about ``center``, exactly.
 
     The maximum of each f_i is the largest of its values at the two ends of
     the box's interval and at its critical points strictly inside it.  An end
     whose value is within TIE_REL_TOL |G| of its axis's maximum is a
     maximizer on that wall, and d G / d tau follows :func:`grad_G`'s rule over
-    the two ends; an interior maximizer adds 0.  An end outside the model's
-    intervals raises ValueError.
+    the two ends; an interior maximizer adds 0.  A negative tau, a width not
+    the model's or an end outside its intervals raises ValueError.  No
+    reduction runs across rows, so a row's bits do not depend on the stack.
     """
-    if box.dim != split.coeffs.shape[0]:
+    taus = np.asarray(taus, dtype=float)
+    if taus.ndim != 2 or taus.shape[1] != split.coeffs.shape[0]:
         raise ValueError("box dimension does not match model")
-    ends = _standardize(np.stack([box.lo, box.hi]), split.lo, split.width)  # (2, d)
-    basis = legendre_table(ends, split.coeffs.shape[1] - 1)  # (2, d, p+1)
-    values = np.einsum("kij,ij->ki", basis, split.coeffs)
-    slopes = np.einsum("kij,ij->ki", legendre_deriv_table(basis), split.coeffs) * (
+    if (taus < 0.0).any():
+        raise ValueError("half widths must be nonnegative")
+    ends = _standardize(np.concatenate([center - taus, center + taus]), split.lo,
+                        split.width).reshape(2, *taus.shape)  # (2, n, d)
+    basis = legendre_table(ends, split.coeffs.shape[1] - 1)  # (2, n, d, p+1)
+    values = np.einsum("knij,ij->kni", basis, split.coeffs)
+    slopes = np.einsum("knij,ij->kni", legendre_deriv_table(basis), split.coeffs) * (
         2.0 / split.width)
-    inside = (split.critical_x > ends[0, :, None]) & (split.critical_x < ends[1, :, None])
+    inside = (split.critical_x > ends[0, :, :, None]) & (split.critical_x < ends[1, :, :, None])
     axis_max = np.maximum(values.max(axis=0),
-                          np.where(inside, split.critical_values, -np.inf).max(axis=1))
-    g_value = split.constant + float(axis_max.sum())
-    tie_tol = TIE_REL_TOL * max(abs(g_value), 1e-300)
-    return g_value, _tau_gradient(slopes, np.array([[-1.0], [1.0]]),
-                                  values >= axis_max - tie_tol, box)
+                          np.where(inside, split.critical_values, -np.inf).max(axis=2))
+    g_values = split.constant + axis_max.sum(axis=1)
+    tie_tol = TIE_REL_TOL * np.maximum(np.abs(g_values), 1e-300)
+    return g_values, _tau_gradient(slopes, np.array([-1.0, 1.0])[:, None, None],
+                                   values >= axis_max - tie_tol[:, None], taus)
 
 
 class SurrogateWorstCase:
     """G(tau) and its gradient for a fixed surrogate and nominal design.
 
     Presents the ``value``/``grad`` interface the manifold traversal expects.
-    Each tau is solved once, by :func:`additive_worst_case` when every term of
-    the model is univariate and else by :func:`box_maximize` then
-    :func:`grad_G`; on both paths G and the read-only d G / d tau are cached
-    together.  Thread-safety follows the model's: reads only, plus a cache.
+    :meth:`solve` takes a stack of tau to G by :func:`additive_worst_case`
+    when every term of the model is univariate, else by :func:`box_maximize`
+    then :func:`grad_G` per row; ``value`` and ``grad`` solve each tau once as
+    a one-row stack and cache G and the read-only d G / d tau together.
+    Thread-safety follows the model's: reads only, plus a cache.
     """
 
     def __init__(self, model: SeparatedModel, center):
         self.model = model
         self.center = np.asarray(center, dtype=float)
+        if self.center.shape != (model.dim,):
+            raise ValueError("center must be a 1-d vector of one number per model parameter")
         self._additive = additive_split(model)
         self._cache: dict[bytes, tuple[float, np.ndarray]] = {}
 
@@ -335,16 +345,20 @@ class SurrogateWorstCase:
         """The multistart's result at tau, uncached."""
         return box_maximize(self.model, ToleranceBox(center=self.center, half_widths=tau))
 
+    def solve(self, taus) -> tuple[np.ndarray, np.ndarray]:
+        """G (n,) and d G / d tau (n, d) at the rows of an (n, d) stack, uncached."""
+        if self._additive is not None:
+            return additive_worst_case(self._additive, self.center, taus)
+        results = [self._result(tau) for tau in taus]
+        return (np.array([result.value for result in results]),
+                np.array([grad_G(self.model, result.box, result) for result in results]))
+
     def _solve(self, tau) -> tuple[float, np.ndarray]:
         key = np.asarray(tau, dtype=float).tobytes()
         solved = self._cache.get(key)
         if solved is None:
-            if self._additive is None:
-                result = self._result(tau)
-                solved = result.value, grad_G(self.model, result.box, result)
-            else:
-                solved = additive_worst_case(
-                    self._additive, ToleranceBox(center=self.center, half_widths=tau))
+            values, grads = self.solve(np.asarray(tau, dtype=float)[None])
+            solved = float(values[0]), grads[0]
             solved[1].setflags(write=False)
             if len(self._cache) > 4096:
                 self._cache.clear()

@@ -28,7 +28,7 @@ import numpy as np
 from . import metrics
 from .domain import BoundingBox, ConstraintError, size_bounding_box
 from .surrogate import FitConfig, FitError, Interval, MissingFieldError, SampleSet, SeparatedModel
-from .surrogate import als_fit, write_csv, write_json
+from .surrogate import _standardize, als_fit, write_csv, write_json
 
 CONFIG_FORMAT_VERSION = 1
 CONFIG_FIELDS = {"format_version", "seed", "evaluator", "nominal", "q_allow", "measure", "fit",
@@ -92,8 +92,8 @@ def load_config(path) -> dict:
                              f"got {limit!r} in {path}")
     nominal = config.get("nominal")
     if "nominal" in config and not (isinstance(nominal, list) and nominal and all(
-            type(value) in (int, float) for value in nominal)):  # excludes bool
-        raise UsageError(f"config field 'nominal' must be a non-empty list of numbers, "
+            map(_is_finite_number, nominal))):
+        raise UsageError(f"config field 'nominal' must be a non-empty list of finite numbers, "
                          f"got {nominal!r} in {path}")
     if "q_allow" in config and not _is_finite_number(config["q_allow"]):
         raise UsageError(f"config field 'q_allow' must be a finite number, "
@@ -177,11 +177,11 @@ def _tau_from(path, what: str) -> np.ndarray:
     data = _load_object(path, what)
     try:
         tau = np.asarray(data["tau"], dtype=float)
-        if tau.ndim == 1 and np.all(np.isfinite(tau)):
+        if tau.ndim == 1 and np.all(np.isfinite(tau) & (tau >= 0.0)):
             return tau
     except (KeyError, TypeError, ValueError):
         pass
-    raise UsageError(f"{what} file {path} lacks a 'tau' vector of finite numbers")
+    raise UsageError(f"{what} file {path} lacks a 'tau' vector of finite numbers >= 0")
 
 
 def _config_vectors(config: dict) -> dict:
@@ -205,16 +205,24 @@ def _check_dims(model: SeparatedModel, files: dict) -> None:
                                  "one per parameter of the model")
 
 
+def _check_inside(model: SeparatedModel, nominal, half_widths, what: str) -> None:
+    """Exit 2, naming ``what`` (a field and its file), when the box
+    nominal +- half_widths leaves the model's intervals: the check an
+    evaluation of the model there makes, without evaluating it."""
+    lo, hi = np.array([[iv.lo, iv.hi] for iv in model.intervals]).T
+    try:
+        _standardize(np.stack([nominal - half_widths, nominal + half_widths]), lo, hi - lo)
+    except ValueError as exc:
+        raise UsageError(f"{what} lies outside the model's intervals: {exc}")
+
+
 def _problem(config: dict, path, model: SeparatedModel):
     """G, the measure and Q_allow of ``allocate`` and ``check``."""
     from . import boxmax, measures
 
     nominal = np.asarray(_require(config, "nominal"), dtype=float)
     q_allow = float(_require(config, "q_allow"))
-    try:
-        model(nominal)
-    except ValueError as exc:
-        raise UsageError(f"'nominal' in config {path} lies outside the model's intervals: {exc}")
+    _check_inside(model, nominal, 0.0, f"'nominal' in config {path}")
     try:
         measure = measures.from_config(_require(config, "measure"), model=model, mu_hat=nominal)
     except (TypeError, ValueError) as exc:
@@ -315,6 +323,8 @@ def cmd_allocate(args) -> int:
     _check_dims(model, {args.config: _config_vectors(config),
                         args.domain: {"tau_min": bbox.tau_min, "tau_max": bbox.tau_max}})
     gfun, measure, q_allow = _problem(config, args.config, model)
+    _check_inside(model, gfun.center, bbox.tau_max,
+                  f"the box 'nominal' +- 'tau_max' of domain file {args.domain}")
     tau0 = manifold.initial_guess(bbox, measure, gfun, q_allow)
     run = manifold.gradient_ascent if args.method == "ga" else manifold.conjugate_gradient
     result = run(tau0, bbox, gfun, q_allow, measure)
@@ -337,10 +347,10 @@ def cmd_allocate(args) -> int:
 
 
 def _emit_manifold_scan(path, gfun, bbox: BoundingBox) -> None:
-    """G on a 101 x 101 grid of the box of a 2-parameter problem."""
-    axis_1, axis_2 = (np.linspace(lo, hi, 101) for lo, hi in zip(bbox.tau_min, bbox.tau_max))
-    table = [(t1, t2, gfun.value(np.array([t1, t2]))) for t1 in axis_1 for t2 in axis_2]
-    write_csv(path, ["tau_1", "tau_2", "G"], np.array(table))
+    """G on a 101 x 101 grid of the box of a 2-parameter problem, from one solve."""
+    axes = (np.linspace(lo, hi, 101) for lo, hi in zip(bbox.tau_min, bbox.tau_max))
+    taus = np.column_stack([axis.ravel() for axis in np.meshgrid(*axes, indexing="ij")])
+    write_csv(path, ["tau_1", "tau_2", "G"], np.column_stack([taus, gfun.solve(taus)[0]]))
 
 
 def cmd_check(args) -> int:
@@ -351,6 +361,8 @@ def cmd_check(args) -> int:
     _check_dims(model, {args.config: _config_vectors(config), args.tau: {"tau": tau},
                         args.reference: {"tau": tau_ref}})
     gfun, measure, q_allow = _problem(config, args.config, model)
+    _check_inside(model, gfun.center, tau,
+                  f"the box 'nominal' +- 'tau' of tolerance result file {args.tau}")
     report = metrics.allocation_errors(tau, tau_ref, measure, gfun, q_allow)
     print(json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True))
     thresholds = config.get("check_thresholds", {})

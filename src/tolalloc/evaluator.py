@@ -49,17 +49,18 @@ class DomainError(ValueError):
 # ---------------------------------------------------------------------------
 
 class _CenteredSum:
-    """Coefficient vector ``a`` and a ``center`` of the same length (zero by
-    default), shared by the builtins that sum a_i g(mu_i - center_i).  Each
-    subclass names itself in ``kind``, its catalog name."""
+    """Finite coefficient vector ``a`` and a finite ``center`` of the same
+    length (zero by default), shared by the builtins that sum
+    a_i g(mu_i - center_i).  Each subclass names itself in ``kind``, its
+    catalog name."""
 
     def __init__(self, a, center=None):
         self.a = np.asarray(a, dtype=float)
-        if self.a.ndim != 1 or self.a.size < 1:
-            raise ValueError(f"{self.kind} requires a 1-d coefficient vector a")
+        if self.a.ndim != 1 or self.a.size < 1 or not np.all(np.isfinite(self.a)):
+            raise ValueError(f"{self.kind} requires a 1-d vector a of finite coefficients")
         self.center = np.zeros_like(self.a) if center is None else np.asarray(center, dtype=float)
-        if self.center.shape != self.a.shape:
-            raise ValueError("center must match a in length")
+        if self.center.shape != self.a.shape or not np.all(np.isfinite(self.center)):
+            raise ValueError("center must be finite and match a in length")
 
     @property
     def dim(self) -> int:
@@ -115,26 +116,19 @@ class Rank2Synthetic:
     dim = 2
 
     def __init__(self):
-        self._model = _rank2_synthetic_model()
-
-    def as_separated_model(self) -> SeparatedModel:
-        return self._model
+        self.model = _rank2_synthetic_model()
 
     def __call__(self, mu) -> float:
-        return self._model(mu)
+        return self.model(mu)
 
 
-class LinearForm:
-    """Q(mu) = a . mu, handy for affine-reproduction checks."""
+class LinearForm(_CenteredSum):
+    """Q(mu) = a . mu, handy for affine-reproduction checks: the center is 0."""
+
+    kind = "linear"
 
     def __init__(self, a):
-        self.a = np.asarray(a, dtype=float)
-        if self.a.ndim != 1 or self.a.size < 1:
-            raise ValueError("linear requires a 1-d coefficient vector a")
-
-    @property
-    def dim(self) -> int:
-        return self.a.size
+        super().__init__(a)
 
     def __call__(self, mu) -> float:
         return float(self.a @ np.asarray(mu, dtype=float))
@@ -532,7 +526,12 @@ def draw_samples(evaluator, domain, n: int, seed: int) -> SampleSet:
     rng = np.random.Generator(np.random.Philox(seed))
     points = lo + rng.random((n, len(intervals))) * width
     try:
-        return SampleSet(points=points, values=evaluate_many(evaluator, points))
+        values = evaluate_many(evaluator, points)
     except EvaluatorError as exc:
         raise EvaluatorError(f"evaluation failed at mu={points[exc.row].tolist()}: "
                              f"{exc}") from exc
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise EvaluatorError(f"evaluation failed at mu={points[bad[0]].tolist()}: "
+                             f"non-finite value {float(values[bad[0]])}")
+    return SampleSet(points=points, values=values)

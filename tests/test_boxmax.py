@@ -150,7 +150,7 @@ def test_box_maximize_projected_step_reaches_corners_in_few_kernel_calls(monkeyp
 
 
 def test_box_maximize_matches_dense_grid():
-    model = Rank2Synthetic().as_separated_model()
+    model = Rank2Synthetic().model
     rng = np.random.default_rng(17)
     axis = np.linspace(-1.0, 1.0, 241)
     mesh = np.meshgrid(axis, axis, indexing="ij")
@@ -172,7 +172,7 @@ def test_box_maximize_matches_dense_grid():
 
 
 def test_box_maximize_deterministic():
-    model = Rank2Synthetic().as_separated_model()
+    model = Rank2Synthetic().model
     box = ToleranceBox(center=np.array([0.1, -0.1]), half_widths=np.array([0.4, 0.3]))
     first = box_maximize(model, box)
     second = box_maximize(model, box)
@@ -332,7 +332,7 @@ def test_grad_G_rejects_foreign_result():
 
 
 def test_grad_G_matches_finite_differences():
-    model = Rank2Synthetic().as_separated_model()
+    model = Rank2Synthetic().model
     worst = SurrogateWorstCase(model, center=np.array([0.05, -0.1]))
     tau = np.array([0.25, 0.35])
     grad = worst.grad(tau)
@@ -373,7 +373,7 @@ def test_additive_worst_case_matches_the_multistart():
             tau = np.minimum(center - lo, hi - center) * rng.uniform(0.0, 1.0, d)
             tau[rng.uniform(size=d) < 0.2] = 0.0
             box = ToleranceBox(center=center, half_widths=tau)
-            value, grad = additive_worst_case(additive_split(model), box)
+            (value,), (grad,) = additive_worst_case(additive_split(model), center, tau[None])
             result = box_maximize(model, box)
             assert value >= result.value - 1e-12 * abs(value)
             assert value == pytest.approx(result.value, rel=1e-6)
@@ -400,7 +400,8 @@ def test_additive_worst_case_finds_the_interior_maximum_the_multistart_misses():
                            scales=np.ones(2), coeffs=coeffs)
     box = ToleranceBox(center=np.array([0.1, 0.5]), half_widths=np.array([0.3, 0.3]))
     closed_form = 0.1 * 2.0 / (3.0 * np.sqrt(3.0))
-    value, grad = additive_worst_case(additive_split(model), box)
+    (value,), (grad,) = additive_worst_case(additive_split(model), box.center,
+                                            box.half_widths[None])
     assert value == pytest.approx(closed_form, rel=1e-15)
     np.testing.assert_array_equal(grad, [0.0, 0.0])
     assert box_maximize(model, box).value < closed_form * (1.0 - 1e-4)
@@ -412,7 +413,8 @@ def test_additive_worst_case_takes_the_largest_slope_over_tied_walls():
     model = SeparatedModel(dim=1, rank=1, degree=3, intervals=(Interval(-2.0, 2.0),),
                            scales=np.ones(1), coeffs=np.array([[[0.0, -1.2, 0.0, 3.2]]]))
     box = ToleranceBox(center=np.array([0.5]), half_widths=np.array([1.5]))
-    value, grad = additive_worst_case(additive_split(model), box)
+    (value,), (grad,) = additive_worst_case(additive_split(model), box.center,
+                                            box.half_widths[None])
     assert value == pytest.approx(2.0, rel=1e-14)
     assert grad[0] == pytest.approx(9.0, rel=1e-14)
     result = box_maximize(model, box)
@@ -424,10 +426,58 @@ def test_additive_worst_case_takes_the_largest_slope_over_tied_walls():
 def test_additive_worst_case_of_the_exact_bowl(d):
     # Every corner ties, so both walls of each axis are maximizers.
     tau = np.linspace(0.3, 0.6, d)
-    value, grad = additive_worst_case(additive_split(exact_bowl_model(d)),
-                                      ToleranceBox(center=np.zeros(d), half_widths=tau))
+    (value,), (grad,) = additive_worst_case(additive_split(exact_bowl_model(d)), np.zeros(d),
+                                            tau[None])
     assert value == pytest.approx(float(np.sum(tau ** 2)), rel=1e-14)
     np.testing.assert_allclose(grad, 2.0 * tau, rtol=1e-14)
+
+
+def test_a_stacked_exact_solve_equals_one_row_solves_bit_for_bit():
+    rng = np.random.default_rng(41)
+    for _ in range(40):
+        d, degree = int(rng.integers(1, 12)), int(rng.integers(0, 7))
+        model = random_additive_model(rng, d, degree)
+        lo = np.array([iv.lo for iv in model.intervals])
+        hi = np.array([iv.hi for iv in model.intervals])
+        center = lo + (hi - lo) * rng.uniform(0.3, 0.7, d)
+        taus = np.minimum(center - lo, hi - center) * rng.uniform(0.0, 1.0, (25, d))
+        taus[rng.uniform(size=taus.shape) < 0.1] = 0.0
+        split = additive_split(model)
+        values, grads = additive_worst_case(split, center, taus)
+        assert values.shape == (25,) and grads.shape == (25, d)
+        for tau, value, grad in zip(taus, values, grads):
+            one_value, one_grad = additive_worst_case(split, center, tau[None])
+            assert one_value.tobytes() == value.tobytes()
+            assert one_grad[0].tobytes() == grad.tobytes()
+
+
+@pytest.mark.parametrize("taus, match", [
+    ([[0.3, -0.1]], "nonnegative"),
+    ([[0.3, 0.2, 0.1]], "dimension does not match"),
+    ([0.3, 0.2], "dimension does not match"),
+])
+def test_additive_worst_case_rejects_a_bad_stack(taus, match):
+    with pytest.raises(ValueError, match=match):
+        additive_worst_case(additive_split(exact_bowl_model(2)), np.zeros(2), taus)
+
+
+@pytest.mark.parametrize("center", [0.0, np.zeros(3), np.zeros((1, 2))],
+                         ids=["scalar", "long", "2-d"])
+def test_a_center_that_is_not_one_number_per_parameter_raises(center):
+    for model in (exact_bowl_model(2), Rank2Synthetic().model):
+        with pytest.raises(ValueError, match="one number per model parameter"):
+            SurrogateWorstCase(model, center)
+
+
+def test_a_multistart_stack_solves_each_row_as_the_single_tau():
+    model = random_model(np.random.default_rng(9), dim=3, rank=3, degree=3)
+    worst = SurrogateWorstCase(model, np.zeros(3))
+    taus = np.array([[0.4, 0.3, 0.0], [0.1, 0.2, 0.3], [0.0, 0.0, 0.0]])
+    values, grads = worst.solve(taus)
+    for tau, value, grad in zip(taus, values, grads):
+        result = worst._result(tau)
+        assert value == result.value
+        assert grad.tobytes() == grad_G(model, result.box, result).tobytes()
 
 
 def test_a_model_with_one_non_univariate_term_goes_through_the_multistart():
@@ -462,7 +512,7 @@ def test_a_tau_beyond_the_model_interval_raises_on_both_paths():
 # ---------------------------------------------------------------------------
 
 def test_surrogate_worst_case_value_and_cache():
-    model = Rank2Synthetic().as_separated_model()
+    model = Rank2Synthetic().model
     worst = SurrogateWorstCase(model, center=np.zeros(2))
     tau = np.array([0.3, 0.2])
     box = ToleranceBox(center=np.zeros(2), half_widths=tau)
@@ -472,13 +522,16 @@ def test_surrogate_worst_case_value_and_cache():
 
 
 def count_calls(monkeypatch, name: str) -> list:
-    """Wrap ``boxmax.<name>``, called as ``name(model, box, ...)``, to record
-    the half-widths of each call's box."""
+    """Wrap ``boxmax.<name>``, called as ``name(model, box, ...)`` or
+    ``additive_worst_case(split, center, taus)``, to record the half-widths
+    of each call: its box's, or its stack of taus."""
     calls, fn = [], getattr(boxmax, name)
 
-    def counted(model, box, *args):
-        calls.append(box.half_widths.tobytes())
-        return fn(model, box, *args)
+    def counted(*args):
+        box = args[1]
+        calls.append(box.half_widths.tobytes() if isinstance(box, ToleranceBox)
+                     else np.asarray(args[2], dtype=float).tobytes())
+        return fn(*args)
 
     monkeypatch.setattr(boxmax, name, counted)
     return calls
@@ -518,7 +571,7 @@ def test_cg_allocation_on_an_exact_bowl_solves_each_tau_once(monkeypatch):
 def test_value_and_grad_of_a_non_additive_model_share_one_multistart(monkeypatch):
     maximizes = count_calls(monkeypatch, "box_maximize")
     gradients = count_calls(monkeypatch, "grad_G")
-    worst = SurrogateWorstCase(Rank2Synthetic().as_separated_model(), np.zeros(2))
+    worst = SurrogateWorstCase(Rank2Synthetic().model, np.zeros(2))
     tau = np.array([0.3, 0.2])
     worst.value(tau)
     worst.grad(tau)
@@ -526,7 +579,7 @@ def test_value_and_grad_of_a_non_additive_model_share_one_multistart(monkeypatch
     assert len(maximizes) == len(gradients) == 1
 
 
-@pytest.mark.parametrize("model", [exact_bowl_model(2), Rank2Synthetic().as_separated_model()],
+@pytest.mark.parametrize("model", [exact_bowl_model(2), Rank2Synthetic().model],
                          ids=["additive", "multistart"])
 def test_the_cached_gradient_is_read_only(model):
     worst = SurrogateWorstCase(model, np.zeros(2))

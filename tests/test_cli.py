@@ -134,10 +134,10 @@ def test_allocate_cg_and_trace_and_scan(tmp_path, capsys, config_path):
         numeric = rows[1:] if name != "trace" else [row[:-1] for row in rows[1:]]
         values = np.array([[float(cell) for cell in row] for row in numeric])
         assert np.all(np.isfinite(values)), name
-    # A scan row holds G at its tau.
+    # Every scan row holds, bit for bit, the G of a one-tau solve at its tau.
     gfun = SurrogateWorstCase(SeparatedModel.from_dict(json.loads(model.read_text())),
                               BOWL_CONFIG["nominal"])
-    for row in tables["scan"][1::2525]:
+    for row in tables["scan"][1:]:
         t1, t2, g = map(float, row)
         assert g == gfun.value(np.array([t1, t2]))
 
@@ -434,7 +434,7 @@ def test_cli_process_writes_what_main_writes(tmp_path, capsys, config_path):
 @pytest.mark.parametrize("nominal, code, named", [
     ([5.0, 5.0], 1, "constraint violated"),
     ("not a list", 2, "config field 'nominal'"),
-    ([float("nan"), 0.0], 3, "non-finite performance"),
+    ([1e200, 0.0], 3, "non-finite performance"),
 ], ids=["1", "2", "3"])
 def test_cli_process_exit_codes(tmp_path, nominal, code, named):
     path = tmp_path / "config.json"
@@ -556,12 +556,15 @@ def test_infeasible_nominal_exits_1(tmp_path, capsys):
 
 
 def test_non_finite_nominal_performance_exits_3(tmp_path, capsys):
+    # A finite nominal whose performance overflows: a NaN nominal is a usage
+    # error, caught when the config loads.
     config = dict(BOWL_CONFIG)
-    config["nominal"] = [float("nan"), 0.0]
+    config["nominal"] = [1e200, 0.0]
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
-    code, _, stderr = run(capsys, "size-domain", "--config", str(path),
-                          "--out", str(tmp_path / "d.json"))
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        code, _, stderr = run(capsys, "size-domain", "--config", str(path),
+                              "--out", str(tmp_path / "d.json"))
     assert code == 3
     assert "non-finite performance" in stderr
 
@@ -658,8 +661,13 @@ def test_domain_or_model_file_that_is_not_an_object_exits_2(tmp_path, capsys, co
     assert not out.exists()
 
 
-@pytest.mark.parametrize("nominal", [None, 0.5, [], [[0.0, 0.0]], ["0", "0"]],
-                         ids=["null", "scalar", "empty", "nested", "strings"])
+# json.dumps writes a non-finite float as the raw JSON text NaN, Infinity or
+# -Infinity, which the config loader reads back.
+@pytest.mark.parametrize("nominal", [None, 0.5, [], [[0.0, 0.0]], ["0", "0"],
+                                     [float("nan"), 0.0], [0.0, float("inf")],
+                                     [float("-inf"), 0.0]],
+                         ids=["null", "scalar", "empty", "nested", "strings", "nan", "inf",
+                              "minus-inf"])
 def test_nominal_that_is_not_a_list_of_numbers_exits_2(tmp_path, capsys, nominal):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({**BOWL_CONFIG, "nominal": nominal}))
@@ -751,9 +759,10 @@ MODEL_FIELDS = "coeffs, degree, dim, intervals, rank, scales"
     ("--tau", "{}", "lacks a 'tau' vector of finite numbers"),
     ("--reference", json.dumps({"tau": "wide"}), "lacks a 'tau' vector of finite numbers"),
     ("--tau", json.dumps({"tau": [None, None]}), "lacks a 'tau' vector of finite numbers"),
+    ("--tau", json.dumps({"tau": [-0.1, 0.2]}), "lacks a 'tau' vector of finite numbers >= 0"),
     ("--model", json.dumps({"format_version": 1}), f"lacks field(s) {MODEL_FIELDS}"),
 ], ids=["tau-list", "reference-list", "tau-empty", "reference-tau-string", "tau-nulls",
-        "model-no-fields"])
+        "tau-negative", "model-no-fields"])
 def test_check_file_that_is_malformed_exits_2(tmp_path, capsys, config_path, flag, text, named):
     files = {"--tau": tmp_path / "tau.json", "--reference": tmp_path / "reference.json",
              "--model": tmp_path / "model.json"}
@@ -875,6 +884,47 @@ def test_nominal_outside_the_model_intervals_exits_2(tmp_path, capsys, command, 
     assert stderr.startswith(f"error: 'nominal' in config {config} lies outside the model's "
                              "intervals: points fall outside interval for dimension 0")
     assert not out.exists()
+
+
+# A box nominal +- tau that leaves the model's intervals exits 2 naming the
+# file and the field: the domain's 'tau_max' in allocate, the result's 'tau'
+# in check.
+@pytest.mark.parametrize("command", ["allocate", "check"])
+def test_box_outside_the_model_intervals_exits_2(tmp_path, capsys, config_path, command):
+    model, out = tmp_path / "model.json", tmp_path / "out.json"
+    SeparatedModel(dim=2, rank=1, degree=2, intervals=(Interval(-1.0, 1.0), Interval(-0.5, 0.5)),
+                   scales=np.ones(1), coeffs=np.ones((1, 2, 3))).save(model)
+    domain, tau = tmp_path / "domain.json", tmp_path / "tau.json"
+    domain.write_text(json.dumps({"tau_min": [0.0, 0.0], "tau_max": [3.0, 1.5],
+                                  "sampling_domain": [[-3.0, 3.0], [-1.5, 1.5]]}))
+    tau.write_text(json.dumps({"tau": [5.0, 5.0]}))
+    bad, field, argv = {"allocate": (domain, "tau_max", ["--domain", domain, "--out", out]),
+                        "check": (tau, "tau", ["--tau", tau, "--reference", tau])}[command]
+    code, stdout, stderr = run(capsys, command, "--config", config_path, "--model", str(model),
+                               *map(str, argv))
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith(f"error: the box 'nominal' +- '{field}' of ")
+    assert (f"file {bad} lies outside the model's intervals: "
+            "points fall outside interval for dimension 0") in stderr
+    assert not out.exists()
+
+
+def test_sample_with_a_non_finite_value_exits_3(tmp_path, capsys):
+    # exp-cos overflows to inf above mu_1 = 709.78.
+    path, domain = tmp_path / "config.json", tmp_path / "domain.json"
+    path.write_text(json.dumps({**BOWL_CONFIG,
+                                "evaluator": {"variant": "builtin", "name": "exp-cos"}}))
+    domain.write_text(json.dumps({"tau_min": [0.0, 0.0], "tau_max": [10.0, 1.0],
+                                  "sampling_domain": [[700.0, 720.0], [-1.0, 1.0]]}))
+    samples = tmp_path / "samples.csv"
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        code, _, stderr = run(capsys, "sample", "--config", str(path), "--domain", str(domain),
+                              "--n", "50", "--out", str(samples))
+    assert code == 3
+    assert stderr.startswith("error: evaluation failed at mu=[7")
+    assert stderr.endswith(": non-finite value inf\n")
+    assert not samples.exists()
 
 
 @pytest.mark.parametrize("fit, named", [
@@ -1003,10 +1053,17 @@ def test_manifold_scan_of_three_parameters_exits_2_before_allocating(tmp_path, c
     ({**_external_bowl(5), "dim": 0}, "dim must be an integer >= 1, got 0"),
     (_external_bowl("5"), "timeout_seconds must be a finite number > 0, got '5'"),
     (_external_bowl(True), "timeout_seconds must be a finite number > 0, got True"),
+    ({"variant": "builtin", "name": "quadratic-bowl", "parameters": {"a": [float("nan"), 4.0]}},
+     "quadratic-bowl requires a 1-d vector a of finite coefficients"),
+    ({"variant": "builtin", "name": "quadratic-bowl",
+      "parameters": {"a": [1.0, 4.0], "center": [0.0, float("inf")]}},
+     "center must be finite and match a in length"),
+    ({"variant": "builtin", "name": "linear", "parameters": {"a": [float("inf"), 1.0]}},
+     "linear requires a 1-d vector a of finite coefficients"),
 ], ids=["key-variant-does-not-read", "max-child-not-object", "max-children-not-list",
         "builtin-parameters-not-object", "external-dim-string", "external-dim-fraction",
         "external-dim-bool", "external-dim-zero", "external-timeout-string",
-        "external-timeout-bool"])
+        "external-timeout-bool", "bowl-a-nan", "bowl-center-inf", "linear-a-inf"])
 def test_malformed_evaluator_spec_exits_2(tmp_path, capsys, spec, message):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({**BOWL_CONFIG, "evaluator": spec}))

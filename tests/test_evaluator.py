@@ -63,7 +63,7 @@ def test_rank2_synthetic_is_reproducible_and_separated():
     g = Rank2Synthetic()
     mu = np.array([0.31, -0.47])
     assert f(mu) == g(mu)
-    model = f.as_separated_model()
+    model = f.model
     assert model.rank == 2 and model.degree == 3
     assert model(mu) == f(mu)
 

@@ -62,10 +62,16 @@ def _package_references() -> set[str]:
 
 
 def _definitions(tree: ast.Module):
-    """(name, line) of each module-level function, class and UPPER_CASE constant."""
+    """(name, line) of each module-level function, class and UPPER_CASE
+    constant, and of each method of a module-level class but its dunders."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.name, node.lineno
+        if isinstance(node, ast.ClassDef):
+            for method in node.body:
+                if isinstance(method, ast.FunctionDef) and not (
+                        method.name.startswith("__") and method.name.endswith("__")):
+                    yield method.name, method.lineno
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
@@ -79,6 +85,20 @@ def test_module_has_no_dead_definition(path):
     used = _package_references()
     dead = [f"{name} (line {line})" for name, line in _definitions(tree) if name not in used]
     assert not dead, f"{path.name}: nothing in the package refers to " + ", ".join(dead)
+
+
+@pytest.mark.parametrize("source, names", [
+    ("def f():\n    def inner():\n        pass", ["f"]),
+    ("X = 1\n_Y: int = 2\nz = 3\nA, B = 1, 2", ["X", "_Y"]),
+    ("class C:\n    N = 1\n    def m(self):\n        pass", ["C", "m"]),
+    ("class C:\n    @property\n    def dim(self):\n        pass", ["C", "dim"]),
+    ("class C:\n    def __init__(self):\n        pass\n    def __call__(self):\n        pass",
+     ["C"]),
+    ("class C:\n    class D:\n        def m(self):\n            pass", ["C"]),
+    ("def f():\n    class D:\n        def m(self):\n            pass", ["f"]),
+])
+def test_definition_detector(source, names):
+    assert [name for name, _ in _definitions(ast.parse(source))] == names
 
 
 def _scipy_imports(tree: ast.Module) -> list[int]:
