@@ -19,7 +19,7 @@ import time
 
 import numpy as np
 
-from .surrogate import Interval, SampleSet, SeparatedModel
+from .surrogate import Interval, SampleSet, SeparatedModel, format_rows
 
 # External-evaluator errors quote at most this many trailing bytes of stderr
 # and this many leading characters of any stdout they name.
@@ -48,6 +48,9 @@ class DomainError(ValueError):
 # Builtin analytic problems
 # ---------------------------------------------------------------------------
 
+# A builtin's arithmetic runs with numpy's overflow and invalid-value warnings
+# off: its callers turn a non-finite value into their own error.
+
 class _CenteredSum:
     """Finite coefficient vector ``a`` and a finite ``center`` of the same
     length (zero by default), shared by the builtins that sum
@@ -73,8 +76,9 @@ class QuadraticBowl(_CenteredSum):
     kind = "quadratic-bowl"
 
     def __call__(self, mu) -> float:
-        delta = np.asarray(mu, dtype=float) - self.center
-        return float(self.a @ (delta * delta))
+        with np.errstate(over="ignore", invalid="ignore"):
+            delta = np.asarray(mu, dtype=float) - self.center
+            return float(self.a @ (delta * delta))
 
 
 class AbsSum(_CenteredSum):
@@ -83,7 +87,8 @@ class AbsSum(_CenteredSum):
     kind = "abs-sum"
 
     def __call__(self, mu) -> float:
-        return float(self.a @ np.abs(np.asarray(mu, dtype=float) - self.center))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(self.a @ np.abs(np.asarray(mu, dtype=float) - self.center))
 
 
 class ExpCos:
@@ -93,7 +98,8 @@ class ExpCos:
 
     def __call__(self, mu) -> float:
         mu = np.asarray(mu, dtype=float)
-        return float(np.exp(mu[0]) * np.cos(mu[1]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(np.exp(mu[0]) * np.cos(mu[1]))
 
 
 def _rank2_synthetic_model() -> SeparatedModel:
@@ -131,7 +137,8 @@ class LinearForm(_CenteredSum):
         super().__init__(a)
 
     def __call__(self, mu) -> float:
-        return float(self.a @ np.asarray(mu, dtype=float))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(self.a @ np.asarray(mu, dtype=float))
 
 
 _BUILTINS = {
@@ -218,10 +225,13 @@ class ExternalEvaluator:
     batch for the first one.  Output the child writes before a batch's first
     request or beyond its last answer is an error, and so is any output
     still unread when :meth:`close` stops the child, so answers cannot drift
-    out of step with requests unnoticed.  The pipes carry bytes, and output
-    is decoded with replacement, so a non-UTF-8 byte is never a decoding
-    error.  The child's stderr goes to an unnamed temporary file, so a child
-    that logs cannot block on a full pipe.
+    out of step with requests unnoticed.  :meth:`many` can build sample-file
+    rows as the answers arrive, from the request lines sent and ``repr`` of
+    each answer's float, never the child's own spelling; ``sample`` writes
+    them only once :meth:`close` has found no stray output.  The pipes carry
+    bytes, and output is decoded with replacement, so a non-UTF-8 byte is
+    never a decoding error.  The child's stderr goes to an unnamed temporary
+    file, so a child that logs cannot block on a full pipe.
     """
 
     def __init__(self, command, dim: int, timeout_seconds: float = 60.0):
@@ -299,8 +309,12 @@ class ExternalEvaluator:
             raise ValueError(f"expected {self._dim} components, got shape {mu.shape}")
         return float(self.many(mu[np.newaxis])[0])
 
-    def many(self, points) -> np.ndarray:
+    def many(self, points, rows: list | None = None) -> np.ndarray:
         """Values at the rows of an (n, dim) stack, in one pipelined exchange.
+
+        Given a list, ``rows`` gets the sample-file rows of the points and
+        their values, as :func:`format_rows` would write them, assembled as
+        the answers arrive without formatting a coordinate twice.
 
         On failure the child is stopped, the next call starts a new one, and
         the :class:`EvaluatorError` names in ``row`` the point whose answer
@@ -314,9 +328,14 @@ class ExternalEvaluator:
         answered = 0
         with self._lock:
             try:
-                for value in self._answers(points):
-                    values[answered] = value
-                    answered += 1
+                for chunk, requests in self._answers(points, rows is not None):
+                    values[answered:answered + len(chunk)] = chunk
+                    answered += len(chunk)
+                    if rows is not None:
+                        # A request line is the %r of each coordinate joined
+                        # by spaces, and no %r of a float holds a space.
+                        rows.append("".join([f"{request},{value!r}\r\n" for request, value
+                                             in zip(requests, chunk)]).replace(" ", ","))
             except EvaluatorError as exc:
                 exc.row = min(answered, len(points) - 1)
                 raise
@@ -328,21 +347,27 @@ class ExternalEvaluator:
                 raise
         return values
 
-    def _answers(self, points: np.ndarray):
-        """The child's answers to the rows of ``points``, in order.  Requests
-        are encoded REQUEST_BLOCK_ROWS at a time and written as the child's
-        stdin accepts them, while answers are read as they arrive."""
+    def _answers(self, points: np.ndarray, keep: bool):
+        """The child's answers to the rows of ``points``, in order, as chunks:
+        the values read in one go, with the request line of each if ``keep``
+        (else none).  Requests are encoded REQUEST_BLOCK_ROWS at a time and
+        written as the child's stdin accepts them, while answers are read as
+        they arrive."""
         import select
         proc = self._ensure_started()
         out_fd, in_fd = proc.stdout.fileno(), proc.stdin.fileno()
         n, answered, encoded = len(points), 0, 0
         outbox, wrote = b"", False
         pending = b""  # stdout bytes read but not yet consumed
+        unanswered = []  # if keep, the request lines of rows answered to max(encoded, answered)
         deadline = time.monotonic() + self.timeout_seconds
         while answered < n:
             if not outbox and encoded < n:
                 block = points[encoded:encoded + REQUEST_BLOCK_ROWS]
-                outbox = "".join(_request(row) + "\n" for row in block).encode()
+                text = format_rows(block, " ", "\n")
+                if keep:
+                    unanswered += text.splitlines()[max(answered - encoded, 0):]
+                outbox = text.encode()
                 encoded += len(block)
             remaining = deadline - time.monotonic()
             if remaining <= 0.0:
@@ -352,16 +377,34 @@ class ExternalEvaluator:
             if readable:
                 chunk = os.read(out_fd, READ_BYTES)
                 if not chunk:
-                    raise self._fail(f"exited on request {_request(points[answered])!r}")
+                    raise self._fail(f"exited on request "
+                                     f"{format_rows(points[answered:answered + 1], ' ', '')!r}")
                 if not wrote:
                     raise self._fail(f"wrote unsolicited output {_quote(chunk)}")
                 lines = (pending + chunk).split(b"\n")
                 taken = min(len(lines) - 1, n - answered)
-                for line in lines[:taken]:
-                    yield self._parse(line)
-                answered += taken
                 pending = b"\n".join(lines[taken:])
                 if taken:
+                    requests = []
+                    if keep:
+                        requests, unanswered = unanswered[:taken], unanswered[taken:]
+                        if len(requests) < taken:  # answers ahead of the requests written
+                            requests += format_rows(
+                                points[answered + len(requests):answered + taken], " ", "\n"
+                            ).splitlines()
+                    # float() of bytes reads only ASCII, and what it reads, it
+                    # reads as float() of the decoded line does.
+                    try:
+                        values = list(map(float, lines[:taken]))
+                    except ValueError:
+                        values = None
+                    if values is None or not all(map(math.isfinite, values)):
+                        # One line at a time, so that the error names its own row.
+                        for row in range(taken):
+                            yield [self._parse(lines[row])], requests[row:row + 1]
+                    else:
+                        yield values, requests
+                    answered += taken
                     deadline = time.monotonic() + self.timeout_seconds
             if writable:
                 try:
@@ -372,8 +415,8 @@ class ExternalEvaluator:
                     # takes the answers it gave before it went.
                     outbox, encoded = b"", n
         if pending:
-            raise self._fail(f"wrote unsolicited output {_quote(pending)} "
-                             f"after its answer to {_request(points[-1])!r}")
+            raise self._fail(f"wrote unsolicited output {_quote(pending)} after its answer "
+                             f"to {format_rows(points[-1:], ' ', '')!r}")
 
     def close(self) -> None:
         """Stop the child.  Raises :class:`EvaluatorError`, once the child is
@@ -391,12 +434,6 @@ class ExternalEvaluator:
 
     def __exit__(self, *exc_info):
         self.close()
-
-
-def _request(point: np.ndarray) -> str:
-    """The request line for a float ``point``, without its line end: the
-    full-precision repr of each component."""
-    return " ".join(map(repr, point.tolist()))
 
 
 def _external_error(what: str, stderr: str) -> EvaluatorError:
@@ -513,7 +550,9 @@ def draw_samples(evaluator, domain, n: int, seed: int) -> SampleSet:
     """Draw n i.i.d. uniform points over the box and evaluate them.
 
     Uses a counter-based generator (Philox) so sequences reproduce across
-    platforms.  Sample order is deterministic given the seed.
+    platforms.  Sample order is deterministic given the seed.  An external
+    evaluator renders the sample-file rows during its exchange, and the set
+    carries them as ``csv_text``.
     """
     if n < 1:
         raise ValueError("need n >= 1 samples")
@@ -525,8 +564,9 @@ def draw_samples(evaluator, domain, n: int, seed: int) -> SampleSet:
     width = np.array([iv.width for iv in intervals])
     rng = np.random.Generator(np.random.Philox(seed))
     points = lo + rng.random((n, len(intervals))) * width
+    rows = [] if isinstance(evaluator, ExternalEvaluator) else None
     try:
-        values = evaluate_many(evaluator, points)
+        values = evaluate_many(evaluator, points) if rows is None else evaluator.many(points, rows)
     except EvaluatorError as exc:
         raise EvaluatorError(f"evaluation failed at mu={points[exc.row].tolist()}: "
                              f"{exc}") from exc
@@ -534,4 +574,5 @@ def draw_samples(evaluator, domain, n: int, seed: int) -> SampleSet:
     if bad.size:
         raise EvaluatorError(f"evaluation failed at mu={points[bad[0]].tolist()}: "
                              f"non-finite value {float(values[bad[0]])}")
-    return SampleSet(points=points, values=values)
+    return SampleSet(points=points, values=values,
+                     csv_text=None if rows is None else "".join(rows))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -58,17 +58,30 @@ def write_json(path, obj: dict) -> None:
     atomic_write(path, lambda tmp: Path(tmp).write_text(text))
 
 
+def format_rows(table, sep: str = ",", end: str = "\r\n") -> str:
+    """The rows of a 2-d float ``table`` as text: each cell ``repr(float(v))``,
+    which reads back bit for bit, the cells of a row joined by ``sep`` and each
+    row ended by ``end``, in one ``%r`` pass over the Python floats of its
+    ``tolist()``."""
+    table = np.asarray(table, dtype=float)
+    line = sep.join(["%r"] * table.shape[1]) + end
+    return (line * table.shape[0]) % tuple(table.ravel().tolist())
+
+
 def write_csv(path, header, rows) -> None:
-    """Write ``header`` and ``rows`` as CSV, atomically: strings and ints as
-    given, every other cell as ``repr(float(v))``, which reads back bit for bit;
-    a 2-d ndarray in one pass over the Python floats of its ``tolist()``."""
+    """Write ``header`` and ``rows`` as CSV, atomically.  ``rows`` is a 2-d
+    float ndarray, written through :func:`format_rows`; a str, rows that
+    :func:`format_rows` or the same rule already rendered; or an iterable of
+    rows whose strings and ints go as given and every other cell as
+    ``repr(float(v))``."""
     def write(tmp):
         with open(tmp, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
             if isinstance(rows, np.ndarray):
-                line = ",".join(["%r"] * rows.shape[1]) + "\r\n"
-                fh.write((line * rows.shape[0]) % tuple(rows.astype(float).ravel().tolist()))
+                fh.write(format_rows(rows))
+            elif isinstance(rows, str):
+                fh.write(rows)
             else:
                 writer.writerows([v if isinstance(v, (str, int)) else repr(float(v))
                                   for v in row] for row in rows)
@@ -253,7 +266,7 @@ class SeparatedModel:
     def from_dict(cls, data: dict) -> "SeparatedModel":
         """The model :meth:`to_dict` describes; ValueError on any other dict,
         MissingFieldError naming the fields it lacks."""
-        missing = sorted({field.name for field in fields(cls)} - set(data))
+        missing = sorted({f.name for f in fields(cls)} - set(data))
         if missing:
             raise MissingFieldError(f"lacks field(s) {', '.join(missing)}")
         version = data.get("format_version")
@@ -281,10 +294,13 @@ class SeparatedModel:
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Paired design points (N, dim) and performance values (N,)."""
+    """Paired design points (N, dim) and performance values (N,).  ``csv_text``
+    holds their sample-file rows where the sampler already rendered them, by
+    the rule of :func:`format_rows`, and is None otherwise."""
 
     points: np.ndarray
     values: np.ndarray
+    csv_text: str | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         points = np.atleast_2d(np.asarray(self.points, dtype=float))
@@ -304,8 +320,9 @@ class SampleSet:
         return self.points.shape[1]
 
     def write_csv(self, path) -> None:
+        rows = self.csv_text
         write_csv(path, [f"mu_{i + 1}" for i in range(self.dim)] + ["q"],
-                  np.column_stack([self.points, self.values]))
+                  np.column_stack([self.points, self.values]) if rows is None else rows)
 
     @classmethod
     def read_csv(cls, path) -> "SampleSet":

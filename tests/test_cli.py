@@ -14,7 +14,7 @@ from tolalloc import (ConstraintError, DegenerateNormalError, EvaluatorError, Fi
                       InitializationError, Interval, RetractionError, SeparatedModel,
                       SurrogateWorstCase, cli)
 from tolalloc.cli import main
-from tolalloc.evaluator import DomainError
+from tolalloc.evaluator import REQUEST_BLOCK_ROWS, DomainError, QuadraticBowl, draw_samples
 from tolalloc.metrics import MetricError
 from tolalloc.surrogate import write_json
 
@@ -341,7 +341,8 @@ def _package_env() -> dict:
 
 # Runs ``python -m MODULE ARGS...`` (or only imports the package when MODULE is
 # "tolalloc"), then prints the exit code, the tolalloc submodules loaded, with
-# ``subprocess`` and ``numpy.random`` if they were, and the frozen object count.
+# ``subprocess``, ``select`` and ``numpy.random`` if they were, and the frozen
+# object count.
 IMPORT_PROBE = """
 import gc, json, runpy, sys
 sys.argv = sys.argv[1:]
@@ -354,7 +355,7 @@ else:
     except SystemExit as exc:
         code = exc.code
 print(json.dumps([code, sorted(name for name in sys.modules if name.startswith("tolalloc.")
-                               or name in ("subprocess", "numpy.random")),
+                               or name in ("subprocess", "select", "numpy.random")),
                   gc.get_freeze_count()]))
 """
 
@@ -394,7 +395,7 @@ def test_each_cli_process_imports_only_the_modules_its_command_runs(tmp_path, co
         assert not loaded[name] & unused, name
     # Only the external evaluator starts a process; BOWL_CONFIG's fit is additive.
     for name in ("size-domain", "sample"):
-        assert "subprocess" not in loaded[name], name
+        assert not loaded[name] & {"subprocess", "select"}, name
     assert not loaded["fit"] & (unused | {"evaluator", "numpy.random"})
     assert not loaded["check"] & {"manifold", "evaluator"}
     assert loaded["serve"] == {"evaluator", "surrogate"}
@@ -562,10 +563,10 @@ def test_non_finite_nominal_performance_exits_3(tmp_path, capsys):
     config["nominal"] = [1e200, 0.0]
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        code, _, stderr = run(capsys, "size-domain", "--config", str(path),
-                              "--out", str(tmp_path / "d.json"))
+    code, _, stderr = run(capsys, "size-domain", "--config", str(path),
+                          "--out", str(tmp_path / "d.json"))
     assert code == 3
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1
     assert "non-finite performance" in stderr
 
 
@@ -918,12 +919,15 @@ def test_sample_with_a_non_finite_value_exits_3(tmp_path, capsys):
     domain.write_text(json.dumps({"tau_min": [0.0, 0.0], "tau_max": [10.0, 1.0],
                                   "sampling_domain": [[700.0, 720.0], [-1.0, 1.0]]}))
     samples = tmp_path / "samples.csv"
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        code, _, stderr = run(capsys, "sample", "--config", str(path), "--domain", str(domain),
-                              "--n", "50", "--out", str(samples))
+    argv = ["sample", "--config", str(path), "--domain", str(domain), "--n", "50",
+            "--out", str(samples)]
+    code, _, stderr = run(capsys, *argv)
     assert code == 3
     assert stderr.startswith("error: evaluation failed at mu=[7")
-    assert stderr.endswith(": non-finite value inf\n")
+    assert stderr.endswith(": non-finite value inf\n") and stderr.count("\n") == 1
+    # A process prints no numpy warning ahead of the error either.
+    proc = _cli_process(*argv)
+    assert (proc.returncode, proc.stderr) == (3, stderr)
     assert not samples.exists()
 
 
@@ -1104,6 +1108,32 @@ def test_sample_from_a_child_that_duplicates_its_answers_exits_3(tmp_path, capsy
     assert code == 3
     assert "unsolicited output" in stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("mode, k, n, named", [
+    ("exit-after", REQUEST_BLOCK_ROWS + 3, 2 * REQUEST_BLOCK_ROWS, "exited on request"),
+    ("garbage-at", REQUEST_BLOCK_ROWS + 3, 2 * REQUEST_BLOCK_ROWS, "non-numeric output 'oops'"),
+    # An odd count ends the batch on the first copy of an answer, so the
+    # copy is left over in the batch, not only at close().
+    ("twice", 0, 5, "unsolicited output"),
+])
+def test_sample_from_a_misbehaving_child_names_the_row_and_writes_nothing(
+        tmp_path, capsys, mode, k, n, named):
+    evaluator = {"variant": "external", "dim": 2, "timeout_seconds": 10.0,
+                 "command": [sys.executable, "tests/helpers/misbehaving_server.py", mode, str(k)]}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**BOWL_CONFIG, "evaluator": evaluator}))
+    domain = _write_domain(tmp_path)
+    out = tmp_path / "samples.csv"
+    code, stdout, stderr = run(capsys, "sample", "--config", str(path), "--domain", domain,
+                               "--n", str(n), "--out", str(out))
+    assert (code, stdout) == (3, "")
+    row = k if mode != "twice" else n - 1  # a copy follows the answer to the last row
+    points = draw_samples(QuadraticBowl(a=[1.0, 1.0]), (Interval(-1.0, 1.0), Interval(-0.5, 0.5)),
+                          n, seed=BOWL_CONFIG["seed"]).points
+    assert stderr.startswith(f"error: evaluation failed at mu={points[row].tolist()}: ")
+    assert named in stderr
+    assert not out.exists() and not list(tmp_path.glob("*.tmp"))
 
 
 def test_holdout_with_zero_performance_exits_3(tmp_path, capsys, config_path):

@@ -9,6 +9,7 @@ from scipy.interpolate import RegularGridInterpolator
 
 from tolalloc import Interval, SampleSet
 from tolalloc.evaluator import (
+    REQUEST_BLOCK_ROWS,
     AbsSum,
     DomainError,
     EvaluatorError,
@@ -383,6 +384,76 @@ def test_external_accepts_answers_that_python_float_reads(digits, end):
     with ExternalEvaluator([sys.executable, "-c", BLOCK_CHILD, "8", digits, end],
                            dim=2, timeout_seconds=5.0) as ext:
         np.testing.assert_array_equal(ext.many(points), (points ** 2).sum(axis=1))
+
+
+# Coordinates of many magnitudes, so that the %r of a cell takes each form:
+# fixed, with an exponent, negative, and squares that underflow to 0.0.
+SCALES = [(-1.0, 2.0), (-1e-12, 3e-13), (0.0, 1e20), (-1e-300, 1e-300), (-7e5, -6e5)]
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_external_sample_file_is_the_file_of_its_arrays(tmp_path, d):
+    domain = tuple(Interval(lo, hi) for lo, hi in SCALES[:d])
+    streamed, rendered = tmp_path / "streamed.csv", tmp_path / "rendered.csv"
+    with ExternalEvaluator([sys.executable, SERVER, ",".join(["1.0"] * d)], dim=d) as ext:
+        for n in (1, REQUEST_BLOCK_ROWS - 1, REQUEST_BLOCK_ROWS, REQUEST_BLOCK_ROWS + 1,
+                  3 * REQUEST_BLOCK_ROWS + 7):
+            samples = draw_samples(ext, domain, n, seed=n)
+            assert samples.csv_text is not None
+            samples.write_csv(streamed)
+            SampleSet(points=samples.points, values=samples.values).write_csv(rendered)
+            assert streamed.read_bytes() == rendered.read_bytes()
+            np.testing.assert_array_equal(samples.values, (samples.points ** 2).sum(axis=1))
+
+
+# Answers request j with ARGV[2 + j % (len(ARGV) - 2)] verbatim, ended by the
+# escaped line end ARGV[1].
+SPELLING_CHILD = """
+import sys
+end, spellings = sys.argv[1].encode().decode("unicode_escape"), sys.argv[2:]
+for row, _ in enumerate(sys.stdin):
+    sys.stdout.buffer.write((spellings[row % len(spellings)] + end).encode())
+    sys.stdout.flush()
+"""
+
+
+@pytest.mark.parametrize("end", ["\\n", "\\r\\n"], ids=["lf", "crlf"])
+def test_external_sample_file_rewrites_each_answer_as_the_repr_of_its_float(tmp_path, end):
+    spellings = ["1.50", "+2", "1E3", "\u0661\u0662.\u0665", " -0 ", "7_0.25"]
+    path = tmp_path / "samples.csv"
+    with ExternalEvaluator([sys.executable, "-c", SPELLING_CHILD, end, *spellings],
+                           dim=2, timeout_seconds=5.0) as ext:
+        samples = draw_samples(ext, (Interval(-1, 1), Interval(-1, 1)), 13, seed=3)
+    samples.write_csv(path)
+    rows = path.read_text().splitlines()[1:]
+    assert [row.split(",")[2] for row in rows] == [
+        repr(float(spellings[j % len(spellings)])) for j in range(13)]
+    assert [row.split(",")[2] for row in rows][:4] == ["1.5", "2.0", "1000.0", "12.5"]
+    assert [row.rsplit(",", 1)[0] for row in rows] == [
+        f"{x!r},{y!r}" for x, y in samples.points.tolist()]
+
+
+# Reads one request, answers ARGV[1] of them at once with 0.5, 1.5, ..., then
+# reads the rest: the answers are ahead of the requests the parent wrote.
+AHEAD_CHILD = """
+import sys
+sys.stdin.readline()
+sys.stdout.write("".join(f"{j + 0.5!r}\\n" for j in range(int(sys.argv[1]))))
+sys.stdout.flush()
+sys.stdin.read()
+"""
+
+
+def test_external_sample_file_of_answers_ahead_of_the_requests_has_every_row(tmp_path):
+    n = 3 * REQUEST_BLOCK_ROWS + 7
+    streamed, rendered = tmp_path / "streamed.csv", tmp_path / "rendered.csv"
+    with ExternalEvaluator([sys.executable, "-c", AHEAD_CHILD, str(n)], dim=2,
+                           timeout_seconds=5.0) as ext:
+        samples = draw_samples(ext, (Interval(-1, 1), Interval(-1, 1)), n, seed=5)
+    np.testing.assert_array_equal(samples.values, np.arange(n) + 0.5)
+    samples.write_csv(streamed)
+    SampleSet(points=samples.points, values=samples.values).write_csv(rendered)
+    assert streamed.read_bytes() == rendered.read_bytes()
 
 
 def test_external_many_rejects_a_stack_of_the_wrong_shape():

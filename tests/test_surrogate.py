@@ -522,6 +522,18 @@ def test_write_csv_formats_a_float_table_cell_by_cell_as_repr(tmp_path):
         assert "np.float64(" not in text
 
 
+def test_format_rows_renders_request_lines_and_csv_rows_by_one_rule(tmp_path):
+    table = np.array([[-0.0, 5e-324, 1e16], [0.1, 1 / 3, float("nan")]])
+    assert surrogate.format_rows(table, " ", "\n") == (
+        "-0.0 5e-324 1e+16\n0.1 0.3333333333333333 nan\n")
+    rows = surrogate.format_rows(table)
+    assert rows == "-0.0,5e-324,1e+16\r\n0.1,0.3333333333333333,nan\r\n"
+    from_text, from_table = tmp_path / "text.csv", tmp_path / "table.csv"
+    surrogate.write_csv(from_text, ["a", "b", "c"], rows)
+    surrogate.write_csv(from_table, ["a", "b", "c"], table)
+    assert from_text.read_bytes() == from_table.read_bytes() == b"a,b,c\r\n" + rows.encode()
+
+
 def test_sample_csv_roundtrip_of_many_rows_is_bit_exact(tmp_path):
     rng = np.random.default_rng(19)
     table = rng.normal(size=(50_000, 3)) * 10.0 ** rng.integers(-300, 300, size=(50_000, 3))
