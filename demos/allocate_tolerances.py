@@ -34,7 +34,7 @@ def main():
 
     # 2. Sample the performance over the sampling intervals and fit a surrogate.
     samples = draw_samples(evaluator, intervals, 300, seed=7)
-    model, report = als_fit(samples, FitConfig(target_rank=2, degree=2, seed=7), intervals)
+    model, report = als_fit(samples, FitConfig(target_rank=2, degree=2), intervals)
     print(f"surrogate: rank {report.final_rank}, residual "
           f"{report.residual_history[-1]:.2e} after {report.sweeps_used} sweeps")
 

@@ -29,7 +29,7 @@ def main():
     for rank, degree in [(1, 1), (1, 3), (2, 3), (3, 5)]:
         model, report = als_fit(
             training,
-            FitConfig(target_rank=rank, degree=degree, seed=3),
+            FitConfig(target_rank=rank, degree=degree),
             intervals,
         )
         errors = surrogate_errors(model, holdout)
@@ -43,7 +43,7 @@ def main():
     print("low-degree Legendre products approximate rapidly.")
 
     # Models serialize to JSON and reload bit-exactly.
-    model, _ = als_fit(training, FitConfig(target_rank=3, degree=5, seed=3), intervals)
+    model, _ = als_fit(training, FitConfig(target_rank=3, degree=5), intervals)
     probe = np.array([0.17, -0.31])
     print()
     print(f"surrogate at {probe.tolist()}: {model(probe):.12f}")

@@ -33,12 +33,12 @@ from .surrogate import _standardize, als_fit, write_csv, write_json
 CONFIG_FORMAT_VERSION = 1
 CONFIG_FIELDS = {"format_version", "seed", "evaluator", "nominal", "q_allow", "measure", "fit",
                  "bbox", "check_thresholds"}
-# The keys each object-valued config field accepts.  The ALS seed is the
-# top-level ``seed`` (or ``--seed``), not a 'fit' key.
+# The keys each object-valued config field accepts.  The top-level ``seed``
+# (or ``sample --seed``) drives sampling only: the fit draws nothing.
 CONFIG_SECTION_FIELDS = {
     "bbox": {"caps", "tau_min"},
     "check_thresholds": {field.name for field in dataclasses.fields(metrics.AllocationErrorReport)},
-    "fit": {field.name for field in dataclasses.fields(FitConfig)} - {"seed"},
+    "fit": {field.name for field in dataclasses.fields(FitConfig)},
 }
 EXIT_OK = 0
 EXIT_THRESHOLD = 1
@@ -108,14 +108,6 @@ def _require(config: dict, key: str):
     if key not in config:
         raise UsageError(f"config is missing required field {key!r}")
     return config[key]
-
-
-def _seed_of(args, config: dict) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    if "seed" in config:
-        return config["seed"]
-    raise UsageError("--seed is required when the config has no seed field")
 
 
 @contextmanager
@@ -239,7 +231,9 @@ def cmd_sample(args) -> int:
 
     config = load_config(args.config)
     _, intervals = _domain_from(args.domain)
-    seed = _seed_of(args, config)
+    seed = config.get("seed") if args.seed is None else args.seed
+    if seed is None:
+        raise UsageError("--seed is required when the config has no seed field")
     with _open_evaluator(config) as evaluator:
         samples = evaluator_mod.draw_samples(evaluator, intervals, args.n, seed)
     samples.write_csv(args.out)
@@ -288,9 +282,8 @@ def cmd_size_domain(args) -> int:
 def cmd_fit(args) -> int:
     config = load_config(args.config)
     _, intervals = _domain_from(args.domain)
-    seed = _seed_of(args, config)
     try:
-        fit_config = FitConfig(**_require(config, "fit"), seed=seed)
+        fit_config = FitConfig(**_require(config, "fit"))
     except TypeError as exc:
         raise UsageError(f"malformed 'fit' section in config: {exc}")
     if not Path(args.samples).exists():
@@ -427,7 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain", required=True, help="domain file from size-domain")
     p.add_argument("--samples", required=True)
     p.add_argument("--holdout")
-    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fit)
 

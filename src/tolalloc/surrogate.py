@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import InitVar, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -360,12 +360,15 @@ REGULARIZATION = 1e-10
 
 @dataclass
 class FitConfig:
+    """ALS settings.  ``seed`` has no effect: the fit draws nothing.  It is
+    still accepted so that callers which pass it keep working."""
+
     target_rank: int
     degree: int
     rel_residual_tol: float = 1e-8
-    seed: int = 0
+    seed: InitVar[int] = 0
 
-    def __post_init__(self):
+    def __post_init__(self, seed):
         # type() rather than isinstance() so that a bool is rejected.
         if type(self.target_rank) is not int or self.target_rank < 1:
             raise ValueError(f"target_rank must be an integer >= 1, got {self.target_rank!r}")
@@ -420,13 +423,6 @@ def _additive_start(basis: np.ndarray, q: np.ndarray, lam: float) -> tuple[np.nd
     return scales, coeffs
 
 
-def _random_terms(seed: int, shape: tuple[int, ...]):
-    """Seeded uniform [-1, 1) draws of ``shape``; numpy.random loads at the first."""
-    rng = np.random.default_rng(seed)
-    while True:
-        yield rng.uniform(-1.0, 1.0, size=shape)
-
-
 def als_fit(
     samples: SampleSet,
     config: FitConfig,
@@ -438,10 +434,13 @@ def als_fit(
     c + sum_i f_i(mu_i), fitted by one linear solve and stored as d rank-1
     terms; its residual is the first entry of ``residual_history``, and if it
     already meets ``rel_residual_tol`` no sweep runs (``sweeps_used`` is 0).
-    When ``target_rank < d`` the fit starts from one seeded random term.
-    Within a fixed rank, sweeps repeat until the relative residual stalls; the
-    rank is then grown one term at a time (warm-started, new factor seeded
-    random) until ``rel_residual_tol`` or ``target_rank`` is reached.
+    When ``target_rank < d`` the fit starts from one term prod_i (1 + x_i),
+    coefficient 1 on L_0 and L_1 in every standardized dimension (L_0 alone at
+    degree 0).  Within a fixed rank, sweeps repeat until the relative residual
+    stalls; the rank is then grown one term at a time (warm-started, the new
+    term that same product) until ``rel_residual_tol`` or ``target_rank`` is
+    reached.  The fit draws nothing, so its result depends on its inputs alone.
+    All-zero values fit the zero model.
     """
     intervals = tuple(intervals)
     d = samples.dim
@@ -460,16 +459,17 @@ def als_fit(
         raise FitError(str(exc)) from exc
 
     q = samples.values
-    q_norm = float(np.linalg.norm(q))
-    if q_norm == 0.0:
-        q_norm = 1.0
-    lam = REGULARIZATION * float(np.mean(q * q))
+    q_norm = float(np.linalg.norm(q)) or 1.0
+    # All-zero values still get a Tikhonov term, so every solve is regular and
+    # returns the zero factor.
+    lam = REGULARIZATION * (float(np.mean(q * q)) or 1.0)
 
     # (n, d, p+1), as the model's, over dimension-major memory for fast einsums.
     basis = legendre_table(x.T, config.degree).transpose(1, 0, 2)
     others_of = [np.arange(d) != i for i in range(d)]
 
-    random_terms = _random_terms(config.seed, (1, d, p1))
+    start = np.zeros((1, d, p1))
+    start[:, :, :2] = 1.0
     additive = config.target_rank >= d
     if additive:
         rank = d
@@ -477,7 +477,7 @@ def als_fit(
     else:
         rank = 1
         scales = np.ones(1)
-        coeffs = next(random_terms)
+        coeffs = start.copy()
     # A solve in dimension i changes only column i of the factor table, so
     # only that column is refreshed.
     factors = _factors(coeffs, basis)
@@ -522,7 +522,7 @@ def als_fit(
         # first per-direction solve, so the residual cannot increase.
         rank += 1
         scales = np.concatenate([scales, [1.0]])
-        coeffs = np.concatenate([coeffs, next(random_terms)], axis=0)
+        coeffs = np.concatenate([coeffs, start], axis=0)
         factors = _factors(coeffs, basis)
 
     model = SeparatedModel(

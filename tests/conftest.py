@@ -34,7 +34,7 @@ def expcos_holdout(expcos_intervals) -> SampleSet:
 @pytest.fixture(scope="session")
 def expcos_model(expcos_samples, expcos_intervals) -> SeparatedModel:
     model, report = als_fit(
-        expcos_samples, FitConfig(target_rank=3, degree=5, seed=3), expcos_intervals
+        expcos_samples, FitConfig(target_rank=3, degree=5), expcos_intervals
     )
     assert report.residual_history[-1] < 1e-5
     return model

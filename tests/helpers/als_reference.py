@@ -5,8 +5,9 @@ This is the straightforward form of the sweep that ``tolalloc.surrogate.als_fit`
 replaces with an incrementally updated factor table.  It performs the same
 floating-point operations in the same order, so the tests require the two to
 agree bit for bit.  Like ``als_fit``, it starts from the additive part
-c + sum_i f_i(x_i) when ``target_rank >= d`` and from one seeded random term
-otherwise.
+c + sum_i f_i(x_i) when ``target_rank >= d`` and otherwise from the term
+prod_i (1 + x_i), coefficient 1 on L_0 and L_1 in every dimension, which also
+starts every rank-growth term.
 """
 
 import numpy as np
@@ -21,17 +22,16 @@ def reference_als_fit(samples, config, intervals):
     n = len(samples)
     p1 = config.degree + 1
     q = samples.values
-    q_norm = float(np.linalg.norm(q))
-    if q_norm == 0.0:
-        q_norm = 1.0
-    lam = surrogate.REGULARIZATION * float(np.mean(q * q))
+    q_norm = float(np.linalg.norm(q)) or 1.0
+    lam = surrogate.REGULARIZATION * (float(np.mean(q * q)) or 1.0)
 
     x = np.empty_like(samples.points)
     for i, iv in enumerate(intervals):
         x[:, i] = np.clip(2.0 * (samples.points[:, i] - iv.lo) / iv.width - 1.0, -1.0, 1.0)
     basis = legendre_table(x, config.degree)  # (n, d, p+1)
 
-    rng = np.random.default_rng(config.seed)
+    start = np.zeros((1, d, p1))
+    start[:, :, :2] = 1.0
     history = []
     residual = np.inf
     if config.target_rank >= d:
@@ -61,7 +61,7 @@ def reference_als_fit(samples, config, intervals):
     else:
         rank = 1
         scales = np.ones(1)
-        coeffs = rng.uniform(-1.0, 1.0, size=(1, d, p1))
+        coeffs = start.copy()
 
     while residual > config.rel_residual_tol:
         prev_residual = np.inf
@@ -92,6 +92,6 @@ def reference_als_fit(samples, config, intervals):
             break
         rank += 1
         scales = np.concatenate([scales, [1.0]])
-        coeffs = np.concatenate([coeffs, rng.uniform(-1.0, 1.0, size=(1, d, p1))], axis=0)
+        coeffs = np.concatenate([coeffs, start], axis=0)
 
     return scales, coeffs, history

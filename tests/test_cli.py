@@ -268,7 +268,8 @@ def test_fit_reports_the_additive_residual(tmp_path, capsys, config_path):
                               "--samples", str(samples), "--out", str(tmp_path / "model.json"))
         assert code == 0
         reports[rank] = json.loads(stdout)
-    # Rank 1 < d starts from a random term; rank 2 = d from the exact additive bowl.
+    # Rank 1 < d starts from the term prod_i (1 + x_i); rank 2 = d from the exact
+    # additive bowl.
     assert reports[1]["additive_residual"] is None
     assert reports[2]["additive_residual"] <= 1e-9
     assert reports[2]["sweeps_used"] == 0
@@ -365,6 +366,8 @@ def test_each_cli_process_imports_only_the_modules_its_command_runs(tmp_path, co
     samples, model = str(tmp_path / "samples.csv"), str(tmp_path / "model.json")
     tau = tmp_path / "tau.json"
     tau.write_text(json.dumps({"tau": [0.5, 0.2]}))
+    rank1 = tmp_path / "rank1.json"
+    rank1.write_text(json.dumps({**BOWL_CONFIG, "fit": {"target_rank": 1, "degree": 2}}))
     commands = {
         "--help": ["--help"],
         "size-domain": ["size-domain", "--config", config_path, "--out", domain],
@@ -372,6 +375,8 @@ def test_each_cli_process_imports_only_the_modules_its_command_runs(tmp_path, co
                    "--out", samples],
         "fit": ["fit", "--config", config_path, "--domain", domain, "--samples", samples,
                 "--out", model],
+        "fit-rank1": ["fit", "--config", str(rank1), "--domain", domain, "--samples", samples,
+                      "--out", str(tmp_path / "rank1.model.json")],
         "check": ["check", "--config", config_path, "--model", model, "--tau", str(tau),
                   "--reference", str(tau)],
     }
@@ -396,7 +401,9 @@ def test_each_cli_process_imports_only_the_modules_its_command_runs(tmp_path, co
     # Only the external evaluator starts a process; BOWL_CONFIG's fit is additive.
     for name in ("size-domain", "sample"):
         assert not loaded[name] & {"subprocess", "select"}, name
-    assert not loaded["fit"] & (unused | {"evaluator", "numpy.random"})
+    # The fit draws nothing, from the additive start or below rank d.
+    for name in ("fit", "fit-rank1"):
+        assert not loaded[name] & (unused | {"evaluator", "numpy.random"}), name
     assert not loaded["check"] & {"manifold", "evaluator"}
     assert loaded["serve"] == {"evaluator", "surrogate"}
     # The process entry point freezes what the imports made; importing does not.
@@ -571,7 +578,7 @@ def test_non_finite_nominal_performance_exits_3(tmp_path, capsys):
 
 
 # The ALS sweep schedule is constants in tolalloc.surrogate, not fit settings,
-# and the ALS seed is the top-level seed, which --seed overrides.
+# and the fit draws nothing, so it takes no seed.
 @pytest.mark.parametrize("section, key", [
     ("fit", "bogus"),
     ("fit", "max_sweeps"),
@@ -593,7 +600,7 @@ def test_unknown_key_in_config_section_exits_2(tmp_path, capsys, section, key):
     assert code == 0
     model = tmp_path / "model.json"
     for argv in (["sample", "--n", "200", "--out", str(tmp_path / "s2.csv")],
-                 ["fit", "--samples", str(samples), "--seed", "1", "--out", str(model)]):
+                 ["fit", "--samples", str(samples), "--out", str(model)]):
         code, _, stderr = run(capsys, argv[0], "--config", str(path), "--domain", domain,
                               *argv[1:])
         assert code == 2
@@ -1156,6 +1163,9 @@ def test_holdout_with_zero_performance_exits_3(tmp_path, capsys, config_path):
     # --domain is required: the config no longer carries a sampling_domain.
     ["sample", "--config", "c.json", "--n", "1", "--out", "s.csv"],
     ["fit", "--config", "c.json", "--samples", "s.csv", "--out", "m.json"],
+    # The fit draws nothing, so it takes no seed.
+    ["fit", "--config", "c.json", "--domain", "d.json", "--samples", "s.csv", "--seed", "1",
+     "--out", "m.json"],
 ])
 def test_removed_flags_are_rejected(argv):
     with pytest.raises(SystemExit) as exc:

@@ -176,7 +176,7 @@ def test_mu_weights_of_a_fitted_bowl_at_its_minimum_are_degenerate():
     bowl = make_builtin("quadratic-bowl", {"a": a})
     _, intervals = size_bounding_box(bowl, np.zeros(6), 1.0, np.full(6, 10.0))
     samples = draw_samples(bowl, intervals, 240, 1)
-    model, _ = als_fit(samples, FitConfig(target_rank=6, degree=2, seed=1), intervals)
+    model, _ = als_fit(samples, FitConfig(target_rank=6, degree=2), intervals)
     weights = np.abs(model.gradient(np.zeros(6)))
     assert 1e-12 < weights.max() < 1e-11
     with pytest.warns(UserWarning, match="stationary"):

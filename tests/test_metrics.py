@@ -27,7 +27,7 @@ def fit_line(slope, intercept):
     values = slope * points[:, 0] + intercept
     model, _ = als_fit(
         SampleSet(points=points, values=values),
-        FitConfig(target_rank=1, degree=1, seed=0),
+        FitConfig(target_rank=1, degree=1),
         (Interval(-1.0, 1.0),),
     )
     return model
