@@ -116,8 +116,8 @@ def _start_pattern(d: int, free: tuple[int, ...]) -> tuple[np.ndarray, np.ndarra
 
 
 def _starts(model: SeparatedModel, box: ToleranceBox) -> np.ndarray:
-    """Multistart points of a box with at least one positive half-width: the
-    center, the faces, the corners and N_MULTISTARTS interior points."""
+    """Multistart points of a box: the center, the faces and corners of its
+    free axes and N_MULTISTARTS interior points, all the center if none is free."""
     half = box.half_widths
     free = np.flatnonzero(half > 0.0)
     signs, unit = _start_pattern(box.dim, tuple(free.tolist()))
@@ -143,14 +143,6 @@ def box_maximize(model: SeparatedModel, box: ToleranceBox) -> BoxMaxResult:
     if box.dim != model.dim:
         raise ValueError("box dimension does not match model")
     half = box.half_widths
-    if not (half > 0.0).any():
-        value = model(box.center)
-        return BoxMaxResult(
-            value=value,
-            maximizers=box.center[None, :].copy(),
-            wall_contacts=np.ones((1, box.dim), dtype=bool),
-            box=box,
-        )
     lo, hi = box.lo, box.hi
     max_half = float(half.max())
 

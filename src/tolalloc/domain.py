@@ -17,6 +17,7 @@ from .surrogate import Interval
 
 ROOT_REL_TOL = 1e-10
 BRACKET_INITIAL_FRACTION = 1e-3
+WALL_REL_TOL = 1e-8
 
 
 class ConstraintError(ValueError):
@@ -47,11 +48,11 @@ class BoundingBox:
     def clip(self, tau) -> np.ndarray:
         return np.clip(np.asarray(tau, dtype=float), self.tau_min, self.tau_max)
 
-    def walls(self, tau, rel_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    def walls(self, tau) -> tuple[np.ndarray, np.ndarray]:
         """Masks of the axes where tau lies on the lower and on the upper wall,
-        within ``rel_tol`` of the box width."""
+        within WALL_REL_TOL of the box width."""
         tau = np.asarray(tau, dtype=float)
-        slack = rel_tol * (self.tau_max - self.tau_min)
+        slack = WALL_REL_TOL * (self.tau_max - self.tau_min)
         return tau - self.tau_min <= slack, self.tau_max - tau <= slack
 
     def ray_length(self, origin, direction) -> float:

@@ -235,9 +235,9 @@ class ExternalEvaluator:
     """
 
     def __init__(self, command, dim: int, timeout_seconds: float = 60.0):
-        if isinstance(command, str):
-            import shlex
-            command = shlex.split(command)
+        if not (isinstance(command, list) and command
+                and all(isinstance(arg, str) for arg in command)):
+            raise ValueError(f"command must be a non-empty list of strings, got {command!r}")
         self.command = list(command)
         # type() rather than isinstance() so that a bool is rejected.
         if type(dim) is not int or dim < 1:
@@ -523,6 +523,8 @@ def from_config(spec: dict):
     if variant == "builtin":
         return make_builtin(spec["name"], spec.get("parameters"))
     if variant == "tabulated":
+        if not isinstance(spec["path"], str):
+            raise ValueError(f"path must be a string, got {spec['path']!r}")
         return TabulatedEvaluator(SampleSet.read_csv(spec["path"]))
     if variant == "external":
         return ExternalEvaluator(spec["command"], dim=spec["dim"],

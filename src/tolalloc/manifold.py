@@ -29,16 +29,14 @@ from .measures import ascent_direction
 from .surrogate import write_csv
 
 # Tolerances of the traversal.  STATIONARY_TOL is its stopping rule (see
-# above), RETRACTION_TOL bounds |G - q_allow| / |q_allow|, LINE_SEARCH_TOL is
-# relative to the longest feasible step and WALL_REL_TOL to the bounding-box
-# width.  A manifold crossing is solved to |G - q_allow| <= CROSSING_FTOL
-# |q_allow|, a few ulps, or until its bracket in s is narrower than
-# CROSSING_XTOL + CROSSING_RTOL |s|.
+# above), RETRACTION_TOL bounds |G - q_allow| / |q_allow| and LINE_SEARCH_TOL
+# is relative to the longest feasible step.  A manifold crossing is solved to
+# |G - q_allow| <= CROSSING_FTOL |q_allow|, a few ulps, or until its bracket in
+# s is narrower than CROSSING_XTOL + CROSSING_RTOL |s|.
 MAX_ITERS = 100
 STATIONARY_TOL = 1e-4
 RETRACTION_TOL = 1e-10
 LINE_SEARCH_TOL = 1e-10
-WALL_REL_TOL = 1e-8
 CROSSING_FTOL = 4.0 * np.finfo(float).eps
 CROSSING_XTOL = 1e-15
 CROSSING_RTOL = 8.9e-16
@@ -198,7 +196,7 @@ def build_projection(tau, bbox: BoundingBox, grad_g_val, grad_f_val) -> TangentF
     grad_f_val = np.asarray(grad_f_val, dtype=float)
     if np.linalg.norm(grad_g_val) == 0.0:
         raise DegenerateNormalError("grad G vanished: manifold tangent space undefined")
-    on_lower, on_upper = bbox.walls(tau, WALL_REL_TOL)
+    on_lower, on_upper = bbox.walls(tau)
     outward = np.where(on_lower, -1.0, 1.0)
     free = ~((on_lower | on_upper) & (outward * grad_f_val >= 0.0))
     face_grad = np.where(free, grad_g_val, 0.0)
@@ -370,7 +368,7 @@ def _traverse(
             stop = "stalled"
             break
 
-        on_lower, on_upper = bbox.walls(tau_new, WALL_REL_TOL)
+        on_lower, on_upper = bbox.walls(tau_new)
         for axis in np.flatnonzero(on_lower | on_upper):
             trace.wall_events.append((i + 1, int(axis)))
         tau = tau_new

@@ -9,6 +9,7 @@ Each dimension carries its own interval; inputs are mapped affinely onto
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import os
 from dataclasses import InitVar, dataclass, field, fields
@@ -165,6 +166,12 @@ def _factors(coeffs: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return np.einsum("lij,nij->lni", coeffs, basis)
 
 
+def _rank_sum(scales: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """sum_l scales[l] terms[l], added one rank term at a time in rank order,
+    so each output element's bits do not depend on the rest of the batch."""
+    return functools.reduce(np.add, map(np.multiply, scales, terms))
+
+
 # ---------------------------------------------------------------------------
 # Separated model
 # ---------------------------------------------------------------------------
@@ -222,7 +229,7 @@ class SeparatedModel:
     def eval_many(self, points) -> np.ndarray:
         """Evaluate the surrogate at an (N, dim) array of design points."""
         _, factors = self._basis_factors(points)
-        return self.scales @ factors.prod(axis=2)
+        return _rank_sum(self.scales, factors.prod(axis=2))
 
     def __call__(self, mu) -> float:
         return float(self.eval_many(np.asarray(mu, dtype=float)[None, :])[0])
@@ -238,9 +245,8 @@ class SeparatedModel:
         for i in range(d):
             mask = np.arange(d) != i
             others[:, :, i] = factors[:, :, mask].prod(axis=2)
-        values = self.scales @ factors.prod(axis=2)
-        grad_std = np.einsum("l,lni->ni", self.scales, dfactors * others)
-        return values, grad_std * (2.0 / self._width)
+        return (_rank_sum(self.scales, factors.prod(axis=2)),
+                _rank_sum(self.scales, dfactors * others) * (2.0 / self._width))
 
     def grad_many(self, points) -> np.ndarray:
         """Analytic gradient at an (N, dim) array of points; shape (N, dim)."""

@@ -114,13 +114,19 @@ def test_box_maximize_reports_tied_corners():
     np.testing.assert_array_equal(result.wall_contacts, np.ones((2, 2), dtype=bool), strict=True)
 
 
-def test_box_maximize_zero_width_box(monkeypatch):
-    monkeypatch.setattr(boxmax, "_starts", None)  # a zero-width box needs no starts
-    model = linear_model(1.0, 1.0)
-    box = ToleranceBox(center=np.array([0.2, 0.3]), half_widths=np.zeros(2))
-    result = box_maximize(model, box)
-    assert result.value == pytest.approx(0.5)
-    np.testing.assert_array_equal(result.wall_contacts, np.ones((1, 2), dtype=bool), strict=True)
+def test_box_maximize_zero_width_box():
+    # Every start is the center, so G is the model there bit for bit.
+    rng = np.random.default_rng(23)
+    models = [linear_model(1.0, 1.0)] + [random_model(rng, dim=d, rank=3, degree=3)
+                                         for d in (1, 5, 12)]
+    for model in models:
+        center = rng.uniform(-0.5, 0.5, model.dim)
+        box = ToleranceBox(center=center, half_widths=np.zeros(model.dim))
+        result = box_maximize(model, box)
+        assert result.value == model(center)
+        np.testing.assert_array_equal(result.maximizers, center[None, :], strict=True)
+        np.testing.assert_array_equal(result.wall_contacts, np.ones((1, model.dim), dtype=bool),
+                                      strict=True)
 
 
 def test_box_maximize_projected_step_reaches_corners_in_few_kernel_calls(monkeypatch):
@@ -203,6 +209,54 @@ def test_box_maximize_reports_each_tied_corner_once(d):
     np.testing.assert_array_equal(result.maximizers, corners)
     np.testing.assert_array_equal(result.wall_contacts, np.ones((2 ** d, d), dtype=bool),
                                   strict=True)
+
+
+def test_box_maximize_reaches_the_product_maximum_above_10_free_axes():
+    # Q = prod_i (1 + a_i mu_i^2) has a zero gradient at the center 0, so the
+    # gradient-sign start is the all-plus corner, where Q is its maximum
+    # prod_i (1 + a_i tau_i^2).
+    a = np.linspace(0.5, 5.0, 12)
+    coeffs = np.stack([1.0 + a / 3.0, np.zeros(12), 2.0 * a / 3.0], axis=1)[None]
+    model = SeparatedModel(dim=12, rank=1, degree=2, intervals=(Interval(-1.0, 1.0),) * 12,
+                           scales=np.ones(1), coeffs=coeffs)
+    half = np.linspace(0.2, 0.9, 12)
+    result = box_maximize(model, ToleranceBox(center=np.zeros(12), half_widths=half))
+    assert result.value == pytest.approx(np.prod(1.0 + a * half ** 2), rel=1e-12)
+    assert (result.maximizers == half).all(axis=1).any()
+    assert result.wall_contacts.all()
+
+
+def test_box_maximize_linear_hits_signed_corner_above_10_free_axes():
+    # Q = sum_i c_i mu_i with slopes of both signs, as d rank-1 terms.
+    d = 11
+    slopes = np.arange(1.0, d + 1.0) * (-1.0) ** np.arange(d)
+    coeffs = np.zeros((d, d, 2))
+    coeffs[:, :, 0] = 1.0
+    coeffs[np.arange(d), np.arange(d)] = np.stack([np.zeros(d), slopes], axis=1)
+    model = SeparatedModel(dim=d, rank=d, degree=1, intervals=(Interval(-1.0, 1.0),) * d,
+                           scales=np.ones(d), coeffs=coeffs)
+    center = np.linspace(-0.3, 0.3, d)
+    half = np.linspace(0.1, 0.5, d)
+    result = box_maximize(model, ToleranceBox(center=center, half_widths=half))
+    corner = center + np.sign(slopes) * half
+    np.testing.assert_array_equal(result.maximizers, corner[None, :])
+    assert result.value == pytest.approx(slopes @ corner, rel=1e-12)
+
+
+@pytest.mark.parametrize("d, free", [(11, range(11)), (13, range(1, 13)), (16, range(16))])
+def test_a_box_with_more_than_10_free_axes_has_2k_plus_17_starts(d, free):
+    # The center, 2k faces, the gradient-sign corner, N_MULTISTARTS - 1 random
+    # corners and N_MULTISTARTS interior points.
+    rng = np.random.default_rng(d)
+    model = random_model(rng, dim=d, rank=2, degree=2)
+    half = np.zeros(d)
+    half[list(free)] = rng.uniform(0.1, 0.5, len(free))
+    box = ToleranceBox(center=rng.uniform(-0.4, 0.4, d), half_widths=half)
+    starts = boxmax._starts(model, box)
+    k = len(free)
+    assert starts.shape == (2 * k + 17, d)
+    grad_sign = np.where(model.gradient(box.center) < 0.0, -1.0, 1.0)
+    np.testing.assert_array_equal(starts[1 + 2 * k], box.center + grad_sign * half)
 
 
 def test_box_maximize_keeps_tied_points_that_differ(monkeypatch):

@@ -110,6 +110,30 @@ def test_full_pipeline_reaches_closed_form(tmp_path, capsys, config_path):
     assert data["stop"] == "stationary"
 
 
+def test_cg_restarts_and_wall_hits_reach_the_result_and_the_trace(tmp_path, capsys):
+    # Q = mu_1^2 + 4 mu_2^2 + 2 mu_3^2 with tau_1 capped at 0.4: maximizing the
+    # one-norm on Q = 1 binds that wall, and the optimum on the face is
+    # (0.4, sqrt(0.07), 2 sqrt(0.07)).
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        **BOWL_CONFIG, "nominal": [0.0, 0.0, 0.0], "fit": {"target_rank": 3, "degree": 2},
+        "evaluator": {"variant": "builtin", "name": "quadratic-bowl",
+                      "parameters": {"a": [1.0, 4.0, 2.0]}},
+        "bbox": {"caps": [0.4, 10.0, 10.0]}}))
+    with pytest.warns(UserWarning, match="no performance crossing within search cap 0.4"):
+        domain, _, model, _ = run_pipeline(tmp_path, capsys, str(path), n=200)
+    result, trace = tmp_path / "result_cg.json", tmp_path / "trace.csv"
+    code, _, _ = run(capsys, "allocate", "--config", str(path), "--domain", str(domain),
+                     "--model", str(model), "--method", "cg", "--out", str(result),
+                     "--trace", str(trace))
+    assert code == 0
+    data = json.loads(result.read_text())
+    assert data["restarts"]
+    np.testing.assert_allclose(data["tau"], [0.4, np.sqrt(0.07), 2.0 * np.sqrt(0.07)], atol=1e-4)
+    events = {event for row in _read_csv(trace)[1:] for event in row[-1].split(";")}
+    assert {"wall:0", "restart"} <= events
+
+
 def test_allocate_cg_and_trace_and_scan(tmp_path, capsys, config_path):
     domain, samples, model, _ = run_pipeline(tmp_path, capsys, config_path)
     result = tmp_path / "result_cg.json"
@@ -375,6 +399,8 @@ def test_each_cli_process_imports_only_the_modules_its_command_runs(tmp_path, co
                    "--out", samples],
         "fit": ["fit", "--config", config_path, "--domain", domain, "--samples", samples,
                 "--out", model],
+        "allocate": ["allocate", "--config", config_path, "--domain", domain, "--model", model,
+                     "--out", str(tmp_path / "result.json")],
         "fit-rank1": ["fit", "--config", str(rank1), "--domain", domain, "--samples", samples,
                       "--out", str(tmp_path / "rank1.model.json")],
         "check": ["check", "--config", config_path, "--model", model, "--tau", str(tau),
@@ -405,6 +431,9 @@ def test_each_cli_process_imports_only_the_modules_its_command_runs(tmp_path, co
     for name in ("fit", "fit-rank1"):
         assert not loaded[name] & (unused | {"evaluator", "numpy.random"}), name
     assert not loaded["check"] & {"manifold", "evaluator"}
+    # The allocation reads the model and the domain file; it evaluates nothing.
+    assert not loaded["allocate"] & {"evaluator", "numpy.random", "subprocess"}
+    assert loaded["allocate"] >= {"boxmax", "manifold", "measures"}
     assert loaded["serve"] == {"evaluator", "surrogate"}
     # The process entry point freezes what the imports made; importing does not.
     assert frozen.pop("import") == 0 and frozen.pop("serve") == 0
@@ -1071,10 +1100,21 @@ def test_manifold_scan_of_three_parameters_exits_2_before_allocating(tmp_path, c
      "center must be finite and match a in length"),
     ({"variant": "builtin", "name": "linear", "parameters": {"a": [float("inf"), 1.0]}},
      "linear requires a 1-d vector a of finite coefficients"),
+    ({**_external_bowl(5), "command": [1, 2]},
+     "command must be a non-empty list of strings, got [1, 2]"),
+    ({**_external_bowl(5), "command": []}, "command must be a non-empty list of strings, got []"),
+    ({**_external_bowl(5), "command": [["a"]]},
+     "command must be a non-empty list of strings, got [['a']]"),
+    ({**_external_bowl(5), "command": ""}, "command must be a non-empty list of strings, got ''"),
+    ({**_external_bowl(5), "command": {"a": 1}},
+     "command must be a non-empty list of strings, got {'a': 1}"),
+    ({"variant": "tabulated", "path": 5}, "path must be a string, got 5"),
 ], ids=["key-variant-does-not-read", "max-child-not-object", "max-children-not-list",
         "builtin-parameters-not-object", "external-dim-string", "external-dim-fraction",
         "external-dim-bool", "external-dim-zero", "external-timeout-string",
-        "external-timeout-bool", "bowl-a-nan", "bowl-center-inf", "linear-a-inf"])
+        "external-timeout-bool", "bowl-a-nan", "bowl-center-inf", "linear-a-inf",
+        "external-command-numbers", "external-command-empty", "external-command-nested",
+        "external-command-string", "external-command-object", "tabulated-path-number"])
 def test_malformed_evaluator_spec_exits_2(tmp_path, capsys, spec, message):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({**BOWL_CONFIG, "evaluator": spec}))

@@ -231,6 +231,34 @@ def test_eval_grad_many_rows_equal_eval_many_and_grad_many(dim, rank):
     assert grad.tobytes() == model.gradient(points[5])[None, :].tobytes()
 
 
+def test_a_point_gets_the_same_bits_in_any_batch():
+    # Each row's value and gradient are the same rows of the full batch bit
+    # for bit, alone, in a slice, in a strided or shuffled subset.
+    rng = np.random.default_rng(41)
+    for d in range(1, 13):
+        for rank in (1, 2, 3, 7, 10):
+            model = random_model(rng, dim=d, rank=rank, degree=int(rng.integers(0, 5)))
+            points = rng.uniform(-1.0, 1.0, (19, d))
+            values, grads = model.eval_grad_many(points)
+            assert values.tobytes() == model.eval_many(points).tobytes()
+            subsets = [[i] for i in range(19)] + [
+                list(range(5)), list(range(3, 17)), list(range(0, 19, 2)),
+                rng.permutation(19)[:11].tolist()]
+            for rows in subsets:
+                sub_values, sub_grads = model.eval_grad_many(points[rows])
+                assert sub_values.tobytes() == values[rows].tobytes(), (d, rank, rows)
+                assert sub_grads.tobytes() == grads[rows].tobytes(), (d, rank, rows)
+                assert model.eval_many(points[rows]).tobytes() == values[rows].tobytes()
+
+
+def test_the_model_sums_rank_terms_in_rank_order():
+    terms = np.array([[1.0, 1e17], [1e17, 1.0], [-1e17, -1e17]])
+    # Left to right: (1 + 1e17) - 1e17 = 0 in both columns, where a sum that
+    # first paired the last two terms would give 1.
+    assert surrogate._rank_sum(np.ones(3), terms).tolist() == [0.0, 0.0]
+    assert surrogate._rank_sum(np.array([2.0]), terms[:1]).tolist() == [2.0, 2e17]
+
+
 def test_dimension_major_table_gives_the_contiguous_table_bits(monkeypatch):
     # The model reads its Legendre table as a transposed (d, N, p+1) array.
     # A table laid out point-major, as an (N, d, p+1) array, must give the
