@@ -98,10 +98,15 @@ def load_config(path) -> dict:
     if "q_allow" in config and not _is_finite_number(config["q_allow"]):
         raise UsageError(f"config field 'q_allow' must be a finite number, "
                          f"got {config['q_allow']!r} in {path}")
-    seed = config.get("seed", 0)
-    if type(seed) is not int or seed < 0:
-        raise UsageError(f"config field 'seed' must be an integer >= 0, got {seed!r} in {path}")
+    _check_seed(config.get("seed", 0), f"config field 'seed' in {path}")
     return config
+
+
+def _check_seed(seed, name: str) -> int:
+    """``seed`` if it is an integer in [0, 2**64), else a UsageError naming ``name``."""
+    if type(seed) is not int or not 0 <= seed < 2**64:
+        raise UsageError(f"{name} must be an integer in [0, 2**64), got {seed!r}")
+    return seed
 
 
 def _require(config: dict, key: str):
@@ -231,7 +236,7 @@ def cmd_sample(args) -> int:
 
     config = load_config(args.config)
     _, intervals = _domain_from(args.domain)
-    seed = config.get("seed") if args.seed is None else args.seed
+    seed = config.get("seed") if args.seed is None else _check_seed(args.seed, "--seed")
     if seed is None:
         raise UsageError("--seed is required when the config has no seed field")
     with _open_evaluator(config) as evaluator:

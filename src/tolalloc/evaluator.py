@@ -103,9 +103,12 @@ class ExpCos:
 
 
 def _rank2_synthetic_model() -> SeparatedModel:
-    # Fixed coefficients so the benchmark is reproducible everywhere.
-    rng = np.random.default_rng(20240217)
-    coeffs = rng.uniform(-1.0, 1.0, size=(2, 2, 4))
+    # Fixed everywhere: default_rng(20240217).uniform(-1, 1, (2, 2, 4)), written out.
+    coeffs = np.array([
+        [[0.6334851193419209, -0.9624502498957448, -0.956161629574666, 0.9995316776334144],
+         [-0.6739534346887626, 0.7059802021845596, -0.20684281440729158, -0.021729390459781506]],
+        [[0.20781553681468568, 0.9407252158171655, -0.7004482105492975, -0.1245602495335032],
+         [-0.13724865921232743, 0.1161030928577822, -0.036327053537505094, 0.6052654235527923]]])
     return SeparatedModel(
         dim=2,
         rank=2,
@@ -548,24 +551,36 @@ def evaluate_many(evaluator, points: np.ndarray) -> np.ndarray:
     return values
 
 
+def _uniform(seed: int, shape: tuple[int, ...]) -> np.ndarray:
+    """Doubles in [0, 1) that fill ``shape`` in C order: output k is the top 53
+    bits of SplitMix64's (k + 1)-th output from state ``seed`` (Steele, Lea and
+    Flood, OOPSLA 2014), times 2**-53.  The uint64 arithmetic wraps mod 2**64."""
+    z = np.uint64(seed) + np.arange(1, math.prod(shape) + 1, dtype=np.uint64) * 0x9E3779B97F4A7C15
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9
+    z = (z ^ z >> 27) * 0x94D049BB133111EB
+    return ((z ^ z >> 31) >> 11).reshape(shape) * 2.0 ** -53
+
+
 def draw_samples(evaluator, domain, n: int, seed: int) -> SampleSet:
     """Draw n i.i.d. uniform points over the box and evaluate them.
 
-    Uses a counter-based generator (Philox) so sequences reproduce across
-    platforms.  Sample order is deterministic given the seed.  An external
+    Uses a counter-based generator (SplitMix64, :func:`_uniform`) so sequences
+    reproduce across platforms and numpy versions.  Sample order is
+    deterministic given the seed, an integer in [0, 2**64).  An external
     evaluator renders the sample-file rows during its exchange, and the set
     carries them as ``csv_text``.
     """
     if n < 1:
         raise ValueError("need n >= 1 samples")
+    if not 0 <= seed < 2**64 or seed != int(seed):
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed}")
     intervals = tuple(domain)
     if len(intervals) != evaluator.dim:
         raise ValueError(f"sampling domain has {len(intervals)} interval(s) for a "
                          f"{evaluator.dim}-parameter evaluator")
     lo = np.array([iv.lo for iv in intervals])
     width = np.array([iv.width for iv in intervals])
-    rng = np.random.Generator(np.random.Philox(seed))
-    points = lo + rng.random((n, len(intervals))) * width
+    points = lo + _uniform(seed, (n, len(intervals))) * width
     rows = [] if isinstance(evaluator, ExternalEvaluator) else None
     try:
         values = evaluate_many(evaluator, points) if rows is None else evaluator.many(points, rows)

@@ -366,8 +366,8 @@ def _package_env() -> dict:
 
 # Runs ``python -m MODULE ARGS...`` (or only imports the package when MODULE is
 # "tolalloc"), then prints the exit code, the tolalloc submodules loaded, with
-# ``subprocess``, ``select`` and ``numpy.random`` if they were, and the frozen
-# object count.
+# ``subprocess``, ``select``, ``numpy.random`` and ``hashlib`` if they were, and
+# the frozen object count.
 IMPORT_PROBE = """
 import gc, json, runpy, sys
 sys.argv = sys.argv[1:]
@@ -380,7 +380,7 @@ else:
     except SystemExit as exc:
         code = exc.code
 print(json.dumps([code, sorted(name for name in sys.modules if name.startswith("tolalloc.")
-                               or name in ("subprocess", "select", "numpy.random")),
+                               or name in ("subprocess", "select", "numpy.random", "hashlib")),
                   gc.get_freeze_count()]))
 """
 
@@ -424,9 +424,11 @@ def test_each_cli_process_imports_only_the_modules_its_command_runs(tmp_path, co
     assert loaded["import"] == set()
     for name in ("--help", "size-domain", "sample"):
         assert not loaded[name] & unused, name
-    # Only the external evaluator starts a process; BOWL_CONFIG's fit is additive.
+    # Only the external evaluator starts a process, and sampling draws from its
+    # own generator: no numpy.random, so no hashlib or OpenSSL.  BOWL_CONFIG's
+    # fit is additive.
     for name in ("size-domain", "sample"):
-        assert not loaded[name] & {"subprocess", "select"}, name
+        assert not loaded[name] & {"subprocess", "select", "numpy.random", "hashlib"}, name
     # The fit draws nothing, from the additive start or below rank d.
     for name in ("fit", "fit-rank1"):
         assert not loaded[name] & (unused | {"evaluator", "numpy.random"}), name
@@ -510,10 +512,24 @@ def test_seed_flag_overrides_config(tmp_path, capsys, config_path):
     override = tmp_path / "override.csv"
     run(capsys, "sample", "--config", config_path, "--domain", domain, "--n", "20",
         "--out", str(base))
+    # The largest seed the sampler takes.
     code, _, _ = run(capsys, "sample", "--config", config_path, "--domain", domain,
-                     "--n", "20", "--seed", "99", "--out", str(override))
+                     "--n", "20", "--seed", str(2**64 - 1), "--out", str(override))
     assert code == 0
     assert base.read_bytes() != override.read_bytes()
+
+
+# The sampler's state is 64 bits wide: a seed outside [0, 2**64) exits 2
+# naming the flag, and writes nothing.
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_seed_flag_outside_64_bits_exits_2(tmp_path, capsys, config_path, seed):
+    out = tmp_path / "samples.csv"
+    code, _, stderr = run(capsys, "sample", "--config", config_path,
+                          "--domain", _write_domain(tmp_path), "--n", "5", "--seed", seed,
+                          "--out", str(out))
+    assert code == 2
+    assert stderr.startswith(f"error: --seed must be an integer in [0, 2**64), got {seed}")
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -1026,6 +1042,8 @@ def test_bad_config_value_exits_2(tmp_path, capsys, field, value, named):
     ("allocate", "config", {**BOWL_CONFIG, "measure": None}, "measure"),
     ("sample", "config", {**BOWL_CONFIG, "seed": [1]}, "seed"),
     ("sample", "config", {**BOWL_CONFIG, "seed": 1.5}, "seed"),
+    ("sample", "config", {**BOWL_CONFIG, "seed": -1}, "seed"),
+    ("sample", "config", {**BOWL_CONFIG, "seed": 2**64}, "seed"),
     ("sample", "domain", {"tau_min": [0.0, 0.0], "tau_max": [1.0, 0.5],
                           "sampling_domain": 5}, "sampling_domain"),
     ("sample", "domain", {"tau_min": [0.0, 0.0], "tau_max": [1.0, 0.5],
@@ -1035,6 +1053,7 @@ def test_bad_config_value_exits_2(tmp_path, capsys, field, value, named):
     ("allocate", "domain", {"tau_min": [0.0, 0.0], "tau_max": {"a": 1},
                             "sampling_domain": [[-1.0, 1.0], [-0.5, 0.5]]}, "tau_max"),
 ], ids=["q_allow-list", "q_allow-null", "measure-null", "seed-list", "seed-float",
+        "seed-negative", "seed-2**64",
         "sampling_domain-number", "sampling_domain-null", "sampling_domain-flat", "tau_max-object"])
 def test_malformed_field_exits_2(tmp_path, capsys, command, name, text, field):
     files = {"config": tmp_path / "config.json", "model": tmp_path / "model.json",

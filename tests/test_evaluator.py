@@ -21,10 +21,12 @@ from tolalloc.evaluator import (
     Rank2Synthetic,
     TabulatedEvaluator,
     builtin_catalog,
+    _uniform,
     draw_samples,
     from_config,
     make_builtin,
 )
+from helpers.splitmix64 import splitmix64, uniforms
 
 SERVER = "tests/helpers/quadratic_bowl_server.py"
 MISBEHAVING = "tests/helpers/misbehaving_server.py"
@@ -67,6 +69,12 @@ def test_rank2_synthetic_is_reproducible_and_separated():
     model = f.model
     assert model.rank == 2 and model.degree == 3
     assert model(mu) == f(mu)
+
+
+def test_rank2_synthetic_coefficients_are_the_seeded_draw():
+    # The module writes the draw out so that it imports no numpy.random.
+    expected = np.random.default_rng(20240217).uniform(-1.0, 1.0, size=(2, 2, 4))
+    assert Rank2Synthetic().model.coeffs.tobytes() == expected.tobytes()
 
 
 def test_linear_form():
@@ -613,9 +621,42 @@ def test_draw_samples_deterministic_and_inside_box():
     assert not np.array_equal(first.points, different.points)
 
 
+def test_uniform_is_splitmix64():
+    assert splitmix64(0, 1) == [0xE220A8397B1DCDAF]
+    assert uniforms(1, 3) == [0.5665615751722809, 0.7457817572627011, 0.9710027535867962]
+    assert _uniform(0, (1,)).tolist() == [(0xE220A8397B1DCDAF >> 11) * 2.0**-53]
+    for seed in (0, 1, 7, 2**63, 2**64 - 1):
+        # The (n, d) fill runs in C order: row by row, one output per entry.
+        table = _uniform(seed, (5, 3))
+        assert table.dtype == np.float64 and table.shape == (5, 3)
+        assert table.ravel().tolist() == uniforms(seed, 15), seed
+        assert np.all((table >= 0.0) & (table < 1.0))
+
+
+def test_uniform_fills_64_bins_evenly():
+    n, bins = 2**16, 64
+    counts = np.bincount((_uniform(12345, (n,)) * bins).astype(int), minlength=bins)
+    expected, sigma = n / bins, np.sqrt(n * (1 / bins) * (1 - 1 / bins))
+    assert counts.size == bins
+    assert np.all(np.abs(counts - expected) <= 5 * sigma), counts
+
+
+def test_draw_samples_scales_the_uniform_table():
+    domain = (Interval(-0.5, 0.5), Interval(1.0, 3.0), Interval(-2.0, -1.5))
+    points = draw_samples(QuadraticBowl(a=[1.0, 1.0, 1.0]), domain, 33, seed=2**64 - 1).points
+    lo, width = np.array([-0.5, 1.0, -2.0]), np.array([1.0, 2.0, 0.5])
+    assert points.tobytes() == (lo + _uniform(2**64 - 1, (33, 3)) * width).tobytes()
+
+
 def test_draw_samples_requires_positive_count():
     with pytest.raises(ValueError):
         draw_samples(ExpCos(), (Interval(-1, 1), Interval(-1, 1)), 0, seed=0)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5, float("nan")])
+def test_draw_samples_rejects_a_seed_that_is_not_a_64_bit_integer(seed):
+    with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+        draw_samples(ExpCos(), (Interval(-1, 1), Interval(-1, 1)), 4, seed=seed)
 
 
 def test_draw_samples_annotates_failures():

@@ -128,6 +128,39 @@ def test_scipy_import_detector(source, flagged):
     assert bool(_scipy_imports(ast.parse(source))) == flagged
 
 
+def _numpy_random_uses(tree: ast.Module) -> list[int]:
+    """Lines that name ``numpy.random``: an ``np.random`` or ``numpy.random``
+    attribute, or an import of the module or of names from it."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "random"
+            and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+            or isinstance(node, ast.Import) and any(
+                alias.name.startswith("numpy.random") for alias in node.names)
+            or isinstance(node, ast.ImportFrom) and node.level == 0
+            and (node.module.startswith("numpy.random")
+                 or node.module == "numpy" and any(a.name == "random" for a in node.names))]
+
+
+def test_only_the_multistart_uses_numpy_random():
+    # Sampling draws from its own SplitMix64, so that a process that samples
+    # loads neither numpy.random nor, through it, hashlib and OpenSSL.
+    found = {path.name: lines for path in PACKAGE if path.name != "boxmax.py"
+             and (lines := _numpy_random_uses(ast.parse(path.read_text(), filename=str(path))))}
+    assert not found, f"numpy.random used outside boxmax.py: {found}"
+
+
+@pytest.mark.parametrize("source, flagged", [
+    ("rng = np.random.default_rng(0)", True),
+    ("numpy.random.Generator(numpy.random.Philox(1))", True),
+    ("import numpy.random", True),
+    ("def f():\n    from numpy.random import default_rng", True),
+    ("from numpy import random", True),
+    ("import random\nrandom.random()\nx.random\nfrom . import random", False),
+])
+def test_numpy_random_detector(source, flagged):
+    assert bool(_numpy_random_uses(ast.parse(source))) == flagged
+
+
 # Every artifact goes through these, so that each is written atomically and
 # in one format.
 WRITERS = {"atomic_write", "write_json", "write_csv"}
