@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .surrogate import SeparatedModel, _standardize, legendre_deriv_table, legendre_table
+from .surrogate import SeparatedModel, _standardize, _uniform, legendre_deriv_table, legendre_table
 
 # Multistart schedule and stopping rules of box_maximize.  The tolerances are
 # relative to the largest half-width (step), the best value (tie) and each
@@ -70,46 +70,29 @@ class BoxMaxResult:
     box: ToleranceBox = field(repr=False)
 
 
-def latin_hypercube(n: int, d: int, seed: int) -> np.ndarray:
-    """n points of a scrambled Latin hypercube in [0, 1)^d: the arithmetic and
-    draws of ``scipy.stats.qmc.LatinHypercube(d=d, seed=seed).random(n)``."""
-    rng = np.random.default_rng(seed)
-    offsets = rng.uniform(size=(n, d))
-    perms = np.tile(np.arange(1, n + 1), (d, 1))
-    for row in perms:
-        rng.shuffle(row)
-    return (perms.T - offsets) / n
-
-
 @functools.lru_cache(maxsize=256)
 def _start_pattern(d: int, free: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """The multistart's geometry for a box of dimension ``d`` whose half-widths
     are positive on the axes ``free``: sign rows for the center, the two faces
-    of each free axis and the corners, and the unit Latin-hypercube offsets of
-    the interior starts (zero on the fixed axes).  Above 10 free axes the
-    corners are a gradient-sign row, left zero here for the caller to fill,
-    and N_MULTISTARTS - 1 seeded random sign rows.  Read-only, as the cache
-    hands the same arrays to every caller."""
-    rows = [np.zeros(d)]
-    for i in free:
-        for sign in (-1.0, 1.0):
-            row = np.zeros(d)
-            row[i] = sign
-            rows.append(row)
-    axes = list(free)
-    if len(free) <= 10:
-        for signs in itertools.product((-1.0, 1.0), repeat=len(free)):
-            row = np.zeros(d)
-            row[axes] = signs
-            rows.append(row)
+    of each free axis and the corners, and the unit offsets of the interior
+    starts (zero on the fixed axes).  Above 10 free axes the corners are a
+    gradient-sign row, left zero here for the caller to fill, and
+    N_MULTISTARTS - 1 seeded sign rows.  The interior starts are a Latin
+    hypercube: on each free axis a permutation of the N_MULTISTARTS strata and
+    an offset within each.  Every draw is a distinct output of one
+    SplitMix64 table.  Read-only, as the cache hands the same arrays to every
+    caller."""
+    k, n = len(free), N_MULTISTARTS
+    draws = _uniform(START_SEED, (3 * n - 1, k))
+    if k <= 10:
+        corners = np.array(list(itertools.product((-1.0, 1.0), repeat=k))).reshape(2**k, k)
     else:
-        rows.append(np.zeros(d))
-        rng = np.random.default_rng(START_SEED)
-        for _ in range(N_MULTISTARTS - 1):
-            rows.append(rng.choice((-1.0, 1.0), size=d))
-    unit = np.zeros((N_MULTISTARTS, d))
-    unit[:, axes] = latin_hypercube(N_MULTISTARTS, len(free), START_SEED)
-    signs = np.array(rows)
+        corners = np.vstack([np.zeros(k), np.where(draws[2 * n:] < 0.5, -1.0, 1.0)])
+    faces = np.kron(np.eye(k), [[-1.0], [1.0]])
+    signs = np.zeros((1 + 2 * k + len(corners), d))
+    signs[1:, list(free)] = np.vstack([faces, corners])
+    unit = np.zeros((n, d))
+    unit[:, list(free)] = (draws[:n].argsort(axis=0) + draws[n:2 * n]) / n
     signs.setflags(write=False)
     unit.setflags(write=False)
     return signs, unit

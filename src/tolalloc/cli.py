@@ -28,7 +28,7 @@ import numpy as np
 from . import metrics
 from .domain import BoundingBox, ConstraintError, size_bounding_box
 from .surrogate import FitConfig, FitError, Interval, MissingFieldError, SampleSet, SeparatedModel
-from .surrogate import _standardize, als_fit, write_csv, write_json
+from .surrogate import _number_array, _standardize, als_fit, write_csv, write_json
 
 CONFIG_FORMAT_VERSION = 1
 CONFIG_FIELDS = {"format_version", "seed", "evaluator", "nominal", "q_allow", "measure", "fit",
@@ -252,7 +252,7 @@ def cmd_size_domain(args) -> int:
     q_allow = float(_require(config, "q_allow"))
     bbox_config = config.get("bbox", {})
     try:
-        caps = np.broadcast_to(np.asarray(bbox_config.get("caps", 10.0), dtype=float),
+        caps = np.broadcast_to(_number_array(bbox_config.get("caps", 10.0), "caps"),
                                nominal.shape)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"'bbox' field 'caps' in config {args.config} is malformed: {exc}")
@@ -385,7 +385,7 @@ def cmd_report(args) -> int:
             continue
         data = _load_json(path, "artifact")
         summary["artifacts"][path.name] = data
-        if "tau" in data:
+        if isinstance(data, dict) and "tau" in data:
             rows.append((path.name, data.get("method", "?"), data["tau"], data.get("f_opt")))
     write_json(directory / "summary.json", summary)
     if rows:

@@ -19,7 +19,7 @@ import time
 
 import numpy as np
 
-from .surrogate import Interval, SampleSet, SeparatedModel, format_rows
+from .surrogate import Interval, SampleSet, SeparatedModel, _number_array, _uniform, format_rows
 
 # External-evaluator errors quote at most this many trailing bytes of stderr
 # and this many leading characters of any stdout they name.
@@ -58,10 +58,10 @@ class _CenteredSum:
     catalog name."""
 
     def __init__(self, a, center=None):
-        self.a = np.asarray(a, dtype=float)
+        self.a = _number_array(a, "a")
         if self.a.ndim != 1 or self.a.size < 1 or not np.all(np.isfinite(self.a)):
             raise ValueError(f"{self.kind} requires a 1-d vector a of finite coefficients")
-        self.center = np.zeros_like(self.a) if center is None else np.asarray(center, dtype=float)
+        self.center = np.zeros_like(self.a) if center is None else _number_array(center, "center")
         if self.center.shape != self.a.shape or not np.all(np.isfinite(self.center)):
             raise ValueError("center must be finite and match a in length")
 
@@ -549,16 +549,6 @@ def evaluate_many(evaluator, points: np.ndarray) -> np.ndarray:
             exc.row = row
             raise
     return values
-
-
-def _uniform(seed: int, shape: tuple[int, ...]) -> np.ndarray:
-    """Doubles in [0, 1) that fill ``shape`` in C order: output k is the top 53
-    bits of SplitMix64's (k + 1)-th output from state ``seed`` (Steele, Lea and
-    Flood, OOPSLA 2014), times 2**-53.  The uint64 arithmetic wraps mod 2**64."""
-    z = np.uint64(seed) + np.arange(1, math.prod(shape) + 1, dtype=np.uint64) * 0x9E3779B97F4A7C15
-    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9
-    z = (z ^ z >> 27) * 0x94D049BB133111EB
-    return ((z ^ z >> 31) >> 11).reshape(shape) * 2.0 ** -53
 
 
 def draw_samples(evaluator, domain, n: int, seed: int) -> SampleSet:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .surrogate import SeparatedModel
+from .surrogate import SeparatedModel, _number_array
 
 DEGENERATE_WEIGHT_TOL = 1e-8
 
@@ -170,4 +170,4 @@ def from_config(spec: dict, model: SeparatedModel | None = None, mu_hat=None):
     missing = sorted(keys - set(spec))
     if missing:
         raise ValueError(f"{kind} measure lacks key(s) {', '.join(missing)}")
-    return KINDS[kind](**{key: np.asarray(spec[key], dtype=float) for key in keys})
+    return KINDS[kind](**{key: _number_array(spec[key], key) for key in keys})

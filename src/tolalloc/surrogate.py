@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import functools
 import json
+import math
 import os
 from dataclasses import InitVar, dataclass, field, fields
 from pathlib import Path
@@ -88,6 +89,29 @@ def write_csv(path, header, rows) -> None:
                                   for v in row] for row in rows)
 
     atomic_write(path, write)
+
+
+# ---------------------------------------------------------------------------
+# Seeded draws and config numbers
+# ---------------------------------------------------------------------------
+
+def _uniform(seed: int, shape: tuple[int, ...]) -> np.ndarray:
+    """Doubles in [0, 1) that fill ``shape`` in C order: output k is the top 53
+    bits of SplitMix64's (k + 1)-th output from state ``seed`` (Steele, Lea and
+    Flood, OOPSLA 2014), times 2**-53.  The uint64 arithmetic wraps mod 2**64."""
+    z = np.uint64(seed) + np.arange(1, math.prod(shape) + 1, dtype=np.uint64) * 0x9E3779B97F4A7C15
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9
+    z = (z ^ z >> 27) * 0x94D049BB133111EB
+    return ((z ^ z >> 31) >> 11).reshape(shape) * 2.0 ** -53
+
+
+def _number_array(value, name: str) -> np.ndarray:
+    """``value``, a number or nested lists of numbers, as a float array.  A
+    bool or a string is not a number: either raises ValueError naming ``name``."""
+    for item in np.asarray(value, dtype=object).ravel():
+        if isinstance(item, bool) or not isinstance(item, (int, float, np.integer, np.floating)):
+            raise ValueError(f"{name} must hold only numbers, got {value!r}")
+    return np.asarray(value, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -278,11 +302,15 @@ class SeparatedModel:
         version = data.get("format_version")
         if version != MODEL_FORMAT_VERSION:
             raise ValueError(f"unsupported model format_version: {version!r}")
+        for name in ("dim", "rank", "degree"):
+            # type() rather than isinstance() so that a bool is rejected.
+            if type(data[name]) is not int:
+                raise ValueError(f"{name} must be an integer, got {data[name]!r}")
         try:
             return cls(
-                dim=int(data["dim"]),
-                rank=int(data["rank"]),
-                degree=int(data["degree"]),
+                dim=data["dim"],
+                rank=data["rank"],
+                degree=data["degree"],
                 intervals=tuple(Interval(float(lo), float(hi)) for lo, hi in data["intervals"]),
                 scales=np.asarray(data["scales"], dtype=float),
                 coeffs=np.asarray(data["coeffs"], dtype=float),

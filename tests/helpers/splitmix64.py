@@ -1,9 +1,9 @@
 """Reference SplitMix64 (Steele, Lea and Flood, "Fast splittable pseudorandom
 number generators", OOPSLA 2014), one output at a time in Python integers.
 
-``tolalloc.evaluator._uniform`` computes the same outputs in one vectorised
-pass of wrapping uint64 arithmetic; the tests require the two to agree bit
-for bit.
+``tolalloc.surrogate._uniform`` computes the same outputs in one vectorised
+pass of wrapping uint64 arithmetic, for sampling and for the multistart's
+starts; the tests require the two to agree bit for bit.
 """
 
 MASK = 2**64 - 1

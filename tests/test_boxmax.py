@@ -2,7 +2,6 @@ import itertools
 
 import numpy as np
 import pytest
-from scipy.stats import qmc
 
 from tolalloc import (
     BoundingBox,
@@ -21,11 +20,11 @@ from tolalloc.boxmax import (
     additive_worst_case,
     box_maximize,
     grad_G,
-    latin_hypercube,
 )
 from tolalloc.evaluator import Rank2Synthetic
 
 from conftest import random_model
+from helpers.splitmix64 import uniforms
 
 UNIT_SQUARE = (Interval(-1.0, 1.0), Interval(-1.0, 1.0))
 
@@ -74,12 +73,34 @@ def test_tolerance_box_geometry():
 # Box maximization
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("d", [1, 2, 11, 16])
-@pytest.mark.parametrize("n", [0, 1, 8])
-def test_latin_hypercube_matches_scipy(d, n):
-    for seed in (0, 5):
-        expected = qmc.LatinHypercube(d=d, seed=seed).random(n)
-        np.testing.assert_array_equal(latin_hypercube(n, d, seed), expected)
+# The multistart draws from one SplitMix64 table of 3 N_MULTISTARTS - 1 rows,
+# one column per free axis: the first N_MULTISTARTS rows order the strata of
+# the interior starts, the next N_MULTISTARTS place each start in its stratum,
+# and above 10 free axes the rest give the sign rows.
+@pytest.mark.parametrize("d, free", [(1, (0,)), (3, (0, 2)), (10, tuple(range(10))),
+                                     (13, tuple(range(1, 13)))])
+def test_the_starts_are_drawn_from_splitmix64(d, free):
+    n, k = boxmax.N_MULTISTARTS, len(free)
+    draws = uniforms(boxmax.START_SEED, (3 * n - 1) * k)
+
+    def rows(first, count, j):
+        return [draws[(first + r) * k + j] for r in range(count)]
+
+    unit = np.zeros((n, d))
+    sign_rows = np.zeros((n - 1, d))
+    for j, axis in enumerate(free):
+        order = sorted(range(n), key=rows(0, n, j).__getitem__)
+        unit[:, axis] = [(order[r] + offset) / n for r, offset in enumerate(rows(n, n, j))]
+        sign_rows[:, axis] = [-1.0 if u < 0.5 else 1.0 for u in rows(2 * n, n - 1, j)]
+    signs, got = boxmax._start_pattern(d, free)
+    np.testing.assert_array_equal(got, unit, strict=True)
+    # Each free column puts exactly one start in each stratum.
+    strata = np.sort(np.floor(got[:, list(free)] * n), axis=0)
+    np.testing.assert_array_equal(strata, np.repeat(np.arange(n)[:, None], k, axis=1))
+    if k > 10:
+        np.testing.assert_array_equal(signs[2 + 2 * k:], sign_rows, strict=True)
+    else:
+        assert len(signs) == 1 + 2 * k + 2**k
 
 
 def test_box_maximize_linear_hits_signed_corner():
@@ -458,7 +479,8 @@ def test_additive_worst_case_finds_the_interior_maximum_the_multistart_misses():
                                             box.half_widths[None])
     assert value == pytest.approx(closed_form, rel=1e-15)
     np.testing.assert_array_equal(grad, [0.0, 0.0])
-    assert box_maximize(model, box).value < closed_form * (1.0 - 1e-4)
+    # The multistart's G is 6.6e-5 relative below the closed form.
+    assert box_maximize(model, box).value < closed_form * (1.0 - 5e-5)
 
 
 def test_additive_worst_case_takes_the_largest_slope_over_tied_walls():

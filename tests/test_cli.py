@@ -13,6 +13,7 @@ import pytest
 from tolalloc import (ConstraintError, DegenerateNormalError, EvaluatorError, FitError,
                       InitializationError, Interval, RetractionError, SeparatedModel,
                       SurrogateWorstCase, cli)
+from tolalloc.boxmax import additive_split
 from tolalloc.cli import main
 from tolalloc.evaluator import REQUEST_BLOCK_ROWS, DomainError, QuadraticBowl, draw_samples
 from tolalloc.metrics import MetricError
@@ -227,6 +228,19 @@ def test_report_summarizes_artifacts(tmp_path, capsys, config_path):
     assert "result_ga.json" in stdout
 
 
+def test_report_takes_table_rows_only_from_objects(tmp_path, capsys):
+    # A string or a list that holds "tau" is summarized but is not a result.
+    artifacts = {"a.json": "tautology", "b.json": ["tau", 1],
+                 "c.json": {"tau": [0.5], "method": "cg", "f_opt": 0.5}}
+    for name, data in artifacts.items():
+        (tmp_path / name).write_text(json.dumps(data))
+    code, stdout, stderr = run(capsys, "report", "--dir", str(tmp_path))
+    assert (code, stderr) == (0, "")
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["artifacts"] == artifacts
+    assert [line.split()[0] for line in stdout.splitlines()[1:-1]] == ["c.json"]
+
+
 # ---------------------------------------------------------------------------
 # Determinism
 # ---------------------------------------------------------------------------
@@ -405,6 +419,13 @@ def test_each_cli_process_imports_only_the_modules_its_command_runs(tmp_path, co
                       "--out", str(tmp_path / "rank1.model.json")],
         "check": ["check", "--config", config_path, "--model", model, "--tau", str(tau),
                   "--reference", str(tau)],
+        # The rank-1 fit is a product of both axes, so G comes from the multistart.
+        "allocate-rank1": ["allocate", "--config", config_path, "--domain", domain, "--model",
+                           str(tmp_path / "rank1.model.json"), "--method", "cg",
+                           "--out", str(tmp_path / "rank1.result.json")],
+        "check-rank1": ["check", "--config", config_path, "--model",
+                        str(tmp_path / "rank1.model.json"), "--tau", str(tau),
+                        "--reference", str(tau)],
     }
     runs = {
         "import": (["tolalloc"], None),
@@ -436,6 +457,12 @@ def test_each_cli_process_imports_only_the_modules_its_command_runs(tmp_path, co
     # The allocation reads the model and the domain file; it evaluates nothing.
     assert not loaded["allocate"] & {"evaluator", "numpy.random", "subprocess"}
     assert loaded["allocate"] >= {"boxmax", "manifold", "measures"}
+    # The multistart draws its starts from the same SplitMix64 as sampling.
+    rank1 = SeparatedModel.from_dict(json.loads((tmp_path / "rank1.model.json").read_text()))
+    assert additive_split(rank1) is None
+    for name in ("allocate-rank1", "check-rank1"):
+        assert not loaded[name] & {"evaluator", "numpy.random", "hashlib"}, name
+        assert "boxmax" in loaded[name], name
     assert loaded["serve"] == {"evaluator", "surrogate"}
     # The process entry point freezes what the imports made; importing does not.
     assert frozen.pop("import") == 0 and frozen.pop("serve") == 0
@@ -741,8 +768,13 @@ def test_nominal_that_is_not_a_list_of_numbers_exits_2(tmp_path, capsys, nominal
     ("tau_min", [0.0, 0.0, 0.0]),
     ("tau_min", [-1.0, 0.0]),
     ("tau_min", [0.0, True]),
+    ("caps", True),
+    ("caps", "5"),
+    ("caps", [True, 2.0]),
+    ("caps", ["1", 2.0]),
 ], ids=["string", "wrong-length", "caps-negative", "caps-zero", "tau_min-string",
-        "tau_min-wrong-length", "tau_min-negative", "tau_min-bool"])
+        "tau_min-wrong-length", "tau_min-negative", "tau_min-bool", "caps-bool",
+        "caps-numeric-string", "caps-bool-entry", "caps-numeric-string-entry"])
 def test_malformed_bbox_caps_exits_2(tmp_path, capsys, field, value):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({**BOWL_CONFIG, "bbox": {"caps": 10.0, field: value}}))
@@ -833,7 +865,10 @@ def test_check_file_that_is_malformed_exits_2(tmp_path, capsys, config_path, fla
     ("format_version", 2, "unsupported model format_version: 2"),
     ("intervals", 5, "'int' object is not iterable"),
     ("scales", "x", "could not convert string to float: 'x'"),
-], ids=["version", "intervals", "scales"])
+    ("dim", 2.5, "dim must be an integer, got 2.5"),
+    ("degree", 3.9, "degree must be an integer, got 3.9"),
+    ("rank", True, "rank must be an integer, got True"),
+], ids=["version", "intervals", "scales", "dim-fraction", "degree-fraction", "rank-bool"])
 def test_model_file_with_a_bad_value_exits_2(tmp_path, capsys, config_path, field, value,
                                              reason):
     data = random_model(np.random.default_rng(17)).to_dict()
@@ -889,16 +924,22 @@ def test_vector_of_another_dimension_than_the_model_exits_2(tmp_path, capsys, co
     assert not out.exists()
 
 
-# A measure key that the kind does not read, or lacks, and a kind that is not
-# a known name exit 2 naming the config file and the key; a one-norm's
-# 'weights' is not length-checked.
+# A measure key that the kind does not read, or lacks, a kind that is not a
+# known name and a vector that holds a bool or a string exit 2 naming the
+# config file and the key; a one-norm's 'weights' is not length-checked.
 @pytest.mark.parametrize("command", ["allocate", "check"])
 @pytest.mark.parametrize("measure, named", [
     ({"kind": "mu-norm", "weight": [1.0, 1.0]}, "does not read key(s) weight"),
     ({"kind": "one-norm", "weights": THREE}, "does not read key(s) weights"),
     ({"kind": "reciprocal-power-cost", "a": [0.0, 0.0], "b": [1.0, 1.0]}, "lacks key(s) k"),
     ({"kind": ["one-norm"]}, "unknown measure kind ['one-norm']"),
-], ids=["mu-norm-weight", "one-norm-weights", "cost-without-k", "kind-list"])
+    ({"kind": "mu-norm", "weights": ["1", True]}, "weights must hold only numbers"),
+    ({"kind": "reciprocal-power-cost", "a": [0.0, 0.0], "b": [1.0, "1"], "k": [1.0, 1.0]},
+     "b must hold only numbers"),
+    ({"kind": "reciprocal-power-cost", "a": [0.0, 0.0], "b": [1.0, 1.0], "k": [True, 1.0]},
+     "k must hold only numbers"),
+], ids=["mu-norm-weight", "one-norm-weights", "cost-without-k", "kind-list",
+        "mu-norm-weights-string-and-bool", "cost-b-string", "cost-k-bool"])
 def test_measure_key_the_kind_does_not_read_exits_2(tmp_path, capsys, command, measure, named):
     config, model = tmp_path / "config.json", tmp_path / "model.json"
     config.write_text(json.dumps({**BOWL_CONFIG, "measure": measure}))
@@ -1119,6 +1160,11 @@ def test_manifold_scan_of_three_parameters_exits_2_before_allocating(tmp_path, c
      "center must be finite and match a in length"),
     ({"variant": "builtin", "name": "linear", "parameters": {"a": [float("inf"), 1.0]}},
      "linear requires a 1-d vector a of finite coefficients"),
+    ({"variant": "builtin", "name": "quadratic-bowl", "parameters": {"a": ["1", True]}},
+     "a must hold only numbers, got ['1', True]"),
+    ({"variant": "builtin", "name": "abs-sum",
+      "parameters": {"a": [1.0, 4.0], "center": [0.0, False]}},
+     "center must hold only numbers, got [0.0, False]"),
     ({**_external_bowl(5), "command": [1, 2]},
      "command must be a non-empty list of strings, got [1, 2]"),
     ({**_external_bowl(5), "command": []}, "command must be a non-empty list of strings, got []"),
@@ -1132,6 +1178,7 @@ def test_manifold_scan_of_three_parameters_exits_2_before_allocating(tmp_path, c
         "builtin-parameters-not-object", "external-dim-string", "external-dim-fraction",
         "external-dim-bool", "external-dim-zero", "external-timeout-string",
         "external-timeout-bool", "bowl-a-nan", "bowl-center-inf", "linear-a-inf",
+        "bowl-a-string-and-bool", "abs-sum-center-bool",
         "external-command-numbers", "external-command-empty", "external-command-nested",
         "external-command-string", "external-command-object", "tabulated-path-number"])
 def test_malformed_evaluator_spec_exits_2(tmp_path, capsys, spec, message):

@@ -21,11 +21,11 @@ from tolalloc.evaluator import (
     Rank2Synthetic,
     TabulatedEvaluator,
     builtin_catalog,
-    _uniform,
     draw_samples,
     from_config,
     make_builtin,
 )
+from tolalloc.surrogate import _uniform
 from helpers.splitmix64 import splitmix64, uniforms
 
 SERVER = "tests/helpers/quadratic_bowl_server.py"

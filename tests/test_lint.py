@@ -142,11 +142,11 @@ def _numpy_random_uses(tree: ast.Module) -> list[int]:
 
 
 def test_only_the_multistart_uses_numpy_random():
-    # Sampling draws from its own SplitMix64, so that a process that samples
-    # loads neither numpy.random nor, through it, hashlib and OpenSSL.
-    found = {path.name: lines for path in PACKAGE if path.name != "boxmax.py"
-             and (lines := _numpy_random_uses(ast.parse(path.read_text(), filename=str(path))))}
-    assert not found, f"numpy.random used outside boxmax.py: {found}"
+    # Sampling and the multistart draw from the package's own SplitMix64, so
+    # that no process loads numpy.random nor, through it, hashlib and OpenSSL.
+    found = {path.name: lines for path in PACKAGE
+             if (lines := _numpy_random_uses(ast.parse(path.read_text(), filename=str(path))))}
+    assert not found, f"numpy.random used: {found}"
 
 
 @pytest.mark.parametrize("source, flagged", [

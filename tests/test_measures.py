@@ -234,8 +234,11 @@ def test_from_config_mu_norm_derives_weights():
      "reciprocal-power-cost measure lacks key\\(s\\) k"),
     ({"kind": "reciprocal-power-cost", "a": [0.1], "b": [1.0], "k": [1.0], "c": [1.0]},
      "does not read key\\(s\\) c; it reads a, b, k"),
+    ({"kind": "mu-norm", "weights": ["1", True]}, "weights must hold only numbers"),
+    ({"kind": "reciprocal-power-cost", "a": [True], "b": [1.0], "k": [1.0]},
+     "a must hold only numbers"),
 ], ids=["misspelt-weights", "one-norm-weights", "minus-one-norm-keys", "missing-k",
-        "cost-extra"])
+        "cost-extra", "weights-string-and-bool", "cost-a-bool"])
 def test_from_config_names_a_key_the_kind_does_not_read_or_lacks(spec, message):
     with pytest.raises(ValueError, match=message):
         from_config(spec, model=linear_sum_model(1.0, 1.0), mu_hat=[0.0, 0.0])
