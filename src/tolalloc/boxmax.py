@@ -42,8 +42,8 @@ class ToleranceBox:
         half = np.asarray(self.half_widths, dtype=float)
         if center.shape != half.shape or center.ndim != 1:
             raise ValueError("center and half_widths must be 1-d vectors of equal length")
-        if np.any(half < 0.0):
-            raise ValueError("half widths must be nonnegative")
+        if not np.all(np.isfinite(center) & (0.0 <= half) & (half < np.inf)):
+            raise ValueError("center must be finite, half widths finite and nonnegative")
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "half_widths", half)
 

@@ -18,7 +18,6 @@ import argparse
 import dataclasses
 import gc
 import json
-import math
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -28,7 +27,8 @@ import numpy as np
 from . import metrics
 from .domain import BoundingBox, ConstraintError, size_bounding_box
 from .surrogate import FitConfig, FitError, Interval, MissingFieldError, SampleSet, SeparatedModel
-from .surrogate import _number_array, _standardize, als_fit, write_csv, write_json
+from .surrogate import _integer, _intervals, _number_array, _standardize, als_fit, write_csv
+from .surrogate import write_json
 
 CONFIG_FORMAT_VERSION = 1
 CONFIG_FIELDS = {"format_version", "seed", "evaluator", "nominal", "q_allow", "measure", "fit",
@@ -53,7 +53,7 @@ class UsageError(Exception):
 def _load_json(path, what: str) -> dict:
     try:
         return json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # a JSONDecodeError is a ValueError
         raise UsageError(f"cannot read {what} file {path}: {exc}")
 
 
@@ -62,10 +62,6 @@ def _load_object(path, what: str) -> dict:
     if not isinstance(data, dict):
         raise UsageError(f"{what} file {path} must hold a JSON object")
     return data
-
-
-def _is_finite_number(value) -> bool:
-    return type(value) in (int, float) and math.isfinite(value)  # excludes bool
 
 
 def load_config(path) -> dict:
@@ -86,27 +82,20 @@ def load_config(path) -> dict:
         if unknown:
             raise UsageError(f"malformed '{name}' section in config {path}: "
                              f"unknown field(s) {', '.join(unknown)}")
-    for name, limit in config.get("check_thresholds", {}).items():
-        if not _is_finite_number(limit):
-            raise UsageError(f"'check_thresholds' field {name!r} must be a finite number, "
-                             f"got {limit!r} in {path}")
-    nominal = config.get("nominal")
-    if "nominal" in config and not (isinstance(nominal, list) and nominal and all(
-            map(_is_finite_number, nominal))):
-        raise UsageError(f"config field 'nominal' must be a non-empty list of finite numbers, "
-                         f"got {nominal!r} in {path}")
-    if "q_allow" in config and not _is_finite_number(config["q_allow"]):
-        raise UsageError(f"config field 'q_allow' must be a finite number, "
-                         f"got {config['q_allow']!r} in {path}")
-    _check_seed(config.get("seed", 0), f"config field 'seed' in {path}")
+    scalars = {f"'check_thresholds' field {name!r}": limit
+               for name, limit in config.get("check_thresholds", {}).items()}
+    if "q_allow" in config:
+        scalars["config field 'q_allow'"] = config["q_allow"]
+    for name, value in scalars.items():
+        if _number_array(value, f"{name} in {path}").ndim:
+            raise UsageError(f"{name} in {path} must be a number, got {value!r}")
+    if "nominal" in config:
+        nominal = _number_array(config["nominal"], f"config field 'nominal' in {path}")
+        if nominal.ndim != 1 or not nominal.size:
+            raise UsageError(f"config field 'nominal' in {path} must be a non-empty list of "
+                             f"numbers, got {config['nominal']!r}")
+    _integer(config.get("seed", 0), f"config field 'seed' in {path}", 0, 2**64)
     return config
-
-
-def _check_seed(seed, name: str) -> int:
-    """``seed`` if it is an integer in [0, 2**64), else a UsageError naming ``name``."""
-    if type(seed) is not int or not 0 <= seed < 2**64:
-        raise UsageError(f"{name} must be an integer in [0, 2**64), got {seed!r}")
-    return seed
 
 
 def _require(config: dict, key: str):
@@ -116,42 +105,36 @@ def _require(config: dict, key: str):
 
 
 @contextmanager
-def _open_evaluator(config: dict):
-    """The config's evaluator, closed (child processes stopped) on exit."""
+def _open_evaluator(config: dict, path):
+    """The evaluator of the config at ``path``, closed (child processes
+    stopped) on exit."""
     from . import evaluator as evaluator_mod
 
     try:
         evaluator = evaluator_mod.from_config(_require(config, "evaluator"))
     except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"bad evaluator spec: {exc}")
+        raise UsageError(f"bad evaluator spec: {exc} in config {path}")
     try:
         yield evaluator
     finally:
         evaluator_mod.close_evaluator(evaluator)
 
 
-def _domain_from(path) -> tuple[BoundingBox, list[Interval]]:
+def _domain_from(path) -> tuple[BoundingBox, tuple[Interval, ...]]:
     """Bounding box and sampling intervals from a size-domain file."""
     data = _load_object(path, "domain")
     missing = sorted({"tau_min", "tau_max", "sampling_domain"} - set(data))
     if missing:
         raise UsageError(f"domain file {path} lacks field(s) {', '.join(missing)}")
-
-    def field(name, parse):
-        try:
-            return parse(data[name])
-        except (TypeError, ValueError) as exc:
-            raise UsageError(f"field {name!r} of domain file {path} is malformed: {exc}")
-
-    tau_min, tau_max = (field(name, lambda value: np.asarray(value, dtype=float))
+    tau_min, tau_max = (_number_array(data[name], f"field {name!r} of domain file {path}")
                         for name in ("tau_min", "tau_max"))
     try:
         bbox = BoundingBox(tau_min, tau_max)
     except ValueError as exc:
         raise UsageError(f"fields 'tau_min' and 'tau_max' of domain file {path} "
                          f"are malformed: {exc}")
-    intervals = field("sampling_domain",
-                      lambda rows: [Interval(float(lo), float(hi)) for lo, hi in rows])
+    intervals = _intervals(data["sampling_domain"],
+                           f"field 'sampling_domain' of domain file {path}")
     if len(intervals) != bbox.dim:
         raise UsageError(f"domain file {path} has {len(intervals)} sampling_domain row(s) "
                          f"for {bbox.dim} tolerance(s)")
@@ -173,10 +156,10 @@ def _tau_from(path, what: str) -> np.ndarray:
     """The ``tau`` vector of an ``allocate`` result file."""
     data = _load_object(path, what)
     try:
-        tau = np.asarray(data["tau"], dtype=float)
-        if tau.ndim == 1 and np.all(np.isfinite(tau) & (tau >= 0.0)):
+        tau = _number_array(data["tau"], "tau")
+        if tau.ndim == 1 and np.all(tau >= 0.0):
             return tau
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, ValueError):
         pass
     raise UsageError(f"{what} file {path} lacks a 'tau' vector of finite numbers >= 0")
 
@@ -236,10 +219,10 @@ def cmd_sample(args) -> int:
 
     config = load_config(args.config)
     _, intervals = _domain_from(args.domain)
-    seed = config.get("seed") if args.seed is None else _check_seed(args.seed, "--seed")
+    seed = config.get("seed") if args.seed is None else _integer(args.seed, "--seed", 0, 2**64)
     if seed is None:
         raise UsageError("--seed is required when the config has no seed field")
-    with _open_evaluator(config) as evaluator:
+    with _open_evaluator(config, args.config) as evaluator:
         samples = evaluator_mod.draw_samples(evaluator, intervals, args.n, seed)
     samples.write_csv(args.out)
     print(f"wrote {len(samples)} samples to {args.out}")
@@ -254,22 +237,22 @@ def cmd_size_domain(args) -> int:
     try:
         caps = np.broadcast_to(_number_array(bbox_config.get("caps", 10.0), "caps"),
                                nominal.shape)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise UsageError(f"'bbox' field 'caps' in config {args.config} is malformed: {exc}")
-    if not np.all(np.isfinite(caps) & (caps > 0.0)):
-        raise UsageError(f"'bbox' field 'caps' in config {args.config} must be finite and "
-                         f"> 0, got {bbox_config['caps']!r}")
-    tau_min = bbox_config.get("tau_min", [0.0] * nominal.size)
-    if not (isinstance(tau_min, list) and len(tau_min) == nominal.size
-            and all(_is_finite_number(t) and t >= 0 for t in tau_min)):
-        raise UsageError(f"'bbox' field 'tau_min' in config {args.config} must be a list of "
-                         f"{nominal.size} numbers >= 0, one per 'nominal' entry, got {tau_min!r}")
-    with _open_evaluator(config) as evaluator:
+    if not np.all(caps > 0.0):
+        raise UsageError(f"'bbox' field 'caps' in config {args.config} must be > 0, "
+                         f"got {bbox_config['caps']!r}")
+    name = f"'bbox' field 'tau_min' in config {args.config}"
+    tau_min = _number_array(bbox_config.get("tau_min", [0.0] * nominal.size), name)
+    if tau_min.shape != nominal.shape or np.any(tau_min < 0.0):
+        raise UsageError(f"{name} must be a list of {nominal.size} numbers >= 0, one per "
+                         f"'nominal' entry, got {bbox_config['tau_min']!r}")
+    with _open_evaluator(config, args.config) as evaluator:
         sized, intervals = size_bounding_box(evaluator, nominal, q_allow, caps)
-    if any(low >= high for low, high in zip(tau_min, sized.tau_max)):
-        raise UsageError(f"'bbox' field 'tau_min' in config {args.config} must lie below the "
-                         f"sized tau_max: tau_min = {tau_min}, tau_max = {sized.tau_max.tolist()}")
-    bbox = BoundingBox(np.asarray(tau_min, dtype=float), sized.tau_max)
+    if np.any(tau_min >= sized.tau_max):
+        raise UsageError(f"{name} must lie below the sized tau_max: "
+                         f"tau_min = {tau_min.tolist()}, tau_max = {sized.tau_max.tolist()}")
+    bbox = BoundingBox(tau_min, sized.tau_max)
     capped = [bool(t >= c) for t, c in zip(bbox.tau_max, caps)]
     write_json(args.out, {
         "format_version": 1,

@@ -36,8 +36,8 @@ class BoundingBox:
         tau_max = np.asarray(self.tau_max, dtype=float)
         if tau_min.shape != tau_max.shape or tau_min.ndim != 1:
             raise ValueError("tau_min and tau_max must be 1-d vectors of equal length")
-        if np.any(tau_min < 0.0) or np.any(tau_min >= tau_max):
-            raise ValueError("require 0 <= tau_min_i < tau_max_i for all i")
+        if not np.all((0.0 <= tau_min) & (tau_min < tau_max) & (tau_max < np.inf)):
+            raise ValueError("require 0 <= tau_min_i < tau_max_i < inf for all i")
         object.__setattr__(self, "tau_min", tau_min)
         object.__setattr__(self, "tau_max", tau_max)
 

@@ -3,9 +3,11 @@ external solver subprocesses, and the max-of-several composite.
 
 Every evaluator exposes ``dim`` and ``__call__(mu) -> float``; one that
 holds a child process also has ``close()``.  The external evaluator and the
-max composite add a batch call, ``many(points) -> values``, which sampling
-uses through :func:`evaluate_many`.  No stage differentiates an evaluator:
-every gradient the allocation uses comes from the surrogate.
+max composite add a batch call, ``many(points) -> values``.  Sampling calls
+an external evaluator's ``many(points, rows)`` itself, so that the child's
+exchange also renders the sample-file rows, and reaches every other
+evaluator through :func:`evaluate_many`.  No stage differentiates an
+evaluator: every gradient the allocation uses comes from the surrogate.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ import time
 
 import numpy as np
 
-from .surrogate import Interval, SampleSet, SeparatedModel, _number_array, _uniform, format_rows
+from .surrogate import Interval, SampleSet, SeparatedModel, _integer, _number_array, _uniform
+from .surrogate import format_rows
 
 # External-evaluator errors quote at most this many trailing bytes of stderr
 # and this many leading characters of any stdout they name.
@@ -52,18 +55,18 @@ class DomainError(ValueError):
 # off: its callers turn a non-finite value into their own error.
 
 class _CenteredSum:
-    """Finite coefficient vector ``a`` and a finite ``center`` of the same
-    length (zero by default), shared by the builtins that sum
+    """Coefficient vector ``a`` and a ``center`` of the same length (zero by
+    default), each of finite numbers, shared by the builtins that sum
     a_i g(mu_i - center_i).  Each subclass names itself in ``kind``, its
     catalog name."""
 
     def __init__(self, a, center=None):
         self.a = _number_array(a, "a")
-        if self.a.ndim != 1 or self.a.size < 1 or not np.all(np.isfinite(self.a)):
-            raise ValueError(f"{self.kind} requires a 1-d vector a of finite coefficients")
+        if self.a.ndim != 1 or self.a.size < 1:
+            raise ValueError(f"{self.kind} requires a 1-d vector a of coefficients")
         self.center = np.zeros_like(self.a) if center is None else _number_array(center, "center")
-        if self.center.shape != self.a.shape or not np.all(np.isfinite(self.center)):
-            raise ValueError("center must be finite and match a in length")
+        if self.center.shape != self.a.shape:
+            raise ValueError("center must match a in length")
 
     @property
     def dim(self) -> int:
@@ -242,15 +245,12 @@ class ExternalEvaluator:
                 and all(isinstance(arg, str) for arg in command)):
             raise ValueError(f"command must be a non-empty list of strings, got {command!r}")
         self.command = list(command)
-        # type() rather than isinstance() so that a bool is rejected.
-        if type(dim) is not int or dim < 1:
-            raise ValueError(f"dim must be an integer >= 1, got {dim!r}")
-        self._dim = dim
-        if type(timeout_seconds) not in (int, float) or not (
-                math.isfinite(timeout_seconds) and timeout_seconds > 0):
+        self._dim = _integer(dim, "dim", 1)
+        timeout = _number_array(timeout_seconds, "timeout_seconds")
+        if timeout.ndim or not timeout > 0:
             raise ValueError(f"timeout_seconds must be a finite number > 0, "
                              f"got {timeout_seconds!r}")
-        self.timeout_seconds = timeout_seconds
+        self.timeout_seconds = float(timeout)
         self._proc = None  # the running child's subprocess.Popen
         self._stderr = None  # the running child's stderr file
         self._lock = threading.Lock()
@@ -560,10 +560,8 @@ def draw_samples(evaluator, domain, n: int, seed: int) -> SampleSet:
     evaluator renders the sample-file rows during its exchange, and the set
     carries them as ``csv_text``.
     """
-    if n < 1:
-        raise ValueError("need n >= 1 samples")
-    if not 0 <= seed < 2**64 or seed != int(seed):
-        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed}")
+    _integer(n, "n", 1)
+    _integer(seed, "seed", 0, 2**64)
     intervals = tuple(domain)
     if len(intervals) != evaluator.dim:
         raise ValueError(f"sampling domain has {len(intervals)} interval(s) for a "

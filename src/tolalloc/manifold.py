@@ -209,7 +209,7 @@ def build_projection(tau, bbox: BoundingBox, grad_g_val, grad_f_val) -> TangentF
         face_grad = np.where(free, grad_g_val, 0.0)
     norm = np.linalg.norm(face_grad)
     normal = face_grad / norm if norm > 0.0 else face_grad
-    projector = np.diag(free.astype(float)) - np.outer(normal, normal)
+    projector = np.diag(np.where(free, 1.0, 0.0)) - np.outer(normal, normal)
     return TangentFrame(normal=normal, projector=projector, cg_flag=bool(free.all()))
 
 

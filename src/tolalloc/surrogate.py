@@ -106,12 +106,29 @@ def _uniform(seed: int, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _number_array(value, name: str) -> np.ndarray:
-    """``value``, a number or nested lists of numbers, as a float array.  A
-    bool or a string is not a number: either raises ValueError naming ``name``."""
+    """``value``, a number or nested lists of numbers, as a float array: the
+    one parser of the numbers a program input holds.  A bool or a string is
+    not a number, and NaN, an infinity or an integer too big for a float is
+    not finite: each raises ValueError naming ``name``."""
     for item in np.asarray(value, dtype=object).ravel():
         if isinstance(item, bool) or not isinstance(item, (int, float, np.integer, np.floating)):
             raise ValueError(f"{name} must hold only numbers, got {value!r}")
-    return np.asarray(value, dtype=float)
+    try:
+        array = np.asarray(value, dtype=float)
+    except OverflowError:  # an integer beyond the largest float
+        array = np.array(np.inf)
+    if not np.all(np.isfinite(array)):
+        raise ValueError(f"{name} must hold only finite numbers, got {value!r}")
+    return array
+
+
+def _integer(value, name: str, low: int, high: int | None = None) -> int:
+    """``value`` if it is an integer, not a bool, with low <= value (and
+    value < high when ``high`` is given); else a ValueError naming ``name``."""
+    if type(value) is not int or value < low or high is not None and value >= high:
+        bounds = f">= {low}" if high is None else f"in [{low}, {high})"
+        raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +151,15 @@ class Interval:
     @property
     def width(self) -> float:
         return self.hi - self.lo
+
+
+def _intervals(value, name: str) -> tuple[Interval, ...]:
+    """``value``, a list of [lo, hi] pairs of numbers with lo < hi, as
+    Intervals; else a ValueError naming ``name``."""
+    pairs = _number_array(value, name)
+    if pairs.ndim != 2 or pairs.shape[1] != 2 or not np.all(pairs[:, 0] < pairs[:, 1]):
+        raise ValueError(f"{name} must be a list of [lo, hi] pairs with lo < hi, got {value!r}")
+    return tuple(Interval(lo, hi) for lo, hi in pairs.tolist())
 
 
 def _standardize(points: np.ndarray, lo: np.ndarray, width: np.ndarray) -> np.ndarray:
@@ -302,21 +328,14 @@ class SeparatedModel:
         version = data.get("format_version")
         if version != MODEL_FORMAT_VERSION:
             raise ValueError(f"unsupported model format_version: {version!r}")
-        for name in ("dim", "rank", "degree"):
-            # type() rather than isinstance() so that a bool is rejected.
-            if type(data[name]) is not int:
-                raise ValueError(f"{name} must be an integer, got {data[name]!r}")
-        try:
-            return cls(
-                dim=data["dim"],
-                rank=data["rank"],
-                degree=data["degree"],
-                intervals=tuple(Interval(float(lo), float(hi)) for lo, hi in data["intervals"]),
-                scales=np.asarray(data["scales"], dtype=float),
-                coeffs=np.asarray(data["coeffs"], dtype=float),
-            )
-        except TypeError as exc:
-            raise ValueError(str(exc)) from exc
+        return cls(
+            dim=_integer(data["dim"], "dim", 1),
+            rank=_integer(data["rank"], "rank", 1),
+            degree=_integer(data["degree"], "degree", 0),
+            intervals=_intervals(data["intervals"], "intervals"),
+            scales=_number_array(data["scales"], "scales"),
+            coeffs=_number_array(data["coeffs"], "coeffs"),
+        )
 
     def save(self, path) -> None:
         write_json(path, self.to_dict())
@@ -403,14 +422,12 @@ class FitConfig:
     seed: InitVar[int] = 0
 
     def __post_init__(self, seed):
-        # type() rather than isinstance() so that a bool is rejected.
-        if type(self.target_rank) is not int or self.target_rank < 1:
-            raise ValueError(f"target_rank must be an integer >= 1, got {self.target_rank!r}")
-        if type(self.degree) is not int or self.degree < 0:
-            raise ValueError(f"degree must be an integer >= 0, got {self.degree!r}")
-        tol = self.rel_residual_tol
-        if type(tol) not in (int, float) or not (np.isfinite(tol) and tol > 0):
-            raise ValueError(f"rel_residual_tol must be a finite number > 0, got {tol!r}")
+        _integer(self.target_rank, "target_rank", 1)
+        _integer(self.degree, "degree", 0)
+        tol = _number_array(self.rel_residual_tol, "rel_residual_tol")
+        if tol.ndim or not tol > 0:
+            raise ValueError(f"rel_residual_tol must be a finite number > 0, "
+                             f"got {self.rel_residual_tol!r}")
 
 
 @dataclass

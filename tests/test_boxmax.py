@@ -67,6 +67,10 @@ def test_tolerance_box_geometry():
         ToleranceBox(center=np.array([0.0]), half_widths=np.array([-0.1]))
     with pytest.raises(ValueError):
         ToleranceBox(center=np.array([0.0, 0.0]), half_widths=np.array([0.1]))
+    for center, half in [([0.0, 0.0], [np.nan, 0.1]), ([0.0, 0.0], [0.1, np.inf]),
+                         ([np.nan, 0.0], [0.1, 0.1]), ([0.0, -np.inf], [0.1, 0.1])]:
+        with pytest.raises(ValueError):
+            ToleranceBox(center=np.array(center), half_widths=np.array(half))
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tolalloc import (ConstraintError, DegenerateNormalError, EvaluatorError, FitError,
-                      InitializationError, Interval, RetractionError, SeparatedModel,
-                      SurrogateWorstCase, cli)
+from tolalloc import (ConstraintError, DegenerateNormalError, EvaluatorError, FitConfig, FitError,
+                      InitializationError, Interval, RetractionError, SampleSet, SeparatedModel,
+                      SurrogateWorstCase, als_fit, cli)
 from tolalloc.boxmax import additive_split
 from tolalloc.cli import main
 from tolalloc.evaluator import REQUEST_BLOCK_ROWS, DomainError, QuadraticBowl, draw_samples
@@ -287,10 +287,18 @@ def test_fit_writes_what_model_save_writes(tmp_path, capsys, config_path):
                      "--samples", str(samples), "--out", str(model))
     assert code == 0
     saved = tmp_path / "saved.json"
-    SeparatedModel.from_dict(json.loads(model.read_text())).save(saved)
+    restored = SeparatedModel.from_dict(json.loads(model.read_text()))
+    restored.save(saved)
     assert saved.read_bytes() == model.read_bytes()
     assert model.read_text() == json.dumps(
         json.loads(model.read_text()), indent=2, sort_keys=True) + "\n"
+    # The file reads back to the fitted model, bit for bit.
+    fitted, _ = als_fit(SampleSet.read_csv(samples), FitConfig(**BOWL_CONFIG["fit"]),
+                        (Interval(-1.0, 1.0), Interval(-0.5, 0.5)))
+    assert ((restored.dim, restored.rank, restored.degree, restored.intervals)
+            == (fitted.dim, fitted.rank, fitted.degree, fitted.intervals))
+    assert restored.scales.tobytes() == fitted.scales.tobytes()
+    assert restored.coeffs.tobytes() == fitted.coeffs.tobytes()
 
 
 def test_fit_reports_the_additive_residual(tmp_path, capsys, config_path):
@@ -555,7 +563,7 @@ def test_seed_flag_outside_64_bits_exits_2(tmp_path, capsys, config_path, seed):
                           "--domain", _write_domain(tmp_path), "--n", "5", "--seed", seed,
                           "--out", str(out))
     assert code == 2
-    assert stderr.startswith(f"error: --seed must be an integer in [0, 2**64), got {seed}")
+    assert stderr.startswith(f"error: --seed must be an integer in [0, {2**64}), got {seed}")
     assert not out.exists()
 
 
@@ -698,6 +706,19 @@ def test_unknown_config_field_exits_2(tmp_path, capsys, field, value, named):
     assert code == 2
     assert named in stderr
     assert not out.exists()
+
+
+# json.loads raises a bare ValueError on an integer beyond Python's digit
+# limit, and read_text a UnicodeDecodeError on bytes that are not UTF-8.
+@pytest.mark.parametrize("data", [b"{", b'{"q_allow": 1' + b"0" * 5000 + b"}", b"\xff{}"],
+                         ids=["truncated", "5001-digit-integer", "not-utf-8"])
+def test_unreadable_config_exits_2_naming_the_file(tmp_path, capsys, data):
+    path = tmp_path / "config.json"
+    path.write_bytes(data)
+    code, _, stderr = run(capsys, "size-domain", "--config", str(path),
+                          "--out", str(tmp_path / "domain.json"))
+    assert code == 2
+    assert stderr.startswith(f"error: cannot read config file {path}: ")
 
 
 @pytest.mark.parametrize("text", [
@@ -863,11 +884,11 @@ def test_check_file_that_is_malformed_exits_2(tmp_path, capsys, config_path, fla
 
 @pytest.mark.parametrize("field, value, reason", [
     ("format_version", 2, "unsupported model format_version: 2"),
-    ("intervals", 5, "'int' object is not iterable"),
-    ("scales", "x", "could not convert string to float: 'x'"),
-    ("dim", 2.5, "dim must be an integer, got 2.5"),
-    ("degree", 3.9, "degree must be an integer, got 3.9"),
-    ("rank", True, "rank must be an integer, got True"),
+    ("intervals", 5, "intervals must be a list of [lo, hi] pairs with lo < hi, got 5"),
+    ("scales", "x", "scales must hold only numbers, got 'x'"),
+    ("dim", 2.5, "dim must be an integer >= 1, got 2.5"),
+    ("degree", 3.9, "degree must be an integer >= 0, got 3.9"),
+    ("rank", True, "rank must be an integer >= 1, got True"),
 ], ids=["version", "intervals", "scales", "dim-fraction", "degree-fraction", "rank-bool"])
 def test_model_file_with_a_bad_value_exits_2(tmp_path, capsys, config_path, field, value,
                                              reason):
@@ -1029,9 +1050,9 @@ def test_sample_with_a_non_finite_value_exits_3(tmp_path, capsys):
     ({"target_rank": 1.5, "degree": 2}, "target_rank must be an integer"),
     ({"target_rank": True, "degree": 2}, "target_rank must be an integer"),
     ({"target_rank": 2, "degree": 2, "rel_residual_tol": float("nan")},
-     "rel_residual_tol must be a finite number"),
+     "rel_residual_tol must hold only finite numbers"),
     ({"target_rank": 2, "degree": 2, "rel_residual_tol": "1e-8"},
-     "rel_residual_tol must be a finite number"),
+     "rel_residual_tol must hold only numbers"),
 ], ids=["degree-float", "rank-float", "rank-bool", "tol-nan", "tol-string"])
 def test_bad_fit_value_exits_2(tmp_path, capsys, fit, named):
     path = tmp_path / "config.json"
@@ -1056,16 +1077,17 @@ def _external_bowl(timeout) -> dict:
 
 # Each is rejected before any work: no evaluator child is started.
 @pytest.mark.parametrize("field, value, named", [
-    ("check_thresholds", {"tol_err_inf": "tight"}, "'tol_err_inf' must be a finite number"),
-    ("check_thresholds", {"tol_err_inf": True}, "'tol_err_inf' must be a finite number"),
-    ("check_thresholds", {"tol_err_inf": None}, "'tol_err_inf' must be a finite number"),
-    ("check_thresholds", {"tol_err_inf": float("nan")}, "'tol_err_inf' must be a finite number"),
+    ("check_thresholds", {"tol_err_inf": "tight"}, "must hold only numbers, got 'tight'"),
+    ("check_thresholds", {"tol_err_inf": True}, "must hold only numbers, got True"),
+    ("check_thresholds", {"tol_err_inf": None}, "must hold only numbers, got None"),
+    ("check_thresholds", {"tol_err_inf": float("nan")}, "must hold only finite numbers, got nan"),
+    ("check_thresholds", {"tol_err_inf": [1e-3]}, "must be a number, got [0.001]"),
     ("evaluator", _external_bowl(-1.0), "bad evaluator spec: timeout_seconds"),
     ("evaluator", _external_bowl(0.0), "bad evaluator spec: timeout_seconds"),
     ("evaluator", _external_bowl(float("nan")), "bad evaluator spec: timeout_seconds"),
     ("evaluator", _external_bowl(float("inf")), "bad evaluator spec: timeout_seconds"),
 ], ids=["threshold-string", "threshold-bool", "threshold-null", "threshold-nan",
-        "timeout-negative", "timeout-zero", "timeout-nan", "timeout-inf"])
+        "threshold-list", "timeout-negative", "timeout-zero", "timeout-nan", "timeout-inf"])
 def test_bad_config_value_exits_2(tmp_path, capsys, field, value, named):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({**BOWL_CONFIG, field: value}))
@@ -1076,43 +1098,122 @@ def test_bad_config_value_exits_2(tmp_path, capsys, field, value, named):
     assert not out.exists()
 
 
+UNIT_MODEL = SeparatedModel(dim=2, rank=1, degree=2,
+                            intervals=(Interval(-1.0, 1.0), Interval(-0.5, 0.5)),
+                            scales=np.ones(1), coeffs=np.ones((1, 2, 3))).to_dict()
+# Domain files that break the number rule: bools and numeric strings, and NaN.
+STRING_DOMAIN = {"tau_min": [0, 0], "tau_max": [True, "0.5"],
+                 "sampling_domain": [["-1", 1], [-0.5, True]]}
+STRING_ROWS_DOMAIN = {**STRING_DOMAIN, "tau_max": [1, 0.5]}
+NAN_DOMAIN = {"tau_min": [0.0, 0.0], "tau_max": [float("nan"), 0.5],
+              "sampling_domain": [[-1.0, 1.0], [-0.5, 0.5]]}
+BIG = 10**400  # a JSON integer too big for a float
+
+
 # Each exits 2, naming the file and the field, and writes nothing.
 @pytest.mark.parametrize("command, name, text, field", [
-    ("allocate", "config", {**BOWL_CONFIG, "q_allow": [1, 2]}, "q_allow"),
-    ("allocate", "config", {**BOWL_CONFIG, "q_allow": None}, "q_allow"),
-    ("allocate", "config", {**BOWL_CONFIG, "measure": None}, "measure"),
-    ("sample", "config", {**BOWL_CONFIG, "seed": [1]}, "seed"),
-    ("sample", "config", {**BOWL_CONFIG, "seed": 1.5}, "seed"),
-    ("sample", "config", {**BOWL_CONFIG, "seed": -1}, "seed"),
-    ("sample", "config", {**BOWL_CONFIG, "seed": 2**64}, "seed"),
+    ("allocate", "config", {**BOWL_CONFIG, "q_allow": [1, 2]}, "'q_allow'"),
+    ("allocate", "config", {**BOWL_CONFIG, "q_allow": None}, "'q_allow'"),
+    ("allocate", "config", {**BOWL_CONFIG, "measure": None}, "'measure'"),
+    ("sample", "config", {**BOWL_CONFIG, "seed": [1]}, "'seed'"),
+    ("sample", "config", {**BOWL_CONFIG, "seed": 1.5}, "'seed'"),
+    ("sample", "config", {**BOWL_CONFIG, "seed": -1}, "'seed'"),
+    ("sample", "config", {**BOWL_CONFIG, "seed": 2**64}, "'seed'"),
     ("sample", "domain", {"tau_min": [0.0, 0.0], "tau_max": [1.0, 0.5],
-                          "sampling_domain": 5}, "sampling_domain"),
+                          "sampling_domain": 5}, "'sampling_domain'"),
     ("sample", "domain", {"tau_min": [0.0, 0.0], "tau_max": [1.0, 0.5],
-                          "sampling_domain": None}, "sampling_domain"),
+                          "sampling_domain": None}, "'sampling_domain'"),
     ("sample", "domain", {"tau_min": [0.0, 0.0], "tau_max": [1.0, 0.5],
-                          "sampling_domain": [5, 6]}, "sampling_domain"),
+                          "sampling_domain": [5, 6]}, "'sampling_domain'"),
     ("allocate", "domain", {"tau_min": [0.0, 0.0], "tau_max": {"a": 1},
-                            "sampling_domain": [[-1.0, 1.0], [-0.5, 0.5]]}, "tau_max"),
+                            "sampling_domain": [[-1.0, 1.0], [-0.5, 0.5]]}, "'tau_max'"),
+    ("check", "tau", {"tau": [True, "0.1"]}, "'tau'"),
+    ("check", "tau", {"tau": [BIG, 0.1]}, "'tau'"),
+    *[(command, "domain", text, field) for command in ("sample", "fit", "allocate")
+      for text, field in [(STRING_DOMAIN, "'tau_max'"), (STRING_ROWS_DOMAIN, "'sampling_domain'"),
+                          (NAN_DOMAIN, "'tau_max'")]],
+    *[(command, "model", {**UNIT_MODEL, **bad}, field) for command in ("allocate", "check")
+      for bad, field in [({"scales": ["1.0"]}, "scales must hold only numbers"),
+                         ({"intervals": [[True, 1.0], [-0.5, 0.5]]},
+                          "intervals must hold only numbers")]],
+    ("allocate", "config", {**BOWL_CONFIG, "q_allow": BIG}, "'q_allow'"),
+    ("sample", "config", {**BOWL_CONFIG, "evaluator": {
+        **BOWL_CONFIG["evaluator"], "parameters": {"a": [BIG, 4.0]}}},
+     "a must hold only finite numbers"),
 ], ids=["q_allow-list", "q_allow-null", "measure-null", "seed-list", "seed-float",
         "seed-negative", "seed-2**64",
-        "sampling_domain-number", "sampling_domain-null", "sampling_domain-flat", "tau_max-object"])
+        "sampling_domain-number", "sampling_domain-null", "sampling_domain-flat", "tau_max-object",
+        "tau-bool-and-string", "tau-10**400",
+        *[f"{command}-{kind}" for command in ("sample", "fit", "allocate")
+          for kind in ("tau_max-strings", "sampling_domain-strings", "tau_max-nan")],
+        *[f"{command}-{kind}" for command in ("allocate", "check")
+          for kind in ("model-scales-string", "model-intervals-bool")],
+        "q_allow-10**400", "builtin-a-10**400"])
 def test_malformed_field_exits_2(tmp_path, capsys, command, name, text, field):
     files = {"config": tmp_path / "config.json", "model": tmp_path / "model.json",
-             "domain": _write_domain(tmp_path)}
+             "domain": _write_domain(tmp_path), "samples": tmp_path / "samples.csv",
+             "tau": tmp_path / "tau.json"}
     files["config"].write_text(json.dumps(BOWL_CONFIG))
-    write_json(files["model"], SeparatedModel(
-        dim=2, rank=1, degree=2, intervals=(Interval(-1.0, 1.0), Interval(-0.5, 0.5)),
-        scales=np.ones(1), coeffs=np.ones((1, 2, 3))).to_dict())
+    write_json(files["model"], UNIT_MODEL)
+    draw_samples(QuadraticBowl(a=[1.0, 4.0]), (Interval(-1.0, 1.0), Interval(-0.5, 0.5)), 20,
+                 seed=0).write_csv(files["samples"])
+    files["tau"].write_text(RESULT)
     files[name] = tmp_path / f"bad_{name}.json"
     files[name].write_text(json.dumps(text))
     out = tmp_path / "out"
-    argv = {"sample": ["--domain", files["domain"], "--n", "10"],
-            "allocate": ["--domain", files["domain"], "--model", files["model"]]}[command]
-    code, _, stderr = run(capsys, command, "--config", *map(str, [files["config"], *argv]),
-                          "--out", str(out))
+    argv = {"sample": ["--domain", files["domain"], "--n", "10", "--out", out],
+            "fit": ["--domain", files["domain"], "--samples", files["samples"], "--out", out],
+            "allocate": ["--domain", files["domain"], "--model", files["model"], "--out", out],
+            "check": ["--model", files["model"], "--tau", files["tau"],
+                      "--reference", files["tau"]]}[command]
+    code, stdout, stderr = run(capsys, command, "--config", *map(str, [files["config"], *argv]))
     assert code == 2
-    assert str(files[name]) in stderr and f"'{field}'" in stderr
+    assert str(files[name]) in stderr and field in stderr
+    assert stdout == ""
     assert not out.exists()
+
+
+# A JSON integer reads as the float it equals: each command prints and
+# writes the same from the integer spelling of a file as from its float twin.
+@pytest.mark.parametrize("command, name, integral, floating", [
+    ("size-domain", "config",
+     {**BOWL_CONFIG, "q_allow": 1, "bbox": {"caps": 10, "tau_min": [0, 0]}},
+     {**BOWL_CONFIG, "q_allow": 1.0, "bbox": {"caps": 10.0, "tau_min": [0.0, 0.0]}}),
+    ("size-domain", "config",
+     {**BOWL_CONFIG, "evaluator": _external_bowl(5)},
+     {**BOWL_CONFIG, "evaluator": _external_bowl(5.0)}),
+    ("sample", "domain",
+     {"tau_min": [0, 0], "tau_max": [1, 1], "sampling_domain": [[-1, 1], [-1, 1]]},
+     {"tau_min": [0.0, 0.0], "tau_max": [1.0, 1.0],
+      "sampling_domain": [[-1.0, 1.0], [-1.0, 1.0]]}),
+    ("check", "model",
+     {**UNIT_MODEL, "intervals": [[-1, 1], [-1, 1]], "scales": [1],
+      "coeffs": [[[1, 0, 1], [1, 1, 0]]]},
+     {**UNIT_MODEL, "intervals": [[-1.0, 1.0], [-1.0, 1.0]], "scales": [1.0],
+      "coeffs": [[[1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]]}),
+], ids=["q_allow-and-bbox", "timeout_seconds", "domain", "model"])
+def test_json_integers_read_as_the_floats_they_equal(tmp_path, capsys, command, name, integral,
+                                                    floating):
+    outputs = []
+    for spelling, text in (("integral", integral), ("floating", floating)):
+        directory = tmp_path / spelling
+        directory.mkdir()
+        files = {"config": directory / "config.json", "domain": Path(_write_domain(directory)),
+                 "model": directory / "model.json", "tau": directory / "tau.json"}
+        files["config"].write_text(json.dumps(BOWL_CONFIG))
+        write_json(files["model"], UNIT_MODEL)
+        files["tau"].write_text(RESULT)
+        files[name].write_text(json.dumps(text))
+        out = directory / "out"
+        argv = {"size-domain": ["--out", out],
+                "sample": ["--domain", files["domain"], "--n", "10", "--out", out],
+                "check": ["--model", files["model"], "--tau", files["tau"],
+                          "--reference", files["tau"]]}[command]
+        code, stdout, stderr = run(capsys, command, "--config", *map(str, [files["config"], *argv]))
+        assert (code, stderr) == (0, "")
+        outputs.append((stdout.replace(str(directory), "DIR"),
+                        out.read_bytes() if out.exists() else None))
+    assert outputs[0] == outputs[1]
 
 
 def test_manifold_scan_of_three_parameters_exits_2_before_allocating(tmp_path, capsys):
@@ -1151,15 +1252,20 @@ def test_manifold_scan_of_three_parameters_exits_2_before_allocating(tmp_path, c
     ({**_external_bowl(5), "dim": 2.7}, "dim must be an integer >= 1, got 2.7"),
     ({**_external_bowl(5), "dim": True}, "dim must be an integer >= 1, got True"),
     ({**_external_bowl(5), "dim": 0}, "dim must be an integer >= 1, got 0"),
-    (_external_bowl("5"), "timeout_seconds must be a finite number > 0, got '5'"),
-    (_external_bowl(True), "timeout_seconds must be a finite number > 0, got True"),
+    (_external_bowl("5"), "timeout_seconds must hold only numbers, got '5'"),
+    (_external_bowl(True), "timeout_seconds must hold only numbers, got True"),
+    (_external_bowl(5) | {"timeout_seconds": [5]}, "timeout_seconds must be a finite number > 0"),
     ({"variant": "builtin", "name": "quadratic-bowl", "parameters": {"a": [float("nan"), 4.0]}},
-     "quadratic-bowl requires a 1-d vector a of finite coefficients"),
+     "a must hold only finite numbers, got [nan, 4.0]"),
     ({"variant": "builtin", "name": "quadratic-bowl",
       "parameters": {"a": [1.0, 4.0], "center": [0.0, float("inf")]}},
-     "center must be finite and match a in length"),
+     "center must hold only finite numbers, got [0.0, inf]"),
+    ({"variant": "builtin", "name": "quadratic-bowl",
+      "parameters": {"a": [1.0, 4.0], "center": [0.0]}}, "center must match a in length"),
     ({"variant": "builtin", "name": "linear", "parameters": {"a": [float("inf"), 1.0]}},
-     "linear requires a 1-d vector a of finite coefficients"),
+     "a must hold only finite numbers, got [inf, 1.0]"),
+    ({"variant": "builtin", "name": "linear", "parameters": {"a": [[1.0]]}},
+     "linear requires a 1-d vector a of coefficients"),
     ({"variant": "builtin", "name": "quadratic-bowl", "parameters": {"a": ["1", True]}},
      "a must hold only numbers, got ['1', True]"),
     ({"variant": "builtin", "name": "abs-sum",
@@ -1177,7 +1283,8 @@ def test_manifold_scan_of_three_parameters_exits_2_before_allocating(tmp_path, c
 ], ids=["key-variant-does-not-read", "max-child-not-object", "max-children-not-list",
         "builtin-parameters-not-object", "external-dim-string", "external-dim-fraction",
         "external-dim-bool", "external-dim-zero", "external-timeout-string",
-        "external-timeout-bool", "bowl-a-nan", "bowl-center-inf", "linear-a-inf",
+        "external-timeout-bool", "external-timeout-list", "bowl-a-nan", "bowl-center-inf",
+        "bowl-center-short", "linear-a-inf", "linear-a-nested",
         "bowl-a-string-and-bool", "abs-sum-center-bool",
         "external-command-numbers", "external-command-empty", "external-command-nested",
         "external-command-string", "external-command-object", "tabulated-path-number"])
@@ -1187,7 +1294,7 @@ def test_malformed_evaluator_spec_exits_2(tmp_path, capsys, spec, message):
     out = tmp_path / "domain.json"
     code, _, stderr = run(capsys, "size-domain", "--config", str(path), "--out", str(out))
     assert code == 2
-    assert "bad evaluator spec" in stderr and message in stderr
+    assert "bad evaluator spec" in stderr and message in stderr and str(path) in stderr
     assert not out.exists()
 
 

@@ -23,6 +23,11 @@ def test_bounding_box_validation_and_clip():
         BoundingBox(tau_min=np.array([0.5]), tau_max=np.array([0.5]))
     with pytest.raises(ValueError):
         BoundingBox(tau_min=np.array([-0.1]), tau_max=np.array([0.5]))
+    # A comparison with NaN is False, so NaN must not slip through the order checks.
+    for tau_min, tau_max in [([0.0, 0.0], [np.nan, np.inf]), ([0.0, 0.0], [0.5, np.inf]),
+                             ([np.nan, 0.0], [0.5, 0.5]), ([0.0, 0.0], [0.5, np.nan])]:
+        with pytest.raises(ValueError):
+            BoundingBox(tau_min=np.array(tau_min), tau_max=np.array(tau_max))
 
 
 def test_ray_length_to_the_first_wall():

@@ -649,13 +649,20 @@ def test_draw_samples_scales_the_uniform_table():
 
 
 def test_draw_samples_requires_positive_count():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n must be an integer >= 1, got 0"):
         draw_samples(ExpCos(), (Interval(-1, 1), Interval(-1, 1)), 0, seed=0)
 
 
-@pytest.mark.parametrize("seed", [-1, 2**64, 1.5, float("nan")])
+@pytest.mark.parametrize("n", [2.5, True])
+def test_draw_samples_requires_an_integer_count(n):
+    with pytest.raises(ValueError, match=f"n must be an integer >= 1, got {n}"):
+        draw_samples(ExpCos(), (Interval(-1, 1), Interval(-1, 1)), n, seed=0)
+
+
+# A seed of True or 1.0 would draw seed 1's stream if it were read as 1.
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5, float("nan"), True, 1.0])
 def test_draw_samples_rejects_a_seed_that_is_not_a_64_bit_integer(seed):
-    with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+    with pytest.raises(ValueError, match=rf"seed must be an integer in \[0, {2**64}\), got {seed}"):
         draw_samples(ExpCos(), (Interval(-1, 1), Interval(-1, 1)), 4, seed=seed)
 
 

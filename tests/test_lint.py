@@ -141,9 +141,10 @@ def _numpy_random_uses(tree: ast.Module) -> list[int]:
                  or node.module == "numpy" and any(a.name == "random" for a in node.names))]
 
 
-def test_only_the_multistart_uses_numpy_random():
-    # Sampling and the multistart draw from the package's own SplitMix64, so
-    # that no process loads numpy.random nor, through it, hashlib and OpenSSL.
+def test_no_module_uses_numpy_random():
+    # Every seeded draw, the sampler's and the multistart's, comes from the
+    # package's own SplitMix64, so that no process loads numpy.random nor,
+    # through it, hashlib and OpenSSL.
     found = {path.name: lines for path in PACKAGE
              if (lines := _numpy_random_uses(ast.parse(path.read_text(), filename=str(path))))}
     assert not found, f"numpy.random used: {found}"
@@ -159,6 +160,40 @@ def test_only_the_multistart_uses_numpy_random():
 ])
 def test_numpy_random_detector(source, flagged):
     assert bool(_numpy_random_uses(ast.parse(source))) == flagged
+
+
+# Every number and integer a program input holds is read by these, so that a
+# bool, a string or a non-finite value is rejected the same way everywhere.
+NUMBER_RULES = {"_number_array", "_integer"}
+
+
+def _type_calls_outside_number_rules(tree: ast.Module) -> list[int]:
+    """Lines of the ``type(...)`` calls outside the module-level functions
+    named in NUMBER_RULES."""
+    return [node.lineno for top in tree.body
+            if not (isinstance(top, ast.FunctionDef) and top.name in NUMBER_RULES)
+            for node in ast.walk(top) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name) and node.func.id == "type"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_module_checks_types_only_in_the_number_rules(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = _type_calls_outside_number_rules(tree)
+    assert not lines, (f"{path.name}: type() called outside {', '.join(sorted(NUMBER_RULES))} "
+                       f"on line(s) {', '.join(map(str, lines))}")
+
+
+@pytest.mark.parametrize("source, flagged", [
+    ("if type(x) is not int:\n    pass", True),
+    ("ok = type(x) in (int, float)", True),
+    ("class FitConfig:\n    def check(self):\n        return type(self.rank) is int", True),
+    ("def _integer(value):\n    return type(value) is int", False),
+    ("def _number_array(value):\n    def item_ok(v):\n        return type(v) is float", False),
+    ("np.asarray(x, dtype=float)\nisinstance(x, bool)\nx.type(1)", False),
+])
+def test_type_call_detector(source, flagged):
+    assert bool(_type_calls_outside_number_rules(ast.parse(source))) == flagged
 
 
 # Every artifact goes through these, so that each is written atomically and
