@@ -82,13 +82,13 @@ def load_config(path) -> dict:
         if unknown:
             raise UsageError(f"malformed '{name}' section in config {path}: "
                              f"unknown field(s) {', '.join(unknown)}")
-    scalars = {f"'check_thresholds' field {name!r}": limit
+    scalars = {f"'check_thresholds' field {name!r} in {path}": limit
                for name, limit in config.get("check_thresholds", {}).items()}
     if "q_allow" in config:
-        scalars["config field 'q_allow'"] = config["q_allow"]
+        scalars[f"config field 'q_allow' in {path}"] = config["q_allow"]
     for name, value in scalars.items():
-        if _number_array(value, f"{name} in {path}").ndim:
-            raise UsageError(f"{name} in {path} must be a number, got {value!r}")
+        if _number_array(value, name).ndim:
+            raise UsageError(f"{name} must be a number, got {value!r}")
     if "nominal" in config:
         nominal = _number_array(config["nominal"], f"config field 'nominal' in {path}")
         if nominal.ndim != 1 or not nominal.size:
