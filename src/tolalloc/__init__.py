@@ -24,8 +24,8 @@ _EXPORTS = {
     "measures": ("MinusOneNorm", "MuNorm", "OneNorm", "ReciprocalPowerCost",
                  "mu_norm_from_model"),
     "metrics": ("AllocationErrorReport", "ErrorReport", "allocation_errors", "surrogate_errors"),
-    "surrogate": ("FitConfig", "FitError", "FitReport", "Interval", "MissingFieldError",
-                  "SampleSet", "SeparatedModel", "als_fit"),
+    "surrogate": ("FitConfig", "FitError", "FitReport", "Interval", "SampleSet",
+                  "SeparatedModel", "als_fit"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

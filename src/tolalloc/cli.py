@@ -26,19 +26,19 @@ import numpy as np
 
 from . import metrics
 from .domain import BoundingBox, ConstraintError, size_bounding_box
-from .surrogate import FitConfig, FitError, Interval, MissingFieldError, SampleSet, SeparatedModel
-from .surrogate import _integer, _intervals, _number_array, _standardize, als_fit, write_csv
-from .surrogate import write_json
+from .surrogate import FORMAT_VERSION, FitConfig, FitError, Interval, SampleSet, SeparatedModel
+from .surrogate import _fields, _integer, _intervals, _number_array, _standardize, als_fit
+from .surrogate import write_csv, write_json
 
-CONFIG_FORMAT_VERSION = 1
-CONFIG_FIELDS = {"format_version", "seed", "evaluator", "nominal", "q_allow", "measure", "fit",
-                 "bbox", "check_thresholds"}
-# The keys each object-valued config field accepts.  The top-level ``seed``
-# (or ``sample --seed``) drives sampling only: the fit draws nothing.
-CONFIG_SECTION_FIELDS = {
+# The keys each object-valued config field reads; the evaluator and measure
+# modules read the keys of theirs.  The top-level ``seed`` (or ``sample
+# --seed``) drives sampling only: the fit draws nothing.
+CONFIG_SECTIONS = {
     "bbox": {"caps", "tau_min"},
     "check_thresholds": {field.name for field in dataclasses.fields(metrics.AllocationErrorReport)},
     "fit": {field.name for field in dataclasses.fields(FitConfig)},
+    "evaluator": None,
+    "measure": None,
 }
 EXIT_OK = 0
 EXIT_THRESHOLD = 1
@@ -57,31 +57,13 @@ def _load_json(path, what: str) -> dict:
         raise UsageError(f"cannot read {what} file {path}: {exc}")
 
 
-def _load_object(path, what: str) -> dict:
-    data = _load_json(path, what)
-    if not isinstance(data, dict):
-        raise UsageError(f"{what} file {path} must hold a JSON object")
-    return data
-
-
-def load_config(path) -> dict:
-    config = _load_json(path, "config")
-    objects = ("evaluator", "measure", *CONFIG_SECTION_FIELDS)
-    if not isinstance(config, dict) or not all(
-            isinstance(config.get(name, {}), dict) for name in objects):
-        raise UsageError(f"config {path} and its {', '.join(map(repr, objects))} "
-                         "fields must be JSON objects")
-    version = config.get("format_version")
-    if version != CONFIG_FORMAT_VERSION:
-        raise UsageError(f"unsupported config format_version {version!r} in {path}")
-    unknown = sorted(set(config) - CONFIG_FIELDS)
-    if unknown:
-        raise UsageError(f"unknown config field(s) {', '.join(unknown)} in {path}")
-    for name, fields in CONFIG_SECTION_FIELDS.items():
-        unknown = sorted(set(config.get(name, {})) - fields)
-        if unknown:
-            raise UsageError(f"malformed '{name}' section in config {path}: "
-                             f"unknown field(s) {', '.join(unknown)}")
+def load_config(path, required=()) -> dict:
+    """The config file at ``path``, which must hold each top-level key of
+    ``required``: the keys the command reads."""
+    config = _fields(_load_json(path, "config"), f"config {path}", ["format_version", *required],
+                     {"seed", "nominal", "q_allow", *CONFIG_SECTIONS})
+    for name, keys in CONFIG_SECTIONS.items():
+        _fields(config.get(name, {}), f"'{name}' in config {path}", (), keys)
     scalars = {f"'check_thresholds' field {name!r} in {path}": limit
                for name, limit in config.get("check_thresholds", {}).items()}
     if "q_allow" in config:
@@ -98,12 +80,6 @@ def load_config(path) -> dict:
     return config
 
 
-def _require(config: dict, key: str):
-    if key not in config:
-        raise UsageError(f"config is missing required field {key!r}")
-    return config[key]
-
-
 @contextmanager
 def _open_evaluator(config: dict, path):
     """The evaluator of the config at ``path``, closed (child processes
@@ -111,8 +87,8 @@ def _open_evaluator(config: dict, path):
     from . import evaluator as evaluator_mod
 
     try:
-        evaluator = evaluator_mod.from_config(_require(config, "evaluator"))
-    except (KeyError, TypeError, ValueError) as exc:
+        evaluator = evaluator_mod.from_config(config["evaluator"])
+    except (KeyError, ValueError) as exc:
         raise UsageError(f"bad evaluator spec: {exc} in config {path}")
     try:
         yield evaluator
@@ -122,10 +98,8 @@ def _open_evaluator(config: dict, path):
 
 def _domain_from(path) -> tuple[BoundingBox, tuple[Interval, ...]]:
     """Bounding box and sampling intervals from a size-domain file."""
-    data = _load_object(path, "domain")
-    missing = sorted({"tau_min", "tau_max", "sampling_domain"} - set(data))
-    if missing:
-        raise UsageError(f"domain file {path} lacks field(s) {', '.join(missing)}")
+    data = _fields(_load_json(path, "domain"), f"domain file {path}",
+                   ("tau_min", "tau_max", "sampling_domain"))
     tau_min, tau_max = (_number_array(data[name], f"field {name!r} of domain file {path}")
                         for name in ("tau_min", "tau_max"))
     try:
@@ -143,23 +117,20 @@ def _domain_from(path) -> tuple[BoundingBox, tuple[Interval, ...]]:
 
 def _model_from(path) -> SeparatedModel:
     """Surrogate from a model file that ``fit`` wrote."""
-    data = _load_object(path, "model")
     try:
-        return SeparatedModel.from_dict(data)
-    except MissingFieldError as exc:
-        raise UsageError(f"model file {path} {exc}")
+        return SeparatedModel.from_dict(_load_json(path, "model"))
     except ValueError as exc:
         raise UsageError(f"bad model file {path}: {exc}")
 
 
 def _tau_from(path, what: str) -> np.ndarray:
     """The ``tau`` vector of an ``allocate`` result file."""
-    data = _load_object(path, what)
+    data = _fields(_load_json(path, what), f"{what} file {path}", ("tau",))
     try:
         tau = _number_array(data["tau"], "tau")
         if tau.ndim == 1 and np.all(tau >= 0.0):
             return tau
-    except (KeyError, ValueError):
+    except ValueError:
         pass
     raise UsageError(f"{what} file {path} lacks a 'tau' vector of finite numbers >= 0")
 
@@ -171,7 +142,7 @@ def _config_vectors(config: dict) -> dict:
     spec = config.get("measure", {})
     kind = spec.get("kind")
     keys = measures.KIND_KEYS.get(kind, set()) if isinstance(kind, str) else set()
-    return {"nominal": _require(config, "nominal"),
+    return {"nominal": config["nominal"],
             **{f"measure.{key}": spec[key] for key in sorted(keys) if key in spec}}
 
 
@@ -196,15 +167,19 @@ def _check_inside(model: SeparatedModel, nominal, half_widths, what: str) -> Non
         raise UsageError(f"{what} lies outside the model's intervals: {exc}")
 
 
+# The config keys of ``allocate`` and ``check``, read by _problem.
+PROBLEM_KEYS = ("nominal", "q_allow", "measure")
+
+
 def _problem(config: dict, path, model: SeparatedModel):
     """G, the measure and Q_allow of ``allocate`` and ``check``."""
     from . import boxmax, measures
 
-    nominal = np.asarray(_require(config, "nominal"), dtype=float)
-    q_allow = float(_require(config, "q_allow"))
+    nominal = np.asarray(config["nominal"], dtype=float)
+    q_allow = float(config["q_allow"])
     _check_inside(model, nominal, 0.0, f"'nominal' in config {path}")
     try:
-        measure = measures.from_config(_require(config, "measure"), model=model, mu_hat=nominal)
+        measure = measures.from_config(config["measure"], model=model, mu_hat=nominal)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad 'measure' in config {path}: {exc}")
     return boxmax.SurrogateWorstCase(model, nominal), measure, q_allow
@@ -217,7 +192,7 @@ def _problem(config: dict, path, model: SeparatedModel):
 def cmd_sample(args) -> int:
     from . import evaluator as evaluator_mod
 
-    config = load_config(args.config)
+    config = load_config(args.config, ("evaluator",))
     _, intervals = _domain_from(args.domain)
     seed = config.get("seed") if args.seed is None else _integer(args.seed, "--seed", 0, 2**64)
     if seed is None:
@@ -230,9 +205,9 @@ def cmd_sample(args) -> int:
 
 
 def cmd_size_domain(args) -> int:
-    config = load_config(args.config)
-    nominal = np.asarray(_require(config, "nominal"), dtype=float)
-    q_allow = float(_require(config, "q_allow"))
+    config = load_config(args.config, ("evaluator", "nominal", "q_allow"))
+    nominal = np.asarray(config["nominal"], dtype=float)
+    q_allow = float(config["q_allow"])
     bbox_config = config.get("bbox", {})
     try:
         caps = np.broadcast_to(_number_array(bbox_config.get("caps", 10.0), "caps"),
@@ -255,7 +230,7 @@ def cmd_size_domain(args) -> int:
     bbox = BoundingBox(tau_min, sized.tau_max)
     capped = [bool(t >= c) for t, c in zip(bbox.tau_max, caps)]
     write_json(args.out, {
-        "format_version": 1,
+        "format_version": FORMAT_VERSION,
         "tau_min": bbox.tau_min.tolist(),
         "tau_max": bbox.tau_max.tolist(),
         "sampling_domain": [[iv.lo, iv.hi] for iv in intervals],
@@ -268,12 +243,10 @@ def cmd_size_domain(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    config = load_config(args.config)
+    config = load_config(args.config, ("fit",))
     _, intervals = _domain_from(args.domain)
-    try:
-        fit_config = FitConfig(**_require(config, "fit"))
-    except TypeError as exc:
-        raise UsageError(f"malformed 'fit' section in config: {exc}")
+    fit_config = FitConfig(**_fields(config["fit"], f"'fit' in config {args.config}",
+                                     ("target_rank", "degree")))
     if not Path(args.samples).exists():
         raise UsageError(f"missing sample file {args.samples}")
     samples = SampleSet.read_csv(args.samples)
@@ -296,7 +269,7 @@ def cmd_fit(args) -> int:
 def cmd_allocate(args) -> int:
     from . import manifold
 
-    config = load_config(args.config)
+    config = load_config(args.config, PROBLEM_KEYS)
     model = _model_from(args.model)
     bbox, _ = _domain_from(args.domain)
     if args.emit_manifold_scan and bbox.dim != 2:
@@ -310,7 +283,7 @@ def cmd_allocate(args) -> int:
     run = manifold.gradient_ascent if args.method == "ga" else manifold.conjugate_gradient
     result = run(tau0, bbox, gfun, q_allow, measure)
     write_json(args.out, {
-        "format_version": 1,
+        "format_version": FORMAT_VERSION,
         "method": result.method,
         "tau": result.tau.tolist(),
         "f_opt": result.f_opt,
@@ -335,7 +308,7 @@ def _emit_manifold_scan(path, gfun, bbox: BoundingBox) -> None:
 
 
 def cmd_check(args) -> int:
-    config = load_config(args.config)
+    config = load_config(args.config, PROBLEM_KEYS)
     tau = _tau_from(args.tau, "tolerance result")
     tau_ref = _tau_from(args.reference, "reference result")
     model = _model_from(args.model)
@@ -361,7 +334,7 @@ def cmd_report(args) -> int:
     directory = Path(args.dir)
     if not directory.is_dir():
         raise UsageError(f"not a directory: {directory}")
-    summary: dict = {"format_version": 1, "artifacts": {}}
+    summary: dict = {"format_version": FORMAT_VERSION, "artifacts": {}}
     rows = []
     for path in sorted(directory.glob("*.json")):
         if path.name == "summary.json":  # the previous run's output, not an artifact

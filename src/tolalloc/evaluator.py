@@ -21,8 +21,8 @@ import time
 
 import numpy as np
 
-from .surrogate import Interval, SampleSet, SeparatedModel, _integer, _number_array, _uniform
-from .surrogate import format_rows
+from .surrogate import Interval, SampleSet, SeparatedModel, _fields, _integer, _number_array
+from .surrogate import _uniform, format_rows
 
 # External-evaluator errors quote at most this many trailing bytes of stderr
 # and this many leading characters of any stdout they name.
@@ -147,26 +147,27 @@ class LinearForm(_CenteredSum):
             return float(self.a @ np.asarray(mu, dtype=float))
 
 
+# Each builtin's class and the keys of its parameters, required and optional.
 _BUILTINS = {
-    "quadratic-bowl": QuadraticBowl,
-    "abs-sum": AbsSum,
-    "exp-cos": ExpCos,
-    "rank2-synthetic": Rank2Synthetic,
-    "linear": LinearForm,
+    "quadratic-bowl": (QuadraticBowl, {"a"}, {"center"}),
+    "abs-sum": (AbsSum, {"a"}, {"center"}),
+    "exp-cos": (ExpCos, set(), set()),
+    "rank2-synthetic": (Rank2Synthetic, set(), set()),
+    "linear": (LinearForm, {"a"}, set()),
 }
 
 
 def builtin_catalog() -> dict[str, type]:
     """Named analytic benchmark problems keyed by catalog name."""
-    return dict(_BUILTINS)
+    return {name: cls for name, (cls, _, _) in _BUILTINS.items()}
 
 
 def make_builtin(name: str, parameters: dict | None = None):
-    try:
-        cls = _BUILTINS[name]
-    except KeyError:
+    if not isinstance(name, str) or name not in _BUILTINS:
         raise KeyError(f"unknown builtin evaluator {name!r}; known: {sorted(_BUILTINS)}")
-    return cls(**(parameters or {}))
+    cls, required, optional = _BUILTINS[name]
+    parameters = {} if parameters is None else parameters
+    return cls(**_fields(parameters, f"'parameters' of {name}", required, optional))
 
 
 # ---------------------------------------------------------------------------
@@ -496,12 +497,12 @@ class MaxComposite:
 # Config factory and sampling
 # ---------------------------------------------------------------------------
 
-# The keys each evaluator variant reads, besides "variant".
+# The keys each evaluator variant reads besides "variant": required, optional.
 VARIANT_KEYS = {
-    "builtin": {"name", "parameters"},
-    "tabulated": {"path"},
-    "external": {"command", "dim", "timeout_seconds"},
-    "max": {"children"},
+    "builtin": ({"name"}, {"parameters"}),
+    "tabulated": ({"path"}, set()),
+    "external": ({"command", "dim"}, {"timeout_seconds"}),
+    "max": ({"children"}, set()),
 }
 
 
@@ -512,17 +513,13 @@ def from_config(spec: dict):
     ``{"variant": "tabulated", "path": ...}``,
     ``{"variant": "external", "command": [...], "dim": ..., "timeout_seconds": ...}``,
     ``{"variant": "max", "children": [spec, ...]}``.  A key the variant does
-    not read is a ``ValueError``.
+    not read, or a missing one, is a ``ValueError`` that names it.
     """
-    if not isinstance(spec, dict):
-        raise ValueError(f"an evaluator spec must be a JSON object, got {spec!r}")
-    variant = spec.get("variant")
-    if variant not in VARIANT_KEYS:
+    variant = _fields(spec, "an evaluator spec", ["variant"])["variant"]
+    if not isinstance(variant, str) or variant not in VARIANT_KEYS:
         raise ValueError(f"unknown evaluator variant {variant!r}")
-    unknown = sorted(set(spec) - VARIANT_KEYS[variant] - {"variant"})
-    if unknown:
-        raise ValueError(f"{variant} evaluator does not read key(s) {', '.join(unknown)}; "
-                         f"it reads {', '.join(sorted(VARIANT_KEYS[variant]))}")
+    required, optional = VARIANT_KEYS[variant]
+    _fields(spec, f"{variant} evaluator", {"variant", *required}, optional)
     if variant == "builtin":
         return make_builtin(spec["name"], spec.get("parameters"))
     if variant == "tabulated":
@@ -532,6 +529,9 @@ def from_config(spec: dict):
     if variant == "external":
         return ExternalEvaluator(spec["command"], dim=spec["dim"],
                                  timeout_seconds=spec.get("timeout_seconds", 60.0))
+    if not isinstance(spec["children"], list):
+        raise ValueError("children must be a non-empty list of evaluator specs, "
+                         f"got {spec['children']!r}")
     return MaxComposite(from_config(child) for child in spec["children"])
 
 

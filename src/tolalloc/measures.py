@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .surrogate import SeparatedModel, _number_array
+from .surrogate import SeparatedModel, _fields, _number_array
 
 DEGENERATE_WEIGHT_TOL = 1e-8
 
@@ -145,7 +145,8 @@ def mu_norm_from_model(model: SeparatedModel, mu_hat):
     return MuNorm(weights=weights)
 
 
-# The measure of each config kind; its other keys are the class's fields.
+# The measure of each config kind; its other keys are the class's fields,
+# each required but a mu-norm's weights.
 KINDS = {"one-norm": OneNorm, "mu-norm": MuNorm, "minus-one-norm": MinusOneNorm,
          "reciprocal-power-cost": ReciprocalPowerCost}
 KIND_KEYS = {kind: {field.name for field in fields(cls)} for kind, cls in KINDS.items()}
@@ -155,19 +156,13 @@ def from_config(spec: dict, model: SeparatedModel | None = None, mu_hat=None):
     """Build a measure from its JSON description.  A key the kind does not
     read, or a missing one, is a ``ValueError`` that names it.  A mu-norm
     without weights takes them from ``model`` at ``mu_hat`` (then required)."""
-    kind = spec.get("kind")
+    kind = _fields(spec, "measure", ["kind"])["kind"]
     if not isinstance(kind, str) or kind not in KINDS:
         raise ValueError(f"unknown measure kind {kind!r}")
     keys = KIND_KEYS[kind]
-    unknown = sorted(set(spec) - keys - {"kind"})
-    if unknown:
-        raise ValueError(f"{kind} measure does not read key(s) {', '.join(unknown)}; "
-                         f"it reads {', '.join(sorted(keys)) or 'no other key'}")
+    _fields(spec, f"{kind} measure", {"kind", *keys} - {"weights"}, keys)
     if kind == "mu-norm" and "weights" not in spec:
         if model is None or mu_hat is None:
             raise ValueError("mu-norm without explicit weights needs a model and nominal design")
         return mu_norm_from_model(model, mu_hat)
-    missing = sorted(keys - set(spec))
-    if missing:
-        raise ValueError(f"{kind} measure lacks key(s) {', '.join(missing)}")
     return KINDS[kind](**{key: _number_array(spec[key], key) for key in keys})

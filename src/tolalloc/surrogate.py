@@ -18,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-MODEL_FORMAT_VERSION = 1
+# The format_version of every file the toolkit writes and reads.
+FORMAT_VERSION = 1
 
 # Relative interval overshoot that is silently clamped when a point is
 # evaluated or fitted (optimizers probing box edges land here through round-off).
@@ -27,10 +28,6 @@ EXTRAPOLATION_SLACK = 1e-9
 
 class FitError(RuntimeError):
     """Raised when an ALS fit cannot proceed (singular system, bad inputs)."""
-
-
-class MissingFieldError(ValueError):
-    """Raised when a model dict lacks fields that ``to_dict`` writes."""
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +89,7 @@ def write_csv(path, header, rows) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Seeded draws and config numbers
+# Seeded draws, and the rules that read config and artifact values
 # ---------------------------------------------------------------------------
 
 def _uniform(seed: int, shape: tuple[int, ...]) -> np.ndarray:
@@ -128,6 +125,29 @@ def _integer(value, name: str, low: int, high: int | None = None) -> int:
     if type(value) is not int or value < low or high is not None and value >= high:
         bounds = f">= {low}" if high is None else f"in [{low}, {high})"
         raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
+    return value
+
+
+def _fields(value, name: str, required=(), optional=None) -> dict:
+    """``value`` if it is a JSON object that holds every key of ``required``
+    and, when ``optional`` is given, no key outside ``required`` and
+    ``optional``: the one reader of the keys of an input object.  A
+    ``format_version`` key, where present, must be FORMAT_VERSION, and is
+    checked first.  Else a ValueError naming ``name`` and the keys at fault."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be a JSON object, got {value!r}")
+    if "format_version" in value:
+        _integer(value["format_version"], f"unsupported format_version in {name}: format_version",
+                 FORMAT_VERSION, FORMAT_VERSION + 1)
+    missing = sorted(set(required) - set(value))
+    if missing:
+        raise ValueError(f"{name} lacks key(s) {', '.join(missing)}")
+    if optional is not None:
+        known = {*required, *optional}
+        unknown = sorted(set(value) - known)
+        if unknown:
+            raise ValueError(f"{name} does not read key(s) {', '.join(unknown)}; "
+                             f"it reads {', '.join(sorted(known)) or 'no key'}")
     return value
 
 
@@ -309,7 +329,7 @@ class SeparatedModel:
 
     def to_dict(self) -> dict:
         return {
-            "format_version": MODEL_FORMAT_VERSION,
+            "format_version": FORMAT_VERSION,
             "dim": self.dim,
             "rank": self.rank,
             "degree": self.degree,
@@ -320,14 +340,9 @@ class SeparatedModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SeparatedModel":
-        """The model :meth:`to_dict` describes; ValueError on any other dict,
-        MissingFieldError naming the fields it lacks."""
-        missing = sorted({f.name for f in fields(cls)} - set(data))
-        if missing:
-            raise MissingFieldError(f"lacks field(s) {', '.join(missing)}")
-        version = data.get("format_version")
-        if version != MODEL_FORMAT_VERSION:
-            raise ValueError(f"unsupported model format_version: {version!r}")
+        """The model :meth:`to_dict` describes; on any other value, a
+        ValueError naming the key at fault.  Other keys are ignored."""
+        _fields(data, "model", ["format_version", *(f.name for f in fields(cls))])
         return cls(
             dim=_integer(data["dim"], "dim", 1),
             rank=_integer(data["rank"], "rank", 1),
@@ -379,7 +394,8 @@ class SampleSet:
 
     @classmethod
     def read_csv(cls, path) -> "SampleSet":
-        """Read ``mu_1,...,mu_d,q``, then d + 1 floats a row: no blank line, comment or quote."""
+        """Read ``mu_1,...,mu_d,q``, then d + 1 finite floats a row: no blank line,
+        comment or quote."""
         with open(path) as fh:
             header = next(csv.reader(fh), None)
             lines = fh.read().splitlines()
@@ -393,6 +409,9 @@ class SampleSet:
             table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
             if table.shape[1] != len(header):
                 raise ValueError(f"{table.shape[1]} columns under a {len(header)}-column header")
+            finite = np.isfinite(table).all(axis=1)
+            if not finite.all():
+                raise ValueError(f"line {int(np.argmin(finite)) + 2} holds a non-finite number")
         except ValueError as exc:
             raise ValueError(f"malformed sample file {path}: {exc}") from exc
         return cls(points=table[:, :-1], values=table[:, -1])

@@ -577,7 +577,8 @@ def test_bad_config_version_exits_2(tmp_path, capsys):
     code, _, stderr = run(capsys, "size-domain", "--config", str(bad),
                           "--out", str(tmp_path / "d.json"))
     assert code == 2
-    assert "format_version" in stderr
+    assert f"unsupported format_version in config {bad}" in stderr
+    assert not (tmp_path / "d.json").exists()
 
 
 def test_missing_sample_file_exits_2_without_writing(tmp_path, capsys, config_path):
@@ -590,8 +591,14 @@ def test_missing_sample_file_exits_2_without_writing(tmp_path, capsys, config_pa
     assert not out.exists()
 
 
-@pytest.mark.parametrize("body", ["", "1.0,0.0,1.0\r\n\r\n"], ids=["header-only", "blank-line"])
-def test_malformed_sample_file_exits_2_without_writing(tmp_path, capsys, config_path, body):
+@pytest.mark.parametrize("body, named", [
+    ("", "no sample rows"),
+    ("1.0,0.0,1.0\r\n\r\n", "line 3 is blank"),
+    ("0.0,0.0,0.0\r\n0.5,0.25,nan\r\n", "line 3 holds a non-finite number"),
+    ("inf,0.0,1.0\r\n", "line 2 holds a non-finite number"),
+], ids=["header-only", "blank-line", "nan-q", "inf-coordinate"])
+def test_malformed_sample_file_exits_2_without_writing(tmp_path, capsys, config_path, body,
+                                                       named):
     table = tmp_path / "samples.csv"
     table.write_text("mu_1,mu_2,q\r\n" + body, newline="")
     out = tmp_path / "model.json"
@@ -599,7 +606,7 @@ def test_malformed_sample_file_exits_2_without_writing(tmp_path, capsys, config_
                           "--domain", _write_domain(tmp_path),
                           "--samples", str(table), "--out", str(out))
     assert code == 2
-    assert f"malformed sample file {table}" in stderr
+    assert f"malformed sample file {table}: {named}" in stderr
     assert not out.exists()
     tabulated = tmp_path / "tabulated.json"
     tabulated.write_text(json.dumps(
@@ -607,7 +614,7 @@ def test_malformed_sample_file_exits_2_without_writing(tmp_path, capsys, config_
     code, _, stderr = run(capsys, "size-domain", "--config", str(tabulated),
                           "--out", str(tmp_path / "domain.json"))
     assert code == 2
-    assert f"malformed sample file {table}" in stderr
+    assert f"malformed sample file {table}: {named}" in stderr
     assert not (tmp_path / "domain.json").exists()
 
 
@@ -684,8 +691,7 @@ def test_unknown_key_in_config_section_exits_2(tmp_path, capsys, section, key):
         code, _, stderr = run(capsys, argv[0], "--config", str(path), "--domain", domain,
                               *argv[1:])
         assert code == 2
-        assert f"malformed '{section}' section" in stderr
-        assert key in stderr
+        assert f"'{section}' in config {path} does not read key(s) {key}" in stderr
     assert not model.exists()
 
 
@@ -726,6 +732,7 @@ def test_unreadable_config_exits_2_naming_the_file(tmp_path, capsys, data):
     json.dumps({**BOWL_CONFIG, "bbox": 10.0}),
     pytest.param(json.dumps({**BOWL_CONFIG, "check_thresholds": [["tol_err_inf", 1e-3]]}),
                  id="check_thresholds"),
+    pytest.param(json.dumps({**BOWL_CONFIG, "measure": "one-norm"}), id="measure"),
 ])
 def test_config_that_is_not_an_object_exits_2(tmp_path, capsys, text):
     path = tmp_path / "config.json"
@@ -733,7 +740,7 @@ def test_config_that_is_not_an_object_exits_2(tmp_path, capsys, text):
     code, _, stderr = run(capsys, "size-domain", "--config", str(path),
                           "--out", str(tmp_path / "domain.json"))
     assert code == 2
-    assert "must be JSON objects" in stderr
+    assert f"config {path} must be a JSON object" in stderr
 
 
 @pytest.mark.parametrize("command, flag, text", [
@@ -860,15 +867,21 @@ MODEL_FIELDS = "coeffs, degree, dim, intervals, rank, scales"
 
 
 @pytest.mark.parametrize("flag, text, named", [
-    ("--tau", "[]", "must hold a JSON object"),
-    ("--reference", "[]", "must hold a JSON object"),
-    ("--tau", "{}", "lacks a 'tau' vector of finite numbers"),
-    ("--reference", json.dumps({"tau": "wide"}), "lacks a 'tau' vector of finite numbers"),
-    ("--tau", json.dumps({"tau": [None, None]}), "lacks a 'tau' vector of finite numbers"),
-    ("--tau", json.dumps({"tau": [-0.1, 0.2]}), "lacks a 'tau' vector of finite numbers >= 0"),
-    ("--model", json.dumps({"format_version": 1}), f"lacks field(s) {MODEL_FIELDS}"),
+    ("--tau", "[]", "file PATH must be a JSON object, got []"),
+    ("--reference", "[]", "file PATH must be a JSON object, got []"),
+    ("--tau", "{}", "file PATH lacks key(s) tau"),
+    ("--reference", json.dumps({"tau": "wide"}),
+     "file PATH lacks a 'tau' vector of finite numbers"),
+    ("--tau", json.dumps({"tau": [None, None]}),
+     "file PATH lacks a 'tau' vector of finite numbers"),
+    ("--tau", json.dumps({"tau": [-0.1, 0.2]}),
+     "file PATH lacks a 'tau' vector of finite numbers >= 0"),
+    ("--model", json.dumps({"format_version": 1}), f"file PATH: model lacks key(s) {MODEL_FIELDS}"),
+    ("--tau", json.dumps({"format_version": "x", "tau": [0.1, 0.1]}),
+     "unsupported format_version in tolerance result file PATH: format_version must be an "
+     "integer in [1, 2), got 'x'"),
 ], ids=["tau-list", "reference-list", "tau-empty", "reference-tau-string", "tau-nulls",
-        "tau-negative", "model-no-fields"])
+        "tau-negative", "model-no-fields", "tau-version-string"])
 def test_check_file_that_is_malformed_exits_2(tmp_path, capsys, config_path, flag, text, named):
     files = {"--tau": tmp_path / "tau.json", "--reference": tmp_path / "reference.json",
              "--model": tmp_path / "model.json"}
@@ -878,18 +891,20 @@ def test_check_file_that_is_malformed_exits_2(tmp_path, capsys, config_path, fla
     argv = [str(arg) for pair in files.items() for arg in pair]
     code, _, stderr = run(capsys, "check", "--config", config_path, *argv)
     assert code == 2
-    assert f"file {files[flag]} {named}" in stderr
+    assert named.replace("PATH", str(files[flag])) in stderr
     assert "Traceback" not in stderr
 
 
 @pytest.mark.parametrize("field, value, reason", [
-    ("format_version", 2, "unsupported model format_version: 2"),
+    *[("format_version", version, "unsupported format_version in model: format_version must be "
+       f"an integer in [1, 2), got {version!r}") for version in (2, True, 1.0)],
     ("intervals", 5, "intervals must be a list of [lo, hi] pairs with lo < hi, got 5"),
     ("scales", "x", "scales must hold only numbers, got 'x'"),
     ("dim", 2.5, "dim must be an integer >= 1, got 2.5"),
     ("degree", 3.9, "degree must be an integer >= 0, got 3.9"),
     ("rank", True, "rank must be an integer >= 1, got True"),
-], ids=["version", "intervals", "scales", "dim-fraction", "degree-fraction", "rank-bool"])
+], ids=["version", "version-bool", "version-float", "intervals", "scales", "dim-fraction",
+        "degree-fraction", "rank-bool"])
 def test_model_file_with_a_bad_value_exits_2(tmp_path, capsys, config_path, field, value,
                                              reason):
     data = random_model(np.random.default_rng(17)).to_dict()
@@ -954,12 +969,13 @@ def test_vector_of_another_dimension_than_the_model_exits_2(tmp_path, capsys, co
     ({"kind": "one-norm", "weights": THREE}, "does not read key(s) weights"),
     ({"kind": "reciprocal-power-cost", "a": [0.0, 0.0], "b": [1.0, 1.0]}, "lacks key(s) k"),
     ({"kind": ["one-norm"]}, "unknown measure kind ['one-norm']"),
+    ({}, "measure lacks key(s) kind"),
     ({"kind": "mu-norm", "weights": ["1", True]}, "weights must hold only numbers"),
     ({"kind": "reciprocal-power-cost", "a": [0.0, 0.0], "b": [1.0, "1"], "k": [1.0, 1.0]},
      "b must hold only numbers"),
     ({"kind": "reciprocal-power-cost", "a": [0.0, 0.0], "b": [1.0, 1.0], "k": [True, 1.0]},
      "k must hold only numbers"),
-], ids=["mu-norm-weight", "one-norm-weights", "cost-without-k", "kind-list",
+], ids=["mu-norm-weight", "one-norm-weights", "cost-without-k", "kind-list", "no-kind",
         "mu-norm-weights-string-and-bool", "cost-b-string", "cost-k-bool"])
 def test_measure_key_the_kind_does_not_read_exits_2(tmp_path, capsys, command, measure, named):
     config, model = tmp_path / "config.json", tmp_path / "model.json"
@@ -1053,7 +1069,8 @@ def test_sample_with_a_non_finite_value_exits_3(tmp_path, capsys):
      "rel_residual_tol must hold only finite numbers"),
     ({"target_rank": 2, "degree": 2, "rel_residual_tol": "1e-8"},
      "rel_residual_tol must hold only numbers"),
-], ids=["degree-float", "rank-float", "rank-bool", "tol-nan", "tol-string"])
+    ({"target_rank": 2}, "'fit' in config PATH lacks key(s) degree"),
+], ids=["degree-float", "rank-float", "rank-bool", "tol-nan", "tol-string", "no-degree"])
 def test_bad_fit_value_exits_2(tmp_path, capsys, fit, named):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({**BOWL_CONFIG, "fit": fit}))
@@ -1065,7 +1082,7 @@ def test_bad_fit_value_exits_2(tmp_path, capsys, fit, named):
     code, _, stderr = run(capsys, "fit", "--config", str(path), "--domain", domain,
                           "--samples", str(samples), "--out", str(model))
     assert code == 2
-    assert named in stderr
+    assert named in stderr.replace(str(path), "PATH")
     assert not model.exists()
 
 
@@ -1091,8 +1108,11 @@ def _external_bowl(timeout) -> dict:
     ("evaluator", _external_bowl(0.0), "bad evaluator spec: timeout_seconds"),
     ("evaluator", _external_bowl(float("nan")), "bad evaluator spec: timeout_seconds"),
     ("evaluator", _external_bowl(float("inf")), "bad evaluator spec: timeout_seconds"),
+    *[("format_version", version, "unsupported format_version in config PATH: format_version "
+       f"must be an integer in [1, 2), got {version!r}") for version in (True, 1.0, 2, None)],
 ], ids=["threshold-string", "threshold-bool", "threshold-null", "threshold-nan",
-        "threshold-list", "timeout-negative", "timeout-zero", "timeout-nan", "timeout-inf"])
+        "threshold-list", "timeout-negative", "timeout-zero", "timeout-nan", "timeout-inf",
+        "version-bool", "version-float", "version-2", "version-null"])
 def test_bad_config_value_exits_2(tmp_path, capsys, field, value, named):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({**BOWL_CONFIG, field: value}))
@@ -1142,6 +1162,12 @@ BIG = 10**400  # a JSON integer too big for a float
                          ({"intervals": [[True, 1.0], [-0.5, 0.5]]},
                           "intervals must hold only numbers")]],
     ("allocate", "config", {**BOWL_CONFIG, "q_allow": BIG}, "'q_allow'"),
+    ("fit", "domain", {"format_version": 2, "tau_min": [0.0, 0.0], "tau_max": [1.0, 0.5],
+                       "sampling_domain": [[-1.0, 1.0], [-0.5, 0.5]]}, "format_version"),
+    ("check", "tau", {"format_version": 1.0, "tau": [0.1, 0.1]}, "format_version"),
+    *[(command, "config", {k: v for k, v in BOWL_CONFIG.items() if k != key},
+       f"lacks key(s) {key}") for command, key in [("sample", "evaluator"), ("fit", "fit"),
+                                                   ("allocate", "measure"), ("check", "nominal")]],
     ("sample", "config", {**BOWL_CONFIG, "evaluator": {
         **BOWL_CONFIG["evaluator"], "parameters": {"a": [BIG, 4.0]}}},
      "a must hold only finite numbers"),
@@ -1153,7 +1179,8 @@ BIG = 10**400  # a JSON integer too big for a float
           for kind in ("tau_max-strings", "sampling_domain-strings", "tau_max-nan")],
         *[f"{command}-{kind}" for command in ("allocate", "check")
           for kind in ("model-scales-string", "model-intervals-bool")],
-        "q_allow-10**400", "builtin-a-10**400"])
+        "q_allow-10**400", "domain-version-2", "tau-version-float", "sample-no-evaluator",
+        "fit-no-fit", "allocate-no-measure", "check-no-nominal", "builtin-a-10**400"])
 def test_malformed_field_exits_2(tmp_path, capsys, command, name, text, field):
     files = {"config": tmp_path / "config.json", "model": tmp_path / "model.json",
              "domain": _write_domain(tmp_path), "samples": tmp_path / "samples.csv",
@@ -1251,8 +1278,10 @@ def test_manifold_scan_of_three_parameters_exits_2_before_allocating(tmp_path, c
 @pytest.mark.parametrize("spec, message", [
     ({**_external_bowl(5), "timeout_second": 5}, "timeout_second"),
     ({"variant": "max", "children": [1]}, "must be a JSON object"),
-    ({"variant": "max", "children": 5}, "not iterable"),
-    ({"variant": "builtin", "name": "quadratic-bowl", "parameters": [1.0, 4.0]}, "mapping"),
+    ({"variant": "max", "children": 5},
+     "children must be a non-empty list of evaluator specs, got 5"),
+    ({"variant": "builtin", "name": "quadratic-bowl", "parameters": [1.0, 4.0]},
+     "'parameters' of quadratic-bowl must be a JSON object, got [1.0, 4.0]"),
     ({**_external_bowl(5), "dim": "two"}, "dim must be an integer >= 1, got 'two'"),
     ({**_external_bowl(5), "dim": 2.7}, "dim must be an integer >= 1, got 2.7"),
     ({**_external_bowl(5), "dim": True}, "dim must be an integer >= 1, got True"),
@@ -1285,6 +1314,22 @@ def test_manifold_scan_of_three_parameters_exits_2_before_allocating(tmp_path, c
     ({**_external_bowl(5), "command": {"a": 1}},
      "command must be a non-empty list of strings, got {'a': 1}"),
     ({"variant": "tabulated", "path": 5}, "path must be a string, got 5"),
+    ({"variant": "builtin", "parameters": {"a": [1.0, 4.0]}},
+     "builtin evaluator lacks key(s) name"),
+    ({k: v for k, v in _external_bowl(5).items() if k != "dim"},
+     "external evaluator lacks key(s) dim"),
+    ({"variant": "builtin", "name": "quadratic-bowl", "parameters": {"a": [1.0, 4.0], "b": 1}},
+     "'parameters' of quadratic-bowl does not read key(s) b; it reads a, center"),
+    ({"variant": "builtin", "name": "linear", "parameters": {"a": [1.0, 4.0], "center": [0, 0]}},
+     "'parameters' of linear does not read key(s) center; it reads a"),
+    ({"variant": "builtin", "name": "abs-sum", "parameters": {}},
+     "'parameters' of abs-sum lacks key(s) a"),
+    ({"variant": "builtin", "name": "exp-cos", "parameters": {"a": [1.0]}},
+     "'parameters' of exp-cos does not read key(s) a; it reads no key"),
+    ({"variant": "max", "children": {"variant": "builtin"}},
+     "children must be a non-empty list of evaluator specs, got {'variant': 'builtin'}"),
+    ({"variant": "max", "children": []}, "max-composite requires at least one child"),
+    ({"name": "exp-cos"}, "an evaluator spec lacks key(s) variant"),
 ], ids=["key-variant-does-not-read", "max-child-not-object", "max-children-not-list",
         "builtin-parameters-not-object", "external-dim-string", "external-dim-fraction",
         "external-dim-bool", "external-dim-zero", "external-timeout-string",
@@ -1292,7 +1337,10 @@ def test_manifold_scan_of_three_parameters_exits_2_before_allocating(tmp_path, c
         "bowl-center-short", "linear-a-inf", "linear-a-nested",
         "bowl-a-string-and-bool", "abs-sum-center-bool",
         "external-command-numbers", "external-command-empty", "external-command-nested",
-        "external-command-string", "external-command-object", "tabulated-path-number"])
+        "external-command-string", "external-command-object", "tabulated-path-number",
+        "builtin-no-name", "external-no-dim", "bowl-parameter-b", "linear-center",
+        "abs-sum-no-a", "exp-cos-parameter", "max-children-object", "max-children-empty",
+        "no-variant"])
 def test_malformed_evaluator_spec_exits_2(tmp_path, capsys, spec, message):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({**BOWL_CONFIG, "evaluator": spec}))

@@ -592,16 +592,32 @@ def test_from_config_tabulated_and_external(tmp_path):
         from_config({"variant": "mystery"})
 
 
-@pytest.mark.parametrize("spec, key", [
-    ({"variant": "tabulated", "path": "table.csv", "interpolation": "cubic"}, "interpolation"),
+# A key missing from a spec, or from a builtin's parameters, is named too.
+@pytest.mark.parametrize("spec, message", [
+    ({"variant": "tabulated", "path": "table.csv", "interpolation": "cubic"},
+     "tabulated evaluator does not read key\\(s\\) interpolation; it reads path, variant"),
     ({"variant": "external", "command": ["solver"], "dim": 1, "timeout_second": 5},
-     "timeout_second"),
-    ({"variant": "builtin", "name": "exp-cos", "params": {}}, "params"),
+     "does not read key\\(s\\) timeout_second"),
+    ({"variant": "builtin", "name": "exp-cos", "params": {}}, "does not read key\\(s\\) params"),
     ({"variant": "max", "children": [{"variant": "builtin", "name": "exp-cos", "dim": 2}]},
-     "dim"),
-], ids=["tabulated", "external", "builtin", "max-child"])
-def test_from_config_rejects_keys_the_variant_does_not_read(spec, key):
-    with pytest.raises(ValueError, match=f"does not read key.*{key}"):
+     "does not read key\\(s\\) dim"),
+    ({"variant": "builtin"}, "builtin evaluator lacks key\\(s\\) name"),
+    ({"variant": "external", "command": ["solver"]}, "external evaluator lacks key\\(s\\) dim"),
+    ({"variant": "max"}, "max evaluator lacks key\\(s\\) children"),
+    ({"variant": "builtin", "name": "quadratic-bowl", "parameters": {"a": [1.0], "b": 1}},
+     "'parameters' of quadratic-bowl does not read key\\(s\\) b; it reads a, center"),
+    ({"variant": "builtin", "name": "quadratic-bowl", "parameters": [1]},
+     "'parameters' of quadratic-bowl must be a JSON object, got \\[1\\]"),
+    ({"variant": "builtin", "name": "linear", "parameters": {}},
+     "'parameters' of linear lacks key\\(s\\) a"),
+    ({"variant": "max", "children": {"variant": "builtin", "name": "exp-cos"}},
+     "children must be a non-empty list of evaluator specs"),
+    ([{"variant": "builtin"}], "an evaluator spec must be a JSON object"),
+], ids=["tabulated", "external", "builtin", "max-child", "builtin-no-name", "external-no-dim",
+        "max-no-children", "bowl-parameter-b", "bowl-parameters-list", "linear-no-a",
+        "max-children-object", "spec-list"])
+def test_from_config_rejects_keys_the_variant_does_not_read(spec, message):
+    with pytest.raises(ValueError, match=message):
         from_config(spec)
 
 

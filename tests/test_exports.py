@@ -19,8 +19,8 @@ EXPORTS = {
     "measures": {"MinusOneNorm", "MuNorm", "OneNorm", "ReciprocalPowerCost",
                  "mu_norm_from_model"},
     "metrics": {"AllocationErrorReport", "ErrorReport", "allocation_errors", "surrogate_errors"},
-    "surrogate": {"FitConfig", "FitError", "FitReport", "Interval", "MissingFieldError",
-                  "SampleSet", "SeparatedModel", "als_fit"},
+    "surrogate": {"FitConfig", "FitError", "FitReport", "Interval", "SampleSet",
+                  "SeparatedModel", "als_fit"},
 }
 
 

@@ -196,6 +196,48 @@ def test_type_call_detector(source, flagged):
     assert bool(_type_calls_outside_number_rules(ast.parse(source))) == flagged
 
 
+# The keys of every input object, its format_version included, are read by
+# this rule, so that a version is checked the same way in every file.
+KEY_RULE = "_fields"
+
+
+def _is_format_version(node: ast.AST) -> bool:
+    return isinstance(node, ast.Constant) and node.value == "format_version"
+
+
+def _format_version_reads_outside_key_rule(tree: ast.Module) -> list[int]:
+    """Lines of the ``x["format_version"]`` loads and ``x.get("format_version")``
+    calls outside the module-level function KEY_RULE."""
+    return [node.lineno for top in tree.body
+            if not (isinstance(top, ast.FunctionDef) and top.name == KEY_RULE)
+            for node in ast.walk(top)
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load)
+            and _is_format_version(node.slice)
+            or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "get" and node.args and _is_format_version(node.args[0])]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_module_reads_format_version_only_in_the_key_rule(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = _format_version_reads_outside_key_rule(tree)
+    assert not lines, (f"{path.name}: format_version read outside {KEY_RULE} "
+                       f"on line(s) {', '.join(map(str, lines))}")
+
+
+@pytest.mark.parametrize("source, flagged", [
+    ('version = data["format_version"]', True),
+    ('if data.get("format_version") != 1:\n    pass', True),
+    ('version = data.get("format_version", 1)', True),
+    ('class Model:\n    def from_dict(data):\n        return data["format_version"] == 1', True),
+    ('def _fields(value):\n    return value["format_version"]', False),
+    ('write_json(path, {"format_version": 1, "tau": tau})', False),
+    ('data["format_version"] = 1\nconfig.get("version")\ndata["tau"]', False),
+])
+def test_format_version_read_detector(source, flagged):
+    assert bool(_format_version_reads_outside_key_rule(ast.parse(source))) == flagged
+
+
 # Every artifact goes through these, so that each is written atomically and
 # in one format.
 WRITERS = {"atomic_write", "write_json", "write_csv"}

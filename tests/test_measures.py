@@ -225,9 +225,9 @@ def test_from_config_mu_norm_derives_weights():
 
 @pytest.mark.parametrize("spec, message", [
     ({"kind": "mu-norm", "weight": [1.0, 2.0]},
-     "mu-norm measure does not read key\\(s\\) weight; it reads weights"),
+     "mu-norm measure does not read key\\(s\\) weight; it reads kind, weights"),
     ({"kind": "one-norm", "weights": [1.0]},
-     "one-norm measure does not read key\\(s\\) weights; it reads no other key"),
+     "one-norm measure does not read key\\(s\\) weights; it reads kind$"),
     ({"kind": "minus-one-norm", "a": [1.0, 2.0], "k": [1.0, 1.0]},
      "does not read key\\(s\\) a, k"),
     ({"kind": "reciprocal-power-cost", "a": [0.1, 0.2], "b": [1.0, 1.0]},
@@ -237,8 +237,10 @@ def test_from_config_mu_norm_derives_weights():
     ({"kind": "mu-norm", "weights": ["1", True]}, "weights must hold only numbers"),
     ({"kind": "reciprocal-power-cost", "a": [True], "b": [1.0], "k": [1.0]},
      "a must hold only numbers"),
+    ({}, "measure lacks key\\(s\\) kind"),
+    ({"kind": "reciprocal-power-cost"}, "lacks key\\(s\\) a, b, k"),
 ], ids=["misspelt-weights", "one-norm-weights", "minus-one-norm-keys", "missing-k",
-        "cost-extra", "weights-string-and-bool", "cost-a-bool"])
+        "cost-extra", "weights-string-and-bool", "cost-a-bool", "no-kind", "cost-no-keys"])
 def test_from_config_names_a_key_the_kind_does_not_read_or_lacks(spec, message):
     with pytest.raises(ValueError, match=message):
         from_config(spec, model=linear_sum_model(1.0, 1.0), mu_hat=[0.0, 0.0])

@@ -559,7 +559,7 @@ def test_model_rejects_unknown_format_version(tmp_path):
 def test_model_from_dict_names_a_missing_field(field):
     data = random_model(np.random.default_rng(17)).to_dict()
     del data[field]
-    with pytest.raises(ValueError, match=rf"lacks field\(s\) {field}$"):
+    with pytest.raises(ValueError, match=rf"model lacks key\(s\) {field}$"):
         SeparatedModel.from_dict(data)
 
 
@@ -567,7 +567,9 @@ def test_model_from_dict_names_a_missing_field(field):
                                           ("dim", 2.5), ("degree", 3.9), ("rank", True),
                                           ("degree", "3"), ("scales", ["0.78"]),
                                           ("intervals", [[True, 1.0]]), ("coeffs", float("nan")),
-                                          ("scales", [10**400]), ("intervals", [[1.0, -1.0]])])
+                                          ("scales", [10**400]), ("intervals", [[1.0, -1.0]]),
+                                          ("format_version", 2), ("format_version", True),
+                                          ("format_version", 1.0), ("format_version", "1")])
 def test_model_from_dict_raises_value_error_on_a_malformed_field(field, value):
     data = random_model(np.random.default_rng(17)).to_dict()
     data[field] = value
@@ -638,8 +640,10 @@ def test_sample_csv_roundtrip_of_many_rows_is_bit_exact(tmp_path):
     ("# comment\r\n1,2,3\r\n", "'# comment'"),
     ('1,"2",3\r\n', """'"2"'"""),
     ("", "no sample rows"),
+    ("1,2,3\r\n4,5,nan\r\n", "line 3 holds a non-finite number"),
+    ("1,-inf,3\r\n4,5,6\r\n", "line 2 holds a non-finite number"),
 ], ids=["blank-line", "short-row", "long-row", "wide-table", "non-numeric", "comment",
-        "quoted", "header-only"])
+        "quoted", "header-only", "nan-value", "inf-coordinate"])
 def test_sample_csv_rejects_a_malformed_body_naming_the_file(tmp_path, body, named):
     path = tmp_path / "samples.csv"
     path.write_text("mu_1,mu_2,q\r\n" + body, newline="")
