@@ -50,11 +50,20 @@ class UsageError(Exception):
     pass
 
 
-def _load_json(path, what: str) -> dict:
+@contextmanager
+def _input(where: str):
+    """Exit 2 with ``WHERE: detail`` for an OSError, ValueError or (unquoted)
+    KeyError raised in the block.  Wrap no call that can raise ConstraintError,
+    DomainError or MetricError: they are ValueErrors that exit 1 or 3."""
     try:
+        yield
+    except (OSError, ValueError, KeyError) as exc:
+        raise UsageError(f"{where}: {exc.args[0] if isinstance(exc, KeyError) else exc}") from exc
+
+
+def _load_json(path, what: str) -> dict:
+    with _input(f"cannot read {what} file {path}"):
         return json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:  # a JSONDecodeError is a ValueError
-        raise UsageError(f"cannot read {what} file {path}: {exc}")
 
 
 def load_config(path, required=()) -> dict:
@@ -86,10 +95,8 @@ def _open_evaluator(config: dict, path):
     stopped) on exit."""
     from . import evaluator as evaluator_mod
 
-    try:
+    with _input(f"bad evaluator spec in config {path}"):
         evaluator = evaluator_mod.from_config(config["evaluator"])
-    except (KeyError, ValueError) as exc:
-        raise UsageError(f"bad evaluator spec: {exc} in config {path}")
     try:
         yield evaluator
     finally:
@@ -102,11 +109,8 @@ def _domain_from(path) -> tuple[BoundingBox, tuple[Interval, ...]]:
                    ("tau_min", "tau_max", "sampling_domain"))
     tau_min, tau_max = (_number_array(data[name], f"field {name!r} of domain file {path}")
                         for name in ("tau_min", "tau_max"))
-    try:
+    with _input(f"fields 'tau_min' and 'tau_max' of domain file {path} are malformed"):
         bbox = BoundingBox(tau_min, tau_max)
-    except ValueError as exc:
-        raise UsageError(f"fields 'tau_min' and 'tau_max' of domain file {path} "
-                         f"are malformed: {exc}")
     intervals = _intervals(data["sampling_domain"],
                            f"field 'sampling_domain' of domain file {path}")
     if len(intervals) != bbox.dim:
@@ -117,33 +121,18 @@ def _domain_from(path) -> tuple[BoundingBox, tuple[Interval, ...]]:
 
 def _model_from(path) -> SeparatedModel:
     """Surrogate from a model file that ``fit`` wrote."""
-    try:
+    with _input(f"bad model file {path}"):
         return SeparatedModel.from_dict(_load_json(path, "model"))
-    except ValueError as exc:
-        raise UsageError(f"bad model file {path}: {exc}")
 
 
 def _tau_from(path, what: str) -> np.ndarray:
     """The ``tau`` vector of an ``allocate`` result file."""
     data = _fields(_load_json(path, what), f"{what} file {path}", ("tau",))
-    try:
+    with _input(f"{what} file {path} lacks a 'tau' vector of finite numbers >= 0"):
         tau = _number_array(data["tau"], "tau")
-        if tau.ndim == 1 and np.all(tau >= 0.0):
-            return tau
-    except ValueError:
-        pass
-    raise UsageError(f"{what} file {path} lacks a 'tau' vector of finite numbers >= 0")
-
-
-def _config_vectors(config: dict) -> dict:
-    """The config fields that hold one number per parameter, by name."""
-    from . import measures
-
-    spec = config.get("measure", {})
-    kind = spec.get("kind")
-    keys = measures.KIND_KEYS.get(kind, set()) if isinstance(kind, str) else set()
-    return {"nominal": config["nominal"],
-            **{f"measure.{key}": spec[key] for key in sorted(keys) if key in spec}}
+        if tau.ndim != 1 or np.any(tau < 0.0):
+            raise ValueError(f"got {data['tau']!r}")
+    return tau
 
 
 def _check_dims(model: SeparatedModel, files: dict) -> None:
@@ -161,10 +150,8 @@ def _check_inside(model: SeparatedModel, nominal, half_widths, what: str) -> Non
     nominal +- half_widths leaves the model's intervals: the check an
     evaluation of the model there makes, without evaluating it."""
     lo, hi = np.array([[iv.lo, iv.hi] for iv in model.intervals]).T
-    try:
+    with _input(f"{what} lies outside the model's intervals"):
         _standardize(np.stack([nominal - half_widths, nominal + half_widths]), lo, hi - lo)
-    except ValueError as exc:
-        raise UsageError(f"{what} lies outside the model's intervals: {exc}")
 
 
 # The config keys of ``allocate`` and ``check``, read by _problem.
@@ -178,10 +165,8 @@ def _problem(config: dict, path, model: SeparatedModel):
     nominal = np.asarray(config["nominal"], dtype=float)
     q_allow = float(config["q_allow"])
     _check_inside(model, nominal, 0.0, f"'nominal' in config {path}")
-    try:
+    with _input(f"bad 'measure' in config {path}"):
         measure = measures.from_config(config["measure"], model=model, mu_hat=nominal)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad 'measure' in config {path}: {exc}")
     return boxmax.SurrogateWorstCase(model, nominal), measure, q_allow
 
 
@@ -194,11 +179,12 @@ def cmd_sample(args) -> int:
 
     config = load_config(args.config, ("evaluator",))
     _, intervals = _domain_from(args.domain)
+    n = _integer(args.n, "--n", 1)
     seed = config.get("seed") if args.seed is None else _integer(args.seed, "--seed", 0, 2**64)
     if seed is None:
         raise UsageError("--seed is required when the config has no seed field")
     with _open_evaluator(config, args.config) as evaluator:
-        samples = evaluator_mod.draw_samples(evaluator, intervals, args.n, seed)
+        samples = evaluator_mod.draw_samples(evaluator, intervals, n, seed)
     samples.write_csv(args.out)
     print(f"wrote {len(samples)} samples to {args.out}")
     return EXIT_OK
@@ -209,11 +195,9 @@ def cmd_size_domain(args) -> int:
     nominal = np.asarray(config["nominal"], dtype=float)
     q_allow = float(config["q_allow"])
     bbox_config = config.get("bbox", {})
-    try:
+    with _input(f"'bbox' field 'caps' in config {args.config} is malformed"):
         caps = np.broadcast_to(_number_array(bbox_config.get("caps", 10.0), "caps"),
                                nominal.shape)
-    except ValueError as exc:
-        raise UsageError(f"'bbox' field 'caps' in config {args.config} is malformed: {exc}")
     if not np.all(caps > 0.0):
         raise UsageError(f"'bbox' field 'caps' in config {args.config} must be > 0, "
                          f"got {bbox_config['caps']!r}")
@@ -245,13 +229,13 @@ def cmd_size_domain(args) -> int:
 def cmd_fit(args) -> int:
     config = load_config(args.config, ("fit",))
     _, intervals = _domain_from(args.domain)
-    fit_config = FitConfig(**_fields(config["fit"], f"'fit' in config {args.config}",
-                                     ("target_rank", "degree")))
-    if not Path(args.samples).exists():
-        raise UsageError(f"missing sample file {args.samples}")
+    name = f"'fit' in config {args.config}"
+    fit_fields = _fields(config["fit"], name, ("target_rank", "degree"))
+    with _input(name):
+        fit_config = FitConfig(**fit_fields)
     samples = SampleSet.read_csv(args.samples)
+    holdout = SampleSet.read_csv(args.holdout) if args.holdout else None
     model, report = als_fit(samples, fit_config, intervals)
-    model.save(args.out)
     summary = {
         "additive_residual": report.additive_residual,
         "final_rank": report.final_rank,
@@ -259,9 +243,9 @@ def cmd_fit(args) -> int:
         "final_residual": report.residual_history[-1],
         "converged": report.converged,
     }
-    if args.holdout:
-        holdout = SampleSet.read_csv(args.holdout)
+    if holdout is not None:
         summary["holdout"] = dataclasses.asdict(metrics.surrogate_errors(model, holdout))
+    model.save(args.out)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -274,7 +258,7 @@ def cmd_allocate(args) -> int:
     bbox, _ = _domain_from(args.domain)
     if args.emit_manifold_scan and bbox.dim != 2:
         raise UsageError("--emit-manifold-scan requires a 2-parameter problem")
-    _check_dims(model, {args.config: _config_vectors(config),
+    _check_dims(model, {args.config: {"nominal": config["nominal"]},
                         args.domain: {"tau_min": bbox.tau_min, "tau_max": bbox.tau_max}})
     gfun, measure, q_allow = _problem(config, args.config, model)
     _check_inside(model, gfun.center, bbox.tau_max,
@@ -312,7 +296,7 @@ def cmd_check(args) -> int:
     tau = _tau_from(args.tau, "tolerance result")
     tau_ref = _tau_from(args.reference, "reference result")
     model = _model_from(args.model)
-    _check_dims(model, {args.config: _config_vectors(config), args.tau: {"tau": tau},
+    _check_dims(model, {args.config: {"nominal": config["nominal"]}, args.tau: {"tau": tau},
                         args.reference: {"tau": tau_ref}})
     gfun, measure, q_allow = _problem(config, args.config, model)
     _check_inside(model, gfun.center, tau,

@@ -149,12 +149,13 @@ def mu_norm_from_model(model: SeparatedModel, mu_hat):
 # each required but a mu-norm's weights.
 KINDS = {"one-norm": OneNorm, "mu-norm": MuNorm, "minus-one-norm": MinusOneNorm,
          "reciprocal-power-cost": ReciprocalPowerCost}
-KIND_KEYS = {kind: {field.name for field in fields(cls)} for kind, cls in KINDS.items()}
+KIND_KEYS = {kind: tuple(field.name for field in fields(cls)) for kind, cls in KINDS.items()}
 
 
 def from_config(spec: dict, model: SeparatedModel | None = None, mu_hat=None):
     """Build a measure from its JSON description.  A key the kind does not
-    read, or a missing one, is a ``ValueError`` that names it.  A mu-norm
+    read or lacks, or a vector that does not hold one number per entry of
+    ``mu_hat`` (when given), is a ``ValueError`` that names it.  A mu-norm
     without weights takes them from ``model`` at ``mu_hat`` (then required)."""
     kind = _fields(spec, "measure", ["kind"])["kind"]
     if not isinstance(kind, str) or kind not in KINDS:
@@ -165,4 +166,9 @@ def from_config(spec: dict, model: SeparatedModel | None = None, mu_hat=None):
         if model is None or mu_hat is None:
             raise ValueError("mu-norm without explicit weights needs a model and nominal design")
         return mu_norm_from_model(model, mu_hat)
-    return KINDS[kind](**{key: _number_array(spec[key], key) for key in keys})
+    vectors = {key: _number_array(spec[key], key) for key in keys}
+    for key, vector in vectors.items():
+        if mu_hat is not None and vector.shape != np.shape(mu_hat):
+            raise ValueError(f"{key} must hold {np.size(mu_hat)} numbers, one per parameter, "
+                             f"got {spec[key]!r}")
+    return KINDS[kind](**vectors)

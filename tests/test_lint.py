@@ -300,3 +300,43 @@ def test_module_writes_files_only_through_the_artifact_writers(path):
 ])
 def test_file_write_detector(source, flagged):
     assert bool(_file_writes_outside_writers(ast.parse(source))) == flagged
+
+
+# The CLI turns an input error into a usage error (exit 2) naming its file in
+# this one context manager, so that no input gets round it.
+INPUT_RULE = "_input"
+CLI = Path(tolalloc.__file__).parent / "cli.py"
+
+
+def _usage_errors_raised_in_handlers(tree: ast.Module) -> list[int]:
+    """Lines of the ``raise UsageError...`` statements inside an ``except``
+    handler, outside the module-level function INPUT_RULE."""
+    return [node.lineno for top in tree.body
+            if not (isinstance(top, ast.FunctionDef) and top.name == INPUT_RULE)
+            for handler in ast.walk(top) if isinstance(handler, ast.ExceptHandler)
+            for node in ast.walk(handler) if isinstance(node, ast.Raise) and node.exc is not None
+            and any(isinstance(name, ast.Name) and name.id == "UsageError"
+                    for name in ast.walk(node.exc))]
+
+
+def test_cli_raises_usage_errors_from_caught_exceptions_only_in_the_input_rule():
+    lines = _usage_errors_raised_in_handlers(ast.parse(CLI.read_text(), filename=str(CLI)))
+    assert not lines, (f"cli.py: UsageError raised in an except handler outside {INPUT_RULE} "
+                       f"on line(s) {', '.join(map(str, lines))}")
+
+
+@pytest.mark.parametrize("source, flagged", [
+    ("try:\n    f()\nexcept ValueError as exc:\n    raise UsageError(f'bad: {exc}')", True),
+    ("def g():\n    try:\n        f()\n    except OSError:\n        raise UsageError('x')", True),
+    ("try:\n    f()\nexcept KeyError:\n    if x:\n        raise UsageError", True),
+    ("class C:\n    def m(self):\n        try:\n            f()\n"
+     "        except ValueError:\n            raise UsageError('x') from None", True),
+    ("def _input(where):\n    try:\n        yield\n    except ValueError as exc:\n"
+     "        raise UsageError(f'{where}: {exc}') from exc", False),
+    ("if bad:\n    raise UsageError('x')", False),
+    ("try:\n    f()\nexcept ValueError:\n    raise\nfinally:\n    raise UsageError('x')",
+     False),
+    ("try:\n    f()\nexcept ValueError as exc:\n    raise FitError(str(exc))", False),
+])
+def test_usage_error_handler_detector(source, flagged):
+    assert bool(_usage_errors_raised_in_handlers(ast.parse(source))) == flagged

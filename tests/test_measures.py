@@ -244,3 +244,15 @@ def test_from_config_mu_norm_derives_weights():
 def test_from_config_names_a_key_the_kind_does_not_read_or_lacks(spec, message):
     with pytest.raises(ValueError, match=message):
         from_config(spec, model=linear_sum_model(1.0, 1.0), mu_hat=[0.0, 0.0])
+
+
+# Given the nominal design, every vector must hold one number per parameter.
+@pytest.mark.parametrize("spec, key", [
+    ({"kind": "mu-norm", "weights": [1.0, 2.0, 3.0]}, "weights"),
+    ({"kind": "mu-norm", "weights": 1.0}, "weights"),
+    ({"kind": "reciprocal-power-cost", "a": [0.1], "b": [1.0], "k": [1.0]}, "a"),
+    ({"kind": "reciprocal-power-cost", "a": [0.1, 0.2], "b": [1.0, 1.0], "k": [[1.0, 1.0]]}, "k"),
+], ids=["weights-long", "weights-scalar", "cost-all-short", "cost-k-nested"])
+def test_from_config_names_a_vector_of_another_length_than_mu_hat(spec, key):
+    with pytest.raises(ValueError, match=f"^{key} must hold 2 numbers, one per parameter, got "):
+        from_config(spec, mu_hat=np.zeros(2))
