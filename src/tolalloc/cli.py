@@ -3,9 +3,8 @@ tolerance allocation, verification, and report emission.
 
 One JSON config file drives one reproducible run; flags override config
 fields.  Exit codes: 0 success, 1 threshold/constraint failure, 2 usage/IO
-error, 3 numeric failure.  A query outside a tabulated evaluator's grid
-(``DomainError``) and an undefined relative error (``MetricError``) are
-numeric failures, although both subclass ``ValueError``.
+error, 3 numeric failure (a ``NumericError``, an ``ArithmeticError`` or a
+``LinAlgError``).
 
 Every command pays for numpy, ``surrogate``, ``domain`` and ``metrics``; the
 evaluator, worst-case, manifold and measure modules are imported only by the
@@ -26,7 +25,7 @@ import numpy as np
 
 from . import metrics
 from .domain import BoundingBox, ConstraintError, size_bounding_box
-from .surrogate import FORMAT_VERSION, FitConfig, FitError, Interval, SampleSet, SeparatedModel
+from .surrogate import FORMAT_VERSION, FitConfig, Interval, NumericError, SampleSet, SeparatedModel
 from .surrogate import _fields, _integer, _intervals, _number_array, _standardize, als_fit
 from .surrogate import write_csv, write_json
 
@@ -53,8 +52,8 @@ class UsageError(Exception):
 @contextmanager
 def _input(where: str):
     """Exit 2 with ``WHERE: detail`` for an OSError, ValueError or (unquoted)
-    KeyError raised in the block.  Wrap no call that can raise ConstraintError,
-    DomainError or MetricError: they are ValueErrors that exit 1 or 3."""
+    KeyError raised in the block.  Wrap no call that can raise ConstraintError
+    or LinAlgError: they are ValueErrors that exit 1 and 3."""
     try:
         yield
     except (OSError, ValueError, KeyError) as exc:
@@ -113,9 +112,7 @@ def _domain_from(path) -> tuple[BoundingBox, tuple[Interval, ...]]:
         bbox = BoundingBox(tau_min, tau_max)
     intervals = _intervals(data["sampling_domain"],
                            f"field 'sampling_domain' of domain file {path}")
-    if len(intervals) != bbox.dim:
-        raise UsageError(f"domain file {path} has {len(intervals)} sampling_domain row(s) "
-                         f"for {bbox.dim} tolerance(s)")
+    _check_dims(bbox.dim, {f"domain file {path}": {"'sampling_domain'": intervals}})
     return bbox, intervals
 
 
@@ -135,14 +132,13 @@ def _tau_from(path, what: str) -> np.ndarray:
     return tau
 
 
-def _check_dims(model: SeparatedModel, files: dict) -> None:
-    """Exit 2, naming the file and the field, when a vector of ``files``
-    ({path: {field: value}}) does not hold one number per model parameter."""
-    for path, fields in files.items():
+def _check_dims(d: int, files: dict) -> None:
+    """Exit 2, naming the file, the field and ``d``, when a vector of ``files``
+    ({file: {field: value}}) does not hold d entries, one per parameter."""
+    for where, fields in files.items():
         for name, value in fields.items():
-            if np.shape(value) != (model.dim,):
-                raise UsageError(f"{name!r} in {path} must hold {model.dim} numbers, "
-                                 "one per parameter of the model")
+            if np.shape(value) != (d,):
+                raise UsageError(f"{name} in {where} must hold {d} entries, one per parameter")
 
 
 def _check_inside(model: SeparatedModel, nominal, half_widths, what: str) -> None:
@@ -184,6 +180,8 @@ def cmd_sample(args) -> int:
     if seed is None:
         raise UsageError("--seed is required when the config has no seed field")
     with _open_evaluator(config, args.config) as evaluator:
+        _check_dims(evaluator.dim,
+                    {f"domain file {args.domain}": {"'sampling_domain'": intervals}})
         samples = evaluator_mod.draw_samples(evaluator, intervals, n, seed)
     samples.write_csv(args.out)
     print(f"wrote {len(samples)} samples to {args.out}")
@@ -195,24 +193,25 @@ def cmd_size_domain(args) -> int:
     nominal = np.asarray(config["nominal"], dtype=float)
     q_allow = float(config["q_allow"])
     bbox_config = config.get("bbox", {})
-    with _input(f"'bbox' field 'caps' in config {args.config} is malformed"):
-        caps = np.broadcast_to(_number_array(bbox_config.get("caps", 10.0), "caps"),
-                               nominal.shape)
+    caps_name = f"'bbox' field 'caps' in config {args.config}"
+    caps = _number_array(bbox_config.get("caps", 10.0), caps_name)
     if not np.all(caps > 0.0):
-        raise UsageError(f"'bbox' field 'caps' in config {args.config} must be > 0, "
-                         f"got {bbox_config['caps']!r}")
+        raise UsageError(f"{caps_name} must be > 0, got {bbox_config['caps']!r}")
     name = f"'bbox' field 'tau_min' in config {args.config}"
     tau_min = _number_array(bbox_config.get("tau_min", [0.0] * nominal.size), name)
-    if tau_min.shape != nominal.shape or np.any(tau_min < 0.0):
-        raise UsageError(f"{name} must be a list of {nominal.size} numbers >= 0, one per "
-                         f"'nominal' entry, got {bbox_config['tau_min']!r}")
+    if np.any(tau_min < 0.0):
+        raise UsageError(f"{name} must hold numbers >= 0, got {bbox_config['tau_min']!r}")
+    vectors = {"'nominal'": nominal, "'bbox' field 'tau_min'": tau_min}
+    if caps.ndim:  # a list; a number caps every axis
+        vectors["'bbox' field 'caps'"] = caps
     with _open_evaluator(config, args.config) as evaluator:
+        _check_dims(evaluator.dim, {f"config {args.config}": vectors})
         sized, intervals = size_bounding_box(evaluator, nominal, q_allow, caps)
     if np.any(tau_min >= sized.tau_max):
         raise UsageError(f"{name} must lie below the sized tau_max: "
                          f"tau_min = {tau_min.tolist()}, tau_max = {sized.tau_max.tolist()}")
     bbox = BoundingBox(tau_min, sized.tau_max)
-    capped = [bool(t >= c) for t, c in zip(bbox.tau_max, caps)]
+    capped = (bbox.tau_max >= caps).tolist()
     write_json(args.out, {
         "format_version": FORMAT_VERSION,
         "tau_min": bbox.tau_min.tolist(),
@@ -228,13 +227,16 @@ def cmd_size_domain(args) -> int:
 
 def cmd_fit(args) -> int:
     config = load_config(args.config, ("fit",))
-    _, intervals = _domain_from(args.domain)
+    bbox, intervals = _domain_from(args.domain)
     name = f"'fit' in config {args.config}"
     fit_fields = _fields(config["fit"], name, ("target_rank", "degree"))
     with _input(name):
         fit_config = FitConfig(**fit_fields)
     samples = SampleSet.read_csv(args.samples)
     holdout = SampleSet.read_csv(args.holdout) if args.holdout else None
+    _check_dims(bbox.dim, {f"sample file {path}": {"the mu of each row": data.points[0]}
+                           for path, data in ((args.samples, samples), (args.holdout, holdout))
+                           if data is not None})
     model, report = als_fit(samples, fit_config, intervals)
     summary = {
         "additive_residual": report.additive_residual,
@@ -258,8 +260,9 @@ def cmd_allocate(args) -> int:
     bbox, _ = _domain_from(args.domain)
     if args.emit_manifold_scan and bbox.dim != 2:
         raise UsageError("--emit-manifold-scan requires a 2-parameter problem")
-    _check_dims(model, {args.config: {"nominal": config["nominal"]},
-                        args.domain: {"tau_min": bbox.tau_min, "tau_max": bbox.tau_max}})
+    _check_dims(model.dim, {f"config {args.config}": {"'nominal'": config["nominal"]},
+                            f"domain file {args.domain}": {"'tau_min'": bbox.tau_min,
+                                                           "'tau_max'": bbox.tau_max}})
     gfun, measure, q_allow = _problem(config, args.config, model)
     _check_inside(model, gfun.center, bbox.tau_max,
                   f"the box 'nominal' +- 'tau_max' of domain file {args.domain}")
@@ -296,8 +299,9 @@ def cmd_check(args) -> int:
     tau = _tau_from(args.tau, "tolerance result")
     tau_ref = _tau_from(args.reference, "reference result")
     model = _model_from(args.model)
-    _check_dims(model, {args.config: {"nominal": config["nominal"]}, args.tau: {"tau": tau},
-                        args.reference: {"tau": tau_ref}})
+    _check_dims(model.dim, {f"config {args.config}": {"'nominal'": config["nominal"]},
+                            f"tolerance result file {args.tau}": {"'tau'": tau},
+                            f"reference result file {args.reference}": {"'tau'": tau_ref}})
     gfun, measure, q_allow = _problem(config, args.config, model)
     _check_inside(model, gfun.center, tau,
                   f"the box 'nominal' +- 'tau' of tolerance result file {args.tau}")
@@ -392,15 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _numeric_errors() -> tuple[type[BaseException], ...]:
-    """The exception classes that exit 3, imported only once one is raised."""
-    from .evaluator import DomainError, EvaluatorError
-    from .manifold import DegenerateNormalError, InitializationError, RetractionError
-
-    return (FitError, EvaluatorError, DomainError, metrics.MetricError, ArithmeticError,
-            RetractionError, InitializationError, DegenerateNormalError, np.linalg.LinAlgError)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -409,7 +404,7 @@ def main(argv=None) -> int:
     except ConstraintError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_THRESHOLD
-    except _numeric_errors() as exc:
+    except (NumericError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (UsageError, OSError, ValueError, KeyError) as exc:

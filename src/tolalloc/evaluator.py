@@ -21,8 +21,8 @@ import time
 
 import numpy as np
 
-from .surrogate import Interval, SampleSet, SeparatedModel, _fields, _integer, _number_array
-from .surrogate import _uniform, format_rows
+from .surrogate import Interval, NumericError, SampleSet, SeparatedModel, _fields, _integer
+from .surrogate import _number_array, _uniform, format_rows
 
 # External-evaluator errors quote at most this many trailing bytes of stderr
 # and this many leading characters of any stdout they name.
@@ -35,7 +35,7 @@ REQUEST_BLOCK_ROWS = 1024
 READ_BYTES = 65536
 
 
-class EvaluatorError(RuntimeError):
+class EvaluatorError(NumericError):
     """Raised when an evaluator cannot produce a value.  One raised by a batch
     (:func:`evaluate_many`) sets ``row``, the index of the point whose value
     failed."""
@@ -43,7 +43,7 @@ class EvaluatorError(RuntimeError):
     row: int | None = None
 
 
-class DomainError(ValueError):
+class DomainError(NumericError):
     """Raised when a query point falls outside an evaluator's domain."""
 
 

@@ -26,7 +26,7 @@ import numpy as np
 from .brent import MAXITER, brentq
 from .domain import BoundingBox
 from .measures import ascent_direction
-from .surrogate import write_csv
+from .surrogate import NumericError, write_csv
 
 # Tolerances of the traversal.  STATIONARY_TOL is its stopping rule (see
 # above), RETRACTION_TOL bounds |G - q_allow| / |q_allow| and LINE_SEARCH_TOL
@@ -42,15 +42,15 @@ CROSSING_XTOL = 1e-15
 CROSSING_RTOL = 8.9e-16
 
 
-class RetractionError(RuntimeError):
+class RetractionError(NumericError):
     """No manifold intersection along the retractor line within the box."""
 
 
-class DegenerateNormalError(RuntimeError):
+class DegenerateNormalError(NumericError):
     """The manifold normal vanished; the tangent space is undefined."""
 
 
-class InitializationError(RuntimeError):
+class InitializationError(NumericError):
     """The initial-guess ray exits the bounding box before crossing the manifold."""
 
 

@@ -6,10 +6,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .surrogate import SampleSet, SeparatedModel
+from .surrogate import NumericError, SampleSet, SeparatedModel
 
 
-class MetricError(ValueError):
+class MetricError(NumericError):
     """Raised when a relative error is undefined (zero denominator)."""
 
 

@@ -26,7 +26,11 @@ FORMAT_VERSION = 1
 EXTRAPOLATION_SLACK = 1e-9
 
 
-class FitError(RuntimeError):
+class NumericError(RuntimeError):
+    """Base of the numeric failures of every module: the CLI exits 3 on one."""
+
+
+class FitError(NumericError):
     """Raised when an ALS fit cannot proceed (singular system, bad inputs)."""
 
 

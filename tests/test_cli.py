@@ -823,6 +823,9 @@ def test_malformed_bbox_caps_exits_2(tmp_path, capsys, field, value):
     code, _, stderr = run(capsys, "size-domain", "--config", str(path), "--out", str(out))
     assert code == 2
     assert str(path) in stderr and f"'{field}'" in stderr
+    if value in ([1.0, 2.0, 3.0], [0.0, 0.0, 0.0]):
+        assert stderr == (f"error: 'bbox' field '{field}' in config {path} must hold 2 entries, "
+                          "one per parameter\n")
     assert not out.exists()
 
 
@@ -871,7 +874,8 @@ def test_sampling_domain_of_another_dimension_than_the_evaluator_exits_2(tmp_pat
     code, _, stderr = run(capsys, "sample", "--config", config_path, "--domain", str(path),
                           "--n", "10", "--out", str(out))
     assert code == 2
-    assert "sampling domain has 1 interval(s) for a 2-parameter evaluator" in stderr
+    assert stderr == (f"error: 'sampling_domain' in domain file {path} must hold 2 entries, "
+                      "one per parameter\n")
     assert not out.exists()
 
 
@@ -936,6 +940,10 @@ def test_model_file_with_a_bad_value_exits_2(tmp_path, capsys, config_path, fiel
 THREE = [0.1, 0.2, 0.3]
 
 
+FILE_KINDS = {"config": "config", "domain": "domain file", "tau": "tolerance result file",
+              "reference": "reference result file"}
+
+
 # Each names the file and the field whose length is not the d = 2 model's.
 @pytest.mark.parametrize("command, name, text, field", [
     ("allocate", "config", {**BOWL_CONFIG, "nominal": [0.0, 0.0, 0.0]}, "nominal"),
@@ -976,8 +984,56 @@ def test_vector_of_another_dimension_than_the_model_exits_2(tmp_path, capsys, co
         assert stderr.startswith(f"error: bad 'measure' in config {files[name]}: "
                                  f"{field[8:]} must hold 2 numbers, one per parameter, got ")
     else:
-        assert f"'{field}' in {files[name]} must hold 2 numbers" in stderr
+        assert stderr == (f"error: '{field}' in {FILE_KINDS[name]} {files[name]} must hold 2 "
+                          "entries, one per parameter\n")
     assert not out.exists()
+
+
+# A sample file whose rows hold mu_1, mu_2, mu_3 and q.
+SAMPLES_D3 = "mu_1,mu_2,mu_3,q\r\n0.1,0.2,0.3,1.0\r\n"
+
+
+# Each names the file, the field and d = 2, which size-domain and sample take
+# from the evaluator and fit from the domain file.  The evaluator is an
+# external one whose command does not exist, so a check made after it
+# started would fail with "cannot start" instead.
+@pytest.mark.parametrize("command, name, text, where, field", [
+    ("size-domain", "config", {"nominal": THREE}, "config", "'nominal'"),
+    ("size-domain", "config", {"bbox": {"caps": THREE}}, "config", "'bbox' field 'caps'"),
+    ("size-domain", "config", {"bbox": {"tau_min": THREE}}, "config", "'bbox' field 'tau_min'"),
+    ("sample", "domain", {"tau_min": [0.0], "tau_max": [1.0], "sampling_domain": [[0.0, 1.0]]},
+     "domain file", "'sampling_domain'"),
+    ("sample", "domain", {"sampling_domain": [[-1.0, 1.0]]}, "domain file", "'sampling_domain'"),
+    ("fit", "samples", SAMPLES_D3, "sample file", "the mu of each row"),
+    ("fit", "holdout", SAMPLES_D3, "sample file", "the mu of each row"),
+], ids=["size-domain-nominal", "size-domain-caps", "size-domain-tau_min", "sample-1-row-domain",
+        "sample-rows-differ-from-tau_max", "fit-samples", "fit-holdout"])
+def test_vector_of_another_dimension_than_the_evaluator_or_domain_exits_2(
+        tmp_path, capsys, monkeypatch, command, name, text, where, field):
+    config = {**BOWL_CONFIG, "evaluator": {"variant": "external", "dim": 2,
+                                           "command": [str(tmp_path / "no-such-solver")]}}
+    files = {"config": tmp_path / "config.json", "domain": Path(_write_domain(tmp_path)),
+             "samples": tmp_path / "samples.csv", "holdout": tmp_path / "holdout.csv"}
+    files["config"].write_text(json.dumps(config))
+    for key in ("samples", "holdout"):
+        files[key].write_text("mu_1,mu_2,q\r\n0.1,0.2,1.0\r\n")
+    base = {"config": config, "domain": json.loads(files["domain"].read_text())}
+    files[name] = tmp_path / f"bad_{name}"
+    files[name].write_text(text if isinstance(text, str) else json.dumps({**base[name], **text}))
+    fits = []
+    monkeypatch.setattr(cli, "als_fit", lambda *args: fits.append(args))
+    out = tmp_path / "out"
+    argv = {"size-domain": [],
+            "sample": ["--domain", files["domain"], "--n", "10"],
+            "fit": ["--domain", files["domain"], "--samples", files["samples"],
+                    "--holdout", files["holdout"]]}[command]
+    code, stdout, stderr = run(capsys, command, "--config",
+                               *map(str, [files["config"], *argv, "--out", out]))
+    assert (code, stdout) == (2, "")
+    assert stderr == (f"error: {field} in {where} {files[name]} must hold 2 entries, "
+                      "one per parameter\n")
+    assert "cannot start" not in stderr and not fits
+    assert not out.exists() and not list(tmp_path.glob("*.tmp"))
 
 
 # A measure key that the kind does not read, or lacks, a kind that is not a
@@ -1489,7 +1545,8 @@ def test_report_on_missing_directory_exits_2(tmp_path, capsys):
     (cli.UsageError, 2), (OSError, 2), (ValueError, 2), (KeyError, 2),
 ], ids=lambda value: getattr(value, "__name__", None))
 def test_exit_code_of_each_error_class(tmp_path, capsys, monkeypatch, error, code):
-    # DomainError and MetricError subclass ValueError but are numeric failures.
+    # The package's numeric failures derive from NumericError, a RuntimeError;
+    # ConstraintError and numpy's LinAlgError are ValueErrors that exit 1 and 3.
     def fail(args):
         raise error("injected failure")
 

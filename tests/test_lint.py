@@ -340,3 +340,40 @@ def test_cli_raises_usage_errors_from_caught_exceptions_only_in_the_input_rule()
 ])
 def test_usage_error_handler_detector(source, flagged):
     assert bool(_usage_errors_raised_in_handlers(ast.parse(source))) == flagged
+
+
+# The CLI tests the length of every input vector against the parameter count d
+# in this one function, so that each mismatch exits 2 with one message.
+DIMS_RULE = "_check_dims"
+SHAPE_READERS = {"shape", "broadcast_to"}
+
+
+def _shape_reads_outside_dims_rule(tree: ast.Module) -> list[int]:
+    """Lines of the ``.shape`` reads, ``np.shape`` and ``np.broadcast_to``
+    calls and imports of those from numpy outside the module-level function
+    DIMS_RULE."""
+    return [node.lineno for top in tree.body
+            if not (isinstance(top, ast.FunctionDef) and top.name == DIMS_RULE)
+            for node in ast.walk(top)
+            if isinstance(node, ast.Attribute) and node.attr in SHAPE_READERS
+            or isinstance(node, ast.ImportFrom) and node.module == "numpy"
+            and any(alias.name in SHAPE_READERS for alias in node.names)]
+
+
+def test_cli_compares_lengths_with_d_only_in_the_dims_rule():
+    lines = _shape_reads_outside_dims_rule(ast.parse(CLI.read_text(), filename=str(CLI)))
+    assert not lines, (f"cli.py: shape read outside {DIMS_RULE} "
+                       f"on line(s) {', '.join(map(str, lines))}")
+
+
+@pytest.mark.parametrize("source, flagged", [
+    ("n = points.shape[1]", True),
+    ("if np.shape(value) != (d,):\n    pass", True),
+    ("caps = np.broadcast_to(caps, nominal.shape)", True),
+    ("def cmd_fit(args):\n    return numpy.broadcast_to(x, (2,))", True),
+    ("from numpy import shape", True),
+    ("def _check_dims(d, files):\n    return np.shape(value) != (d,)", False),
+    ("x.ndim\nx.size\nlen(x)\nnp.reshape(x, (2,))\nshape = (2,)", False),
+])
+def test_shape_read_detector(source, flagged):
+    assert bool(_shape_reads_outside_dims_rule(ast.parse(source))) == flagged
