@@ -18,7 +18,7 @@ import dataclasses
 import gc
 import json
 import sys
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -96,10 +96,8 @@ def _open_evaluator(config: dict, path):
 
     with _input(f"bad evaluator spec in config {path}"):
         evaluator = evaluator_mod.from_config(config["evaluator"])
-    try:
+    with closing(evaluator):
         yield evaluator
-    finally:
-        evaluator_mod.close_evaluator(evaluator)
 
 
 def _domain_from(path) -> tuple[BoundingBox, tuple[Interval, ...]]:
@@ -108,6 +106,7 @@ def _domain_from(path) -> tuple[BoundingBox, tuple[Interval, ...]]:
                    ("tau_min", "tau_max", "sampling_domain"))
     tau_min, tau_max = (_number_array(data[name], f"field {name!r} of domain file {path}")
                         for name in ("tau_min", "tau_max"))
+    _check_dims(tau_max.size, {f"domain file {path}": {"'tau_min'": tau_min}})
     with _input(f"fields 'tau_min' and 'tau_max' of domain file {path} are malformed"):
         bbox = BoundingBox(tau_min, tau_max)
     intervals = _intervals(data["sampling_domain"],
@@ -141,13 +140,13 @@ def _check_dims(d: int, files: dict) -> None:
                 raise UsageError(f"{name} in {where} must hold {d} entries, one per parameter")
 
 
-def _check_inside(model: SeparatedModel, nominal, half_widths, what: str) -> None:
-    """Exit 2, naming ``what`` (a field and its file), when the box
-    nominal +- half_widths leaves the model's intervals: the check an
-    evaluation of the model there makes, without evaluating it."""
-    lo, hi = np.array([[iv.lo, iv.hi] for iv in model.intervals]).T
-    with _input(f"{what} lies outside the model's intervals"):
-        _standardize(np.stack([nominal - half_widths, nominal + half_widths]), lo, hi - lo)
+def _check_inside(intervals, points, what: str) -> None:
+    """Exit 2 with ``what`` (the points, the intervals and their files) when a
+    row of ``points`` leaves ``intervals``: the check that fitting or
+    evaluating a model there makes, without running either."""
+    lo, hi = np.array([[iv.lo, iv.hi] for iv in intervals]).T
+    with _input(what):
+        _standardize(np.atleast_2d(points), lo, hi - lo)
 
 
 # The config keys of ``allocate`` and ``check``, read by _problem.
@@ -160,7 +159,8 @@ def _problem(config: dict, path, model: SeparatedModel):
 
     nominal = np.asarray(config["nominal"], dtype=float)
     q_allow = float(config["q_allow"])
-    _check_inside(model, nominal, 0.0, f"'nominal' in config {path}")
+    _check_inside(model.intervals, nominal,
+                  f"'nominal' in config {path} lies outside the model's intervals")
     with _input(f"bad 'measure' in config {path}"):
         measure = measures.from_config(config["measure"], model=model, mu_hat=nominal)
     return boxmax.SurrogateWorstCase(model, nominal), measure, q_allow
@@ -232,12 +232,13 @@ def cmd_fit(args) -> int:
     fit_fields = _fields(config["fit"], name, ("target_rank", "degree"))
     with _input(name):
         fit_config = FitConfig(**fit_fields)
-    samples = SampleSet.read_csv(args.samples)
-    holdout = SampleSet.read_csv(args.holdout) if args.holdout else None
+    files = {path: SampleSet.read_csv(path) for path in (args.samples, args.holdout) if path}
     _check_dims(bbox.dim, {f"sample file {path}": {"the mu of each row": data.points[0]}
-                           for path, data in ((args.samples, samples), (args.holdout, holdout))
-                           if data is not None})
-    model, report = als_fit(samples, fit_config, intervals)
+                           for path, data in files.items()})
+    for path, data in files.items():
+        _check_inside(intervals, data.points, f"sample file {path} lies outside the "
+                      f"'sampling_domain' of domain file {args.domain}")
+    model, report = als_fit(files[args.samples], fit_config, intervals)
     summary = {
         "additive_residual": report.additive_residual,
         "final_rank": report.final_rank,
@@ -245,8 +246,9 @@ def cmd_fit(args) -> int:
         "final_residual": report.residual_history[-1],
         "converged": report.converged,
     }
-    if holdout is not None:
-        summary["holdout"] = dataclasses.asdict(metrics.surrogate_errors(model, holdout))
+    if args.holdout:
+        errors = metrics.surrogate_errors(model, files[args.holdout])
+        summary["holdout"] = dataclasses.asdict(errors)
     model.save(args.out)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return EXIT_OK
@@ -264,8 +266,9 @@ def cmd_allocate(args) -> int:
                             f"domain file {args.domain}": {"'tau_min'": bbox.tau_min,
                                                            "'tau_max'": bbox.tau_max}})
     gfun, measure, q_allow = _problem(config, args.config, model)
-    _check_inside(model, gfun.center, bbox.tau_max,
-                  f"the box 'nominal' +- 'tau_max' of domain file {args.domain}")
+    _check_inside(model.intervals, [gfun.center - bbox.tau_max, gfun.center + bbox.tau_max],
+                  f"the box 'nominal' +- 'tau_max' of domain file {args.domain} lies outside "
+                  "the model's intervals")
     tau0 = manifold.initial_guess(bbox, measure, gfun, q_allow)
     run = manifold.gradient_ascent if args.method == "ga" else manifold.conjugate_gradient
     result = run(tau0, bbox, gfun, q_allow, measure)
@@ -303,8 +306,9 @@ def cmd_check(args) -> int:
                             f"tolerance result file {args.tau}": {"'tau'": tau},
                             f"reference result file {args.reference}": {"'tau'": tau_ref}})
     gfun, measure, q_allow = _problem(config, args.config, model)
-    _check_inside(model, gfun.center, tau,
-                  f"the box 'nominal' +- 'tau' of tolerance result file {args.tau}")
+    _check_inside(model.intervals, [gfun.center - tau, gfun.center + tau],
+                  f"the box 'nominal' +- 'tau' of tolerance result file {args.tau} lies outside "
+                  "the model's intervals")
     report = metrics.allocation_errors(tau, tau_ref, measure, gfun, q_allow)
     print(json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True))
     thresholds = config.get("check_thresholds", {})

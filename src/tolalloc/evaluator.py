@@ -1,12 +1,12 @@
 """System-performance evaluators: builtin analytic problems, tabulated data,
 external solver subprocesses, and the max-of-several composite.
 
-Every evaluator exposes ``dim`` and ``__call__(mu) -> float``; one that
-holds a child process also has ``close()``.  The external evaluator and the
-max composite add a batch call, ``many(points) -> values``.  Sampling calls
-an external evaluator's ``many(points, rows)`` itself, so that the child's
-exchange also renders the sample-file rows, and reaches every other
-evaluator through :func:`evaluate_many`.  No stage differentiates an
+Every evaluator derives from :class:`Evaluator` and defines ``dim`` and one
+batch call, ``many(points) -> values`` on an (n, dim) stack; the base class
+answers a single point, ``__call__(mu) -> float``, through it and has a
+``close()`` that an evaluator holding a child process overrides.  Sampling
+calls an external evaluator's ``many(points, rows)``, so that the child's
+exchange also renders the sample-file rows.  No stage differentiates an
 evaluator: every gradient the allocation uses comes from the surrogate.
 """
 
@@ -36,8 +36,8 @@ READ_BYTES = 65536
 
 
 class EvaluatorError(NumericError):
-    """Raised when an evaluator cannot produce a value.  One raised by a batch
-    (:func:`evaluate_many`) sets ``row``, the index of the point whose value
+    """Raised when an evaluator cannot produce a value.  One raised by
+    :meth:`Evaluator.many` sets ``row``, the index of the point whose value
     failed."""
 
     row: int | None = None
@@ -47,6 +47,27 @@ class DomainError(NumericError):
     """Raised when a query point falls outside an evaluator's domain."""
 
 
+class Evaluator:
+    """The contract of every evaluator: a subclass defines ``dim`` and
+    ``many``.  A single point is answered as a batch of one, so a point's
+    value has the same bits either way."""
+
+    dim: int
+
+    def __call__(self, mu) -> float:
+        mu = np.asarray(mu, dtype=float)
+        if mu.shape != (self.dim,):
+            raise ValueError(f"expected {self.dim} components, got shape {mu.shape}")
+        return float(self.many(mu[None])[0])
+
+    def many(self, points) -> np.ndarray:
+        """Values at the rows of an (n, dim) stack; an EvaluatorError sets ``row``."""
+        raise NotImplementedError
+
+    def close(self) -> None:
+        """Stop the child processes behind the evaluator; an in-process one has none."""
+
+
 # ---------------------------------------------------------------------------
 # Builtin analytic problems
 # ---------------------------------------------------------------------------
@@ -54,11 +75,11 @@ class DomainError(NumericError):
 # A builtin's arithmetic runs with numpy's overflow and invalid-value warnings
 # off: its callers turn a non-finite value into their own error.
 
-class _CenteredSum:
+class _CenteredSum(Evaluator):
     """Coefficient vector ``a`` and a ``center`` of the same length (zero by
     default), each of finite numbers, shared by the builtins that sum
     a_i g(mu_i - center_i).  Each subclass names itself in ``kind``, its
-    catalog name."""
+    catalog name, and sets ``_g``, the ufunc g."""
 
     def __init__(self, a, center=None):
         self.a = _number_array(a, "a")
@@ -72,37 +93,36 @@ class _CenteredSum:
     def dim(self) -> int:
         return self.a.size
 
+    def many(self, points) -> np.ndarray:
+        # One dot product per row: a matrix product would round differently.
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = self._g(np.asarray(points, dtype=float) - self.center)
+            return np.array([self.a @ row for row in terms])
+
 
 class QuadraticBowl(_CenteredSum):
     """Q(mu) = sum_i a_i (mu_i - center_i)^2."""
 
     kind = "quadratic-bowl"
-
-    def __call__(self, mu) -> float:
-        with np.errstate(over="ignore", invalid="ignore"):
-            delta = np.asarray(mu, dtype=float) - self.center
-            return float(self.a @ (delta * delta))
+    _g = np.square
 
 
 class AbsSum(_CenteredSum):
     """Q(mu) = sum_i a_i |mu_i - center_i|."""
 
     kind = "abs-sum"
-
-    def __call__(self, mu) -> float:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return float(self.a @ np.abs(np.asarray(mu, dtype=float) - self.center))
+    _g = np.abs
 
 
-class ExpCos:
+class ExpCos(Evaluator):
     """Q(mu) = exp(mu_1) * cos(mu_2), a smooth two-parameter benchmark."""
 
     dim = 2
 
-    def __call__(self, mu) -> float:
-        mu = np.asarray(mu, dtype=float)
+    def many(self, points) -> np.ndarray:
+        points = np.asarray(points, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
-            return float(np.exp(mu[0]) * np.cos(mu[1]))
+            return np.exp(points[:, 0]) * np.cos(points[:, 1])
 
 
 def _rank2_synthetic_model() -> SeparatedModel:
@@ -122,7 +142,7 @@ def _rank2_synthetic_model() -> SeparatedModel:
     )
 
 
-class Rank2Synthetic:
+class Rank2Synthetic(Evaluator):
     """A fixed rank-2, degree-3 separated function on [-1, 1]^2."""
 
     dim = 2
@@ -130,21 +150,18 @@ class Rank2Synthetic:
     def __init__(self):
         self.model = _rank2_synthetic_model()
 
-    def __call__(self, mu) -> float:
-        return self.model(mu)
+    def many(self, points) -> np.ndarray:
+        return self.model.eval_many(points)
 
 
 class LinearForm(_CenteredSum):
     """Q(mu) = a . mu, handy for affine-reproduction checks: the center is 0."""
 
     kind = "linear"
+    _g = np.positive
 
     def __init__(self, a):
         super().__init__(a)
-
-    def __call__(self, mu) -> float:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return float(self.a @ np.asarray(mu, dtype=float))
 
 
 # Each builtin's class and the keys of its parameters, required and optional.
@@ -174,7 +191,7 @@ def make_builtin(name: str, parameters: dict | None = None):
 # Tabulated evaluator
 # ---------------------------------------------------------------------------
 
-class TabulatedEvaluator:
+class TabulatedEvaluator(Evaluator):
     """Multilinear interpolation of a full tensor-product grid of samples.
 
     Queries outside the grid hull, NaN included, raise :class:`DomainError`.
@@ -197,10 +214,10 @@ class TabulatedEvaluator:
     def dim(self) -> int:
         return len(self._axes)
 
-    def __call__(self, mu) -> float:
-        mu = np.asarray(mu, dtype=float)
-        if mu.shape != (self.dim,):
-            raise ValueError(f"expected {self.dim} components, got shape {mu.shape}")
+    def many(self, points) -> np.ndarray:
+        return np.array([self._interpolate(mu) for mu in np.asarray(points, dtype=float)])
+
+    def _interpolate(self, mu: np.ndarray) -> float:
         cell, weights = [], []
         for ax, x in zip(self._axes, mu):
             if not ax[0] <= x <= ax[-1]:
@@ -220,7 +237,7 @@ class TabulatedEvaluator:
 # External subprocess evaluator
 # ---------------------------------------------------------------------------
 
-class ExternalEvaluator:
+class ExternalEvaluator(Evaluator):
     """Bridges to a resident child process over a line-based protocol.
 
     One request per line: ``dim`` whitespace-separated decimal reals on stdin.
@@ -306,12 +323,6 @@ class ExternalEvaluator:
         if not math.isfinite(value):
             raise self._fail(f"returned non-finite value {_quote(text)}")
         return value
-
-    def __call__(self, mu) -> float:
-        mu = np.asarray(mu, dtype=float)
-        if mu.shape != (self._dim,):
-            raise ValueError(f"expected {self._dim} components, got shape {mu.shape}")
-        return float(self.many(mu[np.newaxis])[0])
 
     def many(self, points, rows: list | None = None) -> np.ndarray:
         """Values at the rows of an (n, dim) stack, in one pipelined exchange.
@@ -452,17 +463,11 @@ def _quote(output) -> str:
     return repr(output[:STDOUT_QUOTE_CHARS]) + (f" and {more} more" if more > 0 else "")
 
 
-def close_evaluator(evaluator) -> None:
-    """Stop the child processes behind an evaluator; in-process ones have none."""
-    if hasattr(evaluator, "close"):
-        evaluator.close()
-
-
 # ---------------------------------------------------------------------------
 # Max composite
 # ---------------------------------------------------------------------------
 
-class MaxComposite:
+class MaxComposite(Evaluator):
     """Pointwise maximum of several evaluators sharing one dimension."""
 
     def __init__(self, children):
@@ -478,19 +483,16 @@ class MaxComposite:
     def dim(self) -> int:
         return self.children[0].dim
 
-    def __call__(self, mu) -> float:
-        return max(child(mu) for child in self.children)
-
     def many(self, points) -> np.ndarray:
         """Elementwise maximum of the children's values at the rows of an
-        (n, dim) stack, each child's taken by :func:`evaluate_many`."""
-        return np.max([evaluate_many(child, points) for child in self.children], axis=0)
+        (n, dim) stack."""
+        return np.max([child.many(points) for child in self.children], axis=0)
 
     def close(self) -> None:
         """Close every child, even after one of them raises."""
         with contextlib.ExitStack() as stack:
             for child in self.children:
-                stack.callback(close_evaluator, child)
+                stack.callback(child.close)
 
 
 # ---------------------------------------------------------------------------
@@ -535,22 +537,6 @@ def from_config(spec: dict):
     return MaxComposite(from_config(child) for child in spec["children"])
 
 
-def evaluate_many(evaluator, points: np.ndarray) -> np.ndarray:
-    """Values at the rows of an (n, dim) stack: the evaluator's own ``many``
-    where it has one, else one call per row.  An :class:`EvaluatorError`
-    names in ``row`` the point whose value failed."""
-    if hasattr(evaluator, "many"):
-        return evaluator.many(points)
-    values = np.empty(len(points))
-    for row, point in enumerate(points):
-        try:
-            values[row] = evaluator(point)
-        except EvaluatorError as exc:
-            exc.row = row
-            raise
-    return values
-
-
 def draw_samples(evaluator, domain, n: int, seed: int) -> SampleSet:
     """Draw n i.i.d. uniform points over the box and evaluate them.
 
@@ -571,7 +557,7 @@ def draw_samples(evaluator, domain, n: int, seed: int) -> SampleSet:
     points = lo + _uniform(seed, (n, len(intervals))) * width
     rows = [] if isinstance(evaluator, ExternalEvaluator) else None
     try:
-        values = evaluate_many(evaluator, points) if rows is None else evaluator.many(points, rows)
+        values = evaluator.many(points) if rows is None else evaluator.many(points, rows)
     except EvaluatorError as exc:
         raise EvaluatorError(f"evaluation failed at mu={points[exc.row].tolist()}: "
                              f"{exc}") from exc

@@ -1,14 +1,15 @@
 """Tolerance measures F(tau) and their gradients.
 
-Four families: the plain 1-norm, the sensitivity-weighted mu-norm, the
-harmonic -1-norm, and the inverse of a reciprocal-power manufacturing cost.
-All are monotone in every component and pure functions of tau.
+Two families, each monotone in every tau_i and a function of a separable sum:
+the weighted sum (the mu-norm; the 1-norm has unit weights) and the inverse of
+a reciprocal-power cost (the harmonic -1-norm is its case a = 0, b = k = 1).
+A parameter is a number, shared by every axis, or holds one value per axis.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,22 +18,14 @@ from .surrogate import SeparatedModel, _fields, _number_array
 DEGENERATE_WEIGHT_TOL = 1e-8
 
 
-def _check_nonnegative(tau: np.ndarray) -> np.ndarray:
+def _check_tau(tau, *parameters: np.ndarray) -> np.ndarray:
+    """``tau`` as floats, each >= 0, one per entry of each vector parameter."""
     tau = np.asarray(tau, dtype=float)
     if np.any(tau < 0.0):
         raise ValueError("tolerance components must be nonnegative")
+    if any(p.ndim and p.shape != tau.shape for p in parameters):
+        raise ValueError("tolerance components must match the measure's parameters in number")
     return tau
-
-
-@dataclass(frozen=True)
-class OneNorm:
-    """F(tau) = sum_i tau_i."""
-
-    def value(self, tau) -> float:
-        return float(_check_nonnegative(tau).sum())
-
-    def grad(self, tau) -> np.ndarray:
-        return np.ones_like(_check_nonnegative(tau))
 
 
 @dataclass(frozen=True)
@@ -43,8 +36,8 @@ class MuNorm:
 
     def __post_init__(self):
         weights = np.asarray(self.weights, dtype=float)
-        if weights.ndim != 1 or weights.size < 1:
-            raise ValueError("weights must be a 1-d vector")
+        if weights.ndim > 1 or weights.size < 1:
+            raise ValueError("weights must be a number or a 1-d vector")
         if np.any(weights < 0.0) or not np.all(np.isfinite(weights)):
             raise ValueError("weights must be finite and nonnegative")
         if np.all(weights == 0.0):
@@ -52,29 +45,17 @@ class MuNorm:
         object.__setattr__(self, "weights", weights)
 
     def value(self, tau) -> float:
-        return float(self.weights @ _check_nonnegative(tau))
+        return float(np.sum(self.weights * _check_tau(tau, self.weights)))
 
     def grad(self, tau) -> np.ndarray:
-        _check_nonnegative(tau)
-        return self.weights.copy()
+        return self.weights * np.ones_like(_check_tau(tau, self.weights))
 
 
-@dataclass(frozen=True)
-class MinusOneNorm:
-    """F(tau) = (sum_i 1/tau_i)^-1, extended by continuity to 0 on the boundary."""
+class OneNorm(MuNorm):
+    """F(tau) = sum_i tau_i: the mu-norm with unit weights."""
 
-    def value(self, tau) -> float:
-        tau = _check_nonnegative(tau)
-        if np.any(tau == 0.0):
-            return 0.0
-        return float(1.0 / np.sum(1.0 / tau))
-
-    def grad(self, tau) -> np.ndarray:
-        tau = _check_nonnegative(tau)
-        if np.any(tau == 0.0):
-            raise ValueError("-1-norm gradient undefined at zero components")
-        f = self.value(tau)
-        return (f * f) / (tau * tau)
+    def __init__(self):
+        super().__init__(weights=1.0)
 
 
 @dataclass(frozen=True)
@@ -86,33 +67,38 @@ class ReciprocalPowerCost:
     k: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        k = np.asarray(self.k, dtype=float)
-        if not (a.shape == b.shape == k.shape) or a.ndim != 1:
-            raise ValueError("a, b, k must be 1-d vectors of equal length")
-        if not (np.all(np.isfinite([a, b, k])) and np.all(a >= 0.0)
+        a, b, k = (np.asarray(value, dtype=float) for value in (self.a, self.b, self.k))
+        if max(a.ndim, b.ndim, k.ndim) > 1 or len({x.size for x in (a, b, k) if x.ndim}) > 1:
+            raise ValueError("a, b, k must be numbers or 1-d vectors of equal length")
+        if not (all(np.all(np.isfinite(x)) for x in (a, b, k)) and np.all(a >= 0.0)
                 and np.all(b > 0.0) and np.all(k > 0.0)):
             raise ValueError("a must be finite and nonnegative, b and k finite and positive")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "k", k)
+        for name, value in zip("abk", (a, b, k)):
+            object.__setattr__(self, name, value)
 
     def _cost(self, tau: np.ndarray) -> float:
         return float(np.sum(self.a + self.b / tau**self.k))
 
     def value(self, tau) -> float:
-        tau = _check_nonnegative(tau)
+        tau = _check_tau(tau, self.a, self.b, self.k)
         if np.any(tau == 0.0):
             return 0.0
         return 1.0 / self._cost(tau)
 
     def grad(self, tau) -> np.ndarray:
-        tau = _check_nonnegative(tau)
+        tau = _check_tau(tau, self.a, self.b, self.k)
         if np.any(tau == 0.0):
             raise ValueError("cost-measure gradient undefined at zero components")
         f = self.value(tau)
-        return (f * f) * self.b * self.k / tau ** (self.k + 1.0)
+        # Not tau^(k + 1): at k = 1 this is tau * tau, which a vector tau^2 need not be.
+        return (f * f) * self.b * self.k / (tau**self.k * tau)
+
+
+class MinusOneNorm(ReciprocalPowerCost):
+    """F(tau) = (sum_i 1/tau_i)^-1, 0 on the boundary: the cost with a = 0, b = k = 1."""
+
+    def __init__(self):
+        super().__init__(a=0.0, b=1.0, k=1.0)
 
 
 def ascent_direction(measure, tau) -> np.ndarray:
@@ -145,11 +131,12 @@ def mu_norm_from_model(model: SeparatedModel, mu_hat):
     return MuNorm(weights=weights)
 
 
-# The measure of each config kind; its other keys are the class's fields,
-# each required but a mu-norm's weights.
+# The measure of each config kind and its other keys, each required but a
+# mu-norm's weights.
 KINDS = {"one-norm": OneNorm, "mu-norm": MuNorm, "minus-one-norm": MinusOneNorm,
          "reciprocal-power-cost": ReciprocalPowerCost}
-KIND_KEYS = {kind: tuple(field.name for field in fields(cls)) for kind, cls in KINDS.items()}
+KIND_KEYS = {"one-norm": (), "mu-norm": ("weights",), "minus-one-norm": (),
+             "reciprocal-power-cost": ("a", "b", "k")}
 
 
 def from_config(spec: dict, model: SeparatedModel | None = None, mu_hat=None):

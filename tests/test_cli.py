@@ -1006,8 +1006,9 @@ SAMPLES_D3 = "mu_1,mu_2,mu_3,q\r\n0.1,0.2,0.3,1.0\r\n"
     ("sample", "domain", {"sampling_domain": [[-1.0, 1.0]]}, "domain file", "'sampling_domain'"),
     ("fit", "samples", SAMPLES_D3, "sample file", "the mu of each row"),
     ("fit", "holdout", SAMPLES_D3, "sample file", "the mu of each row"),
+    ("fit", "domain", {"tau_min": [0.0]}, "domain file", "'tau_min'"),
 ], ids=["size-domain-nominal", "size-domain-caps", "size-domain-tau_min", "sample-1-row-domain",
-        "sample-rows-differ-from-tau_max", "fit-samples", "fit-holdout"])
+        "sample-rows-differ-from-tau_max", "fit-samples", "fit-holdout", "fit-domain-tau_min"])
 def test_vector_of_another_dimension_than_the_evaluator_or_domain_exits_2(
         tmp_path, capsys, monkeypatch, command, name, text, where, field):
     config = {**BOWL_CONFIG, "evaluator": {"variant": "external", "dim": 2,
@@ -1034,6 +1035,30 @@ def test_vector_of_another_dimension_than_the_evaluator_or_domain_exits_2(
                       "one per parameter\n")
     assert "cannot start" not in stderr and not fits
     assert not out.exists() and not list(tmp_path.glob("*.tmp"))
+
+
+# A sample row outside the domain file's intervals exits 2 naming the sample
+# file and the domain file, before the fit, whichever file holds it.
+@pytest.mark.parametrize("name, row", [("samples", "3.0,0.0,9.0"), ("holdout", "5.0,0.0,25.0")],
+                         ids=["samples", "holdout"])
+def test_fit_sample_outside_the_domain_exits_2(tmp_path, capsys, monkeypatch, config_path,
+                                               name, row):
+    domain = _write_domain(tmp_path)  # [-1, 1] x [-0.5, 0.5]
+    files = {key: tmp_path / f"{key}.csv" for key in ("samples", "holdout")}
+    for path in files.values():
+        path.write_text("mu_1,mu_2,q\r\n0.1,0.2,0.17\r\n")
+    files[name].write_text(f"mu_1,mu_2,q\r\n0.1,0.2,0.17\r\n{row}\r\n")
+    fits = []
+    monkeypatch.setattr(cli, "als_fit", lambda *args: fits.append(args))
+    out = tmp_path / "model.json"
+    code, stdout, stderr = run(capsys, "fit", "--config", config_path, "--domain", domain,
+                               "--samples", str(files["samples"]),
+                               "--holdout", str(files["holdout"]), "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith(f"error: sample file {files[name]} lies outside the "
+                             f"'sampling_domain' of domain file {domain}: points fall outside "
+                             "interval for dimension 0")
+    assert not fits and not out.exists() and not list(tmp_path.glob("*.tmp"))
 
 
 # A measure key that the kind does not read, or lacks, a kind that is not a

@@ -12,6 +12,7 @@ from tolalloc.evaluator import (
     REQUEST_BLOCK_ROWS,
     AbsSum,
     DomainError,
+    Evaluator,
     EvaluatorError,
     ExpCos,
     ExternalEvaluator,
@@ -502,8 +503,8 @@ def test_max_composite_close_stops_every_child_when_one_fails():
 
 
 def test_max_composite_samples_as_its_children_do_point_by_point():
-    # Two children answer batches over the line protocol; the linear one has
-    # no batch call and is evaluated point by point.
+    # Two children answer batches over the line protocol; the linear one
+    # answers in process.
     comp = MaxComposite([ExternalEvaluator([sys.executable, MISBEHAVING, "chatty"], dim=2),
                          ExternalEvaluator([sys.executable, SERVER, "4.0,0.25"], dim=2),
                          LinearForm([1.0, -1.0])])
@@ -520,19 +521,20 @@ def test_max_composite_samples_as_its_children_do_point_by_point():
     np.testing.assert_array_equal(samples.values, batch)
 
 
-class FailsOnCall:
-    """Q(mu) = mu_1, with no batch call, raising EvaluatorError on call ``k``."""
+class FailsAtRow(Evaluator):
+    """Q(mu) = mu_1, raising EvaluatorError at row ``k`` of a batch that has one."""
 
     dim = 2
 
     def __init__(self, k):
-        self.k, self.calls = k, 0
+        self.k = k
 
-    def __call__(self, mu) -> float:
-        self.calls += 1
-        if self.calls == self.k + 1:
-            raise EvaluatorError("no value")
-        return float(mu[0])
+    def many(self, points) -> np.ndarray:
+        if len(points) > self.k:
+            exc = EvaluatorError("no value")
+            exc.row = self.k
+            raise exc
+        return np.asarray(points, dtype=float)[:, 0]
 
 
 @pytest.mark.parametrize("children", [
@@ -540,7 +542,7 @@ class FailsOnCall:
                ExternalEvaluator([sys.executable, SERVER, "1.0,1.0"], dim=2)],
     lambda k: [ExternalEvaluator([sys.executable, SERVER, "1.0,1.0"], dim=2),
                ExternalEvaluator([sys.executable, MISBEHAVING, "garbage-at", str(k)], dim=2)],
-    lambda k: [LinearForm([1.0, 1.0]), FailsOnCall(k)],
+    lambda k: [LinearForm([1.0, 1.0]), FailsAtRow(k)],
 ], ids=["first-child", "second-child", "per-point-child"])
 def test_max_composite_failure_mid_batch_names_the_row(children):
     k, domain = 3, (Interval(-1, 1), Interval(-1, 1))
@@ -553,6 +555,44 @@ def test_max_composite_failure_mid_batch_names_the_row(children):
         comp.close()
     assert f"evaluation failed at mu={points[k].tolist()}:" in str(exc.value)
     assert exc.value.__cause__.row == k
+
+
+# ---------------------------------------------------------------------------
+# The evaluator contract
+# ---------------------------------------------------------------------------
+
+# The parameters of each builtin that takes some; the others take none.
+BUILTIN_PARAMETERS = {
+    "quadratic-bowl": {"a": [2.0, 0.5], "center": [0.25, -0.5]},
+    "abs-sum": {"a": [1.0, 3.0], "center": [-0.5, 0.125]},
+    "linear": {"a": [1.5, -2.0]},
+}
+CONTRACT_CASES = {
+    **{name: lambda name=name: make_builtin(name, BUILTIN_PARAMETERS.get(name))
+       for name in sorted(builtin_catalog())},
+    "tabulated": lambda: TabulatedEvaluator(_grid_samples(
+        lambda p: p[0] ** 2 + np.sin(p[1]), (np.linspace(-1.0, 1.0, 5), np.linspace(-1.0, 1.0, 4))
+    )),
+    "external": lambda: ExternalEvaluator([sys.executable, SERVER, "2.0,0.5"], dim=2),
+    "max": lambda: MaxComposite([ExternalEvaluator([sys.executable, SERVER, "2.0,0.5"], dim=2),
+                                 make_builtin("exp-cos")]),
+}
+
+
+@pytest.mark.parametrize("make", CONTRACT_CASES.values(), ids=CONTRACT_CASES.keys())
+def test_every_evaluator_answers_a_point_as_a_batch_of_one(make):
+    # Points of [-1, 1]^2, where every case is defined.
+    points = 2.0 * _uniform(9, (40, 2)) - 1.0
+    evaluator = make()
+    try:
+        batch = evaluator.many(points)
+        single = np.array([evaluator(point) for point in points])
+        for wrong in (points[0, :1], np.zeros(3), points[:2]):
+            with pytest.raises(ValueError, match="expected 2 components"):
+                evaluator(wrong)
+    finally:
+        evaluator.close()
+    assert batch.dtype == np.float64 and batch.tobytes() == single.tobytes()
 
 
 # ---------------------------------------------------------------------------

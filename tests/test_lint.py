@@ -377,3 +377,28 @@ def test_cli_compares_lengths_with_d_only_in_the_dims_rule():
 ])
 def test_shape_read_detector(source, flagged):
     assert bool(_shape_reads_outside_dims_rule(ast.parse(source))) == flagged
+
+
+# Each role has one contract, such as the evaluator's base class, so no
+# module asks an object which methods it has.
+def _hasattr_calls(tree: ast.Module) -> list[int]:
+    """Lines of every ``hasattr(...)`` call, by name or as an attribute."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and (isinstance(node.func, ast.Name) and node.func.id == "hasattr"
+                 or isinstance(node.func, ast.Attribute) and node.func.attr == "hasattr")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_module_does_not_call_hasattr(path):
+    lines = _hasattr_calls(ast.parse(path.read_text(), filename=str(path)))
+    assert not lines, f"{path.name}: hasattr called on line(s) {', '.join(map(str, lines))}"
+
+
+@pytest.mark.parametrize("source, flagged", [
+    ('if hasattr(evaluator, "many"):\n    pass', True),
+    ('class C:\n    def close(self):\n        return hasattr(self, "_proc")', True),
+    ('builtins.hasattr(x, "close")', True),
+    ('getattr(x, "close", None)\nx.hasattr\nhasattr = 1\n"hasattr(x, y)"', False),
+])
+def test_hasattr_detector(source, flagged):
+    assert bool(_hasattr_calls(ast.parse(source))) == flagged

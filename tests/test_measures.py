@@ -98,12 +98,26 @@ def test_reciprocal_power_cost_values():
                     ([0.0, 0.0], [1.0, 1.0], [1.0, np.nan])]:
         with pytest.raises(ValueError):
             ReciprocalPowerCost(a=np.array(a), b=np.array(b), k=np.array(k))
+    # A number serves every axis; vectors must agree in length.
+    assert ReciprocalPowerCost(a=0.0, b=[1.0, 2.0], k=1.0).value(tau) == pytest.approx(0.25)
+    for a, b, k in [(0.0, np.ones(2), np.ones(3)), (np.zeros((1, 2)), 1.0, 1.0)]:
+        with pytest.raises(ValueError, match="numbers or 1-d vectors of equal length"):
+            ReciprocalPowerCost(a=a, b=b, k=k)
 
 
 def test_negative_tolerances_rejected():
     for measure in measures_for(np.ones(2)):
         with pytest.raises(ValueError):
             measure.value([-0.1, 1.0])
+
+
+def test_a_tolerance_of_another_length_than_a_vector_parameter_is_rejected():
+    for measure in [MuNorm(weights=[1.0, 2.0]), ReciprocalPowerCost(a=0.0, b=1.0, k=[1.0, 2.0])]:
+        for method in (measure.value, measure.grad):
+            with pytest.raises(ValueError, match="must match the measure's parameters"):
+                method([3.0])
+    # A number serves a tolerance vector of any length.
+    assert OneNorm().value([3.0]) == 3.0 and MinusOneNorm().value([2.0, 2.0, 2.0, 2.0]) == 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +225,14 @@ def test_config_roundtrip_all_kinds():
         assert type(rebuilt) is type(measure)
         assert rebuilt.value(tau) == measure.value(tau)
         np.testing.assert_array_equal(rebuilt.grad(tau), measure.grad(tau))
+    # Each norm is a member of a family, with the same bits.
+    ones, zeros = np.ones(2), np.zeros(2)
+    for member, family in [(OneNorm(), MuNorm(ones)),
+                           (MinusOneNorm(), ReciprocalPowerCost(zeros, ones, ones))]:
+        assert isinstance(member, type(family))
+        assert np.float64(member.value(tau)).tobytes() == np.float64(family.value(tau)).tobytes()
+        assert member.grad(tau).tobytes() == family.grad(tau).tobytes()
+    assert OneNorm().value(tau) == tau.sum()
 
 
 def test_from_config_mu_norm_derives_weights():
