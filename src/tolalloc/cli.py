@@ -6,9 +6,9 @@ fields.  Exit codes: 0 success, 1 threshold/constraint failure, 2 usage/IO
 error, 3 numeric failure (a ``NumericError``, an ``ArithmeticError`` or a
 ``LinAlgError``).
 
-Every command pays for numpy, ``surrogate``, ``domain`` and ``metrics``; the
-evaluator, worst-case, manifold and measure modules are imported only by the
-commands that run them, since each command is a process of its own.
+Every command pays for numpy, ``files`` (every file goes through it),
+``surrogate``, ``domain`` and ``metrics``; the evaluator, worst-case, manifold
+and measure modules are imported only by the commands that run them.
 """
 
 from __future__ import annotations
@@ -19,15 +19,15 @@ import gc
 import json
 import sys
 from contextlib import closing, contextmanager
-from pathlib import Path
 
 import numpy as np
 
 from . import metrics
 from .domain import BoundingBox, ConstraintError, size_bounding_box
-from .surrogate import FORMAT_VERSION, FitConfig, Interval, NumericError, SampleSet, SeparatedModel
-from .surrogate import _fields, _integer, _intervals, _number_array, _standardize, als_fit
-from .surrogate import write_csv, write_json
+from .files import Interval, _fields, _integer, _number_array, model_fields
+from .files import read_domain, read_json, read_samples, read_tau, write_domain
+from .files import write_result, write_samples, write_scan, write_summary, write_trace
+from .surrogate import FitConfig, NumericError, SampleSet, SeparatedModel, _standardize, als_fit
 
 # The keys each object-valued config field reads; the evaluator and measure
 # modules read the keys of theirs.  The top-level ``seed`` (or ``sample
@@ -62,7 +62,7 @@ def _input(where: str):
 
 def _load_json(path, what: str) -> dict:
     with _input(f"cannot read {what} file {path}"):
-        return json.loads(Path(path).read_text())
+        return read_json(path)
 
 
 def load_config(path, required=()) -> dict:
@@ -102,15 +102,12 @@ def _open_evaluator(config: dict, path):
 
 def _domain_from(path) -> tuple[BoundingBox, tuple[Interval, ...]]:
     """Bounding box and sampling intervals from a size-domain file."""
-    data = _fields(_load_json(path, "domain"), f"domain file {path}",
-                   ("tau_min", "tau_max", "sampling_domain"))
-    tau_min, tau_max = (_number_array(data[name], f"field {name!r} of domain file {path}")
-                        for name in ("tau_min", "tau_max"))
-    _check_dims(tau_max.size, {f"domain file {path}": {"'tau_min'": tau_min}})
-    with _input(f"fields 'tau_min' and 'tau_max' of domain file {path} are malformed"):
-        bbox = BoundingBox(tau_min, tau_max)
-    intervals = _intervals(data["sampling_domain"],
-                           f"field 'sampling_domain' of domain file {path}")
+    def box(tau_min, tau_max) -> BoundingBox:
+        _check_dims(tau_max.size, {f"domain file {path}": {"'tau_min'": tau_min}})
+        with _input(f"fields 'tau_min' and 'tau_max' of domain file {path} are malformed"):
+            return BoundingBox(tau_min, tau_max)
+
+    bbox, intervals = read_domain(_load_json(path, "domain"), path, box)
     _check_dims(bbox.dim, {f"domain file {path}": {"'sampling_domain'": intervals}})
     return bbox, intervals
 
@@ -118,17 +115,7 @@ def _domain_from(path) -> tuple[BoundingBox, tuple[Interval, ...]]:
 def _model_from(path) -> SeparatedModel:
     """Surrogate from a model file that ``fit`` wrote."""
     with _input(f"bad model file {path}"):
-        return SeparatedModel.from_dict(_load_json(path, "model"))
-
-
-def _tau_from(path, what: str) -> np.ndarray:
-    """The ``tau`` vector of an ``allocate`` result file."""
-    data = _fields(_load_json(path, what), f"{what} file {path}", ("tau",))
-    with _input(f"{what} file {path} lacks a 'tau' vector of finite numbers >= 0"):
-        tau = _number_array(data["tau"], "tau")
-        if tau.ndim != 1 or np.any(tau < 0.0):
-            raise ValueError(f"got {data['tau']!r}")
-    return tau
+        return SeparatedModel(**model_fields(_load_json(path, "model")))
 
 
 def _check_dims(d: int, files: dict) -> None:
@@ -183,7 +170,7 @@ def cmd_sample(args) -> int:
         _check_dims(evaluator.dim,
                     {f"domain file {args.domain}": {"'sampling_domain'": intervals}})
         samples = evaluator_mod.draw_samples(evaluator, intervals, n, seed)
-    samples.write_csv(args.out)
+    write_samples(args.out, samples)
     print(f"wrote {len(samples)} samples to {args.out}")
     return EXIT_OK
 
@@ -212,13 +199,7 @@ def cmd_size_domain(args) -> int:
                          f"tau_min = {tau_min.tolist()}, tau_max = {sized.tau_max.tolist()}")
     bbox = BoundingBox(tau_min, sized.tau_max)
     capped = (bbox.tau_max >= caps).tolist()
-    write_json(args.out, {
-        "format_version": FORMAT_VERSION,
-        "tau_min": bbox.tau_min.tolist(),
-        "tau_max": bbox.tau_max.tolist(),
-        "sampling_domain": [[iv.lo, iv.hi] for iv in intervals],
-        "capped": capped,
-    })
+    write_domain(args.out, bbox, intervals, capped)
     print(f"tau_max = {bbox.tau_max.tolist()}")
     if any(capped):
         print("warning: some axes hit the search cap", file=sys.stderr)
@@ -232,13 +213,13 @@ def cmd_fit(args) -> int:
     fit_fields = _fields(config["fit"], name, ("target_rank", "degree"))
     with _input(name):
         fit_config = FitConfig(**fit_fields)
-    files = {path: SampleSet.read_csv(path) for path in (args.samples, args.holdout) if path}
+    sets = {path: SampleSet(*read_samples(path)) for path in (args.samples, args.holdout) if path}
     _check_dims(bbox.dim, {f"sample file {path}": {"the mu of each row": data.points[0]}
-                           for path, data in files.items()})
-    for path, data in files.items():
+                           for path, data in sets.items()})
+    for path, data in sets.items():
         _check_inside(intervals, data.points, f"sample file {path} lies outside the "
                       f"'sampling_domain' of domain file {args.domain}")
-    model, report = als_fit(files[args.samples], fit_config, intervals)
+    model, report = als_fit(sets[args.samples], fit_config, intervals)
     summary = {
         "additive_residual": report.additive_residual,
         "final_rank": report.final_rank,
@@ -247,7 +228,7 @@ def cmd_fit(args) -> int:
         "converged": report.converged,
     }
     if args.holdout:
-        errors = metrics.surrogate_errors(model, files[args.holdout])
+        errors = metrics.surrogate_errors(model, sets[args.holdout])
         summary["holdout"] = dataclasses.asdict(errors)
     model.save(args.out)
     print(json.dumps(summary, indent=2, sort_keys=True))
@@ -272,35 +253,21 @@ def cmd_allocate(args) -> int:
     tau0 = manifold.initial_guess(bbox, measure, gfun, q_allow)
     run = manifold.gradient_ascent if args.method == "ga" else manifold.conjugate_gradient
     result = run(tau0, bbox, gfun, q_allow, measure)
-    write_json(args.out, {
-        "format_version": FORMAT_VERSION,
-        "method": result.method,
-        "tau": result.tau.tolist(),
-        "f_opt": result.f_opt,
-        "g_residual": result.g_residual,
-        "iterations": result.iterations,
-        "stop": result.stop,
-        "restarts": result.trace.restarts,
-    })
+    write_result(args.out, result)
     if args.trace:
-        result.trace.write_csv(args.trace)
-    if args.emit_manifold_scan:
-        _emit_manifold_scan(args.emit_manifold_scan, gfun, bbox)
+        write_trace(args.trace, result.trace)
+    if args.emit_manifold_scan:  # G on a 101 x 101 grid of the box, from one solve
+        axes = (np.linspace(lo, hi, 101) for lo, hi in zip(bbox.tau_min, bbox.tau_max))
+        taus = np.column_stack([axis.ravel() for axis in np.meshgrid(*axes, indexing="ij")])
+        write_scan(args.emit_manifold_scan, taus, gfun.solve(taus)[0])
     print(f"tau_hat = {result.tau.tolist()}  F = {result.f_opt}")
     return EXIT_OK
 
 
-def _emit_manifold_scan(path, gfun, bbox: BoundingBox) -> None:
-    """G on a 101 x 101 grid of the box of a 2-parameter problem, from one solve."""
-    axes = (np.linspace(lo, hi, 101) for lo, hi in zip(bbox.tau_min, bbox.tau_max))
-    taus = np.column_stack([axis.ravel() for axis in np.meshgrid(*axes, indexing="ij")])
-    write_csv(path, ["tau_1", "tau_2", "G"], np.column_stack([taus, gfun.solve(taus)[0]]))
-
-
 def cmd_check(args) -> int:
     config = load_config(args.config, PROBLEM_KEYS)
-    tau = _tau_from(args.tau, "tolerance result")
-    tau_ref = _tau_from(args.reference, "reference result")
+    tau, tau_ref = (read_tau(_load_json(path, what), f"{what} file {path}") for path, what
+                    in ((args.tau, "tolerance result"), (args.reference, "reference result")))
     model = _model_from(args.model)
     _check_dims(model.dim, {f"config {args.config}": {"'nominal'": config["nominal"]},
                             f"tolerance result file {args.tau}": {"'tau'": tau},
@@ -323,24 +290,12 @@ def cmd_check(args) -> int:
 
 
 def cmd_report(args) -> int:
-    directory = Path(args.dir)
-    if not directory.is_dir():
-        raise UsageError(f"not a directory: {directory}")
-    summary: dict = {"format_version": FORMAT_VERSION, "artifacts": {}}
-    rows = []
-    for path in sorted(directory.glob("*.json")):
-        if path.name == "summary.json":  # the previous run's output, not an artifact
-            continue
-        data = _load_json(path, "artifact")
-        summary["artifacts"][path.name] = data
-        if isinstance(data, dict) and "tau" in data:
-            rows.append((path.name, data.get("method", "?"), data["tau"], data.get("f_opt")))
-    write_json(directory / "summary.json", summary)
+    summary, rows = write_summary(args.dir, lambda path: _load_json(path, "artifact"))
     if rows:
         print(f"{'artifact':<28} {'method':<7} {'F':<22} tau")
         for name, method, tau, f_opt in rows:
             print(f"{name:<28} {method:<7} {f_opt!r:<22} {tau}")
-    print(f"wrote {directory / 'summary.json'}")
+    print(f"wrote {summary}")
     return EXIT_OK
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .brent import brentq
-from .surrogate import Interval
+from .files import Interval
 
 ROOT_REL_TOL = 1e-10
 BRACKET_INITIAL_FRACTION = 1e-3

@@ -6,8 +6,8 @@ batch call, ``many(points) -> values`` on an (n, dim) stack; the base class
 answers a single point, ``__call__(mu) -> float``, through it and has a
 ``close()`` that an evaluator holding a child process overrides.  Sampling
 calls an external evaluator's ``many(points, rows)``, so that the child's
-exchange also renders the sample-file rows.  No stage differentiates an
-evaluator: every gradient the allocation uses comes from the surrogate.
+exchange also renders the sample-file rows (by :func:`tolalloc.files.sample_rows`).
+No stage differentiates an evaluator: every gradient comes from the surrogate.
 """
 
 from __future__ import annotations
@@ -21,8 +21,9 @@ import time
 
 import numpy as np
 
-from .surrogate import Interval, NumericError, SampleSet, SeparatedModel, _fields, _integer
-from .surrogate import _number_array, _uniform, format_rows
+from .files import Interval, _fields, _integer, _number_array, format_rows, read_samples
+from .files import sample_rows
+from .surrogate import NumericError, SampleSet, SeparatedModel, _uniform
 
 # External-evaluator errors quote at most this many trailing bytes of stderr
 # and this many leading characters of any stdout they name.
@@ -327,9 +328,9 @@ class ExternalEvaluator(Evaluator):
     def many(self, points, rows: list | None = None) -> np.ndarray:
         """Values at the rows of an (n, dim) stack, in one pipelined exchange.
 
-        Given a list, ``rows`` gets the sample-file rows of the points and
-        their values, as :func:`format_rows` would write them, assembled as
-        the answers arrive without formatting a coordinate twice.
+        Given a list, ``rows`` gets one :func:`tolalloc.files.sample_rows` text
+        per chunk of answers, from the request lines sent: no coordinate is
+        formatted twice.
 
         On failure the child is stopped, the next call starts a new one, and
         the :class:`EvaluatorError` names in ``row`` the point whose answer
@@ -343,14 +344,11 @@ class ExternalEvaluator(Evaluator):
         answered = 0
         with self._lock:
             try:
-                for chunk, requests in self._answers(points, rows is not None):
+                for chunk, requests in self._answers(points):
                     values[answered:answered + len(chunk)] = chunk
                     answered += len(chunk)
                     if rows is not None:
-                        # A request line is the %r of each coordinate joined
-                        # by spaces, and no %r of a float holds a space.
-                        rows.append("".join([f"{request},{value!r}\r\n" for request, value
-                                             in zip(requests, chunk)]).replace(" ", ","))
+                        rows.append(sample_rows(requests, chunk))
             except EvaluatorError as exc:
                 exc.row = min(answered, len(points) - 1)
                 raise
@@ -362,26 +360,24 @@ class ExternalEvaluator(Evaluator):
                 raise
         return values
 
-    def _answers(self, points: np.ndarray, keep: bool):
+    def _answers(self, points: np.ndarray):
         """The child's answers to the rows of ``points``, in order, as chunks:
-        the values read in one go, with the request line of each if ``keep``
-        (else none).  Requests are encoded REQUEST_BLOCK_ROWS at a time and
-        written as the child's stdin accepts them, while answers are read as
-        they arrive."""
+        the values read in one go, with the request line of each.  Requests
+        are encoded REQUEST_BLOCK_ROWS at a time and written as the child's
+        stdin accepts them, while answers are read as they arrive."""
         import select
         proc = self._ensure_started()
         out_fd, in_fd = proc.stdout.fileno(), proc.stdin.fileno()
         n, answered, encoded = len(points), 0, 0
         outbox, wrote = b"", False
         pending = b""  # stdout bytes read but not yet consumed
-        unanswered = []  # if keep, the request lines of rows answered to max(encoded, answered)
+        unanswered = []  # the request lines of rows answered to max(encoded, answered)
         deadline = time.monotonic() + self.timeout_seconds
         while answered < n:
             if not outbox and encoded < n:
                 block = points[encoded:encoded + REQUEST_BLOCK_ROWS]
                 text = format_rows(block, " ", "\n")
-                if keep:
-                    unanswered += text.splitlines()[max(answered - encoded, 0):]
+                unanswered += text.splitlines()[max(answered - encoded, 0):]
                 outbox = text.encode()
                 encoded += len(block)
             remaining = deadline - time.monotonic()
@@ -400,13 +396,11 @@ class ExternalEvaluator(Evaluator):
                 taken = min(len(lines) - 1, n - answered)
                 pending = b"\n".join(lines[taken:])
                 if taken:
-                    requests = []
-                    if keep:
-                        requests, unanswered = unanswered[:taken], unanswered[taken:]
-                        if len(requests) < taken:  # answers ahead of the requests written
-                            requests += format_rows(
-                                points[answered + len(requests):answered + taken], " ", "\n"
-                            ).splitlines()
+                    requests, unanswered = unanswered[:taken], unanswered[taken:]
+                    if len(requests) < taken:  # answers ahead of the requests written
+                        requests += format_rows(
+                            points[answered + len(requests):answered + taken], " ", "\n"
+                        ).splitlines()
                     # float() of bytes reads only ASCII, and what it reads, it
                     # reads as float() of the decoded line does.
                     try:
@@ -527,7 +521,7 @@ def from_config(spec: dict):
     if variant == "tabulated":
         if not isinstance(spec["path"], str):
             raise ValueError(f"path must be a string, got {spec['path']!r}")
-        return TabulatedEvaluator(SampleSet.read_csv(spec["path"]))
+        return TabulatedEvaluator(SampleSet(*read_samples(spec["path"])))
     if variant == "external":
         return ExternalEvaluator(spec["command"], dim=spec["dim"],
                                  timeout_seconds=spec.get("timeout_seconds", 60.0))

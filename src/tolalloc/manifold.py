@@ -7,7 +7,7 @@ safeguarded Newton steps on G along the retractor line, and the line search
 takes the root of the analytic slope dF/dalpha of the retracted point by
 Brent's method.  Every slope uses grad G at a point whose G has already been
 computed.  The ``gfun`` argument is any object with ``value(tau) -> float``
-and ``grad(tau) -> ndarray`` (see :mod:`tolalloc.boxmax`).
+and ``grad(tau) -> ndarray`` (see :mod:`tolalloc.boxmax`); ``files`` writes the trace.
 
 A traversal stops where ||P grad F|| <= STATIONARY_TOL ||grad F||, a test that
 no rescaling of F changes; on a line-search stall, as at a kink of G; or after
@@ -26,7 +26,7 @@ import numpy as np
 from .brent import MAXITER, brentq
 from .domain import BoundingBox
 from .measures import ascent_direction
-from .surrogate import NumericError, write_csv
+from .surrogate import NumericError
 
 # Tolerances of the traversal.  STATIONARY_TOL is its stopping rule (see
 # above), RETRACTION_TOL bounds |G - q_allow| / |q_allow| and LINE_SEARCH_TOL
@@ -68,20 +68,6 @@ class TraversalTrace:
     g_residuals: list[float] = field(default_factory=list)
     wall_events: list[tuple[int, int]] = field(default_factory=list)
     restarts: list[int] = field(default_factory=list)
-
-    def write_csv(self, path) -> None:
-        dim = self.iterates[0].size if self.iterates else 0
-        events = {}
-        for iteration, axis in self.wall_events:
-            events.setdefault(iteration, []).append(f"wall:{axis}")
-        for iteration in self.restarts:
-            events.setdefault(iteration, []).append("restart")
-        write_csv(
-            path,
-            ["iter"] + [f"tau_{i + 1}" for i in range(dim)] + ["F", "G_residual", "event"],
-            ([it, *tau, f, g, ";".join(events.get(it, []))] for it, (tau, f, g)
-             in enumerate(zip(self.iterates, self.f_values, self.g_residuals))),
-        )
 
 
 @dataclass

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .surrogate import SeparatedModel, _fields, _number_array
+from .files import _fields, _number_array
+from .surrogate import SeparatedModel
 
 DEGENERATE_WEIGHT_TOL = 1e-8
 

@@ -3,23 +3,18 @@
 A model approximates a scalar function of ``d`` design parameters as a rank-r
 sum of products of univariate Legendre expansions, one factor per dimension.
 Each dimension carries its own interval; inputs are mapped affinely onto
-[-1, 1] before the Legendre basis is evaluated.
+[-1, 1] before the Legendre basis is evaluated.  ``tolalloc.files`` holds its I/O.
 """
 
 from __future__ import annotations
 
-import csv
 import functools
-import json
 import math
-import os
-from dataclasses import InitVar, dataclass, field, fields
-from pathlib import Path
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-# The format_version of every file the toolkit writes and reads.
-FORMAT_VERSION = 1
+from .files import Interval, _integer, _number_array, write_model
 
 # Relative interval overshoot that is silently clamped when a point is
 # evaluated or fitted (optimizers probing box edges land here through round-off).
@@ -35,65 +30,7 @@ class FitError(NumericError):
 
 
 # ---------------------------------------------------------------------------
-# Artifact files
-# ---------------------------------------------------------------------------
-
-def atomic_write(path, write) -> None:
-    """Call ``write(tmp)`` on a new file beside ``path``, then rename it over
-    ``path``, so readers never see a partial artifact.  The file is created
-    with the mode the umask gives any new file."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
-    os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
-    try:
-        write(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def write_json(path, obj: dict) -> None:
-    """Write ``obj`` as indented JSON with sorted keys, atomically."""
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    atomic_write(path, lambda tmp: Path(tmp).write_text(text))
-
-
-def format_rows(table, sep: str = ",", end: str = "\r\n") -> str:
-    """The rows of a 2-d float ``table`` as text: each cell ``repr(float(v))``,
-    which reads back bit for bit, the cells of a row joined by ``sep`` and each
-    row ended by ``end``, in one ``%r`` pass over the Python floats of its
-    ``tolist()``."""
-    table = np.asarray(table, dtype=float)
-    line = sep.join(["%r"] * table.shape[1]) + end
-    return (line * table.shape[0]) % tuple(table.ravel().tolist())
-
-
-def write_csv(path, header, rows) -> None:
-    """Write ``header`` and ``rows`` as CSV, atomically.  ``rows`` is a 2-d
-    float ndarray, written through :func:`format_rows`; a str, rows that
-    :func:`format_rows` or the same rule already rendered; or an iterable of
-    rows whose strings and ints go as given and every other cell as
-    ``repr(float(v))``."""
-    def write(tmp):
-        with open(tmp, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            if isinstance(rows, np.ndarray):
-                fh.write(format_rows(rows))
-            elif isinstance(rows, str):
-                fh.write(rows)
-            else:
-                writer.writerows([v if isinstance(v, (str, int)) else repr(float(v))
-                                  for v in row] for row in rows)
-
-    atomic_write(path, write)
-
-
-# ---------------------------------------------------------------------------
-# Seeded draws, and the rules that read config and artifact values
+# Seeded draws and coordinate standardization
 # ---------------------------------------------------------------------------
 
 def _uniform(seed: int, shape: tuple[int, ...]) -> np.ndarray:
@@ -104,86 +41,6 @@ def _uniform(seed: int, shape: tuple[int, ...]) -> np.ndarray:
     z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9
     z = (z ^ z >> 27) * 0x94D049BB133111EB
     return ((z ^ z >> 31) >> 11).reshape(shape) * 2.0 ** -53
-
-
-def _number_array(value, name: str) -> np.ndarray:
-    """``value``, a number or nested lists of numbers, as a float array: the
-    one parser of the numbers a program input holds.  A bool or a string is
-    not a number, and NaN, an infinity or an integer too big for a float is
-    not finite: each raises ValueError naming ``name``."""
-    for item in np.asarray(value, dtype=object).ravel():
-        if isinstance(item, bool) or not isinstance(item, (int, float, np.integer, np.floating)):
-            raise ValueError(f"{name} must hold only numbers, got {value!r}")
-    try:
-        array = np.asarray(value, dtype=float)
-    except OverflowError:  # an integer beyond the largest float
-        array = np.array(np.inf)
-    if not np.all(np.isfinite(array)):
-        raise ValueError(f"{name} must hold only finite numbers, got {value!r}")
-    return array
-
-
-def _integer(value, name: str, low: int, high: int | None = None) -> int:
-    """``value`` if it is an integer, not a bool, with low <= value (and
-    value < high when ``high`` is given); else a ValueError naming ``name``."""
-    if type(value) is not int or value < low or high is not None and value >= high:
-        bounds = f">= {low}" if high is None else f"in [{low}, {high})"
-        raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
-    return value
-
-
-def _fields(value, name: str, required=(), optional=None) -> dict:
-    """``value`` if it is a JSON object that holds every key of ``required``
-    and, when ``optional`` is given, no key outside ``required`` and
-    ``optional``: the one reader of the keys of an input object.  A
-    ``format_version`` key, where present, must be FORMAT_VERSION, and is
-    checked first.  Else a ValueError naming ``name`` and the keys at fault."""
-    if not isinstance(value, dict):
-        raise ValueError(f"{name} must be a JSON object, got {value!r}")
-    if "format_version" in value:
-        _integer(value["format_version"], f"unsupported format_version in {name}: format_version",
-                 FORMAT_VERSION, FORMAT_VERSION + 1)
-    missing = sorted(set(required) - set(value))
-    if missing:
-        raise ValueError(f"{name} lacks key(s) {', '.join(missing)}")
-    if optional is not None:
-        known = {*required, *optional}
-        unknown = sorted(set(value) - known)
-        if unknown:
-            raise ValueError(f"{name} does not read key(s) {', '.join(unknown)}; "
-                             f"it reads {', '.join(sorted(known)) or 'no key'}")
-    return value
-
-
-# ---------------------------------------------------------------------------
-# Intervals and coordinate standardization
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Interval:
-    """A closed parameter interval [lo, hi] with lo < hi."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.lo) and np.isfinite(self.hi)):
-            raise ValueError(f"interval bounds must be finite, got [{self.lo}, {self.hi}]")
-        if not self.lo < self.hi:
-            raise ValueError(f"interval requires lo < hi, got [{self.lo}, {self.hi}]")
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-
-def _intervals(value, name: str) -> tuple[Interval, ...]:
-    """``value``, a list of [lo, hi] pairs of numbers with lo < hi, as
-    Intervals; else a ValueError naming ``name``."""
-    pairs = _number_array(value, name)
-    if pairs.ndim != 2 or pairs.shape[1] != 2 or not np.all(pairs[:, 0] < pairs[:, 1]):
-        raise ValueError(f"{name} must be a list of [lo, hi] pairs with lo < hi, got {value!r}")
-    return tuple(Interval(lo, hi) for lo, hi in pairs.tolist())
 
 
 def _standardize(points: np.ndarray, lo: np.ndarray, width: np.ndarray) -> np.ndarray:
@@ -288,8 +145,6 @@ class SeparatedModel:
         for array in (self.scales, self.coeffs, self._lo, self._width):
             array.setflags(write=False)
 
-    # -- evaluation ---------------------------------------------------------
-
     def _basis_factors(self, points) -> tuple[np.ndarray, np.ndarray]:
         """Legendre table (N, d, p+1), over dimension-major memory as in
         :func:`als_fit`, and factors (r, N, d) at (N, dim) points."""
@@ -329,46 +184,19 @@ class SeparatedModel:
     def gradient(self, mu) -> np.ndarray:
         return self.grad_many(np.asarray(mu, dtype=float)[None, :])[0]
 
-    # -- persistence ----------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "format_version": FORMAT_VERSION,
-            "dim": self.dim,
-            "rank": self.rank,
-            "degree": self.degree,
-            "intervals": [[iv.lo, iv.hi] for iv in self.intervals],
-            "scales": self.scales.tolist(),
-            "coeffs": self.coeffs.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SeparatedModel":
-        """The model :meth:`to_dict` describes; on any other value, a
-        ValueError naming the key at fault.  Other keys are ignored."""
-        _fields(data, "model", ["format_version", *(f.name for f in fields(cls))])
-        return cls(
-            dim=_integer(data["dim"], "dim", 1),
-            rank=_integer(data["rank"], "rank", 1),
-            degree=_integer(data["degree"], "degree", 0),
-            intervals=_intervals(data["intervals"], "intervals"),
-            scales=_number_array(data["scales"], "scales"),
-            coeffs=_number_array(data["coeffs"], "coeffs"),
-        )
-
     def save(self, path) -> None:
-        write_json(path, self.to_dict())
+        """Write the model file at ``path`` by :func:`tolalloc.files.write_model`."""
+        write_model(path, self)
 
 
 # ---------------------------------------------------------------------------
-# Sample sets
+# ALS fitting
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Paired design points (N, dim) and performance values (N,).  ``csv_text``
-    holds their sample-file rows where the sampler already rendered them, by
-    the rule of :func:`format_rows`, and is None otherwise."""
+    """Paired design points (N, dim) and performance values (N,); ``csv_text``
+    holds their sample-file rows where the sampler rendered them, else None."""
 
     points: np.ndarray
     values: np.ndarray
@@ -391,39 +219,6 @@ class SampleSet:
     def dim(self) -> int:
         return self.points.shape[1]
 
-    def write_csv(self, path) -> None:
-        rows = self.csv_text
-        write_csv(path, [f"mu_{i + 1}" for i in range(self.dim)] + ["q"],
-                  np.column_stack([self.points, self.values]) if rows is None else rows)
-
-    @classmethod
-    def read_csv(cls, path) -> "SampleSet":
-        """Read ``mu_1,...,mu_d,q``, then d + 1 finite floats a row: no blank line,
-        comment or quote."""
-        with open(path) as fh:
-            header = next(csv.reader(fh), None)
-            lines = fh.read().splitlines()
-        if header is None or header[-1] != "q" or len(header) < 2:
-            raise ValueError(f"malformed sample file {path}: bad header {header!r}")
-        if not lines:
-            raise ValueError(f"malformed sample file {path}: no sample rows")
-        try:
-            if not all(lines):  # loadtxt would skip it silently
-                raise ValueError(f"line {lines.index('') + 2} is blank")
-            table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-            if table.shape[1] != len(header):
-                raise ValueError(f"{table.shape[1]} columns under a {len(header)}-column header")
-            finite = np.isfinite(table).all(axis=1)
-            if not finite.all():
-                raise ValueError(f"line {int(np.argmin(finite)) + 2} holds a non-finite number")
-        except ValueError as exc:
-            raise ValueError(f"malformed sample file {path}: {exc}") from exc
-        return cls(points=table[:, :-1], values=table[:, -1])
-
-
-# ---------------------------------------------------------------------------
-# ALS fitting
-# ---------------------------------------------------------------------------
 
 # Sweep schedule of als_fit: at most MAX_SWEEPS sweeps per rank, a rank ends
 # when a sweep changes the relative residual by at most SWEEP_STALL_TOL of

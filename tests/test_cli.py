@@ -17,7 +17,7 @@ from tolalloc.boxmax import additive_split
 from tolalloc.cli import main
 from tolalloc.evaluator import REQUEST_BLOCK_ROWS, DomainError, QuadraticBowl, draw_samples
 from tolalloc.metrics import MetricError
-from tolalloc.surrogate import write_json
+from tolalloc.files import model_dict, model_fields, read_samples, write_json, write_samples
 
 from conftest import random_model
 
@@ -160,7 +160,7 @@ def test_allocate_cg_and_trace_and_scan(tmp_path, capsys, config_path):
         values = np.array([[float(cell) for cell in row] for row in numeric])
         assert np.all(np.isfinite(values)), name
     # Every scan row holds, bit for bit, the G of a one-tau solve at its tau.
-    gfun = SurrogateWorstCase(SeparatedModel.from_dict(json.loads(model.read_text())),
+    gfun = SurrogateWorstCase(SeparatedModel(**model_fields(json.loads(model.read_text()))),
                               BOWL_CONFIG["nominal"])
     for row in tables["scan"][1:]:
         t1, t2, g = map(float, row)
@@ -287,13 +287,13 @@ def test_fit_writes_what_model_save_writes(tmp_path, capsys, config_path):
                      "--samples", str(samples), "--out", str(model))
     assert code == 0
     saved = tmp_path / "saved.json"
-    restored = SeparatedModel.from_dict(json.loads(model.read_text()))
+    restored = SeparatedModel(**model_fields(json.loads(model.read_text())))
     restored.save(saved)
     assert saved.read_bytes() == model.read_bytes()
     assert model.read_text() == json.dumps(
         json.loads(model.read_text()), indent=2, sort_keys=True) + "\n"
     # The file reads back to the fitted model, bit for bit.
-    fitted, _ = als_fit(SampleSet.read_csv(samples), FitConfig(**BOWL_CONFIG["fit"]),
+    fitted, _ = als_fit(SampleSet(*read_samples(samples)), FitConfig(**BOWL_CONFIG["fit"]),
                         (Interval(-1.0, 1.0), Interval(-0.5, 0.5)))
     assert ((restored.dim, restored.rank, restored.degree, restored.intervals)
             == (fitted.dim, fitted.rank, fitted.degree, fitted.intervals))
@@ -449,29 +449,23 @@ def test_each_cli_process_imports_only_the_modules_its_command_runs(tmp_path, co
         code, modules, frozen[name] = json.loads(proc.stdout.strip().splitlines()[-1])
         assert code == 0, (name, proc.stderr)
         loaded[name] = {module.removeprefix("tolalloc.") for module in modules}
-    unused = {"boxmax", "manifold", "measures"}
-    assert loaded["import"] == set()
-    for name in ("--help", "size-domain", "sample"):
-        assert not loaded[name] & unused, name
-    # Only the external evaluator starts a process, and sampling draws from its
-    # own generator: no numpy.random, so no hashlib or OpenSSL.  BOWL_CONFIG's
-    # fit is additive.
-    for name in ("size-domain", "sample"):
-        assert not loaded[name] & {"subprocess", "select", "numpy.random", "hashlib"}, name
-    # The fit draws nothing, from the additive start or below rank d.
-    for name in ("fit", "fit-rank1"):
-        assert not loaded[name] & (unused | {"evaluator", "numpy.random"}), name
-    assert not loaded["check"] & {"manifold", "evaluator"}
-    # The allocation reads the model and the domain file; it evaluates nothing.
-    assert not loaded["allocate"] & {"evaluator", "numpy.random", "subprocess"}
-    assert loaded["allocate"] >= {"boxmax", "manifold", "measures"}
-    # The multistart draws its starts from the same SplitMix64 as sampling.
-    rank1 = SeparatedModel.from_dict(json.loads((tmp_path / "rank1.model.json").read_text()))
+    # Each command loads exactly the modules it runs.  None starts a process
+    # (the external evaluator imports subprocess and select only when it does)
+    # or draws from numpy.random, so hashlib and OpenSSL stay unloaded too: the
+    # fit draws nothing, and sampling and the multistart use SplitMix64.
+    # BOWL_CONFIG's fit is additive; `check` evaluates nothing, and the
+    # allocation reads the model and the domain file only.
+    base = {"brent", "domain", "files", "metrics", "surrogate"}
+    worst_case = base | {"boxmax", "measures"}
+    assert loaded == {
+        "import": set(), "--help": base, "size-domain": base | {"evaluator"},
+        "sample": base | {"evaluator"}, "fit": base, "fit-rank1": base,
+        "allocate": worst_case | {"manifold"}, "allocate-rank1": worst_case | {"manifold"},
+        "check": worst_case, "check-rank1": worst_case,
+        "serve": {"evaluator", "files", "surrogate"}}
+    # The rank-1 fit is a product of both axes, so G comes from the multistart.
+    rank1 = SeparatedModel(**model_fields(json.loads((tmp_path / "rank1.model.json").read_text())))
     assert additive_split(rank1) is None
-    for name in ("allocate-rank1", "check-rank1"):
-        assert not loaded[name] & {"evaluator", "numpy.random", "hashlib"}, name
-        assert "boxmax" in loaded[name], name
-    assert loaded["serve"] == {"evaluator", "surrogate"}
     # The process entry point freezes what the imports made; importing does not.
     assert frozen.pop("import") == 0 and frozen.pop("serve") == 0
     assert all(count > 0 for count in frozen.values()), frozen
@@ -924,7 +918,7 @@ def test_check_file_that_is_malformed_exits_2(tmp_path, capsys, config_path, fla
         "degree-fraction", "rank-bool"])
 def test_model_file_with_a_bad_value_exits_2(tmp_path, capsys, config_path, field, value,
                                              reason):
-    data = random_model(np.random.default_rng(17)).to_dict()
+    data = model_dict(random_model(np.random.default_rng(17)))
     data[field] = value
     model = tmp_path / "model.json"
     model.write_text(json.dumps(data))
@@ -1222,9 +1216,9 @@ def test_bad_config_value_exits_2(tmp_path, capsys, field, value, named):
     assert not out.exists()
 
 
-UNIT_MODEL = SeparatedModel(dim=2, rank=1, degree=2,
-                            intervals=(Interval(-1.0, 1.0), Interval(-0.5, 0.5)),
-                            scales=np.ones(1), coeffs=np.ones((1, 2, 3))).to_dict()
+UNIT_MODEL = model_dict(SeparatedModel(dim=2, rank=1, degree=2,
+                                       intervals=(Interval(-1.0, 1.0), Interval(-0.5, 0.5)),
+                                       scales=np.ones(1), coeffs=np.ones((1, 2, 3))))
 # Domain files that break the number rule: bools and numeric strings, and NaN.
 STRING_DOMAIN = {"tau_min": [0, 0], "tau_max": [True, "0.5"],
                  "sampling_domain": [["-1", 1], [-0.5, True]]}
@@ -1286,8 +1280,8 @@ def test_malformed_field_exits_2(tmp_path, capsys, command, name, text, field):
              "tau": tmp_path / "tau.json"}
     files["config"].write_text(json.dumps(BOWL_CONFIG))
     write_json(files["model"], UNIT_MODEL)
-    draw_samples(QuadraticBowl(a=[1.0, 4.0]), (Interval(-1.0, 1.0), Interval(-0.5, 0.5)), 20,
-                 seed=0).write_csv(files["samples"])
+    write_samples(files["samples"], draw_samples(
+        QuadraticBowl(a=[1.0, 4.0]), (Interval(-1.0, 1.0), Interval(-0.5, 0.5)), 20, seed=0))
     files["tau"].write_text(RESULT)
     files[name] = tmp_path / f"bad_{name}.json"
     files[name].write_text(json.dumps(text))

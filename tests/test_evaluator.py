@@ -26,6 +26,7 @@ from tolalloc.evaluator import (
     from_config,
     make_builtin,
 )
+from tolalloc.files import read_samples, write_samples
 from tolalloc.surrogate import _uniform
 from helpers.splitmix64 import splitmix64, uniforms
 
@@ -171,8 +172,8 @@ def test_tabulated_csv_roundtrip(tmp_path):
     axes = (np.linspace(0.0, 1.0, 3), np.linspace(0.0, 1.0, 3))
     samples = _grid_samples(lambda p: p[0] * p[1], axes)
     path = tmp_path / "table.csv"
-    samples.write_csv(path)
-    tab = TabulatedEvaluator(SampleSet.read_csv(path))
+    write_samples(path, samples)
+    tab = TabulatedEvaluator(SampleSet(*read_samples(path)))
     assert tab([0.5, 0.5]) == pytest.approx(0.25, abs=1e-12)
 
 
@@ -409,8 +410,8 @@ def test_external_sample_file_is_the_file_of_its_arrays(tmp_path, d):
                   3 * REQUEST_BLOCK_ROWS + 7):
             samples = draw_samples(ext, domain, n, seed=n)
             assert samples.csv_text is not None
-            samples.write_csv(streamed)
-            SampleSet(points=samples.points, values=samples.values).write_csv(rendered)
+            write_samples(streamed, samples)
+            write_samples(rendered, SampleSet(points=samples.points, values=samples.values))
             assert streamed.read_bytes() == rendered.read_bytes()
             np.testing.assert_array_equal(samples.values, (samples.points ** 2).sum(axis=1))
 
@@ -433,7 +434,7 @@ def test_external_sample_file_rewrites_each_answer_as_the_repr_of_its_float(tmp_
     with ExternalEvaluator([sys.executable, "-c", SPELLING_CHILD, end, *spellings],
                            dim=2, timeout_seconds=5.0) as ext:
         samples = draw_samples(ext, (Interval(-1, 1), Interval(-1, 1)), 13, seed=3)
-    samples.write_csv(path)
+    write_samples(path, samples)
     rows = path.read_text().splitlines()[1:]
     assert [row.split(",")[2] for row in rows] == [
         repr(float(spellings[j % len(spellings)])) for j in range(13)]
@@ -460,8 +461,8 @@ def test_external_sample_file_of_answers_ahead_of_the_requests_has_every_row(tmp
                            timeout_seconds=5.0) as ext:
         samples = draw_samples(ext, (Interval(-1, 1), Interval(-1, 1)), n, seed=5)
     np.testing.assert_array_equal(samples.values, np.arange(n) + 0.5)
-    samples.write_csv(streamed)
-    SampleSet(points=samples.points, values=samples.values).write_csv(rendered)
+    write_samples(streamed, samples)
+    write_samples(rendered, SampleSet(points=samples.points, values=samples.values))
     assert streamed.read_bytes() == rendered.read_bytes()
 
 
@@ -617,7 +618,7 @@ def test_from_config_tabulated_and_external(tmp_path):
     axes = (np.array([0.0, 1.0]), np.array([0.0, 1.0]))
     samples = _grid_samples(lambda p: p[0] + p[1], axes)
     path = tmp_path / "grid.csv"
-    samples.write_csv(path)
+    write_samples(path, samples)
     tab = from_config({"variant": "tabulated", "path": str(path)})
     assert tab([0.5, 0.5]) == pytest.approx(1.0)
     ext = from_config({

@@ -35,7 +35,6 @@ from pathlib import Path
 import numpy as np
 
 GOLDEN = Path(__file__).parent / "golden" / "pipeline.json"
-SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def _bowl(a, rank: int, measure=None, **fields) -> dict:
@@ -165,14 +164,21 @@ def run_steps(root: Path) -> dict:
     return records
 
 
+def _child_path() -> str:
+    """PYTHONPATH for the external child: the imported package's sources first."""
+    import tolalloc
+
+    src = str(Path(tolalloc.__file__).resolve().parent.parent)
+    return os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+
 def _versions() -> dict:
     return {"python": platform.python_version(), "numpy": np.__version__}
 
 
 def test_every_step_writes_and_prints_the_golden_bits(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(filter(None, [SRC, os.environ.get(
-        "PYTHONPATH")])))
+    monkeypatch.setenv("PYTHONPATH", _child_path())
     golden = json.loads(GOLDEN.read_text())
     records = run_steps(tmp_path)
     moved = {name: (golden["steps"].get(name), record) for name, record in records.items()
@@ -183,8 +189,7 @@ def test_every_step_writes_and_prints_the_golden_bits(tmp_path, monkeypatch):
 
 
 if __name__ == "__main__":
-    sys.path.insert(0, SRC)
-    os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    os.environ["PYTHONPATH"] = _child_path()
     with tempfile.TemporaryDirectory() as scratch:
         os.chdir(scratch)
         records = run_steps(Path(scratch))

@@ -302,6 +302,61 @@ def test_file_write_detector(source, flagged):
     assert bool(_file_writes_outside_writers(ast.parse(source))) == flagged
 
 
+# Only this module opens, reads or writes a file, so that each artifact's
+# keys and columns are spelled in one place.
+FILES = "files.py"
+FILE_CALLS = {"open", "read_text", "read_bytes", "write_text", "write_bytes", "loadtxt"}
+
+
+def _file_calls(tree: ast.Module) -> list[int]:
+    """Lines of the calls that open, read or write a file: ``open`` (builtin,
+    ``os.open`` or ``Path.open``), ``read_text``, ``read_bytes``,
+    ``write_text``, ``write_bytes`` or ``np.loadtxt``, by name or attribute."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and (node.func.attr if isinstance(node.func, ast.Attribute)
+                 else getattr(node.func, "id", None)) in FILE_CALLS]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != FILES],
+                         ids=[p.stem for p in MODULES if p.name != FILES])
+def test_only_the_files_module_opens_files(path):
+    lines = _file_calls(ast.parse(path.read_text(), filename=str(path)))
+    assert not lines, (f"{path.name}: file opened, read or written outside {FILES} "
+                       f"on line(s) {', '.join(map(str, lines))}")
+
+
+@pytest.mark.parametrize("source, flagged", [
+    ("open(p)", True),
+    ('with open(p, newline="") as fh:\n    pass', True),
+    ("os.open(p, os.O_RDONLY)", True),
+    ("Path(p).open()", True),
+    ("text = Path(p).read_text()", True),
+    ("data = p.read_bytes()", True),
+    ('p.write_text("x")', True),
+    ('p.write_bytes(b"x")', True),
+    ('table = np.loadtxt(lines, delimiter=",")', True),
+    ("from numpy import loadtxt\nloadtxt(p)", True),
+    ("class Samples:\n    def read(self, p):\n        return open(p).read()", True),
+    ("tempfile.TemporaryFile()", False),
+    ("os.read(fd, 1)\nos.write(fd, b'x')\nfh.read()\nfh.write('x')", False),
+    ('opener = open\n"open(p)"\nfile.opened()', False),
+])
+def test_file_call_detector(source, flagged):
+    assert bool(_file_calls(ast.parse(source))) == flagged
+
+
+def _top_level_functions(path: Path) -> set[str]:
+    return {node.name for node in ast.parse(path.read_text()).body
+            if isinstance(node, ast.FunctionDef)}
+
+
+def test_the_input_rules_and_the_writers_live_in_the_files_module():
+    # The rules above are exempt by name, so no other module may define one.
+    rules = NUMBER_RULES | {KEY_RULE} | WRITERS
+    where = {path.name: names for path in MODULES if (names := _top_level_functions(path) & rules)}
+    assert where == {FILES: rules}
+
+
 # The CLI turns an input error into a usage error (exit 2) naming its file in
 # this one context manager, so that no input gets round it.
 INPUT_RULE = "_input"

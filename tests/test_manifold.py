@@ -6,6 +6,7 @@ import pytest
 from tolalloc import manifold
 from tolalloc.boxmax import AnalyticWorstCase
 from tolalloc.domain import BoundingBox
+from tolalloc.files import write_trace
 from tolalloc.manifold import (
     DegenerateNormalError,
     InitializationError,
@@ -340,7 +341,7 @@ def test_trace_csv_format(tmp_path):
     tau0 = initial_guess(BOX, OneNorm(), ELLIPSE, 1.0, 1e-10)
     result = conjugate_gradient(tau0, BOX, ELLIPSE, 1.0, OneNorm())
     path = tmp_path / "trace.csv"
-    result.trace.write_csv(path)
+    write_trace(path, result.trace)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["iter", "tau_1", "tau_2", "F", "G_residual", "event"]

@@ -17,7 +17,9 @@ from tolalloc import (
 )
 from tolalloc import surrogate
 from tolalloc.metrics import surrogate_errors
-from tolalloc.surrogate import legendre_deriv_table, legendre_table, write_json
+from tolalloc import files
+from tolalloc.files import model_dict, model_fields, read_samples, write_model, write_samples
+from tolalloc.surrogate import legendre_deriv_table, legendre_table
 
 from conftest import random_model
 from helpers.als_reference import reference_als_fit
@@ -540,8 +542,8 @@ def test_model_json_roundtrip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(16)
     model = random_model(rng, dim=3, rank=2, degree=4)
     path = tmp_path / "model.json"
-    write_json(path, model.to_dict())
-    restored = SeparatedModel.from_dict(json.loads(path.read_text()))
+    write_model(path, model)
+    restored = SeparatedModel(**model_fields(json.loads(path.read_text())))
     np.testing.assert_array_equal(restored.coeffs, model.coeffs)
     np.testing.assert_array_equal(restored.scales, model.scales)
     assert restored.intervals == model.intervals
@@ -549,18 +551,18 @@ def test_model_json_roundtrip_is_bit_exact(tmp_path):
 
 def test_model_rejects_unknown_format_version(tmp_path):
     rng = np.random.default_rng(17)
-    data = random_model(rng).to_dict()
+    data = model_dict(random_model(rng))
     data["format_version"] = 99
     with pytest.raises(ValueError):
-        SeparatedModel.from_dict(data)
+        SeparatedModel(**model_fields(data))
 
 
 @pytest.mark.parametrize("field", ["dim", "intervals", "coeffs"])
 def test_model_from_dict_names_a_missing_field(field):
-    data = random_model(np.random.default_rng(17)).to_dict()
+    data = model_dict(random_model(np.random.default_rng(17)))
     del data[field]
     with pytest.raises(ValueError, match=rf"model lacks key\(s\) {field}$"):
-        SeparatedModel.from_dict(data)
+        SeparatedModel(**model_fields(data))
 
 
 @pytest.mark.parametrize("field, value", [("dim", None), ("intervals", 5), ("scales", "x"),
@@ -571,10 +573,10 @@ def test_model_from_dict_names_a_missing_field(field):
                                           ("format_version", 2), ("format_version", True),
                                           ("format_version", 1.0), ("format_version", "1")])
 def test_model_from_dict_raises_value_error_on_a_malformed_field(field, value):
-    data = random_model(np.random.default_rng(17)).to_dict()
+    data = model_dict(random_model(np.random.default_rng(17)))
     data[field] = value
     with pytest.raises(ValueError) as raised:
-        SeparatedModel.from_dict(data)
+        SeparatedModel(**model_fields(data))
     assert field in str(raised.value)
 
 
@@ -582,8 +584,8 @@ def test_sample_csv_roundtrip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(18)
     samples = SampleSet(points=rng.normal(size=(30, 3)), values=rng.normal(size=30))
     path = tmp_path / "samples.csv"
-    samples.write_csv(path)
-    restored = SampleSet.read_csv(path)
+    write_samples(path, samples)
+    restored = SampleSet(*read_samples(path))
     np.testing.assert_array_equal(restored.points, samples.points)
     np.testing.assert_array_equal(restored.values, samples.values)
 
@@ -592,7 +594,7 @@ def test_sample_csv_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("x,y\n1,2\n")
     with pytest.raises(ValueError):
-        SampleSet.read_csv(path)
+        SampleSet(*read_samples(path))
 
 
 def test_write_csv_formats_a_float_table_cell_by_cell_as_repr(tmp_path):
@@ -603,7 +605,7 @@ def test_write_csv_formats_a_float_table_cell_by_cell_as_repr(tmp_path):
     header = [f"c{i}" for i in range(len(awkward))]
     for table in (np.array(rows), np.array(rows, dtype=object)):
         path = tmp_path / "table.csv"
-        surrogate.write_csv(path, header, table)
+        files.write_csv(path, header, table)
         text = path.read_bytes().decode()
         assert text == ",".join(header) + "\r\n" + expected
         assert "np.float64(" not in text
@@ -611,13 +613,13 @@ def test_write_csv_formats_a_float_table_cell_by_cell_as_repr(tmp_path):
 
 def test_format_rows_renders_request_lines_and_csv_rows_by_one_rule(tmp_path):
     table = np.array([[-0.0, 5e-324, 1e16], [0.1, 1 / 3, float("nan")]])
-    assert surrogate.format_rows(table, " ", "\n") == (
+    assert files.format_rows(table, " ", "\n") == (
         "-0.0 5e-324 1e+16\n0.1 0.3333333333333333 nan\n")
-    rows = surrogate.format_rows(table)
+    rows = files.format_rows(table)
     assert rows == "-0.0,5e-324,1e+16\r\n0.1,0.3333333333333333,nan\r\n"
     from_text, from_table = tmp_path / "text.csv", tmp_path / "table.csv"
-    surrogate.write_csv(from_text, ["a", "b", "c"], rows)
-    surrogate.write_csv(from_table, ["a", "b", "c"], table)
+    files.write_csv(from_text, ["a", "b", "c"], rows)
+    files.write_csv(from_table, ["a", "b", "c"], table)
     assert from_text.read_bytes() == from_table.read_bytes() == b"a,b,c\r\n" + rows.encode()
 
 
@@ -625,8 +627,8 @@ def test_sample_csv_roundtrip_of_many_rows_is_bit_exact(tmp_path):
     rng = np.random.default_rng(19)
     table = rng.normal(size=(50_000, 3)) * 10.0 ** rng.integers(-300, 300, size=(50_000, 3))
     path = tmp_path / "samples.csv"
-    SampleSet(points=table[:, :2], values=table[:, 2]).write_csv(path)
-    restored = SampleSet.read_csv(path)
+    write_samples(path, SampleSet(points=table[:, :2], values=table[:, 2]))
+    restored = SampleSet(*read_samples(path))
     np.testing.assert_array_equal(restored.points.view(np.int64), table[:, :2].view(np.int64))
     np.testing.assert_array_equal(restored.values.view(np.int64), table[:, 2].view(np.int64))
 
@@ -651,4 +653,4 @@ def test_sample_csv_rejects_a_malformed_body_naming_the_file(tmp_path, body, nam
         warnings.simplefilter("error")
         pattern = f"malformed sample file {re.escape(str(path))}: .*{re.escape(named)}"
         with pytest.raises(ValueError, match=pattern):
-            SampleSet.read_csv(path)
+            SampleSet(*read_samples(path))
