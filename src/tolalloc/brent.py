@@ -13,7 +13,6 @@ threshold; importing ``scipy.optimize`` for it cost each ``size-domain`` and
 from __future__ import annotations
 
 import math
-import operator
 import sys
 
 import numpy as np
@@ -23,22 +22,18 @@ RTOL = 4 * sys.float_info.epsilon
 MAXITER = 100
 
 
-def brentq(f, a: float, b: float, xtol: float = XTOL, rtol: float = RTOL,
-           maxiter: int = MAXITER) -> float:
+def brentq(f, a: float, b: float, xtol: float = XTOL, rtol: float = RTOL) -> float:
     """A root of ``f`` in the bracket [a, b], where f(a) and f(b) differ in sign.
 
     The root x0 returned satisfies |x - x0| <= xtol + rtol |x0| for the exact
     root x.  Raises ``ValueError`` for a tolerance below its floor, a bracket
     whose ends have the same sign or a NaN function value, and
-    ``RuntimeError`` when ``maxiter`` iterations do not converge.
+    ``RuntimeError`` when MAXITER iterations do not converge.
     """
-    maxiter = operator.index(maxiter)
     if xtol <= 0:
         raise ValueError(f"xtol too small ({xtol:g} <= 0)")
     if rtol < RTOL:
         raise ValueError(f"rtol too small ({rtol:g} < {RTOL:g})")
-    if maxiter < 0:
-        raise ValueError("maxiter should be > 0")
 
     def call(x: float) -> float:
         fx = f(x)
@@ -56,7 +51,7 @@ def brentq(f, a: float, b: float, xtol: float = XTOL, rtol: float = RTOL,
         return xcur
     if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
         raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
+    for _ in range(MAXITER):
         if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
@@ -93,4 +88,4 @@ def brentq(f, a: float, b: float, xtol: float = XTOL, rtol: float = RTOL,
         else:
             xcur += delta if sbis > 0 else -delta
         fcur = call(xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+    raise RuntimeError(f"Failed to converge after {MAXITER} iterations.")

@@ -16,7 +16,6 @@ import contextlib
 import math
 import os
 import tempfile
-import threading
 import time
 
 import numpy as np
@@ -247,16 +246,18 @@ class ExternalEvaluator(Evaluator):
     earlier ones are answered, so the child must read stdin as a stream; it
     stays resident across requests and batches.  Each answer must arrive
     within ``timeout_seconds`` of the previous answer, or of the start of the
-    batch for the first one.  Output the child writes before a batch's first
-    request or beyond its last answer is an error, and so is any output
-    still unread when :meth:`close` stops the child, so answers cannot drift
-    out of step with requests unnoticed.  :meth:`many` can build sample-file
-    rows as the answers arrive, from the request lines sent and ``repr`` of
-    each answer's float, never the child's own spelling; ``sample`` writes
-    them only once :meth:`close` has found no stray output.  The pipes carry
-    bytes, and output is decoded with replacement, so a non-UTF-8 byte is
-    never a decoding error.  The child's stderr goes to an unnamed temporary
-    file, so a child that logs cannot block on a full pipe.
+    batch for the first one.  An answer line must follow a request line
+    already written: any other output is "unsolicited output", an error
+    whether it is found as output arrives, at the end of the batch or at
+    :meth:`close`, so answers cannot drift out of step with requests
+    unnoticed.  An evaluator is used from one thread; it takes no lock.
+    :meth:`many` can build sample-file rows as the answers arrive, from the
+    request lines sent and ``repr`` of each answer's float, never the child's
+    own spelling; ``sample`` writes them only once :meth:`close` has found no
+    stray output.  The pipes carry bytes, and output is decoded with
+    replacement, so a non-UTF-8 byte is never a decoding error.  The child's
+    stderr goes to an unnamed temporary file, so a child that logs cannot
+    block on a full pipe.
     """
 
     def __init__(self, command, dim: int, timeout_seconds: float = 60.0):
@@ -272,7 +273,6 @@ class ExternalEvaluator(Evaluator):
         self.timeout_seconds = float(timeout)
         self._proc = None  # the running child's subprocess.Popen
         self._stderr = None  # the running child's stderr file
-        self._lock = threading.Lock()
 
     @property
     def dim(self) -> int:
@@ -342,42 +342,43 @@ class ExternalEvaluator(Evaluator):
                              f"got shape {points.shape}")
         values = np.empty(len(points))
         answered = 0
-        with self._lock:
-            try:
-                for chunk, requests in self._answers(points):
-                    values[answered:answered + len(chunk)] = chunk
-                    answered += len(chunk)
-                    if rows is not None:
-                        rows.append(sample_rows(requests, chunk))
-            except EvaluatorError as exc:
-                exc.row = min(answered, len(points) - 1)
-                raise
-            except BaseException:
-                # An interrupted batch leaves answers in flight; drop them
-                # with the child rather than read them as the next batch's.
-                if self._proc is not None:
-                    self._stop(grace=0.0)
-                raise
+        try:
+            for chunk, requests in self._answers(points):
+                values[answered:answered + len(chunk)] = chunk
+                answered += len(chunk)
+                if rows is not None:
+                    rows.append(sample_rows(requests, chunk))
+        except EvaluatorError as exc:
+            exc.row = min(answered, len(points) - 1)
+            raise
+        except BaseException:
+            # An interrupted batch leaves answers in flight; drop them
+            # with the child rather than read them as the next batch's.
+            if self._proc is not None:
+                self._stop(grace=0.0)
+            raise
         return values
 
     def _answers(self, points: np.ndarray):
         """The child's answers to the rows of ``points``, in order, as chunks:
         the values read in one go, with the request line of each.  Requests
         are encoded REQUEST_BLOCK_ROWS at a time and written as the child's
-        stdin accepts them, while answers are read as they arrive."""
+        stdin accepts them, while answers are read as they arrive.  A line is
+        taken as an answer only while a request written is unanswered; a byte
+        beyond the answer to the last request written is unsolicited output."""
         import select
         proc = self._ensure_started()
         out_fd, in_fd = proc.stdout.fileno(), proc.stdin.fileno()
-        n, answered, encoded = len(points), 0, 0
-        outbox, wrote = b"", False
+        n, answered, encoded, written = len(points), 0, 0, 0
+        outbox = b""
         pending = b""  # stdout bytes read but not yet consumed
-        unanswered = []  # the request lines of rows answered to max(encoded, answered)
+        unanswered = []  # the request lines encoded but not yet answered
         deadline = time.monotonic() + self.timeout_seconds
         while answered < n:
             if not outbox and encoded < n:
                 block = points[encoded:encoded + REQUEST_BLOCK_ROWS]
                 text = format_rows(block, " ", "\n")
-                unanswered += text.splitlines()[max(answered - encoded, 0):]
+                unanswered += text.splitlines()
                 outbox = text.encode()
                 encoded += len(block)
             remaining = deadline - time.monotonic()
@@ -390,17 +391,11 @@ class ExternalEvaluator(Evaluator):
                 if not chunk:
                     raise self._fail(f"exited on request "
                                      f"{format_rows(points[answered:answered + 1], ' ', '')!r}")
-                if not wrote:
-                    raise self._fail(f"wrote unsolicited output {_quote(chunk)}")
                 lines = (pending + chunk).split(b"\n")
-                taken = min(len(lines) - 1, n - answered)
+                taken = min(len(lines) - 1, written - answered)
                 pending = b"\n".join(lines[taken:])
                 if taken:
                     requests, unanswered = unanswered[:taken], unanswered[taken:]
-                    if len(requests) < taken:  # answers ahead of the requests written
-                        requests += format_rows(
-                            points[answered + len(requests):answered + taken], " ", "\n"
-                        ).splitlines()
                     # float() of bytes reads only ASCII, and what it reads, it
                     # reads as float() of the decoded line does.
                     try:
@@ -415,14 +410,18 @@ class ExternalEvaluator(Evaluator):
                         yield values, requests
                     answered += taken
                     deadline = time.monotonic() + self.timeout_seconds
+                if pending and answered == written < n:
+                    raise self._fail(f"wrote unsolicited output {_quote(pending)}")
             if writable:
                 try:
-                    outbox = outbox[os.write(in_fd, outbox):]
-                    wrote = True
+                    sent = os.write(in_fd, outbox)
                 except BrokenPipeError:
-                    # The child is gone; reading stdout to its end still
-                    # takes the answers it gave before it went.
+                    # The child stopped reading; reading stdout to its end
+                    # still takes its answers to the requests it was sent.
                     outbox, encoded = b"", n
+                else:
+                    written += outbox.count(b"\n", 0, sent)
+                    outbox = outbox[sent:]
         if pending:
             raise self._fail(f"wrote unsolicited output {_quote(pending)} after its answer "
                              f"to {format_rows(points[-1:], ' ', '')!r}")
@@ -430,10 +429,9 @@ class ExternalEvaluator(Evaluator):
     def close(self) -> None:
         """Stop the child.  Raises :class:`EvaluatorError`, once the child is
         reaped, if it wrote output that no request asked for."""
-        with self._lock:
-            if self._proc is None:
-                return
-            stray, stderr = self._stop(grace=5.0)
+        if self._proc is None:
+            return
+        stray, stderr = self._stop(grace=5.0)
         if stray:
             raise _external_error(f"wrote unsolicited output {_quote(stray)} "
                                   f"after its last answer", stderr)

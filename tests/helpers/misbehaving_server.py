@@ -17,6 +17,8 @@ that waits for each answer before the next request never gets one.
 ``exit-after K``, ``garbage-at K``, ``stall-at K``: answer requests 0 to
 K - 1 correctly, then exit, answer request K with ``oops``, or hang before
 answering request K.
+``early-close K``: reads one request, closes its stdin and writes K answers
+(0.5, 1.5, ...) at once, however many requests the parent wrote.
 """
 
 import sys
@@ -29,6 +31,11 @@ def main() -> int:
     held = []
     for row, line in enumerate(sys.stdin):
         value = sum(float(token) ** 2 for token in line.split())
+        if mode == "early-close":
+            sys.stdin.close()
+            sys.stdout.write("".join(f"{j + 0.5!r}\n" for j in range(k)))
+            sys.stdout.flush()
+            return 0
         if row == k and mode == "exit-after":
             return 0
         if row == k and mode == "stall-at":

@@ -63,6 +63,7 @@ def _raised(call):
 
 
 BRENTQ_ERRORS = {
+    "xtol-zero": (lambda x: x - 0.5, 0.0, 1.0, {"xtol": 0.0}, ValueError),
     "rtol-below-floor": (lambda x: x - 0.5, 0.0, 1.0, {"rtol": 1e-16}, ValueError),
     "same-sign-bracket": (lambda x: x * x + 1.0, -1.0, 1.0, {}, ValueError),
     "nan-value": (lambda x: math.nan if x > 0.4 else x - 0.5, 0.0, 1.0, {}, ValueError),

@@ -561,6 +561,16 @@ def test_seed_flag_outside_64_bits_exits_2(tmp_path, capsys, config_path, seed):
     assert not out.exists()
 
 
+def test_sample_without_a_seed_exits_2(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({k: v for k, v in BOWL_CONFIG.items() if k != "seed"}))
+    out = tmp_path / "samples.csv"
+    code, _, stderr = run(capsys, "sample", "--config", str(path),
+                          "--domain", _write_domain(tmp_path), "--n", "5", "--out", str(out))
+    assert (code, stderr) == (2, "error: --seed is required when the config has no seed field\n")
+    assert not out.exists()
+
+
 def test_n_flag_below_1_exits_2(tmp_path, capsys, config_path):
     out = tmp_path / "samples.csv"
     code, _, stderr = run(capsys, "sample", "--config", config_path,
@@ -1164,8 +1174,11 @@ def test_sample_with_a_non_finite_value_exits_3(tmp_path, capsys):
      ": rel_residual_tol must hold only finite numbers"),
     ({"target_rank": 2, "degree": 2, "rel_residual_tol": "1e-8"},
      ": rel_residual_tol must hold only numbers"),
+    ({"target_rank": 2, "degree": 2, "rel_residual_tol": 0},
+     ": rel_residual_tol must be a finite number > 0, got 0"),
     ({"target_rank": 2}, " lacks key(s) degree"),
-], ids=["degree-float", "rank-float", "rank-bool", "tol-nan", "tol-string", "no-degree"])
+], ids=["degree-float", "rank-float", "rank-bool", "tol-nan", "tol-string", "tol-zero",
+        "no-degree"])
 def test_bad_fit_value_exits_2(tmp_path, capsys, fit, named):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({**BOWL_CONFIG, "fit": fit}))
@@ -1504,6 +1517,24 @@ def test_sample_from_a_misbehaving_child_names_the_row_and_writes_nothing(
                           n, seed=BOWL_CONFIG["seed"]).points
     assert stderr.startswith(f"error: evaluation failed at mu={points[row].tolist()}: ")
     assert named in stderr
+    assert not out.exists() and not list(tmp_path.glob("*.tmp"))
+
+
+def test_sample_from_a_child_that_answers_requests_it_was_not_sent_exits_3(tmp_path, capsys):
+    # The child reads one request, closes its stdin and writes n answers; the
+    # row named depends on how many requests the pipe took, so it is not pinned.
+    n = 3 * REQUEST_BLOCK_ROWS + 7
+    evaluator = {"variant": "external", "dim": 2, "timeout_seconds": 10.0,
+                 "command": [sys.executable, "tests/helpers/misbehaving_server.py",
+                             "early-close", str(n)]}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**BOWL_CONFIG, "evaluator": evaluator}))
+    out = tmp_path / "samples.csv"
+    code, stdout, stderr = run(capsys, "sample", "--config", str(path),
+                               "--domain", _write_domain(tmp_path), "--n", str(n),
+                               "--out", str(out))
+    assert (code, stdout) == (3, "")
+    assert "unsolicited output" in stderr
     assert not out.exists() and not list(tmp_path.glob("*.tmp"))
 
 

@@ -23,6 +23,8 @@ def test_bounding_box_validation_and_clip():
         BoundingBox(tau_min=np.array([0.5]), tau_max=np.array([0.5]))
     with pytest.raises(ValueError):
         BoundingBox(tau_min=np.array([-0.1]), tau_max=np.array([0.5]))
+    with pytest.raises(ValueError, match="1-d vectors of equal length"):
+        BoundingBox(tau_min=np.zeros(2), tau_max=np.ones(3))
     # A comparison with NaN is False, so NaN must not slip through the order checks.
     for tau_min, tau_max in [([0.0, 0.0], [np.nan, np.inf]), ([0.0, 0.0], [0.5, np.inf]),
                              ([np.nan, 0.0], [0.5, 0.5]), ([0.0, 0.0], [0.5, np.nan])]:
@@ -95,6 +97,16 @@ def test_axis_threshold_input_validation():
         axis_threshold(bowl, [0.0], 1.0, axis=0, direction=1, search_cap=float("nan"))
     with pytest.raises(ConstraintError):
         axis_threshold(bowl, [2.0], 1.0, axis=0, direction=1, search_cap=1.0)
+
+
+def test_axis_threshold_warns_when_the_crossing_is_a_jump():
+    # Q jumps from 0 to 2 across q_allow = 1, so no step has a small residual.
+    def step(mu):
+        return 0.0 if mu[0] < 0.3 else 2.0
+
+    with pytest.warns(UserWarning, match="crossing refined to residual above"):
+        t = axis_threshold(step, [0.0], 1.0, axis=0, direction=+1, search_cap=1.0)
+    assert t == pytest.approx(0.3, abs=1e-12)
 
 
 def test_axis_threshold_nonsmooth_function():

@@ -76,6 +76,9 @@ def test_retract_raises_when_no_crossing():
     # G <= 0.2^2 * 5 = 0.2 everywhere in this box, so G = 1 is unreachable.
     with pytest.raises(RetractionError):
         retract(np.array([0.1, 0.1]), np.zeros(2), small_box, ELLIPSE, 1.0, 1e-10)
+    # From the tau_max corner, below the manifold, the retractor has no length.
+    with pytest.raises(RetractionError, match="degenerate retractor direction"):
+        retract(small_box.tau_max, np.zeros(2), small_box, ELLIPSE, 1.0, 1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +155,19 @@ def test_initial_guess_respects_measure_direction():
     np.testing.assert_allclose(tau0, [1.0, 0.0], atol=1e-12)
 
 
+class FixedGradient:
+    """A stub measure whose gradient is one fixed vector everywhere."""
+
+    def __init__(self, gradient):
+        self.gradient = gradient
+
+    def value(self, tau):
+        return float(self.gradient @ tau)
+
+    def grad(self, tau):
+        return self.gradient
+
+
 def test_initial_guess_failure_modes():
     with pytest.raises(InitializationError, match="violates"):
         initial_guess(
@@ -163,6 +179,10 @@ def test_initial_guess_failure_modes():
             BoundingBox(tau_min=np.zeros(2), tau_max=np.array([0.2, 0.2])),
             OneNorm(), ELLIPSE, 1.0, 1e-10,
         )
+    for grad, named in [([0.0, 0.0], "ascent direction vanished"),
+                        ([-1.0, 0.0], "does not enter the bounding box")]:
+        with pytest.raises(InitializationError, match=named):
+            initial_guess(BOX, FixedGradient(np.array(grad)), ELLIPSE, 1.0, 1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +205,12 @@ def test_line_search_zero_direction_stalls():
     alpha, tau_plus, f_plus, stalled = line_search(tau, np.zeros(2), BOX, OneNorm(), ELLIPSE, 1.0)
     assert stalled and alpha == 0.0
     np.testing.assert_array_equal(tau_plus, tau)
+    # On the wall tau_1 = 2, a direction out through it has a ray of length 0.
+    on_wall = np.array([2.0, 0.4])
+    alpha, tau_plus, f_plus, stalled = line_search(on_wall, np.array([1.0, 0.0]), BOX,
+                                                   OneNorm(), ELLIPSE, 1.0)
+    assert stalled and alpha == 0.0 and f_plus == 2.4
+    np.testing.assert_array_equal(tau_plus, on_wall)
 
 
 def _central_difference(tau, unit, alpha, box, h=1e-6):

@@ -65,6 +65,8 @@ def test_mu_norm_values_and_validation():
         MuNorm(weights=np.array([-1.0, 1.0]))
     with pytest.raises(ValueError):
         MuNorm(weights=np.zeros(2))
+    with pytest.raises(ValueError, match="a number or a 1-d vector"):
+        MuNorm(weights=np.ones((2, 2)))
 
 
 def test_minus_one_norm_values():

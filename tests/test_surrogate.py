@@ -580,6 +580,47 @@ def test_model_from_dict_raises_value_error_on_a_malformed_field(field, value):
     assert field in str(raised.value)
 
 
+UNIT_SQUARE = (Interval(-1.0, 1.0), Interval(-1.0, 1.0))
+
+
+@pytest.mark.parametrize("fields, named", [
+    ({"dim": 0, "intervals": ()}, "dim and rank must be positive"),
+    ({"intervals": UNIT_SQUARE[:1]}, "one interval per dimension"),
+    ({"scales": np.ones(3)}, r"scales must have shape \(2,\)"),
+    ({"coeffs": np.ones((2, 2, 3))}, r"coeffs must have shape \(2, 2, 4\)"),
+    ({"coeffs": np.full((2, 2, 4), np.inf)}, "coefficients must be finite"),
+], ids=["dim-0", "interval-count", "scales-shape", "coeffs-shape", "coeffs-inf"])
+def test_model_rejects_fields_that_disagree(fields, named):
+    model = {"dim": 2, "rank": 2, "degree": 3, "intervals": UNIT_SQUARE,
+             "scales": np.ones(2), "coeffs": np.ones((2, 2, 4))}
+    with pytest.raises(ValueError, match=named):
+        SeparatedModel(**{**model, **fields})
+
+
+def test_sample_set_rejects_unequal_lengths_and_no_rows():
+    with pytest.raises(ValueError, match="equal length"):
+        SampleSet(points=np.zeros((3, 2)), values=np.zeros(2))
+    with pytest.raises(ValueError, match="at least one sample"):
+        SampleSet(points=np.zeros((0, 2)), values=np.zeros(0))
+
+
+def test_als_rejects_a_wrong_interval_count():
+    samples = SampleSet(points=np.zeros((4, 2)), values=np.ones(4))
+    with pytest.raises(ValueError, match="one interval per sample dimension"):
+        als_fit(samples, FitConfig(target_rank=1, degree=1), UNIT_SQUARE[:1])
+
+
+def test_atomic_write_leaves_nothing_when_the_writer_raises(tmp_path):
+    def write(tmp):
+        with open(tmp, "w") as handle:
+            handle.write("partial")
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        files.atomic_write(tmp_path / "model.json", write)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sample_csv_roundtrip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(18)
     samples = SampleSet(points=rng.normal(size=(30, 3)), values=rng.normal(size=30))
