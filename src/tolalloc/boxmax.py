@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,22 +29,17 @@ WALL_REL_TOL = 1e-8
 START_SEED = 0
 
 
-@dataclass(frozen=True)
 class ToleranceBox:
     """Hyperrectangle |mu_i - center_i| <= half_widths_i."""
 
-    center: np.ndarray
-    half_widths: np.ndarray
-
-    def __post_init__(self):
-        center = np.asarray(self.center, dtype=float)
-        half = np.asarray(self.half_widths, dtype=float)
+    def __init__(self, center, half_widths):
+        center = np.asarray(center, dtype=float)
+        half = np.asarray(half_widths, dtype=float)
         if center.shape != half.shape or center.ndim != 1:
             raise ValueError("center and half_widths must be 1-d vectors of equal length")
         if not np.all(np.isfinite(center) & (0.0 <= half) & (half < np.inf)):
             raise ValueError("center must be finite, half widths finite and nonnegative")
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "half_widths", half)
+        self.center, self.half_widths = center, half
 
     @property
     def dim(self) -> int:
@@ -60,14 +54,16 @@ class ToleranceBox:
         return self.center + self.half_widths
 
 
-@dataclass
 class BoxMaxResult:
-    value: float
-    # (m, d): every point that ties for the value, each once (rows are merged
-    # only when exactly equal), lexicographically sorted.
-    maximizers: np.ndarray
-    wall_contacts: np.ndarray  # (m, d) bool: maximizer k touches a wall of axis i
-    box: ToleranceBox = field(repr=False)
+    """The maximum ``value`` over ``box``.  ``maximizers`` (m, d) holds every
+    point that ties for it, each once (rows are merged only when exactly
+    equal), lexicographically sorted; ``wall_contacts`` (m, d) is true where
+    maximizer k touches a wall of axis i."""
+
+    def __init__(self, value: float, maximizers: np.ndarray, wall_contacts: np.ndarray,
+                 box: ToleranceBox):
+        self.value, self.maximizers, self.wall_contacts, self.box = (
+            value, maximizers, wall_contacts, box)
 
 
 @functools.lru_cache(maxsize=256)
@@ -203,19 +199,17 @@ def _tau_gradient(partials, sides, contacts, half_widths) -> np.ndarray:
     return np.where(contacts, slopes, 0.0).max(axis=0)
 
 
-@dataclass(frozen=True)
 class AdditiveModel:
     """A surrogate whose terms are each univariate, c + sum_i f_i(x_i), in the
-    standardized coordinates x_i in [-1, 1] of its intervals."""
+    standardized coordinates x_i in [-1, 1] of its intervals.  ``coeffs``
+    (d, p+1) holds the Legendre coefficients of each f_i; ``critical_x`` and
+    ``critical_values`` (d, k) the candidate critical points of each f_i,
+    padded with +inf, and the values of f_i there, padded with -inf."""
 
-    constant: float
-    coeffs: np.ndarray  # (d, p+1): the Legendre coefficients of each f_i
-    # (d, k): candidate critical points of each f_i, padded with +inf, and the
-    # values of f_i there, padded with -inf.
-    critical_x: np.ndarray
-    critical_values: np.ndarray
-    lo: np.ndarray
-    width: np.ndarray
+    def __init__(self, constant: float, coeffs: np.ndarray, critical_x: np.ndarray,
+                 critical_values: np.ndarray, lo: np.ndarray, width: np.ndarray):
+        self.constant, self.coeffs, self.lo, self.width = constant, coeffs, lo, width
+        self.critical_x, self.critical_values = critical_x, critical_values
 
 
 def _legendre_to_monomial(degree: int) -> np.ndarray:

@@ -8,17 +8,22 @@ error, 3 numeric failure (a ``NumericError``, an ``ArithmeticError`` or a
 
 Every command pays for numpy, ``files`` (every file goes through it),
 ``surrogate``, ``domain`` and ``metrics``; the evaluator, worst-case, manifold
-and measure modules are imported only by the commands that run them.
+and measure modules are imported only by the commands that run them.  No
+record class is a dataclass, whose methods are generated and compiled at
+import.  A process enters through :func:`run`, which skips interpreter
+teardown: ``main`` closes every evaluator and renames every artifact into
+place before it returns.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import gc
 import json
+import os
 import sys
 from contextlib import closing, contextmanager
+from typing import NoReturn
 
 import numpy as np
 
@@ -34,8 +39,8 @@ from .surrogate import FitConfig, NumericError, SampleSet, SeparatedModel, _stan
 # --seed``) drives sampling only: the fit draws nothing.
 CONFIG_SECTIONS = {
     "bbox": {"caps", "tau_min"},
-    "check_thresholds": {field.name for field in dataclasses.fields(metrics.AllocationErrorReport)},
-    "fit": {field.name for field in dataclasses.fields(FitConfig)},
+    "check_thresholds": set(metrics.AllocationErrorReport._fields),
+    "fit": set(FitConfig.__slots__),
     "evaluator": None,
     "measure": None,
 }
@@ -229,7 +234,7 @@ def cmd_fit(args) -> int:
     }
     if args.holdout:
         errors = metrics.surrogate_errors(model, sets[args.holdout])
-        summary["holdout"] = dataclasses.asdict(errors)
+        summary["holdout"] = errors._asdict()
     model.save(args.out)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return EXIT_OK
@@ -277,7 +282,7 @@ def cmd_check(args) -> int:
                   f"the box 'nominal' +- 'tau' of tolerance result file {args.tau} lies outside "
                   "the model's intervals")
     report = metrics.allocation_errors(tau, tau_ref, measure, gfun, q_allow)
-    print(json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True))
+    print(json.dumps(report._asdict(), indent=2, sort_keys=True))
     thresholds = config.get("check_thresholds", {})
     failed = [
         name for name, limit in thresholds.items()
@@ -371,14 +376,23 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
 
-def run(argv=None) -> int:
-    """``main`` for a process entry point.  It freezes what the imports made, so
-    that no collection, shutdown's included, walks those objects again.  Frozen
-    objects are never freed, so ``main`` itself does not freeze: tests call it
-    in-process."""
+def run(argv=None) -> NoReturn:
+    """``main`` for a process entry point, which ends the process with its exit
+    code, or with that of the ``SystemExit`` argparse raises.  It freezes what
+    the imports made, so that no collection walks those objects again, and it
+    skips interpreter teardown: once ``main`` returns, every evaluator is closed
+    (its children reaped) and every artifact renamed into place, so only the
+    standard streams are left to flush.  Frozen objects are never freed, so
+    ``main`` itself neither freezes nor exits: tests call it in-process."""
     gc.freeze()
-    return main(argv)
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(run())
+    run()

@@ -8,7 +8,6 @@ bracket expansion followed by Brent root refinement.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,22 +23,17 @@ class ConstraintError(ValueError):
     """Raised when the nominal design violates the performance constraint."""
 
 
-@dataclass(frozen=True)
 class BoundingBox:
     """Componentwise tolerance search box [tau_min, tau_max]."""
 
-    tau_min: np.ndarray
-    tau_max: np.ndarray
-
-    def __post_init__(self):
-        tau_min = np.asarray(self.tau_min, dtype=float)
-        tau_max = np.asarray(self.tau_max, dtype=float)
+    def __init__(self, tau_min, tau_max):
+        tau_min = np.asarray(tau_min, dtype=float)
+        tau_max = np.asarray(tau_max, dtype=float)
         if tau_min.shape != tau_max.shape or tau_min.ndim != 1:
             raise ValueError("tau_min and tau_max must be 1-d vectors of equal length")
         if not np.all((0.0 <= tau_min) & (tau_min < tau_max) & (tau_max < np.inf)):
             raise ValueError("require 0 <= tau_min_i < tau_max_i < inf for all i")
-        object.__setattr__(self, "tau_min", tau_min)
-        object.__setattr__(self, "tau_max", tau_max)
+        self.tau_min, self.tau_max = tau_min, tau_max
 
     @property
     def dim(self) -> int:

@@ -38,7 +38,7 @@ READ_BYTES = 65536
 class EvaluatorError(NumericError):
     """Raised when an evaluator cannot produce a value.  One raised by
     :meth:`Evaluator.many` sets ``row``, the index of the point whose value
-    failed."""
+    failed, or leaves it None when the failure is at no point."""
 
     row: int | None = None
 
@@ -310,19 +310,22 @@ class ExternalEvaluator(Evaluator):
             stderr.seek(max(size - STDERR_TAIL_BYTES, 0))
             return stdout, stderr.read().decode(errors="replace")
 
-    def _fail(self, what: str) -> EvaluatorError:
-        """Stop the child and describe ``what`` it did, with its stderr tail."""
+    def _fail(self, what: str, row: int | None = None) -> EvaluatorError:
+        """Stop the child and describe ``what`` it did, with its stderr tail;
+        the error names ``row``, the point at fault, if there is one."""
         _, stderr = self._stop(grace=0.0)
-        return _external_error(what, stderr)
+        exc = _external_error(what, stderr)
+        exc.row = row
+        return exc
 
-    def _parse(self, line: bytes) -> float:
+    def _parse(self, line: bytes, row: int) -> float:
         text = line.decode(errors="replace")
         try:
             value = float(text)
         except ValueError:
-            raise self._fail(f"returned non-numeric output {_quote(text)}")
+            raise self._fail(f"returned non-numeric output {_quote(text)}", row)
         if not math.isfinite(value):
-            raise self._fail(f"returned non-finite value {_quote(text)}")
+            raise self._fail(f"returned non-finite value {_quote(text)}", row)
         return value
 
     def many(self, points, rows: list | None = None) -> np.ndarray:
@@ -334,7 +337,8 @@ class ExternalEvaluator(Evaluator):
 
         On failure the child is stopped, the next call starts a new one, and
         the :class:`EvaluatorError` names in ``row`` the point whose answer
-        failed.
+        failed.  It names none for output that answers a request not yet
+        written, or for a child that cannot start.
         """
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != self._dim:
@@ -348,9 +352,6 @@ class ExternalEvaluator(Evaluator):
                 answered += len(chunk)
                 if rows is not None:
                     rows.append(sample_rows(requests, chunk))
-        except EvaluatorError as exc:
-            exc.row = min(answered, len(points) - 1)
-            raise
         except BaseException:
             # An interrupted batch leaves answers in flight; drop them
             # with the child rather than read them as the next batch's.
@@ -383,14 +384,15 @@ class ExternalEvaluator(Evaluator):
                 encoded += len(block)
             remaining = deadline - time.monotonic()
             if remaining <= 0.0:
-                raise self._fail(f"timed out after {self.timeout_seconds}s")
+                raise self._fail(f"timed out after {self.timeout_seconds}s", answered)
             readable, writable, _ = select.select([out_fd], [in_fd] if outbox else [], [],
                                                   remaining)
             if readable:
                 chunk = os.read(out_fd, READ_BYTES)
                 if not chunk:
                     raise self._fail(f"exited on request "
-                                     f"{format_rows(points[answered:answered + 1], ' ', '')!r}")
+                                     f"{format_rows(points[answered:answered + 1], ' ', '')!r}",
+                                     answered)
                 lines = (pending + chunk).split(b"\n")
                 taken = min(len(lines) - 1, written - answered)
                 pending = b"\n".join(lines[taken:])
@@ -405,7 +407,7 @@ class ExternalEvaluator(Evaluator):
                     if values is None or not all(map(math.isfinite, values)):
                         # One line at a time, so that the error names its own row.
                         for row in range(taken):
-                            yield [self._parse(lines[row])], requests[row:row + 1]
+                            yield [self._parse(lines[row], answered + row)], requests[row:row + 1]
                     else:
                         yield values, requests
                     answered += taken
@@ -424,7 +426,7 @@ class ExternalEvaluator(Evaluator):
                     outbox = outbox[sent:]
         if pending:
             raise self._fail(f"wrote unsolicited output {_quote(pending)} after its answer "
-                             f"to {format_rows(points[-1:], ' ', '')!r}")
+                             f"to {format_rows(points[-1:], ' ', '')!r}", n - 1)
 
     def close(self) -> None:
         """Stop the child.  Raises :class:`EvaluatorError`, once the child is
@@ -551,8 +553,8 @@ def draw_samples(evaluator, domain, n: int, seed: int) -> SampleSet:
     try:
         values = evaluator.many(points) if rows is None else evaluator.many(points, rows)
     except EvaluatorError as exc:
-        raise EvaluatorError(f"evaluation failed at mu={points[exc.row].tolist()}: "
-                             f"{exc}") from exc
+        at = "" if exc.row is None else f" at mu={points[exc.row].tolist()}"
+        raise EvaluatorError(f"evaluation failed{at}: {exc}") from exc
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         raise EvaluatorError(f"evaluation failed at mu={points[bad[0]].tolist()}: "

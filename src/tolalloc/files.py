@@ -9,7 +9,6 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -69,18 +68,24 @@ def _fields(value, name: str, required=(), optional=None) -> dict:
     return value
 
 
-@dataclass(frozen=True)
 class Interval:
-    """A closed parameter interval [lo, hi] with lo < hi."""
+    """A closed parameter interval [lo, hi] with lo < hi; equal to another with
+    the same bounds."""
 
-    lo: float
-    hi: float
+    def __init__(self, lo: float, hi: float):
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise ValueError(f"interval bounds must be finite, got [{lo}, {hi}]")
+        if not lo < hi:
+            raise ValueError(f"interval requires lo < hi, got [{lo}, {hi}]")
+        self.lo, self.hi = lo, hi
 
-    def __post_init__(self):
-        if not (np.isfinite(self.lo) and np.isfinite(self.hi)):
-            raise ValueError(f"interval bounds must be finite, got [{self.lo}, {self.hi}]")
-        if not self.lo < self.hi:
-            raise ValueError(f"interval requires lo < hi, got [{self.lo}, {self.hi}]")
+    def __eq__(self, other):
+        if not isinstance(other, Interval):
+            return NotImplemented
+        return (self.lo, self.hi) == (other.lo, other.hi)
+
+    def __hash__(self):
+        return hash((self.lo, self.hi))
 
     @property
     def width(self) -> float:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,31 +53,36 @@ class InitializationError(NumericError):
     """The initial-guess ray exits the bounding box before crossing the manifold."""
 
 
-@dataclass
 class TangentFrame:
-    normal: np.ndarray       # unit normal of the manifold within the active wall face
-    projector: np.ndarray    # (d, d), onto the manifold's tangent space in that face
-    cg_flag: bool
+    """The manifold's unit ``normal`` within the active wall face, and the
+    (d, d) ``projector`` onto its tangent space in that face."""
+
+    def __init__(self, normal: np.ndarray, projector: np.ndarray, cg_flag: bool):
+        self.normal, self.projector, self.cg_flag = normal, projector, cg_flag
 
 
-@dataclass
 class TraversalTrace:
-    iterates: list[np.ndarray] = field(default_factory=list)
-    f_values: list[float] = field(default_factory=list)
-    g_residuals: list[float] = field(default_factory=list)
-    wall_events: list[tuple[int, int]] = field(default_factory=list)
-    restarts: list[int] = field(default_factory=list)
+    """The traversal's iterates and what happened at each; a list not given
+    starts empty."""
+
+    def __init__(self, iterates: list[np.ndarray] | None = None,
+                 f_values: list[float] | None = None, g_residuals: list[float] | None = None,
+                 wall_events: list[tuple[int, int]] | None = None,
+                 restarts: list[int] | None = None):
+        self.iterates = [] if iterates is None else iterates
+        self.f_values = [] if f_values is None else f_values
+        self.g_residuals = [] if g_residuals is None else g_residuals
+        self.wall_events = [] if wall_events is None else wall_events
+        self.restarts = [] if restarts is None else restarts
 
 
-@dataclass
 class AllocationResult:
-    tau: np.ndarray
-    f_opt: float
-    g_residual: float
-    iterations: int
-    method: str
-    trace: TraversalTrace
-    stop: str                # "stationary" | "stalled" | "max_iters"
+    """``stop`` is "stationary", "stalled" or "max_iters"."""
+
+    def __init__(self, tau: np.ndarray, f_opt: float, g_residual: float, iterations: int,
+                 method: str, trace: TraversalTrace, stop: str):
+        self.tau, self.f_opt, self.g_residual, self.iterations = tau, f_opt, g_residual, iterations
+        self.method, self.trace, self.stop = method, trace, stop
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ A parameter is a number, shared by every axis, or holds one value per axis.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,21 +28,18 @@ def _check_tau(tau, *parameters: np.ndarray) -> np.ndarray:
     return tau
 
 
-@dataclass(frozen=True)
 class MuNorm:
     """F(tau) = sum_i w_i tau_i with nonnegative sensitivity weights."""
 
-    weights: np.ndarray
-
-    def __post_init__(self):
-        weights = np.asarray(self.weights, dtype=float)
+    def __init__(self, weights):
+        weights = np.asarray(weights, dtype=float)
         if weights.ndim > 1 or weights.size < 1:
             raise ValueError("weights must be a number or a 1-d vector")
         if np.any(weights < 0.0) or not np.all(np.isfinite(weights)):
             raise ValueError("weights must be finite and nonnegative")
         if np.all(weights == 0.0):
             raise ValueError("weights must not all be zero")
-        object.__setattr__(self, "weights", weights)
+        self.weights = weights
 
     def value(self, tau) -> float:
         return float(np.sum(self.weights * _check_tau(tau, self.weights)))
@@ -59,23 +55,17 @@ class OneNorm(MuNorm):
         super().__init__(weights=1.0)
 
 
-@dataclass(frozen=True)
 class ReciprocalPowerCost:
     """F(tau) = 1 / sum_i (a_i + b_i / tau_i^{k_i}), zero when any tau_i = 0."""
 
-    a: np.ndarray
-    b: np.ndarray
-    k: np.ndarray
-
-    def __post_init__(self):
-        a, b, k = (np.asarray(value, dtype=float) for value in (self.a, self.b, self.k))
+    def __init__(self, a, b, k):
+        a, b, k = (np.asarray(value, dtype=float) for value in (a, b, k))
         if max(a.ndim, b.ndim, k.ndim) > 1 or len({x.size for x in (a, b, k) if x.ndim}) > 1:
             raise ValueError("a, b, k must be numbers or 1-d vectors of equal length")
         if not (all(np.all(np.isfinite(x)) for x in (a, b, k)) and np.all(a >= 0.0)
                 and np.all(b > 0.0) and np.all(k > 0.0)):
             raise ValueError("a must be finite and nonnegative, b and k finite and positive")
-        for name, value in zip("abk", (a, b, k)):
-            object.__setattr__(self, name, value)
+        self.a, self.b, self.k = a, b, k
 
     def _cost(self, tau: np.ndarray) -> float:
         return float(np.sum(self.a + self.b / tau**self.k))

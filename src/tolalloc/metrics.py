@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -13,15 +13,13 @@ class MetricError(NumericError):
     """Raised when a relative error is undefined (zero denominator)."""
 
 
-@dataclass(frozen=True)
-class ErrorReport:
+class ErrorReport(NamedTuple):
     mean_rel: float
     max_rel: float
     n_compared: int
 
 
-@dataclass(frozen=True)
-class AllocationErrorReport:
+class AllocationErrorReport(NamedTuple):
     tol_err_inf: float
     objective_rel_err: float
     constraint_rel_err: float

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -107,41 +106,33 @@ def _rank_sum(scales: np.ndarray, terms: np.ndarray) -> np.ndarray:
 # Separated model
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class SeparatedModel:
     """Rank-r tensor-product Legendre surrogate.
 
     ``coeffs`` has shape (rank, dim, degree + 1); ``scales`` has shape (rank,).
-    Instances are immutable after construction and safe for concurrent reads.
+    Its arrays are read-only and no method changes an attribute, so instances
+    are safe for concurrent reads.
     """
 
-    dim: int
-    rank: int
-    degree: int
-    intervals: tuple[Interval, ...]
-    scales: np.ndarray
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        if self.dim < 1 or self.rank < 1 or self.degree < 0:
+    def __init__(self, dim: int, rank: int, degree: int, intervals: tuple[Interval, ...],
+                 scales, coeffs):
+        if dim < 1 or rank < 1 or degree < 0:
             raise ValueError("dim and rank must be positive, degree nonnegative")
-        if len(self.intervals) != self.dim:
+        if len(intervals) != dim:
             raise ValueError("need one interval per dimension")
-        scales = np.asarray(self.scales, dtype=float)
-        coeffs = np.asarray(self.coeffs, dtype=float)
-        if scales.shape != (self.rank,):
-            raise ValueError(f"scales must have shape ({self.rank},)")
-        if coeffs.shape != (self.rank, self.dim, self.degree + 1):
-            raise ValueError(
-                f"coeffs must have shape ({self.rank}, {self.dim}, {self.degree + 1})"
-            )
+        scales = np.asarray(scales, dtype=float)
+        coeffs = np.asarray(coeffs, dtype=float)
+        if scales.shape != (rank,):
+            raise ValueError(f"scales must have shape ({rank},)")
+        if coeffs.shape != (rank, dim, degree + 1):
+            raise ValueError(f"coeffs must have shape ({rank}, {dim}, {degree + 1})")
         if not (np.all(np.isfinite(scales)) and np.all(np.isfinite(coeffs))):
             raise ValueError("model coefficients must be finite")
-        object.__setattr__(self, "intervals", tuple(self.intervals))
-        object.__setattr__(self, "scales", scales)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "_lo", np.array([iv.lo for iv in self.intervals]))
-        object.__setattr__(self, "_width", np.array([iv.width for iv in self.intervals]))
+        self.dim, self.rank, self.degree = dim, rank, degree
+        self.intervals = tuple(intervals)
+        self.scales, self.coeffs = scales, coeffs
+        self._lo = np.array([iv.lo for iv in self.intervals])
+        self._width = np.array([iv.width for iv in self.intervals])
         for array in (self.scales, self.coeffs, self._lo, self._width):
             array.setflags(write=False)
 
@@ -193,24 +184,18 @@ class SeparatedModel:
 # ALS fitting
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class SampleSet:
     """Paired design points (N, dim) and performance values (N,); ``csv_text``
     holds their sample-file rows where the sampler rendered them, else None."""
 
-    points: np.ndarray
-    values: np.ndarray
-    csv_text: str | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        points = np.atleast_2d(np.asarray(self.points, dtype=float))
-        values = np.asarray(self.values, dtype=float).ravel()
+    def __init__(self, points, values, csv_text: str | None = None):
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        values = np.asarray(values, dtype=float).ravel()
         if points.shape[0] != values.shape[0]:
             raise ValueError("points and values must have equal length")
         if points.shape[0] < 1:
             raise ValueError("need at least one sample")
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "values", values)
+        self.points, self.values, self.csv_text = points, values, csv_text
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -229,33 +214,33 @@ SWEEP_STALL_TOL = 1e-6
 REGULARIZATION = 1e-10
 
 
-@dataclass
 class FitConfig:
-    """ALS settings.  ``seed`` has no effect: the fit draws nothing.  It is
-    still accepted so that callers which pass it keep working."""
+    """ALS settings, one per slot: the keys of a config's ``fit`` object.
+    ``seed`` has no effect: the fit draws nothing.  It is still accepted so
+    that callers which pass it keep working."""
 
-    target_rank: int
-    degree: int
-    rel_residual_tol: float = 1e-8
-    seed: InitVar[int] = 0
+    __slots__ = ("target_rank", "degree", "rel_residual_tol")
 
-    def __post_init__(self, seed):
-        _integer(self.target_rank, "target_rank", 1)
-        _integer(self.degree, "degree", 0)
-        tol = _number_array(self.rel_residual_tol, "rel_residual_tol")
+    def __init__(self, target_rank: int, degree: int, rel_residual_tol: float = 1e-8,
+                 seed: int = 0):
+        _integer(target_rank, "target_rank", 1)
+        _integer(degree, "degree", 0)
+        tol = _number_array(rel_residual_tol, "rel_residual_tol")
         if tol.ndim or not tol > 0:
             raise ValueError(f"rel_residual_tol must be a finite number > 0, "
-                             f"got {self.rel_residual_tol!r}")
+                             f"got {rel_residual_tol!r}")
+        self.target_rank, self.degree = target_rank, degree
+        self.rel_residual_tol = rel_residual_tol
 
 
-@dataclass
 class FitReport:
-    final_rank: int
-    sweeps_used: int
-    residual_history: list[float]
-    converged: bool
-    # Relative residual of the additive start alone; None without one.
-    additive_residual: float | None
+    """What a fit did; ``additive_residual`` is the relative residual of the
+    additive start alone, None without one."""
+
+    def __init__(self, final_rank: int, sweeps_used: int, residual_history: list[float],
+                 converged: bool, additive_residual: float | None):
+        self.final_rank, self.sweeps_used, self.converged = final_rank, sweeps_used, converged
+        self.residual_history, self.additive_residual = residual_history, additive_residual
 
 
 def _normalize(scales: np.ndarray, coeffs: np.ndarray) -> None:

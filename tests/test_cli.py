@@ -388,10 +388,14 @@ def _package_env() -> dict:
 
 # Runs ``python -m MODULE ARGS...`` (or only imports the package when MODULE is
 # "tolalloc"), then prints the exit code, the tolalloc submodules loaded, with
-# ``subprocess``, ``select``, ``numpy.random`` and ``hashlib`` if they were, and
-# the frozen object count.
+# ``subprocess``, ``select``, ``numpy.random``, ``hashlib`` and ``dataclasses``
+# if they were, and the frozen object count.  ``os._exit`` raises SystemExit
+# instead, so that the probe outlives the CLI's exit.
 IMPORT_PROBE = """
-import gc, json, runpy, sys
+import gc, json, os, runpy, sys
+def _exit(code):
+    raise SystemExit(code)
+os._exit = _exit
 sys.argv = sys.argv[1:]
 code = 0
 if sys.argv[0] == "tolalloc":
@@ -402,7 +406,8 @@ else:
     except SystemExit as exc:
         code = exc.code
 print(json.dumps([code, sorted(name for name in sys.modules if name.startswith("tolalloc.")
-                               or name in ("subprocess", "select", "numpy.random", "hashlib")),
+                               or name in ("subprocess", "select", "numpy.random", "hashlib",
+                                           "dataclasses")),
                   gc.get_freeze_count()]))
 """
 
@@ -452,7 +457,8 @@ def test_each_cli_process_imports_only_the_modules_its_command_runs(tmp_path, co
     # Each command loads exactly the modules it runs.  None starts a process
     # (the external evaluator imports subprocess and select only when it does)
     # or draws from numpy.random, so hashlib and OpenSSL stay unloaded too: the
-    # fit draws nothing, and sampling and the multistart use SplitMix64.
+    # fit draws nothing, and sampling and the multistart use SplitMix64.  No
+    # record class is a dataclass, so no command loads ``dataclasses``.
     # BOWL_CONFIG's fit is additive; `check` evaluates nothing, and the
     # allocation reads the model and the domain file only.
     base = {"brent", "domain", "files", "metrics", "surrogate"}
@@ -517,6 +523,40 @@ def test_cli_process_usage_error_exits_2(tmp_path, config_path):
     assert proc.returncode == 2
     assert proc.stderr.startswith("usage: tolalloc fit")
     assert "--domain" in proc.stderr
+
+
+# Appends its pid to the file ARGV[1], then runs the line-protocol child ARGV[2:].
+PID_CHILD = """
+import os, runpy, sys
+with open(sys.argv[1], "a") as pids:
+    pids.write(f"{os.getpid()}\\n")
+sys.argv = sys.argv[2:]
+runpy.run_path(sys.argv[0], run_name="__main__")
+"""
+
+
+@pytest.mark.parametrize("child, code", [
+    (["tests/helpers/quadratic_bowl_server.py", "1.0,4.0"], 0),
+    (["tests/helpers/misbehaving_server.py", "early-close", "5000"], 3),
+], ids=["exit-0", "unsolicited-exit-3"])
+def test_no_external_child_outlives_a_cli_process(tmp_path, child, code):
+    # The process entry point ends with os._exit, which runs no finalizer:
+    # every child must be stopped and reaped before main returns.
+    pids = tmp_path / "pids"
+    evaluator = {"variant": "external", "dim": 2,
+                 "command": [sys.executable, "-c", PID_CHILD, str(pids), *child]}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**BOWL_CONFIG, "evaluator": evaluator}))
+    for argv in (["size-domain", "--out", str(tmp_path / "domain.json")],
+                 ["sample", "--domain", _write_domain(tmp_path), "--n", "5000",
+                  "--out", str(tmp_path / "samples.csv")]):
+        proc = _cli_process(*argv, "--config", str(path))
+        assert proc.returncode == code, proc.stderr
+    started = [int(pid) for pid in pids.read_text().split()]
+    assert len(started) == 2
+    for pid in started:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 def test_console_script_is_the_process_entry_point():
@@ -1521,9 +1561,10 @@ def test_sample_from_a_misbehaving_child_names_the_row_and_writes_nothing(
 
 
 def test_sample_from_a_child_that_answers_requests_it_was_not_sent_exits_3(tmp_path, capsys):
-    # The child reads one request, closes its stdin and writes n answers; the
-    # row named depends on how many requests the pipe took, so it is not pinned.
-    n = 3 * REQUEST_BLOCK_ROWS + 7
+    # The child reads one request, closes its stdin and writes n answers.  The
+    # first answer beyond the requests written answers no point, so the error
+    # names none.
+    n = 5000
     evaluator = {"variant": "external", "dim": 2, "timeout_seconds": 10.0,
                  "command": [sys.executable, "tests/helpers/misbehaving_server.py",
                              "early-close", str(n)]}
@@ -1534,7 +1575,8 @@ def test_sample_from_a_child_that_answers_requests_it_was_not_sent_exits_3(tmp_p
                                "--domain", _write_domain(tmp_path), "--n", str(n),
                                "--out", str(out))
     assert (code, stdout) == (3, "")
-    assert "unsolicited output" in stderr
+    assert stderr.startswith("error: evaluation failed: external evaluator wrote unsolicited "
+                             "output ")
     assert not out.exists() and not list(tmp_path.glob("*.tmp"))
 
 

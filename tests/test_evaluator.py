@@ -454,17 +454,41 @@ sys.stdin.read()
 """
 
 
-# The row named is not pinned: it depends on how many request bytes the pipe
-# took before the child stopped reading.
+# An answer to a request not yet written answers no point, so the error names
+# no row.
 @pytest.mark.parametrize("command", [["-c", AHEAD_CHILD], [MISBEHAVING, "early-close"]],
                          ids=["ahead", "early-close"])
 def test_external_answers_beyond_the_requests_written_are_unsolicited(command):
     n = 3 * REQUEST_BLOCK_ROWS + 7
     with ExternalEvaluator([sys.executable, *command, str(n)], dim=2,
                            timeout_seconds=5.0) as ext:
-        with pytest.raises(EvaluatorError, match="unsolicited output"):
+        with pytest.raises(EvaluatorError,
+                           match="^evaluation failed: .*unsolicited output") as exc:
             draw_samples(ext, (Interval(-1, 1), Interval(-1, 1)), n, seed=5)
+        assert exc.value.__cause__.row is None
         assert ext._proc is None
+
+
+def test_external_batch_interrupted_between_chunks_stops_the_child():
+    # 5000 answers take more than one READ_BYTES read, so at least two chunks.
+    points = 2.0 * _uniform(3, (5000, 2)) - 1.0
+    children = []
+
+    class InterruptedRows(list):
+        """Rows whose second append, after the second chunk, is interrupted."""
+
+        def append(self, text):
+            children.append(ext._proc)
+            if len(children) == 2:
+                raise KeyboardInterrupt
+            super().append(text)
+
+    with ExternalEvaluator([sys.executable, SERVER, "1.0,1.0"], dim=2) as ext:
+        with pytest.raises(KeyboardInterrupt):
+            ext.many(points, InterruptedRows())
+        assert ext._proc is None and children[0].returncode is not None
+        np.testing.assert_array_equal(ext.many(points[:8]), (points[:8] ** 2).sum(axis=1))
+        assert ext._proc.pid != children[0].pid
 
 
 def test_external_many_rejects_a_stack_of_the_wrong_shape():

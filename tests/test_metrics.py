@@ -1,4 +1,3 @@
-from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -60,7 +59,7 @@ def test_surrogate_errors_rejects_zero_truth():
 
 def test_error_report_to_dict():
     report = ErrorReport(mean_rel=0.1, max_rel=0.2, n_compared=5)
-    assert asdict(report) == {"mean_rel": 0.1, "max_rel": 0.2, "n_compared": 5}
+    assert report._asdict() == {"mean_rel": 0.1, "max_rel": 0.2, "n_compared": 5}
 
 
 def test_allocation_errors_hand_computed():
@@ -72,7 +71,7 @@ def test_allocation_errors_hand_computed():
     assert report.tol_err_inf == pytest.approx(0.1)
     assert report.objective_rel_err == pytest.approx(0.05)
     assert report.constraint_rel_err == pytest.approx(0.05)
-    assert set(asdict(report)) == {"tol_err_inf", "objective_rel_err",
+    assert set(report._asdict()) == {"tol_err_inf", "objective_rel_err",
                                    "constraint_rel_err"}
 
 
