@@ -94,14 +94,15 @@ def load_config(path, required=()) -> dict:
 
 
 @contextmanager
-def _open_evaluator(config: dict, path):
-    """The evaluator of the config at ``path``, closed (child processes
-    stopped) on exit."""
+def _open_evaluator(config: dict, path, files: dict):
+    """The evaluator of the config at ``path``, once ``_check_dims`` passes its
+    dim and ``files``; closed (child processes stopped) on exit."""
     from . import evaluator as evaluator_mod
 
     with _input(f"bad evaluator spec in config {path}"):
         evaluator = evaluator_mod.from_config(config["evaluator"])
     with closing(evaluator):
+        _check_dims(evaluator.dim, files)
         yield evaluator
 
 
@@ -145,16 +146,23 @@ def _check_inside(intervals, points, what: str) -> None:
 PROBLEM_KEYS = ("nominal", "q_allow", "measure")
 
 
-def _problem(config: dict, path, model: SeparatedModel):
-    """G, the measure and Q_allow of ``allocate`` and ``check``."""
+def _problem(config: dict, path, model: SeparatedModel, files: dict, box: tuple[str, str]):
+    """G, the measure and Q_allow of ``allocate`` and ``check``, once 'nominal'
+    and ``files`` pass ``_check_dims`` and 'nominal' +- tau, tau the vector of
+    ``files`` that ``box`` (file, field) names, lies inside the model."""
     from . import boxmax, measures
 
+    _check_dims(model.dim, {f"config {path}": {"'nominal'": config["nominal"]}, **files})
     nominal = np.asarray(config["nominal"], dtype=float)
     q_allow = float(config["q_allow"])
     _check_inside(model.intervals, nominal,
                   f"'nominal' in config {path} lies outside the model's intervals")
     with _input(f"bad 'measure' in config {path}"):
         measure = measures.from_config(config["measure"], model=model, mu_hat=nominal)
+    where, field = box
+    tau = files[where][field]
+    _check_inside(model.intervals, [nominal - tau, nominal + tau],
+                  f"the box 'nominal' +- {field} of {where} lies outside the model's intervals")
     return boxmax.SurrogateWorstCase(model, nominal), measure, q_allow
 
 
@@ -171,9 +179,8 @@ def cmd_sample(args) -> int:
     seed = config.get("seed") if args.seed is None else _integer(args.seed, "--seed", 0, 2**64)
     if seed is None:
         raise UsageError("--seed is required when the config has no seed field")
-    with _open_evaluator(config, args.config) as evaluator:
-        _check_dims(evaluator.dim,
-                    {f"domain file {args.domain}": {"'sampling_domain'": intervals}})
+    domain = {f"domain file {args.domain}": {"'sampling_domain'": intervals}}
+    with _open_evaluator(config, args.config, domain) as evaluator:
         samples = evaluator_mod.draw_samples(evaluator, intervals, n, seed)
     write_samples(args.out, samples)
     print(f"wrote {len(samples)} samples to {args.out}")
@@ -196,8 +203,7 @@ def cmd_size_domain(args) -> int:
     vectors = {"'nominal'": nominal, "'bbox' field 'tau_min'": tau_min}
     if caps.ndim:  # a list; a number caps every axis
         vectors["'bbox' field 'caps'"] = caps
-    with _open_evaluator(config, args.config) as evaluator:
-        _check_dims(evaluator.dim, {f"config {args.config}": vectors})
+    with _open_evaluator(config, args.config, {f"config {args.config}": vectors}) as evaluator:
         sized, intervals = size_bounding_box(evaluator, nominal, q_allow, caps)
     if np.any(tau_min >= sized.tau_max):
         raise UsageError(f"{name} must lie below the sized tau_max: "
@@ -248,13 +254,9 @@ def cmd_allocate(args) -> int:
     bbox, _ = _domain_from(args.domain)
     if args.emit_manifold_scan and bbox.dim != 2:
         raise UsageError("--emit-manifold-scan requires a 2-parameter problem")
-    _check_dims(model.dim, {f"config {args.config}": {"'nominal'": config["nominal"]},
-                            f"domain file {args.domain}": {"'tau_min'": bbox.tau_min,
-                                                           "'tau_max'": bbox.tau_max}})
-    gfun, measure, q_allow = _problem(config, args.config, model)
-    _check_inside(model.intervals, [gfun.center - bbox.tau_max, gfun.center + bbox.tau_max],
-                  f"the box 'nominal' +- 'tau_max' of domain file {args.domain} lies outside "
-                  "the model's intervals")
+    where = f"domain file {args.domain}"
+    gfun, measure, q_allow = _problem(config, args.config, model, {
+        where: {"'tau_min'": bbox.tau_min, "'tau_max'": bbox.tau_max}}, (where, "'tau_max'"))
     tau0 = manifold.initial_guess(bbox, measure, gfun, q_allow)
     run = manifold.gradient_ascent if args.method == "ga" else manifold.conjugate_gradient
     result = run(tau0, bbox, gfun, q_allow, measure)
@@ -274,13 +276,10 @@ def cmd_check(args) -> int:
     tau, tau_ref = (read_tau(_load_json(path, what), f"{what} file {path}") for path, what
                     in ((args.tau, "tolerance result"), (args.reference, "reference result")))
     model = _model_from(args.model)
-    _check_dims(model.dim, {f"config {args.config}": {"'nominal'": config["nominal"]},
-                            f"tolerance result file {args.tau}": {"'tau'": tau},
-                            f"reference result file {args.reference}": {"'tau'": tau_ref}})
-    gfun, measure, q_allow = _problem(config, args.config, model)
-    _check_inside(model.intervals, [gfun.center - tau, gfun.center + tau],
-                  f"the box 'nominal' +- 'tau' of tolerance result file {args.tau} lies outside "
-                  "the model's intervals")
+    where = f"tolerance result file {args.tau}"
+    gfun, measure, q_allow = _problem(config, args.config, model, {
+        where: {"'tau'": tau}, f"reference result file {args.reference}": {"'tau'": tau_ref}},
+        (where, "'tau'"))
     report = metrics.allocation_errors(tau, tau_ref, measure, gfun, q_allow)
     print(json.dumps(report._asdict(), indent=2, sort_keys=True))
     thresholds = config.get("check_thresholds", {})
@@ -366,14 +365,13 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ConstraintError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_THRESHOLD
+        error, code = exc, EXIT_THRESHOLD
     except (NumericError, ArithmeticError, np.linalg.LinAlgError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        error, code = exc, EXIT_NUMERIC
     except (UsageError, OSError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        error, code = exc, EXIT_USAGE
+    print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 def run(argv=None) -> NoReturn:

@@ -28,9 +28,10 @@ from .surrogate import NumericError, SampleSet, SeparatedModel, _uniform
 # and this many leading characters of any stdout they name.
 STDERR_TAIL_BYTES = 4096
 STDOUT_QUOTE_CHARS = 256
-# A batch encodes this many requests at a time, so the bytes waiting for the
-# child's stdin stay bounded however many points the batch holds; it reads
-# the child's stdout up to READ_BYTES at a time.
+# A batch encodes this many requests at a time, inside its read loop: the bytes
+# waiting for the child's stdin stay bounded, and the encoding runs while the
+# child solves the blocks already sent, not before it starts (see README).  It
+# reads the child's stdout up to READ_BYTES at a time.
 REQUEST_BLOCK_ROWS = 1024
 READ_BYTES = 65536
 
@@ -281,8 +282,7 @@ class ExternalEvaluator(Evaluator):
     def _ensure_started(self):
         import subprocess
         if self._proc is None or self._proc.poll() is not None:
-            if self._proc is not None:
-                self._stop(grace=0.0)
+            self._stop(grace=0.0)
             stderr = tempfile.TemporaryFile()
             try:
                 self._proc = subprocess.Popen(self.command, stdin=subprocess.PIPE,
@@ -298,6 +298,8 @@ class ExternalEvaluator(Evaluator):
         """Close the child's stdin, give it ``grace`` seconds to exit, then kill
         it; reap it, close its pipes and its stderr file, and return what it
         wrote to stdout that was not read yet and the tail of its stderr."""
+        if self._proc is None:
+            return b"", ""
         import subprocess
         proc, stderr, self._proc, self._stderr = self._proc, self._stderr, None, None
         try:
@@ -355,8 +357,7 @@ class ExternalEvaluator(Evaluator):
         except BaseException:
             # An interrupted batch leaves answers in flight; drop them
             # with the child rather than read them as the next batch's.
-            if self._proc is not None:
-                self._stop(grace=0.0)
+            self._stop(grace=0.0)
             raise
         return values
 
@@ -406,10 +407,9 @@ class ExternalEvaluator(Evaluator):
                         values = None
                     if values is None or not all(map(math.isfinite, values)):
                         # One line at a time, so that the error names its own row.
-                        for row in range(taken):
-                            yield [self._parse(lines[row], answered + row)], requests[row:row + 1]
-                    else:
-                        yield values, requests
+                        values = [self._parse(line, answered + row)
+                                  for row, line in enumerate(lines[:taken])]
+                    yield values, requests
                     answered += taken
                     deadline = time.monotonic() + self.timeout_seconds
                 if pending and answered == written < n:
@@ -431,8 +431,6 @@ class ExternalEvaluator(Evaluator):
     def close(self) -> None:
         """Stop the child.  Raises :class:`EvaluatorError`, once the child is
         reaped, if it wrote output that no request asked for."""
-        if self._proc is None:
-            return
         stray, stderr = self._stop(grace=5.0)
         if stray:
             raise _external_error(f"wrote unsolicited output {_quote(stray)} "

@@ -322,13 +322,14 @@ def _traverse(
     use_cg = method == "cg"
     tau = retract(tau0, np.zeros_like(np.asarray(tau0, dtype=float)), bbox, gfun, q_allow)
 
-    def residual_of(t) -> float:
-        return abs(gfun.value(t) - q_allow) / abs(q_allow)
-
     trace = TraversalTrace()
-    trace.iterates.append(tau.copy())
-    trace.f_values.append(measure.value(tau))
-    trace.g_residuals.append(residual_of(tau))
+
+    def record(t, f: float) -> None:
+        trace.iterates.append(t.copy())
+        trace.f_values.append(f)
+        trace.g_residuals.append(abs(gfun.value(t) - q_allow) / abs(q_allow))
+
+    record(tau, measure.value(tau))
 
     v_prev: np.ndarray | None = None
     g_prev_sq = 0.0
@@ -363,9 +364,7 @@ def _traverse(
             trace.wall_events.append((i + 1, int(axis)))
         tau = tau_new
         v_prev = v
-        trace.iterates.append(tau.copy())
-        trace.f_values.append(f_new)
-        trace.g_residuals.append(residual_of(tau))
+        record(tau, f_new)
 
     return AllocationResult(
         tau=tau,

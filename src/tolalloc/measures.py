@@ -122,12 +122,11 @@ def mu_norm_from_model(model: SeparatedModel, mu_hat):
     return MuNorm(weights=weights)
 
 
-# The measure of each config kind and its other keys, each required but a
+# The measure class of each config kind and its other keys, each required but a
 # mu-norm's weights.
-KINDS = {"one-norm": OneNorm, "mu-norm": MuNorm, "minus-one-norm": MinusOneNorm,
-         "reciprocal-power-cost": ReciprocalPowerCost}
-KIND_KEYS = {"one-norm": (), "mu-norm": ("weights",), "minus-one-norm": (),
-             "reciprocal-power-cost": ("a", "b", "k")}
+KINDS = {"one-norm": (OneNorm, ()), "mu-norm": (MuNorm, ("weights",)),
+         "minus-one-norm": (MinusOneNorm, ()),
+         "reciprocal-power-cost": (ReciprocalPowerCost, ("a", "b", "k"))}
 
 
 def from_config(spec: dict, model: SeparatedModel | None = None, mu_hat=None):
@@ -138,7 +137,7 @@ def from_config(spec: dict, model: SeparatedModel | None = None, mu_hat=None):
     kind = _fields(spec, "measure", ["kind"])["kind"]
     if not isinstance(kind, str) or kind not in KINDS:
         raise ValueError(f"unknown measure kind {kind!r}")
-    keys = KIND_KEYS[kind]
+    cls, keys = KINDS[kind]
     _fields(spec, f"{kind} measure", {"kind", *keys} - {"weights"}, keys)
     if kind == "mu-norm" and "weights" not in spec:
         if model is None or mu_hat is None:
@@ -149,4 +148,4 @@ def from_config(spec: dict, model: SeparatedModel | None = None, mu_hat=None):
         if mu_hat is not None and vector.shape != np.shape(mu_hat):
             raise ValueError(f"{key} must hold {np.size(mu_hat)} numbers, one per parameter, "
                              f"got {spec[key]!r}")
-    return KINDS[kind](**vectors)
+    return cls(**vectors)

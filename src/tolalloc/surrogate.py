@@ -251,6 +251,20 @@ def _normalize(scales: np.ndarray, coeffs: np.ndarray) -> None:
     scales *= norms.prod(axis=1)
 
 
+def _ridge_solve(design: np.ndarray, q: np.ndarray, lam: float, where: str) -> np.ndarray:
+    """theta minimizing |design theta - q|^2 + lam |theta|^2 by the normal
+    equations; a FitError names ``where`` if they are singular or theta not finite."""
+    gram = design.T @ design
+    gram.flat[:: design.shape[1] + 1] += lam
+    try:
+        theta = np.linalg.solve(gram, design.T @ q)
+    except np.linalg.LinAlgError as exc:
+        raise FitError(f"singular system {where}") from exc
+    if not np.all(np.isfinite(theta)):
+        raise FitError(f"non-finite solution {where}")
+    return theta
+
+
 def _additive_start(basis: np.ndarray, q: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
     """Scales (d,) and coeffs (d, d, p+1) of c + sum_i f_i(x_i) fitted by one
     regularized solve over the constant and the L_1..L_p columns of every
@@ -258,14 +272,7 @@ def _additive_start(basis: np.ndarray, q: np.ndarray, lam: float) -> tuple[np.nd
     constant goes into term 0."""
     n, d, p1 = basis.shape
     design = np.concatenate([np.ones((n, 1)), basis[:, :, 1:].reshape(n, -1)], axis=1)
-    gram = design.T @ design
-    gram.flat[:: design.shape[1] + 1] += lam
-    try:
-        theta = np.linalg.solve(gram, design.T @ q)
-    except np.linalg.LinAlgError as exc:
-        raise FitError("singular additive system") from exc
-    if not np.all(np.isfinite(theta)):
-        raise FitError("non-finite additive solution")
+    theta = _ridge_solve(design, q, lam, "in the additive start")
     coeffs = np.zeros((d, d, p1))
     coeffs[:, :, 0] = 1.0
     own = np.arange(d)
@@ -326,45 +333,34 @@ def als_fit(
     start[:, :, :2] = 1.0
     additive = config.target_rank >= d
     if additive:
-        rank = d
         scales, coeffs = _additive_start(basis, q, lam)
     else:
-        rank = 1
         scales = np.ones(1)
         coeffs = start.copy()
     # A solve in dimension i changes only column i of the factor table, so
     # only that column is refreshed.
     factors = _factors(coeffs, basis)
 
-    history: list[float] = []
-    sweeps_used = 0
-    residual = np.inf
-    if additive:
-        residual = float(np.linalg.norm(q - scales @ factors.prod(axis=2)) / q_norm)
-        history.append(residual)
+    def relative_residual(scales: np.ndarray, factors: np.ndarray) -> float:
+        return float(np.linalg.norm(q - scales @ factors.prod(axis=2)) / q_norm)
+
+    history = [relative_residual(scales, factors)] if additive else []
+    residual = history[0] if history else np.inf
 
     while residual > config.rel_residual_tol:
+        rank = scales.size
         prev_residual = np.inf
         for _ in range(MAX_SWEEPS):
             for i in range(d):
                 others = scales[:, None] * factors[:, :, others_of[i]].prod(axis=2)  # (r, n)
                 design = (others.T[:, :, None] * basis[:, None, i, :]).reshape(n, rank * p1)
-                gram = design.T @ design
-                gram.flat[:: rank * p1 + 1] += lam
-                try:
-                    theta = np.linalg.solve(gram, design.T @ q)
-                except np.linalg.LinAlgError as exc:
-                    raise FitError(f"singular per-direction system (dimension {i})") from exc
-                if not np.all(np.isfinite(theta)):
-                    raise FitError(f"non-finite solution in dimension {i}")
+                theta = _ridge_solve(design, q, lam, f"in dimension {i}")
                 coeffs[:, i, :] = theta.reshape(rank, p1)
                 factors[:, :, i : i + 1] = _factors(coeffs[:, i : i + 1], basis[:, i : i + 1])
             _normalize(scales, coeffs)
             factors = _factors(coeffs, basis)
-            pred = scales @ factors.prod(axis=2)
-            residual = float(np.linalg.norm(q - pred) / q_norm)
+            residual = relative_residual(scales, factors)
             history.append(residual)
-            sweeps_used += 1
             if residual <= config.rel_residual_tol:
                 break
             if abs(prev_residual - residual) <= SWEEP_STALL_TOL * max(residual, 1e-300):
@@ -374,22 +370,21 @@ def als_fit(
             break
         # Warm-started rank growth: the new factor can be zeroed out by the
         # first per-direction solve, so the residual cannot increase.
-        rank += 1
         scales = np.concatenate([scales, [1.0]])
         coeffs = np.concatenate([coeffs, start], axis=0)
         factors = _factors(coeffs, basis)
 
     model = SeparatedModel(
         dim=d,
-        rank=rank,
+        rank=scales.size,
         degree=config.degree,
         intervals=intervals,
         scales=scales,
         coeffs=coeffs,
     )
     report = FitReport(
-        final_rank=rank,
-        sweeps_used=sweeps_used,
+        final_rank=scales.size,
+        sweeps_used=len(history) - additive,
         residual_history=history,
         converged=residual <= config.rel_residual_tol,
         additive_residual=history[0] if additive else None,

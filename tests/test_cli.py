@@ -1186,6 +1186,51 @@ def test_box_outside_the_model_intervals_exits_2(tmp_path, capsys, config_path, 
     assert not out.exists()
 
 
+# Two faults at once: each command reports the one it checks first.  The
+# dimension checks come before the nominal and box checks in allocate and
+# check; sample reads the domain file, and size-domain its caps, before either
+# checks the evaluator's dimension.
+@pytest.mark.parametrize("case", ["allocate", "check-tau", "check-reference", "sample",
+                                  "size-domain"])
+def test_the_first_of_two_faults_is_the_one_reported(tmp_path, capsys, case):
+    model, out = tmp_path / "model.json", tmp_path / "out"
+    SeparatedModel(dim=2, rank=1, degree=2, intervals=(Interval(-1.0, 1.0), Interval(-0.5, 0.5)),
+                   scales=np.ones(1), coeffs=np.ones((1, 2, 3))).save(model)
+    config, domain = tmp_path / "config.json", tmp_path / "domain.json"
+    tau, reference = tmp_path / "tau.json", tmp_path / "reference.json"
+    bowl_d3 = {**BOWL_CONFIG, "evaluator": {**BOWL_CONFIG["evaluator"],
+                                            "parameters": {"a": [1.0, 4.0, 9.0]}}}
+    if case == "allocate":  # a domain of d = 3, and a nominal outside the model
+        config.write_text(json.dumps({**BOWL_CONFIG, "nominal": [5.0, 0.0]}))
+        domain.write_text(json.dumps({"tau_min": [0.0] * 3, "tau_max": [1.0] * 3,
+                                      "sampling_domain": [[-1.0, 1.0]] * 3}))
+        argv = ["allocate", "--domain", domain, "--model", model, "--out", out]
+        named = f"'tau_min' in domain file {domain} must hold 2 entries, one per parameter"
+    elif case.startswith("check"):  # a tau of d = 3, and a box outside the model
+        config.write_text(json.dumps(BOWL_CONFIG))
+        tau.write_text(json.dumps({"tau": [5.0] * (3 if case == "check-tau" else 2)}))
+        reference.write_text(json.dumps({"tau": [0.1] * (2 if case == "check-tau" else 3)}))
+        argv = ["check", "--model", model, "--tau", tau, "--reference", reference]
+        named = (f"'tau' in tolerance result file {tau}" if case == "check-tau" else
+                 f"'tau' in reference result file {reference}")
+        named += " must hold 2 entries, one per parameter"
+    elif case == "sample":  # an evaluator of d = 3, and tau_min above tau_max
+        config.write_text(json.dumps(bowl_d3))
+        domain.write_text(json.dumps({"tau_min": [2.0, 0.0], "tau_max": [1.0, 0.5],
+                                      "sampling_domain": [[-1.0, 1.0], [-0.5, 0.5]]}))
+        argv = ["sample", "--domain", domain, "--n", "10", "--out", out]
+        named = (f"fields 'tau_min' and 'tau_max' of domain file {domain} are malformed: "
+                 "require 0 <= tau_min_i < tau_max_i < inf for all i")
+    else:  # an evaluator of d = 3, and a cap <= 0
+        config.write_text(json.dumps({**bowl_d3, "bbox": {"caps": [1.0, 0.0]}}))
+        argv = ["size-domain", "--out", out]
+        named = f"'bbox' field 'caps' in config {config} must be > 0, got [1.0, 0.0]"
+    code, stdout, stderr = run(capsys, argv[0], "--config", str(config), *map(str, argv[1:]))
+    assert (code, stdout) == (2, "")
+    assert stderr == f"error: {named}\n"
+    assert not out.exists()
+
+
 def test_sample_with_a_non_finite_value_exits_3(tmp_path, capsys):
     # exp-cos overflows to inf above mu_1 = 709.78.
     path, domain = tmp_path / "config.json", tmp_path / "domain.json"

@@ -1,4 +1,5 @@
 import gc
+import os
 import sys
 import time
 import warnings
@@ -467,6 +468,43 @@ def test_external_answers_beyond_the_requests_written_are_unsolicited(command):
             draw_samples(ext, (Interval(-1, 1), Interval(-1, 1)), n, seed=5)
         assert exc.value.__cause__.row is None
         assert ext._proc is None
+
+
+# Reads ARGV[1] requests, closes its stdin, answers them and exits.  Closing
+# before it answers makes the parent's next write fail, whether or not it has
+# read the answers first.
+CLOSING_CHILD = """
+import os, sys
+requests = [sys.stdin.readline() for _ in range(int(sys.argv[1]))]
+os.close(0)
+sys.stdout.write("".join(f"{sum(float(t) ** 2 for t in line.split())!r}\\n" for line in requests))
+"""
+
+
+def test_external_child_that_stops_reading_fails_at_the_first_request_it_did_not_answer(
+        monkeypatch):
+    # 5 000 requests are well over a 64 KiB pipe, so requests are still
+    # waiting to be written when the child closes its stdin.
+    k, points = 3, 2.0 * _uniform(8, (5000, 2)) - 1.0
+    broken, write = [], os.write
+
+    def recording_write(fd, data):
+        try:
+            return write(fd, data)
+        except BrokenPipeError:
+            broken.append(fd)
+            raise
+
+    monkeypatch.setattr(os, "write", recording_write)
+    ext = ExternalEvaluator([sys.executable, "-c", CLOSING_CHILD, str(k)], dim=2,
+                            timeout_seconds=5.0)
+    with pytest.raises(EvaluatorError) as exc:
+        ext.many(points)
+    assert str(exc.value) == (f"external evaluator exited on request "
+                              f"{' '.join(map(repr, points[k].tolist()))!r}")
+    assert exc.value.row == k
+    assert len(broken) == 1
+    assert ext._proc is None
 
 
 def test_external_batch_interrupted_between_chunks_stops_the_child():

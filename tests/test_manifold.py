@@ -81,6 +81,47 @@ def test_retract_raises_when_no_crossing():
         retract(small_box.tau_max, np.zeros(2), small_box, ELLIPSE, 1.0, 1e-10)
 
 
+class _CountingG:
+    """A stub G from ``value`` and ``grad`` callables that counts its calls."""
+
+    def __init__(self, value, grad):
+        self._value, self._grad, self.values, self.grads = value, grad, 0, 0
+
+    def value(self, tau):
+        self.values += 1
+        return self._value(tau)
+
+    def grad(self, tau):
+        self.grads += 1
+        return self._grad(tau)
+
+
+def test_retract_raises_when_the_crossing_misses_the_residual_tolerance():
+    # G jumps from 0 to 2 across q_allow = 1 on the line tau_1 + tau_2 = 1:
+    # bisection narrows the bracket onto the jump, where |G - 1| stays 1.
+    step = _CountingG(lambda t: 0.0 if t[0] + t[1] < 1.0 else 2.0, lambda t: np.zeros(2))
+    with pytest.raises(RetractionError, match="^manifold crossing failed the residual "
+                                              "tolerance$"):
+        retract(np.array([0.1, 0.1]), np.zeros(2), BOX, step, 1.0, 1e-10)
+    assert 40 < step.values <= manifold.MAXITER + 2
+
+
+@pytest.mark.parametrize("tol, crossed", [(0.2, True), (1e-10, False)])
+def test_crossing_stops_when_a_newton_step_leaves_s_unchanged(tol, crossed):
+    # G - 1 is -1.9 at s = 0 and 0.1 at s = 1, where a slope that claims
+    # 2e30 asks for a step of 5e-32, which leaves s = 1.0 as it is: the
+    # crossing stops there, after one G value and one G gradient, and
+    # returns that end when |0.1| meets tol, raising otherwise.
+    steep = _CountingG(lambda t: t[0] - 0.9, lambda t: np.array([1e30, 0.0]))
+    args = (steep, 1.0, BOX, np.zeros(2), np.array([2.0, 0.0]), 1.0, -1.9, tol, RetractionError)
+    if crossed:
+        np.testing.assert_array_equal(manifold._crossing(*args), [2.0, 0.0])
+    else:
+        with pytest.raises(RetractionError, match="failed the residual tolerance"):
+            manifold._crossing(*args)
+    assert (steep.values, steep.grads) == (1, 1)
+
+
 # ---------------------------------------------------------------------------
 # Tangent frame
 # ---------------------------------------------------------------------------

@@ -534,6 +534,36 @@ def test_als_grows_a_term_that_separates_from_a_constant(dim):
     assert report.final_rank == 2
 
 
+# Every regularized solve of a fit raises FitError when np.linalg.solve finds
+# its system singular or returns a non-finite solution: the additive start's
+# (target_rank >= d, the first solve) and an ALS step's (target_rank < d, the
+# solve in dimension 1 is the second).
+@pytest.mark.parametrize("target_rank, call, fault, message", [
+    (2, 1, "singular", "singular system in the additive start"),
+    (2, 1, "non-finite", "non-finite solution in the additive start"),
+    (1, 2, "singular", "singular system in dimension 1"),
+    (1, 2, "non-finite", "non-finite solution in dimension 1"),
+], ids=["additive-singular", "additive-non-finite", "step-singular", "step-non-finite"])
+def test_als_solve_failures_raise_fit_error(monkeypatch, target_rank, call, fault, message):
+    points = np.random.default_rng(26).uniform(-1.0, 1.0, (40, 2))
+    samples = SampleSet(points=points, values=1.0 + points[:, 0] * points[:, 1])
+    solve, calls = np.linalg.solve, []
+
+    def failing_solve(a, b):
+        calls.append(a.shape)
+        if len(calls) < call:
+            return solve(a, b)
+        if fault == "singular":
+            raise np.linalg.LinAlgError("Singular matrix")
+        return np.full(b.shape, np.nan)
+
+    monkeypatch.setattr(surrogate.np.linalg, "solve", failing_solve)
+    with pytest.raises(FitError, match=f"^{re.escape(message)}$"):
+        als_fit(samples, FitConfig(target_rank=target_rank, degree=2),
+                (Interval(-1, 1), Interval(-1, 1)))
+    assert len(calls) == call
+
+
 # ---------------------------------------------------------------------------
 # Persistence
 # ---------------------------------------------------------------------------
