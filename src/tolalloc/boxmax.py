@@ -6,7 +6,8 @@ c + sum_i f_i(mu_i), so its maximum is c plus the maximum of each f_i over the
 ends and the critical points of its interval.  For any other model G comes
 from deterministic multistart projected gradient ascent.  The gradient of G
 with respect to the tolerances follows analytically from the maximizers that
-touch the box walls.
+touch the box walls.  :meth:`SurrogateWorstCase.solve` is the one route to G
+for one tau or a stack of them, and picks the path from the model.
 """
 
 from __future__ import annotations
@@ -199,19 +200,6 @@ def _tau_gradient(partials, sides, contacts, half_widths) -> np.ndarray:
     return np.where(contacts, slopes, 0.0).max(axis=0)
 
 
-class AdditiveModel:
-    """A surrogate whose terms are each univariate, c + sum_i f_i(x_i), in the
-    standardized coordinates x_i in [-1, 1] of its intervals.  ``coeffs``
-    (d, p+1) holds the Legendre coefficients of each f_i; ``critical_x`` and
-    ``critical_values`` (d, k) the candidate critical points of each f_i,
-    padded with +inf, and the values of f_i there, padded with -inf."""
-
-    def __init__(self, constant: float, coeffs: np.ndarray, critical_x: np.ndarray,
-                 critical_values: np.ndarray, lo: np.ndarray, width: np.ndarray):
-        self.constant, self.coeffs, self.lo, self.width = constant, coeffs, lo, width
-        self.critical_x, self.critical_values = critical_x, critical_values
-
-
 def _legendre_to_monomial(degree: int) -> np.ndarray:
     """(p+1, p+1) matrix whose row j holds the monomial coefficients of L_j,
     lowest power first, by the three-term recurrence."""
@@ -225,81 +213,22 @@ def _legendre_to_monomial(degree: int) -> np.ndarray:
     return out
 
 
-def additive_split(model: SeparatedModel) -> AdditiveModel | None:
-    """The model as c + sum_i f_i(x_i), or None when one of its terms is not
-    univariate.  A term is univariate when its coefficients beyond L_0 are
-    zero in all but at most one dimension."""
-    varying = (model.coeffs[:, :, 1:] != 0.0).any(axis=2)  # (r, d)
-    if (varying.sum(axis=1) > 1).any():
-        return None
-    d, p = model.dim, model.degree
-    constant = 0.0
-    coeffs = np.zeros((d, p + 1))
-    for scale, term, axes in zip(model.scales, model.coeffs, varying):
-        if axes.any():
-            i = int(np.argmax(axes))
-            coeffs[i] += scale * np.prod(np.delete(term[:, 0], i)) * term[i]
-        else:
-            constant += scale * float(np.prod(term[:, 0]))
-    # The roots of f_i' from its monomial coefficients.  The real part of every
-    # root is a candidate, so a multiple root that np.roots returns with a
-    # small imaginary part is kept; a candidate that is not a critical point
-    # still lies in the interval, so it cannot raise the maximum.
-    derivs = (coeffs @ _legendre_to_monomial(p))[:, 1:] * np.arange(1, p + 1)
-    roots = [np.roots(row[::-1]).real for row in derivs]
-    k = max(1, max(map(len, roots)))
-    critical_x = np.full((d, k), np.inf)
-    critical_values = np.full((d, k), -np.inf)
-    for i, x in enumerate(roots):
-        critical_x[i, :len(x)] = x
-        critical_values[i, :len(x)] = legendre_table(x, p) @ coeffs[i]
-    return AdditiveModel(constant=constant, coeffs=coeffs, critical_x=critical_x,
-                         critical_values=critical_values,
-                         lo=np.array([iv.lo for iv in model.intervals]),
-                         width=np.array([iv.width for iv in model.intervals]))
-
-
-def additive_worst_case(split: AdditiveModel, center, taus) -> tuple[np.ndarray, np.ndarray]:
-    """G (n,) and d G / d tau (n, d) of an additive model over the boxes of
-    half-widths ``taus`` (n, d) about ``center``, exactly.
-
-    The maximum of each f_i is the largest of its values at the two ends of
-    the box's interval and at its critical points strictly inside it.  An end
-    whose value is within TIE_REL_TOL |G| of its axis's maximum is a
-    maximizer on that wall, and d G / d tau follows :func:`grad_G`'s rule over
-    the two ends; an interior maximizer adds 0.  A negative tau, a width not
-    the model's or an end outside its intervals raises ValueError.  No
-    reduction runs across rows, so a row's bits do not depend on the stack.
-    """
-    taus = np.asarray(taus, dtype=float)
-    if taus.ndim != 2 or taus.shape[1] != split.coeffs.shape[0]:
-        raise ValueError("box dimension does not match model")
-    if (taus < 0.0).any():
-        raise ValueError("half widths must be nonnegative")
-    ends = _standardize(np.concatenate([center - taus, center + taus]), split.lo,
-                        split.width).reshape(2, *taus.shape)  # (2, n, d)
-    basis = legendre_table(ends, split.coeffs.shape[1] - 1)  # (2, n, d, p+1)
-    values = np.einsum("knij,ij->kni", basis, split.coeffs)
-    slopes = np.einsum("knij,ij->kni", legendre_deriv_table(basis), split.coeffs) * (
-        2.0 / split.width)
-    inside = (split.critical_x > ends[0, :, :, None]) & (split.critical_x < ends[1, :, :, None])
-    axis_max = np.maximum(values.max(axis=0),
-                          np.where(inside, split.critical_values, -np.inf).max(axis=2))
-    g_values = split.constant + axis_max.sum(axis=1)
-    tie_tol = TIE_REL_TOL * np.maximum(np.abs(g_values), 1e-300)
-    return g_values, _tau_gradient(slopes, np.array([-1.0, 1.0])[:, None, None],
-                                   values >= axis_max - tie_tol[:, None], taus)
-
-
 class SurrogateWorstCase:
     """G(tau) and its gradient for a fixed surrogate and nominal design.
 
     Presents the ``value``/``grad`` interface the manifold traversal expects.
-    :meth:`solve` takes a stack of tau to G by :func:`additive_worst_case`
-    when every term of the model is univariate, else by :func:`box_maximize`
-    then :func:`grad_G` per row; ``value`` and ``grad`` solve each tau once as
-    a one-row stack and cache G and the read-only d G / d tau together.
-    Thread-safety follows the model's: reads only, plus a cache.
+    :meth:`solve` takes a stack of tau to G exactly when every term of the
+    model is univariate, else by :func:`box_maximize` then :func:`grad_G` per
+    row; ``value`` and ``grad`` solve each tau once as a one-row stack and
+    cache G and the read-only d G / d tau together.  Thread-safety follows
+    the model's: reads only, plus a cache.
+
+    A term is univariate when its coefficients beyond L_0 are zero in all but
+    at most one dimension.  A model of such terms is c + sum_i f_i(x_i) in
+    the standardized coordinates x_i in [-1, 1] of its intervals: ``_coeffs``
+    (d, p+1) holds the Legendre coefficients of each f_i, ``_critical_x`` and
+    ``_critical_values`` (d, k) the candidate critical points of each f_i,
+    padded with +inf, and the values of f_i there, padded with -inf.
     """
 
     def __init__(self, model: SeparatedModel, center):
@@ -307,20 +236,74 @@ class SurrogateWorstCase:
         self.center = np.asarray(center, dtype=float)
         if self.center.shape != (model.dim,):
             raise ValueError("center must be a 1-d vector of one number per model parameter")
-        self._additive = additive_split(model)
         self._cache: dict[bytes, tuple[float, np.ndarray]] = {}
+        varying = (model.coeffs[:, :, 1:] != 0.0).any(axis=2)  # (r, d)
+        self._additive = not (varying.sum(axis=1) > 1).any()
+        if not self._additive:
+            return
+        d, p = model.dim, model.degree
+        self._constant = 0.0
+        self._coeffs = np.zeros((d, p + 1))
+        for scale, term, axes in zip(model.scales, model.coeffs, varying):
+            if axes.any():
+                i = int(np.argmax(axes))
+                self._coeffs[i] += scale * np.prod(np.delete(term[:, 0], i)) * term[i]
+            else:
+                self._constant += scale * float(np.prod(term[:, 0]))
+        # The roots of f_i' from its monomial coefficients.  The real part of every
+        # root is a candidate, so a multiple root that np.roots returns with a
+        # small imaginary part is kept; a candidate that is not a critical point
+        # still lies in the interval, so it cannot raise the maximum.
+        derivs = (self._coeffs @ _legendre_to_monomial(p))[:, 1:] * np.arange(1, p + 1)
+        roots = [np.roots(row[::-1]).real for row in derivs]
+        k = max(1, max(map(len, roots)))
+        self._critical_x = np.full((d, k), np.inf)
+        self._critical_values = np.full((d, k), -np.inf)
+        for i, x in enumerate(roots):
+            self._critical_x[i, :len(x)] = x
+            self._critical_values[i, :len(x)] = legendre_table(x, p) @ self._coeffs[i]
 
     def _result(self, tau) -> BoxMaxResult:
         """The multistart's result at tau, uncached."""
         return box_maximize(self.model, ToleranceBox(center=self.center, half_widths=tau))
 
     def solve(self, taus) -> tuple[np.ndarray, np.ndarray]:
-        """G (n,) and d G / d tau (n, d) at the rows of an (n, d) stack, uncached."""
-        if self._additive is not None:
-            return additive_worst_case(self._additive, self.center, taus)
-        results = [self._result(tau) for tau in taus]
-        return (np.array([result.value for result in results]),
-                np.array([grad_G(self.model, result.box, result) for result in results]))
+        """G (n,) and d G / d tau (n, d) at the rows of an (n, d) stack, uncached.
+
+        A stack that is not (n, d), holds a tau that is not finite or a
+        negative one raises ValueError, with the same text on both paths; an
+        end outside the model's intervals raises it too.  On the exact path
+        the maximum of each f_i is the largest of its values at the two ends
+        of the box's interval and at its critical points strictly inside it.
+        An end whose value is within TIE_REL_TOL |G| of its axis's maximum is
+        a maximizer on that wall, and d G / d tau follows :func:`grad_G`'s rule
+        over the two ends; an interior maximizer adds 0.  No reduction runs
+        across rows, so a row's bits do not depend on the stack.
+        """
+        taus = np.asarray(taus, dtype=float)
+        if taus.ndim != 2 or taus.shape[1] != self.model.dim:
+            raise ValueError("taus must be an (n, d) stack of one half width per model parameter")
+        if not np.isfinite(taus).all():
+            raise ValueError("half widths must be finite")
+        if (taus < 0.0).any():
+            raise ValueError("half widths must be nonnegative")
+        if not self._additive:
+            results = [self._result(tau) for tau in taus]
+            grads = np.array([grad_G(self.model, result.box, result) for result in results])
+            return np.array([result.value for result in results]), grads.reshape(taus.shape)
+        ends = _standardize(np.concatenate([self.center - taus, self.center + taus]),
+                            self.model._lo, self.model._width).reshape(2, *taus.shape)  # (2, n, d)
+        basis = legendre_table(ends, self.model.degree)  # (2, n, d, p+1)
+        values = np.einsum("knij,ij->kni", basis, self._coeffs)
+        slopes = np.einsum("knij,ij->kni", legendre_deriv_table(basis), self._coeffs) * (
+            2.0 / self.model._width)
+        inside = (self._critical_x > ends[0, ..., None]) & (self._critical_x < ends[1, ..., None])
+        axis_max = np.maximum(values.max(axis=0),
+                              np.where(inside, self._critical_values, -np.inf).max(axis=2))
+        g_values = self._constant + axis_max.sum(axis=1)
+        tie_tol = TIE_REL_TOL * np.maximum(np.abs(g_values), 1e-300)
+        return g_values, _tau_gradient(slopes, np.array([-1.0, 1.0])[:, None, None],
+                                       values >= axis_max - tie_tol[:, None], taus)
 
     def _solve(self, tau) -> tuple[float, np.ndarray]:
         key = np.asarray(tau, dtype=float).tobytes()

@@ -62,18 +62,15 @@ class TangentFrame:
 
 
 class TraversalTrace:
-    """The traversal's iterates and what happened at each; a list not given
-    starts empty."""
+    """The traversal's iterates and what happened at each, each list empty
+    until the traversal appends to it."""
 
-    def __init__(self, iterates: list[np.ndarray] | None = None,
-                 f_values: list[float] | None = None, g_residuals: list[float] | None = None,
-                 wall_events: list[tuple[int, int]] | None = None,
-                 restarts: list[int] | None = None):
-        self.iterates = [] if iterates is None else iterates
-        self.f_values = [] if f_values is None else f_values
-        self.g_residuals = [] if g_residuals is None else g_residuals
-        self.wall_events = [] if wall_events is None else wall_events
-        self.restarts = [] if restarts is None else restarts
+    def __init__(self):
+        self.iterates: list[np.ndarray] = []
+        self.f_values: list[float] = []
+        self.g_residuals: list[float] = []
+        self.wall_events: list[tuple[int, int]] = []
+        self.restarts: list[int] = []
 
 
 class AllocationResult:

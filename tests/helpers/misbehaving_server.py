@@ -21,6 +21,7 @@ answering request K.
 (0.5, 1.5, ...) at once, however many requests the parent wrote.
 """
 
+import os
 import sys
 import time
 
@@ -32,7 +33,11 @@ def main() -> int:
     for row, line in enumerate(sys.stdin):
         value = sum(float(token) ** 2 for token in line.split())
         if mode == "early-close":
-            sys.stdin.close()
+            # sys.stdin does not own fd 0, so closing it would leave the pipe
+            # open; putting /dev/null on fd 0 closes the pipe's read end.
+            devnull = os.open(os.devnull, os.O_RDONLY)
+            os.dup2(devnull, 0)
+            os.close(devnull)
             sys.stdout.write("".join(f"{j + 0.5!r}\n" for j in range(k)))
             sys.stdout.flush()
             return 0

@@ -16,8 +16,6 @@ from tolalloc.boxmax import (
     AnalyticWorstCase,
     SurrogateWorstCase,
     ToleranceBox,
-    additive_split,
-    additive_worst_case,
     box_maximize,
     grad_G,
 )
@@ -452,12 +450,12 @@ def test_additive_worst_case_matches_the_multistart():
             tau = np.minimum(center - lo, hi - center) * rng.uniform(0.0, 1.0, d)
             tau[rng.uniform(size=d) < 0.2] = 0.0
             box = ToleranceBox(center=center, half_widths=tau)
-            (value,), (grad,) = additive_worst_case(additive_split(model), center, tau[None])
+            worst = SurrogateWorstCase(model, center)
+            (value,), (grad,) = worst.solve(tau[None])
             result = box_maximize(model, box)
             assert value >= result.value - 1e-12 * abs(value)
             assert value == pytest.approx(result.value, rel=1e-6)
             np.testing.assert_allclose(grad, grad_G(model, box, result), rtol=0.0, atol=1e-9)
-            worst = SurrogateWorstCase(model, center)
             assert worst.value(tau) == value
             assert worst.grad(tau).tobytes() == grad.tobytes()
 
@@ -479,8 +477,7 @@ def test_additive_worst_case_finds_the_interior_maximum_the_multistart_misses():
                            scales=np.ones(2), coeffs=coeffs)
     box = ToleranceBox(center=np.array([0.1, 0.5]), half_widths=np.array([0.3, 0.3]))
     closed_form = 0.1 * 2.0 / (3.0 * np.sqrt(3.0))
-    (value,), (grad,) = additive_worst_case(additive_split(model), box.center,
-                                            box.half_widths[None])
+    (value,), (grad,) = SurrogateWorstCase(model, box.center).solve(box.half_widths[None])
     assert value == pytest.approx(closed_form, rel=1e-15)
     np.testing.assert_array_equal(grad, [0.0, 0.0])
     # The multistart's G is 6.6e-5 relative below the closed form.
@@ -493,8 +490,7 @@ def test_additive_worst_case_takes_the_largest_slope_over_tied_walls():
     model = SeparatedModel(dim=1, rank=1, degree=3, intervals=(Interval(-2.0, 2.0),),
                            scales=np.ones(1), coeffs=np.array([[[0.0, -1.2, 0.0, 3.2]]]))
     box = ToleranceBox(center=np.array([0.5]), half_widths=np.array([1.5]))
-    (value,), (grad,) = additive_worst_case(additive_split(model), box.center,
-                                            box.half_widths[None])
+    (value,), (grad,) = SurrogateWorstCase(model, box.center).solve(box.half_widths[None])
     assert value == pytest.approx(2.0, rel=1e-14)
     assert grad[0] == pytest.approx(9.0, rel=1e-14)
     result = box_maximize(model, box)
@@ -506,8 +502,7 @@ def test_additive_worst_case_takes_the_largest_slope_over_tied_walls():
 def test_additive_worst_case_of_the_exact_bowl(d):
     # Every corner ties, so both walls of each axis are maximizers.
     tau = np.linspace(0.3, 0.6, d)
-    (value,), (grad,) = additive_worst_case(additive_split(exact_bowl_model(d)), np.zeros(d),
-                                            tau[None])
+    (value,), (grad,) = SurrogateWorstCase(exact_bowl_model(d), np.zeros(d)).solve(tau[None])
     assert value == pytest.approx(float(np.sum(tau ** 2)), rel=1e-14)
     np.testing.assert_allclose(grad, 2.0 * tau, rtol=1e-14)
 
@@ -522,23 +517,36 @@ def test_a_stacked_exact_solve_equals_one_row_solves_bit_for_bit():
         center = lo + (hi - lo) * rng.uniform(0.3, 0.7, d)
         taus = np.minimum(center - lo, hi - center) * rng.uniform(0.0, 1.0, (25, d))
         taus[rng.uniform(size=taus.shape) < 0.1] = 0.0
-        split = additive_split(model)
-        values, grads = additive_worst_case(split, center, taus)
+        worst = SurrogateWorstCase(model, center)
+        values, grads = worst.solve(taus)
         assert values.shape == (25,) and grads.shape == (25, d)
         for tau, value, grad in zip(taus, values, grads):
-            one_value, one_grad = additive_worst_case(split, center, tau[None])
+            one_value, one_grad = worst.solve(tau[None])
             assert one_value.tobytes() == value.tobytes()
             assert one_grad[0].tobytes() == grad.tobytes()
 
 
+SHAPE_ERROR = "^taus must be an \\(n, d\\) stack of one half width per model parameter$"
+
+
 @pytest.mark.parametrize("taus, match", [
-    ([[0.3, -0.1]], "nonnegative"),
-    ([[0.3, 0.2, 0.1]], "dimension does not match"),
-    ([0.3, 0.2], "dimension does not match"),
-])
-def test_additive_worst_case_rejects_a_bad_stack(taus, match):
-    with pytest.raises(ValueError, match=match):
-        additive_worst_case(additive_split(exact_bowl_model(2)), np.zeros(2), taus)
+    ([[0.3, -0.1]], "^half widths must be nonnegative$"),
+    ([[0.3, 0.2, 0.1]], SHAPE_ERROR),
+    ([0.3, 0.2], SHAPE_ERROR),
+    ([[0.3, np.nan]], "^half widths must be finite$"),
+    ([[np.inf, 0.2]], "^half widths must be finite$"),
+    ([[-np.inf, 0.2]], "^half widths must be finite$"),
+], ids=["negative", "three-columns", "1-d", "nan", "inf", "minus-inf"])
+def test_a_bad_stack_raises_one_error_on_both_paths(taus, match):
+    for model in (exact_bowl_model(2), Rank2Synthetic().model):
+        with pytest.raises(ValueError, match=match):
+            SurrogateWorstCase(model, np.zeros(2)).solve(taus)
+
+
+def test_an_empty_stack_has_the_same_shapes_on_both_paths():
+    for model in (exact_bowl_model(2), Rank2Synthetic().model):
+        values, grads = SurrogateWorstCase(model, np.zeros(2)).solve(np.zeros((0, 2)))
+        assert values.shape == (0,) and grads.shape == (0, 2)
 
 
 @pytest.mark.parametrize("center", [0.0, np.zeros(3), np.zeros((1, 2))],
@@ -560,7 +568,8 @@ def test_a_multistart_stack_solves_each_row_as_the_single_tau():
         assert grad.tobytes() == grad_G(model, result.box, result).tobytes()
 
 
-def test_a_model_with_one_non_univariate_term_goes_through_the_multistart():
+def test_a_model_with_one_non_univariate_term_goes_through_the_multistart(monkeypatch):
+    maximizes = count_calls(monkeypatch, boxmax, "box_maximize")
     d = 3
     bowl = exact_bowl_model(d)
     mixed = random_model(np.random.default_rng(8), dim=d, rank=1, degree=2)
@@ -571,11 +580,12 @@ def test_a_model_with_one_non_univariate_term_goes_through_the_multistart():
     center, tau = np.array([0.1, -0.2, 0.0]), np.array([0.4, 0.3, 0.0])
     box = ToleranceBox(center=center, half_widths=tau)
     for model in (bowl_plus_one, random_model(np.random.default_rng(9), dim=d, rank=3, degree=3)):
-        assert additive_split(model) is None
         result = box_maximize(model, box)
         worst = SurrogateWorstCase(model, center)
         assert worst.value(tau) == result.value
         assert worst.grad(tau).tobytes() == grad_G(model, box, result).tobytes()
+    # One multistart per model, each through SurrogateWorstCase.solve.
+    assert maximizes == [tau.tobytes()] * 2
 
 
 def test_a_tau_beyond_the_model_interval_raises_on_both_paths():
@@ -601,24 +611,24 @@ def test_surrogate_worst_case_value_and_cache():
     assert len(worst._cache) == 1
 
 
-def count_calls(monkeypatch, name: str) -> list:
-    """Wrap ``boxmax.<name>``, called as ``name(model, box, ...)`` or
-    ``additive_worst_case(split, center, taus)``, to record the half-widths
-    of each call: its box's, or its stack of taus."""
-    calls, fn = [], getattr(boxmax, name)
+def count_calls(monkeypatch, owner, name: str) -> list:
+    """Wrap ``owner.<name>``, called as ``name(model, box, ...)`` or as the
+    method ``solve(self, taus)``, to record the half-widths of each call: its
+    box's, or its stack of taus."""
+    calls, fn = [], getattr(owner, name)
 
     def counted(*args):
         box = args[1]
         calls.append(box.half_widths.tobytes() if isinstance(box, ToleranceBox)
-                     else np.asarray(args[2], dtype=float).tobytes())
+                     else np.asarray(box, dtype=float).tobytes())
         return fn(*args)
 
-    monkeypatch.setattr(boxmax, name, counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
 
 
 def test_value_and_grad_at_one_tau_share_one_exact_solve(monkeypatch):
-    solves = count_calls(monkeypatch, "additive_worst_case")
+    solves = count_calls(monkeypatch, SurrogateWorstCase, "solve")
     worst = SurrogateWorstCase(exact_bowl_model(3), np.zeros(3))
     tau = np.array([0.3, 0.4, 0.5])
     value = worst.value(tau)
@@ -630,7 +640,7 @@ def test_value_and_grad_at_one_tau_share_one_exact_solve(monkeypatch):
 
 
 def test_cg_allocation_on_an_exact_bowl_solves_each_tau_once(monkeypatch):
-    solves = count_calls(monkeypatch, "additive_worst_case")
+    solves = count_calls(monkeypatch, SurrogateWorstCase, "solve")
     bowl = exact_bowl_model(6)
     a = np.linspace(0.5, 5.0, 6)
     model = SeparatedModel(dim=6, rank=6, degree=2, intervals=bowl.intervals, scales=a,
@@ -649,8 +659,8 @@ def test_cg_allocation_on_an_exact_bowl_solves_each_tau_once(monkeypatch):
 
 
 def test_value_and_grad_of_a_non_additive_model_share_one_multistart(monkeypatch):
-    maximizes = count_calls(monkeypatch, "box_maximize")
-    gradients = count_calls(monkeypatch, "grad_G")
+    maximizes = count_calls(monkeypatch, boxmax, "box_maximize")
+    gradients = count_calls(monkeypatch, boxmax, "grad_G")
     worst = SurrogateWorstCase(Rank2Synthetic().model, np.zeros(2))
     tau = np.array([0.3, 0.2])
     worst.value(tau)

@@ -12,8 +12,7 @@ import pytest
 
 from tolalloc import (ConstraintError, DegenerateNormalError, EvaluatorError, FitConfig, FitError,
                       InitializationError, Interval, RetractionError, SampleSet, SeparatedModel,
-                      SurrogateWorstCase, als_fit, cli)
-from tolalloc.boxmax import additive_split
+                      SurrogateWorstCase, als_fit, boxmax, cli)
 from tolalloc.cli import main
 from tolalloc.evaluator import REQUEST_BLOCK_ROWS, DomainError, QuadraticBowl, draw_samples
 from tolalloc.metrics import MetricError
@@ -412,7 +411,8 @@ print(json.dumps([code, sorted(name for name in sys.modules if name.startswith("
 """
 
 
-def test_each_cli_process_imports_only_the_modules_its_command_runs(tmp_path, config_path):
+def test_each_cli_process_imports_only_the_modules_its_command_runs(tmp_path, config_path,
+                                                                     monkeypatch):
     domain = str(tmp_path / "domain.json")
     samples, model = str(tmp_path / "samples.csv"), str(tmp_path / "model.json")
     tau = tmp_path / "tau.json"
@@ -471,7 +471,11 @@ def test_each_cli_process_imports_only_the_modules_its_command_runs(tmp_path, co
         "serve": {"evaluator", "files", "surrogate"}}
     # The rank-1 fit is a product of both axes, so G comes from the multistart.
     rank1 = SeparatedModel(**model_fields(json.loads((tmp_path / "rank1.model.json").read_text())))
-    assert additive_split(rank1) is None
+    maximizes, box_maximize = [], boxmax.box_maximize
+    monkeypatch.setattr(boxmax, "box_maximize",
+                        lambda *args: maximizes.append(args) or box_maximize(*args))
+    SurrogateWorstCase(rank1, BOWL_CONFIG["nominal"]).solve([[0.5, 0.2]])
+    assert len(maximizes) == 1
     # The process entry point freezes what the imports made; importing does not.
     assert frozen.pop("import") == 0 and frozen.pop("serve") == 0
     assert all(count > 0 for count in frozen.values()), frozen
